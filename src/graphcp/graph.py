@@ -13,6 +13,17 @@ The k-NN builder has two modes:
 * sampled: each node scores a seed-keyed uniform sample of M candidates,
   O(n M d).  With M = n - 1 the sampled candidate set is all other nodes and
   the result equals exact mode.
+
+Both modes, and the graph-free image mode in ``propagate.image_snaps``, pick
+neighbors with one batched top-k kernel (``_top_k``): per row of a
+similarity block, the k largest entries, higher similarity first and ties to
+the smaller index, in exactly the order of the first k of a stable
+``argsort`` of the negated row.  One ``argpartition`` finds each row's k-th
+value; only rows with a tie across that boundary fall back to the stable
+sort.  Row chunks are sized so that a block and its partition indices stay
+within ``_CHUNK_TARGET`` elements together (32 MB of float64 and int64);
+sampled mode's candidate gather stays within ``_SAMPLED_GATHER`` elements
+(4 MB).
 """
 
 from __future__ import annotations
@@ -29,6 +40,9 @@ from .errors import ValidationError
 
 EXACT_MODE_MAX_N = 50_000
 _CHUNK_TARGET = 1 << 22  # elements per similarity block
+# elements of sampled mode's (rows, M, d) candidate gather; its per-row draws
+# dominate, so larger chunks gain no speed, only memory
+_SAMPLED_GATHER = 1 << 19
 _CACHE_MAGIC = b"SNPG"
 
 
@@ -102,26 +116,28 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.setflags(write=False)
 
 
-def _make_graph(n: int, row_cols: list[np.ndarray], row_weights: list[np.ndarray]) -> SparseGraph:
-    counts = np.fromiter((len(c) for c in row_cols), count=n, dtype=np.int64)
-    row_offsets = np.concatenate([[0], np.cumsum(counts)])
-    if counts.sum():
-        col_indices = np.concatenate(row_cols)
-        weights = np.concatenate(row_weights)
-    else:
-        col_indices = np.empty(0, dtype=np.int64)
-        weights = np.empty(0, dtype=np.float64)
-    degrees = np.array(
-        [math.fsum(w) for w in row_weights], dtype=np.float64
-    ) if n else np.empty(0)
-    col_indices = col_indices.astype(np.int64)
-    weights = weights.astype(np.float64)
+def _csr_graph(n: int, row_offsets: np.ndarray, col_indices: np.ndarray,
+               weights: np.ndarray) -> SparseGraph:
+    """Freeze compressed-row arrays into a graph; ``degrees`` are per-row
+    ``math.fsum`` of the weights."""
+    row_offsets = np.asarray(row_offsets, dtype=np.int64)
+    col_indices = np.asarray(col_indices, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
+    degrees = np.zeros(n, dtype=np.float64)
+    bounds = row_offsets.tolist()
+    for i in np.flatnonzero(np.diff(row_offsets) > 0).tolist():
+        degrees[i] = math.fsum(weights[bounds[i]:bounds[i + 1]])
     _freeze(row_offsets, col_indices, weights, degrees)
     return SparseGraph(n, row_offsets, col_indices, weights, degrees)
 
 
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+
+
 def empty_graph(n: int) -> SparseGraph:
-    return _make_graph(n, [np.empty(0, dtype=np.int64)] * n, [np.empty(0)] * n)
+    return _csr_graph(n, np.zeros(n + 1, dtype=np.int64),
+                      np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
 
 
 def from_arcs(n: int, arcs: np.ndarray, weights: np.ndarray | None = None) -> SparseGraph:
@@ -143,16 +159,7 @@ def from_arcs(n: int, arcs: np.ndarray, weights: np.ndarray | None = None) -> Sp
             u, v = arcs[1:][dup][0]
             raise ValidationError(f"duplicate arc ({u}, {v})")
     counts = np.bincount(arcs[:, 0], minlength=n)
-    row_offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    col_indices = arcs[:, 1].copy()
-    degrees = np.zeros(n, dtype=np.float64)
-    for i in range(n):
-        lo, hi = row_offsets[i], row_offsets[i + 1]
-        if hi > lo:
-            degrees[i] = math.fsum(weights[lo:hi])
-    weights = weights.copy()
-    _freeze(row_offsets, col_indices, weights, degrees)
-    return SparseGraph(n, row_offsets, col_indices, weights, degrees)
+    return _csr_graph(n, _offsets(counts), arcs[:, 1].copy(), weights)
 
 
 def adjacency_graph(n: int, arcs: np.ndarray) -> SparseGraph:
@@ -186,21 +193,76 @@ def _pairwise_sims(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("id,jd->ij", a, b, optimize=False)
 
 
-def _select_top(sims: np.ndarray, k: int, min_similarity: float,
-                cand_idx: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k by similarity, ties to the smaller node index, threshold applied.
+def _block_rows(width: int) -> int:
+    """Rows per chunk so that a (rows, width) float64 block and its int64
+    partition indices together stay within ``_CHUNK_TARGET`` elements."""
+    return max(1, _CHUNK_TARGET // (2 * max(width, 1)))
 
-    ``sims`` must already carry -inf at excluded positions.  When ``cand_idx``
-    is given, similarities are positional into it and it must be sorted
-    ascending so the stable sort's tie order matches global node order.
+
+def _top_k(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k largest entries: higher similarity first, ties to the
+    smaller column.
+
+    ``sims`` is a 2-D block with -inf at excluded positions; it is negated in
+    place.  Returns (columns, similarities), both (rows, k), with columns in
+    exactly the order of ``np.argsort(-sims, axis=1, kind="stable")[:, :k]``.
     """
-    order = np.argsort(-sims, kind="stable")[:k]
-    chosen = sims[order] > min_similarity
-    order = order[chosen]
-    vals = sims[order]
-    cols = order if cand_idx is None else cand_idx[order]
-    srt = np.argsort(cols)
-    return cols[srt], vals[srt]
+    np.negative(sims, out=sims)
+    if k == 0:
+        return np.empty((sims.shape[0], 0), dtype=np.int64), np.empty((sims.shape[0], 0))
+    top = np.argpartition(sims, k - 1, axis=1)[:, :k].copy()
+    kth = np.take_along_axis(sims, top[:, k - 1:k], axis=1)
+    # a row whose k-th value repeats outside the chosen k has a tie across
+    # the boundary, and argpartition may have picked the larger index
+    tied = np.count_nonzero(sims <= kth, axis=1) > k
+    top.sort(axis=1)
+    order = np.argsort(np.take_along_axis(sims, top, axis=1), axis=1, kind="stable")
+    top = np.take_along_axis(top, order, axis=1)
+    if tied.any():
+        top[tied] = np.argsort(sims[tied], axis=1, kind="stable")[:, :k]
+    return top, -np.take_along_axis(sims, top, axis=1)
+
+
+def _top_k_blocks(queries: np.ndarray, base: np.ndarray, k: int, exclude_self: bool):
+    """Yield (start, stop, columns, similarities) per chunk of query rows:
+    each row's k most similar ``base`` rows under the ``_top_k`` contract.
+
+    Both inputs hold unit (or zero) rows, so the dot products are cosine
+    similarities.  ``exclude_self`` drops column i from query row i.
+    """
+    step = _block_rows(base.shape[0])
+    for start in range(0, queries.shape[0], step):
+        stop = min(start + step, queries.shape[0])
+        sims = _pairwise_sims(queries[start:stop], base)
+        if exclude_self:
+            rows = np.arange(start, stop)
+            sims[rows - start, rows] = -np.inf
+        yield (start, stop, *_top_k(sims, k))
+
+
+def _sampled_blocks(normed: np.ndarray, k: int, m: int, seed: int):
+    """Like ``_top_k_blocks`` over the other n-1 rows, but each row i scores
+    only a uniform M-subset of them, drawn from ``default_rng([seed, i])``."""
+    n, d = normed.shape
+    step = max(1, _SAMPLED_GATHER // max(m * d, 1))
+    pools = np.empty((min(step, n), m), dtype=np.int64)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        for i in range(start, stop):
+            rng = np.random.default_rng([seed & 0xFFFFFFFF, i])
+            pool = rng.choice(n - 1, size=m, replace=False)
+            pool.sort()
+            pool[pool >= i] += 1
+            pools[i - start] = pool
+        block = pools[:stop - start]
+        # one einsum per chunk; each dot product stays bit-identical to a
+        # per-row _pairwise_sims of the same pool
+        sims = np.einsum("ijd,ikd->ij", normed[block], normed[start:stop, None, :],
+                         optimize=False)
+        # pools are sorted, so ties to the smaller position are ties to the
+        # smaller node index
+        pos, vals = _top_k(sims, k)
+        yield start, stop, np.take_along_axis(block, pos, axis=1), vals
 
 
 def build_knn_graph(features: np.ndarray, cfg: KnnConfig) -> SparseGraph:
@@ -208,7 +270,8 @@ def build_knn_graph(features: np.ndarray, cfg: KnnConfig) -> SparseGraph:
 
     Arc weights are the similarities; arcs at or below ``min_similarity`` are
     dropped, so zero-norm feature rows end up with no arcs (a warning reports
-    how many).  Deterministic given (features, cfg.seed).
+    how many).  Ties go to the smaller node index.  Deterministic given
+    (features, cfg.seed).
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -223,11 +286,8 @@ def build_knn_graph(features: np.ndarray, cfg: KnnConfig) -> SparseGraph:
         )
     if cfg.sample_size is not None and cfg.sample_size > n:
         raise ValidationError(f"sample_size={cfg.sample_size} exceeds n={n}")
-
-    row_cols: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
-    row_weights: list[np.ndarray] = [np.empty(0)] * n
     if cfg.k == 0 or n == 0:
-        return _make_graph(n, row_cols, row_weights)
+        return empty_graph(n)
 
     normed, zero_rows = _normalized_rows(features)
     if zero_rows.any():
@@ -235,29 +295,23 @@ def build_knn_graph(features: np.ndarray, cfg: KnnConfig) -> SparseGraph:
             f"{int(zero_rows.sum())} zero-norm feature row(s) get no neighbors",
             stacklevel=2,
         )
-
     if cfg.sample_size is None:
-        chunk = max(1, _CHUNK_TARGET // max(n, 1))
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            sims = _pairwise_sims(normed[start:stop], normed)
-            sims[np.arange(start, stop) - start, np.arange(start, stop)] = -np.inf
-            for i in range(start, stop):
-                cols, vals = _select_top(sims[i - start], cfg.k, cfg.min_similarity)
-                row_cols[i], row_weights[i] = cols.astype(np.int64), vals
+        blocks = _top_k_blocks(normed, normed, cfg.k, exclude_self=True)
     else:
-        m = min(cfg.sample_size, n - 1)
-        for i in range(n):
-            rng = np.random.default_rng([cfg.seed & 0xFFFFFFFF, i])
-            # uniform M-subset of the other n-1 nodes, keyed by (seed, row)
-            pool = rng.choice(n - 1, size=m, replace=False)
-            pool = np.sort(pool)
-            pool[pool >= i] += 1
-            sims = _pairwise_sims(normed[pool], normed[i:i + 1])[:, 0]
-            cols, vals = _select_top(sims, cfg.k, cfg.min_similarity, cand_idx=pool)
-            row_cols[i], row_weights[i] = cols.astype(np.int64), vals
+        blocks = _sampled_blocks(normed, cfg.k, min(cfg.sample_size, n - 1), cfg.seed)
 
-    return _make_graph(n, row_cols, row_weights)
+    counts = np.zeros(n, dtype=np.int64)
+    row_cols, row_weights = [], []
+    for start, stop, cols, vals in blocks:
+        by_col = np.argsort(cols, axis=1)
+        cols = np.take_along_axis(cols, by_col, axis=1)
+        vals = np.take_along_axis(vals, by_col, axis=1)
+        keep = vals > cfg.min_similarity
+        counts[start:stop] = np.count_nonzero(keep, axis=1)
+        row_cols.append(cols[keep])
+        row_weights.append(vals[keep])
+    return _csr_graph(n, _offsets(counts), np.concatenate(row_cols),
+                      np.concatenate(row_weights))
 
 
 def row_normalize(g: SparseGraph) -> SparseGraph:
@@ -313,15 +367,18 @@ def load_knn_cache(path, feature_hash: bytes, cfg: KnnConfig) -> SparseGraph:
     if stored_hash != feature_hash or key != want:
         raise ValidationError(f"{path}: cache key mismatch (stale cache?)")
     off = 4 + header + 32
+    expected = off + (n + 1) * 8 + nnz * 4 + nnz * 8
+    if len(raw) != expected:
+        raise ValidationError(
+            f"{path}: cache file is {len(raw)} bytes, expected {expected} "
+            f"for n={n}, nnz={nnz} (truncated or corrupt file)"
+        )
     ro = np.frombuffer(raw, dtype="<u8", count=n + 1, offset=off).astype(np.int64)
     off += (n + 1) * 8
     ci = np.frombuffer(raw, dtype="<u4", count=nnz, offset=off).astype(np.int64)
     off += nnz * 4
     w = np.frombuffer(raw, dtype="<f8", count=nnz, offset=off).astype(np.float64)
-    degrees = np.zeros(n, dtype=np.float64)
-    for i in range(n):
-        lo, hi = ro[i], ro[i + 1]
-        if hi > lo:
-            degrees[i] = math.fsum(w[lo:hi])
-    _freeze(ro, ci, w, degrees)
-    return SparseGraph(int(n), ro, ci, w, degrees)
+    try:
+        return _csr_graph(int(n), ro, ci, w)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

@@ -306,10 +306,18 @@ def _config_dict(cfg: ExperimentConfig, bundle: DatasetBundle) -> dict:
 
 
 def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
+    """Trial threads from ``GRAPHCP_THREADS`` (1 when unset); anything but an
+    integer >= 1 is rejected."""
+    raw = os.environ.get(THREADS_ENV)
+    if raw is None:
         return 1
+    try:
+        count = int(raw)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValidationError(f"{THREADS_ENV}={raw!r}: expected an integer >= 1")
+    return count
 
 
 def run_experiment(bundle: DatasetBundle, cfg: ExperimentConfig) -> TrialReport:
@@ -319,6 +327,7 @@ def run_experiment(bundle: DatasetBundle, cfg: ExperimentConfig) -> TrialReport:
     cfg.knn.seed.  Trials run in parallel when ``GRAPHCP_THREADS`` > 1 and
     merge in trial order, so threading never changes the report.
     """
+    n_threads = _thread_count()
     labels = bundle.labels
     num_classes = bundle.num_classes
     adj = adjacency_graph(bundle.n, bundle.edges)
@@ -382,7 +391,6 @@ def run_experiment(bundle: DatasetBundle, cfg: ExperimentConfig) -> TrialReport:
             summary = replace(summary, sscv=sscv(sets, labels, alpha=cfg.alpha))
             return TrialResult(ms, cs, summary, params)
 
-        n_threads = _thread_count()
         if n_threads > 1:
             with ThreadPoolExecutor(max_workers=n_threads) as pool_ex:
                 trials.extend(pool_ex.map(one_trial, range(cfg.n_conformal_splits)))

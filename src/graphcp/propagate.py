@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .graph import SparseGraph, empty_graph
+from .graph import SparseGraph, _normalized_rows, _top_k_blocks, empty_graph
 from .scores import ScoreMatrix
 
 _MASK32 = 0xFFFFFFFF
@@ -184,8 +184,15 @@ def oracle_aggregate(S: ScoreMatrix, labels: np.ndarray, m: int, w: float,
 def image_snaps(S_eval: ScoreMatrix, S_calib: ScoreMatrix,
                 feats_eval: np.ndarray, feats_calib: np.ndarray,
                 k: int, eta: float, exclude_self: bool = False) -> ScoreMatrix:
-    """Graph-free correction: mix each row with the mean score row of its k
-    most cosine-similar calibration rows.
+    """Graph-free correction: mix each row with the unweighted mean score row
+    of its k most cosine-similar calibration rows.
+
+    Neighbors come from the k-NN graph's top-k kernel (``graph._top_k``):
+    ties go to the smaller calibration index, and the k rows are averaged in
+    the kernel's order (most similar first), which is the order of a stable
+    argsort, so every score is reproducible to the bit.  Test rows are
+    processed in chunks whose similarity block and partition indices stay
+    within ``graph._CHUNK_TARGET`` elements.
 
     ``exclude_self=True`` treats eval and calibration as the same aligned set
     and skips each row's own entry.  Zero-norm feature rows fall back to the
@@ -210,25 +217,13 @@ def image_snaps(S_eval: ScoreMatrix, S_calib: ScoreMatrix,
         values.setflags(write=False)
         return ScoreMatrix(values, "snaps", S_eval.xi)
 
-    def _norm(x):
-        norms = np.sqrt(np.einsum("nd,nd->n", x, x))
-        zero = norms == 0.0
-        return x / np.where(zero, 1.0, norms)[:, None], zero
-
-    ne, zero_eval = _norm(feats_eval)
-    nc, _ = _norm(feats_calib)
+    ne, zero_eval = _normalized_rows(feats_eval)
+    nc, _ = _normalized_rows(feats_calib)
     k_eff = min(k, n_calib - 1) if exclude_self else k
 
     values = S_eval.values.copy()
-    chunk = max(1, (1 << 22) // max(n_calib, 1))
-    for start in range(0, n_eval, chunk):
-        stop = min(start + chunk, n_eval)
-        sims = np.einsum("id,jd->ij", ne[start:stop], nc, optimize=False)
-        if exclude_self:
-            rows = np.arange(start, stop)
-            sims[rows - start, rows] = -np.inf
-        order = np.argsort(-sims, axis=1, kind="stable")[:, :k_eff]
-        nbr_mean = S_calib.values[order].mean(axis=1)
+    for start, stop, nbrs, _ in _top_k_blocks(ne, nc, k_eff, exclude_self):
+        nbr_mean = S_calib.values[nbrs].mean(axis=1)
         block = (1.0 - eta) * S_eval.values[start:stop] + eta * nbr_mean
         keep = zero_eval[start:stop]
         block[keep] = S_eval.values[start:stop][keep]

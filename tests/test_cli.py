@@ -61,6 +61,17 @@ def test_missing_manifest_is_validation_exit(tmp_path):
     assert code == 1
 
 
+def test_bad_thread_count_exits_one(synth_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GRAPHCP_THREADS", "abc")
+    code = main([
+        "run", "--manifest", str(synth_dir / "manifest.txt"),
+        "--method", "aps", "--splits", "1", "--trials", "1",
+        "--out", str(tmp_path / "r.json"),
+    ])
+    assert code == 1
+    assert "GRAPHCP_THREADS" in capsys.readouterr().err
+
+
 def test_bad_arguments_exit_one(capsys):
     assert main(["run", "--method", "aps"]) == 1  # --manifest/--out missing
     assert main(["bogus-subcommand"]) == 1

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -25,6 +26,33 @@ def brute_force_knn(features, k, min_similarity=0.0):
         chosen = sorted((j, -negsim) for negsim, j in cands[:k])
         rows.append(chosen)
     return rows
+
+
+def argsort_knn(features, k, min_similarity=0.0, sample_size=None, seed=0):
+    """Per-row reference with the same similarities as build_knn_graph: a
+    stable argsort of each row's negated similarities (ties to the smaller
+    index)."""
+    normed, _ = g.graph._normalized_rows(np.asarray(features, dtype=np.float64))
+    n = normed.shape[0]
+    rows = []
+    for i in range(n):
+        if sample_size is None:
+            cand = np.arange(n)
+        else:
+            rng = np.random.default_rng([seed & 0xFFFFFFFF, i])
+            cand = np.sort(rng.choice(n - 1, size=min(sample_size, n - 1), replace=False))
+            cand[cand >= i] += 1
+        sims = g.graph._pairwise_sims(normed[cand], normed[i:i + 1])[:, 0]
+        sims[cand == i] = -np.inf
+        order = np.argsort(-sims, kind="stable")[:k]
+        order = order[sims[order] > min_similarity]
+        rows.append(sorted(zip(cand[order].tolist(), sims[order].tolist())))
+    return rows
+
+
+def assert_same_graph(a, b):
+    for name in ("row_offsets", "col_indices", "weights", "degrees"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def graph_rows(graph):
@@ -104,6 +132,53 @@ def test_sampled_mode_deterministic():
     g3 = g.build_knn_graph(feats, g.KnnConfig(k=2, sample_size=30, seed=12))
     assert not (np.array_equal(g1.col_indices, g3.col_indices)
                 and np.array_equal(g1.weights, g3.weights))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_top_k_matches_stable_argsort_with_heavy_ties(data):
+    rows = data.draw(st.integers(min_value=1, max_value=6))
+    width = data.draw(st.integers(min_value=1, max_value=30))
+    k = data.draw(st.integers(min_value=1, max_value=width))
+    cells = st.one_of(st.integers(min_value=-2, max_value=2).map(float),
+                      st.just(-np.inf))
+    sims = np.array(data.draw(st.lists(cells, min_size=rows * width,
+                                       max_size=rows * width))).reshape(rows, width)
+    expected = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    cols, vals = g.graph._top_k(sims.copy(), k)
+    assert np.array_equal(cols, expected)
+    assert np.array_equal(vals, np.take_along_axis(sims, expected, axis=1))
+
+
+@pytest.mark.parametrize("sample_size", [None, 40])
+def test_knn_chunk_boundaries_bit_exact(monkeypatch, sample_size):
+    rng = np.random.default_rng(21)
+    n, k, d = 60, 4, 3
+    # rows drawn from 6 distinct directions: every row's k-th similarity is
+    # shared by several candidates
+    feats = rng.normal(size=(6, d))[rng.integers(0, 6, size=n)]
+    cfg = g.KnnConfig(k=k, sample_size=sample_size, seed=9)
+    whole = g.build_knn_graph(feats, cfg)
+    # n = one chunk plus one row, and a one-row chunk per step
+    for rows_per_chunk in (n - 1, 7, 1):
+        if sample_size is None:
+            monkeypatch.setattr(g.graph, "_CHUNK_TARGET", 2 * n * rows_per_chunk)
+        else:
+            monkeypatch.setattr(g.graph, "_SAMPLED_GATHER", sample_size * d * rows_per_chunk)
+        assert_same_graph(g.build_knn_graph(feats, cfg), whole)
+    expected = argsort_knn(feats, k, sample_size=sample_size, seed=9)
+    assert graph_rows(whole) == expected
+
+
+def test_knn_just_above_one_chunk_matches_argsort_reference():
+    rng = np.random.default_rng(22)
+    # the smallest n that needs a second chunk of rows
+    n = next(m for m in range(2, 1 << 12) if g.graph._block_rows(m) < m)
+    feats = rng.normal(size=(n, 4))
+    feats[n - 1] = feats[0]  # a duplicate across the chunk boundary
+    feats[n - 2] = feats[3]
+    graph = g.build_knn_graph(feats, g.KnnConfig(k=5))
+    assert graph_rows(graph) == argsort_knn(feats, 5)
 
 
 def test_knn_rejects_k_ge_n():
@@ -199,3 +274,30 @@ def test_knn_cache_roundtrip(tmp_path):
         g.load_knn_cache(cache, digest, g.KnnConfig(k=4, seed=2))
     with pytest.raises(ValidationError, match="mismatch"):
         g.load_knn_cache(cache, b"\x00" * 32, cfg)
+
+
+def _cache_file(tmp_path):
+    rng = np.random.default_rng(8)
+    feats = rng.normal(size=(30, 4))
+    cfg = g.KnnConfig(k=3, seed=2)
+    digest = b"\x01" * 32
+    cache = tmp_path / "knn.snpg"
+    g.save_knn_cache(g.build_knn_graph(feats, cfg), cache, digest, cfg)
+    return cache, digest, cfg
+
+
+@pytest.mark.parametrize("where", ["offsets", "columns", "weights", "trailing"])
+def test_knn_cache_wrong_length_is_validation_error(tmp_path, where):
+    cache, digest, cfg = _cache_file(tmp_path)
+    raw = cache.read_bytes()
+    header = 4 + struct.calcsize("<IQIIqd") + 32
+    n, nnz = 30, 30 * 3
+    cut = {
+        "offsets": header + 8 * (n + 1) // 2,
+        "columns": header + 8 * (n + 1) + 4 * nnz // 2,
+        "weights": len(raw) - 17,
+    }
+    assert len(raw) == header + 8 * (n + 1) + 12 * nnz
+    cache.write_bytes(raw + b"\x00" * 3 if where == "trailing" else raw[:cut[where]])
+    with pytest.raises(ValidationError, match="knn.snpg.*bytes, expected"):
+        g.load_knn_cache(cache, digest, cfg)

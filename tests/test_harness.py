@@ -152,6 +152,15 @@ def test_run_experiment_threaded_matches_serial(small_bundle):
     assert g.reports_equal(serial, threaded)
 
 
+@pytest.mark.parametrize("value", ["abc", "-3", "0", "1.5", ""])
+def test_bad_thread_count_is_rejected(small_bundle, monkeypatch, value):
+    monkeypatch.setenv("GRAPHCP_THREADS", value)
+    cfg = g.ExperimentConfig(alpha=0.1, method="aps", n_model_splits=1,
+                             n_conformal_splits=1, seed=23)
+    with pytest.raises(ValidationError, match="GRAPHCP_THREADS"):
+        g.run_experiment(small_bundle, cfg)
+
+
 def test_reduction_chain_matches_base(small_bundle):
     base_cfg = g.ExperimentConfig(alpha=0.1, method="aps", n_model_splits=1,
                                   n_conformal_splits=4, seed=31)

@@ -231,6 +231,38 @@ def test_image_snaps_exclude_self():
         assert np.allclose(out.values[i], S_cal.values[others].mean(axis=0))
 
 
+def image_snaps_reference(S_eval, S_cal, feats_eval, feats_cal, k, eta, exclude_self):
+    """Brute force: per eval row, rank calibration rows by (cosine desc,
+    index asc) and mix with the plain mean of the first k."""
+    out = S_eval.values.copy()
+    for i, x in enumerate(feats_eval):
+        ranked = sorted((-g.cosine_similarity(x, c), j) for j, c in enumerate(feats_cal)
+                        if not (exclude_self and j == i))
+        nbrs = [j for _, j in ranked[:k]]
+        out[i] = (1 - eta) * S_eval.values[i] + eta * S_cal.values[nbrs].mean(axis=0)
+    return out
+
+
+@pytest.mark.parametrize("exclude_self", [False, True])
+def test_image_snaps_duplicate_calibration_rows_tie_to_smaller_index(exclude_self):
+    rng = np.random.default_rng(14)
+    # 5 distinct directions, each repeated 4 times at scattered indices, so
+    # the k-th neighbor is tied with later duplicates
+    feats_cal = rng.normal(size=(5, 3))[rng.permutation(np.repeat(np.arange(5), 4))]
+    S_cal = _score(rng.uniform(size=(20, 3)))
+    if exclude_self:
+        S_eval, feats_eval = S_cal, feats_cal
+    else:
+        S_eval = _score(rng.uniform(size=(9, 3)))
+        feats_eval = rng.normal(size=(9, 3))
+    for k in (1, 2, 3, 6):
+        out = g.image_snaps(S_eval, S_cal, feats_eval, feats_cal, k=k, eta=0.7,
+                            exclude_self=exclude_self)
+        ref = image_snaps_reference(S_eval, S_cal, feats_eval, feats_cal, k, 0.7,
+                                    exclude_self)
+        assert np.allclose(out.values, ref, rtol=0, atol=1e-12)
+
+
 def test_image_snaps_zero_norm_rows_fall_back():
     rng = np.random.default_rng(12)
     S_eval, S_cal = _score(rng.uniform(size=(3, 2))), _score(rng.uniform(size=(5, 2)))
