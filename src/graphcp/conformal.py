@@ -60,6 +60,15 @@ def conformal_rank(n: int, alpha: float) -> int:
     return math.ceil((n + 1) * (1 - Fraction(str(alpha))))
 
 
+def _order_statistic(scores: np.ndarray, rank: int) -> np.ndarray:
+    """The ``rank``-th smallest entry (1-based) along the last axis, +inf
+    where ``rank`` exceeds that axis; one threshold per leading index."""
+    n = scores.shape[-1]
+    if rank > n:
+        return np.full(scores.shape[:-1], math.inf)
+    return np.partition(scores, rank - 1, axis=-1)[..., rank - 1]
+
+
 def _score_values(scores) -> np.ndarray:
     if isinstance(scores, ScoreMatrix):
         return scores.values
@@ -77,12 +86,8 @@ def calibrate(scores, labels: np.ndarray, calib_idx: np.ndarray,
     if calib_idx.min() < 0 or calib_idx.max() >= values.shape[0]:
         raise ValidationError("calibration index out of range")
     n = int(calib_idx.shape[0])
-    rank = conformal_rank(n, alpha)
-    if rank > n:
-        q_hat = math.inf
-    else:
-        true_scores = values[calib_idx, labels[calib_idx]]
-        q_hat = float(np.partition(true_scores, rank - 1)[rank - 1])
+    true_scores = values[calib_idx, labels[calib_idx]]
+    q_hat = float(_order_statistic(true_scores, conformal_rank(n, alpha)))
     idx = np.array(calib_idx, dtype=np.int64)
     idx.setflags(write=False)
     return CalibratedThreshold(q_hat=q_hat, alpha=alpha, n_calib=n, calib_idx=idx)

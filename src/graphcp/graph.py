@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
+from .matrixio import atomic_open
 
 EXACT_MODE_MAX_N = 50_000
 _CHUNK_TARGET = 1 << 22  # elements per similarity block
@@ -335,11 +336,11 @@ def row_normalize(g: SparseGraph) -> SparseGraph:
 
 
 def save_knn_cache(g: SparseGraph, path, feature_hash: bytes, cfg: KnnConfig) -> None:
-    """Sidecar cache keyed by feature-file hash and build parameters."""
+    """Sidecar cache keyed by feature-file hash and build parameters; the
+    file is replaced atomically, so a failed write keeps the old cache."""
     if len(feature_hash) != 32:
         raise ValidationError("feature_hash must be a 32-byte sha256 digest")
-    path = Path(path)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_CACHE_MAGIC)
         fh.write(struct.pack(
             "<IQIIqd", g.n, g.nnz, cfg.k, cfg.sample_size or 0,

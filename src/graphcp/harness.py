@@ -9,6 +9,11 @@ calibration set in half - one half tunes on a grid (calibrate on half of it,
 measure Size on the rest, ties broken by higher singleton-hit then smaller
 total weight), the other half feeds the final conformal calibration.
 Tuning therefore never sees the final calibration half or the test set.
+The grid is scored as one batch: one conformal rank per tuning call, every
+grid point's threshold from one partition along the sample axis, and each
+score built with the same per-element arithmetic as the final mix, so the
+chosen point - same key, first in grid order on a full tie - is the one a
+point-by-point search would pick.
 
 Everything is driven by integer seeds: per-trial generators are derived from
 (seed, stage, model split, conformal split), so serial and threaded runs
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .conformal import calibrate, conformal_rank, predict_sets
+from .conformal import _order_statistic, calibrate, conformal_rank, predict_sets
 from .errors import ValidationError
 from .graph import KnnConfig, adjacency_graph, build_knn_graph, empty_graph
 from .matrixio import DatasetBundle, make_bundle
@@ -187,58 +192,67 @@ def _half_split(idx: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(perm[:half]), np.sort(perm[half:])
 
 
-def _size_sh(values_cal, labels_cal, values_eval, labels_eval, alpha):
-    n = labels_cal.shape[0]
-    rank = conformal_rank(n, alpha)
-    if rank > n:
-        q = math.inf
-    else:
-        true_scores = values_cal[np.arange(n), labels_cal]
-        q = float(np.partition(true_scores, rank - 1)[rank - 1])
-    mask = values_eval <= q
-    sizes = mask.sum(axis=1)
-    covered = mask[np.arange(labels_eval.shape[0]), labels_eval]
-    return float(sizes.mean()), float((covered & (sizes == 1)).mean())
+def _grid_size_sh(cal_scores, eval_scores, labels_cal, labels_eval,
+                  num_classes, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """Size and singleton-hit counts of every grid point at once.
+
+    ``cal_scores(cols)``/``eval_scores(cols)`` return the (G, rows) scores of
+    one tuning half at a class column (an int, or one label per row).  Each
+    grid point calibrates on the true labels of the first half and is
+    measured on the second.  Returns counts over the second half, which order
+    the grid points exactly as the Size and singleton-hit means would.
+    """
+    rank = conformal_rank(labels_cal.shape[0], alpha)
+    q = _order_statistic(cal_scores(labels_cal), rank)[:, None]
+    sizes = np.zeros((q.shape[0], labels_eval.shape[0]), dtype=np.int64)
+    for c in range(num_classes):
+        sizes += eval_scores(c) <= q
+    covered = eval_scores(labels_eval) <= q
+    return sizes.sum(axis=1), (covered & (sizes == 1)).sum(axis=1)
 
 
-def _combine_rows(values, nm: NeighborMeans, lam, mu, rows):
+def _snaps_grid_scores(values, nm: NeighborMeans, lam, mu, rows):
+    """``combine_scores`` on ``rows`` for (G, 1) weight columns ``lam``/``mu``:
+    the same arithmetic per element, broadcast over the grid axis."""
     ego = 1.0 - lam * nm.has_knn[rows] - mu * nm.has_adj[rows]
-    return (ego[:, None] * values[rows]
-            + lam * nm.knn_mean[rows] + mu * nm.adj_mean[rows])
+    v, knn_mean, adj_mean = values[rows], nm.knn_mean[rows], nm.adj_mean[rows]
+    pos = np.arange(rows.shape[0])
+    return lambda cols: (ego * v[pos, cols] + lam * knn_mean[pos, cols]
+                         + mu * adj_mean[pos, cols])
+
+
+def _raps_grid_scores(aps_values, ranks, k_reg, lam, rows):
+    """``aps + raps_penalty`` on ``rows`` for (G, 1) columns ``k_reg``/``lam``."""
+    v, r = aps_values[rows], ranks[rows]
+    pos = np.arange(rows.shape[0])
+    return lambda cols: v[pos, cols] + lam * np.maximum(0, r[pos, cols] - k_reg)
 
 
 def _tune_snaps(values, nm, labels, tune_idx, alpha, grid_step, rng,
                 mu_only=False) -> SnapsParams:
     a, b = _half_split(tune_idx, rng)
-    la, lb = labels[a], labels[b]
-    best, best_key = None, None
-    for p in snaps_param_grid(grid_step, mu_only=mu_only):
-        va = _combine_rows(values, nm, p.lam, p.mu, a)
-        vb = _combine_rows(values, nm, p.lam, p.mu, b)
-        size, sh_val = _size_sh(va, la, vb, lb, alpha)
-        key = (size, -sh_val, p.lam + p.mu, p.lam, p.mu)
-        if best_key is None or key < best_key:
-            best, best_key = p, key
-    return best
+    grid = snaps_param_grid(grid_step, mu_only=mu_only)
+    lam = np.array([[p.lam] for p in grid])
+    mu = np.array([[p.mu] for p in grid])
+    size, sh = _grid_size_sh(_snaps_grid_scores(values, nm, lam, mu, a),
+                             _snaps_grid_scores(values, nm, lam, mu, b),
+                             labels[a], labels[b], values.shape[1], alpha)
+    lam, mu = lam[:, 0], mu[:, 0]
+    return grid[np.lexsort((mu, lam, lam + mu, -sh, size))[0]]
 
 
 def _tune_raps(aps_values, ranks, labels, tune_idx, alpha, rng,
                num_classes) -> RapsParams:
     a, b = _half_split(tune_idx, rng)
-    la, lb = labels[a], labels[b]
-    ra, rb = ranks[a], ranks[b]
-    va_base, vb_base = aps_values[a], aps_values[b]
-    best, best_key = None, None
-    for k_reg in range(1, min(num_classes, RAPS_MAX_KREG) + 1):
-        pa = np.maximum(0, ra - k_reg)
-        pb = np.maximum(0, rb - k_reg)
-        for lam in RAPS_LAMBDA_GRID:
-            size, sh_val = _size_sh(va_base + lam * pa, la,
-                                    vb_base + lam * pb, lb, alpha)
-            key = (size, -sh_val, lam, k_reg)
-            if best_key is None or key < best_key:
-                best, best_key = RapsParams(k_reg, lam), key
-    return best
+    grid = [RapsParams(k_reg, lam)
+            for k_reg in range(1, min(num_classes, RAPS_MAX_KREG) + 1)
+            for lam in RAPS_LAMBDA_GRID]
+    k_reg = np.array([[p.k_reg] for p in grid])
+    lam = np.array([[p.lambda_reg] for p in grid])
+    size, sh = _grid_size_sh(_raps_grid_scores(aps_values, ranks, k_reg, lam, a),
+                             _raps_grid_scores(aps_values, ranks, k_reg, lam, b),
+                             labels[a], labels[b], num_classes, alpha)
+    return grid[np.lexsort((k_reg[:, 0], lam[:, 0], -sh, size))[0]]
 
 
 def tune_hyperparams(scores: ScoreMatrix, knn, adj, labels, calib_idx, *,

@@ -15,18 +15,17 @@ together by a small ``key = value`` manifest file.
 from __future__ import annotations
 
 import hashlib
+import os
+import secrets
 import struct
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-
-# numpy arrays are the universal carriers; the aliases document intent.
-DenseMatrix = np.ndarray
-LabelVector = np.ndarray
 
 _MAGIC = b"SNPM"
 PROB_ROW_SUM_TOL = 1e-4
@@ -350,14 +349,25 @@ def save_bundle(bundle: DatasetBundle, out_dir) -> Path:
     return manifest
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a sibling temp file for writing and move it over ``path`` when the
+    block completes; if the block raises, the temp file is removed and
+    ``path`` keeps its previous contents."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, mode.replace("w", "x"), **kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def file_sha256(path) -> bytes:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.digest()
-
-
-# report serialization lives in report.py but belongs to the same file-format
-# surface, so it is re-exported here
-from .report import read_report, write_report  # noqa: E402,F401

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ValidationError
+from .matrixio import atomic_open
 from .metrics import MetricSummary
 
 _TRIAL_FLOATS = ("coverage", "size", "sh", "sscv")
@@ -107,18 +108,21 @@ def _fmt(value) -> str:
 
 
 def write_report(report: TrialReport, path, format: str = "json") -> None:
-    """Serialize a report; field order is deterministic for both formats."""
+    """Serialize a report; field order is deterministic for both formats.
+
+    The file is replaced atomically: a write that fails leaves any previous
+    report at ``path`` intact."""
     path = Path(path)
     if format == "json":
         try:
-            with open(path, "w", encoding="utf-8") as fh:
+            with atomic_open(path, "w", encoding="utf-8") as fh:
                 json.dump(report_to_dict(report), fh, indent=2)
                 fh.write("\n")
         except OSError as exc:
             raise ValidationError(f"cannot write report: {exc}") from exc
     elif format == "csv":
         try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
+            with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write("# config " + json.dumps(report.config, sort_keys=True) + "\n")
                 writer = csv.writer(fh)
                 writer.writerow(

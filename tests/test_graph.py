@@ -1,5 +1,6 @@
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -301,3 +302,22 @@ def test_knn_cache_wrong_length_is_validation_error(tmp_path, where):
     cache.write_bytes(raw + b"\x00" * 3 if where == "trailing" else raw[:cut[where]])
     with pytest.raises(ValidationError, match="knn.snpg.*bytes, expected"):
         g.load_knn_cache(cache, digest, cfg)
+
+
+def test_failed_cache_write_keeps_previous_cache(tmp_path):
+    cache, digest, cfg = _cache_file(tmp_path)
+    before = cache.read_bytes()
+
+    class BrokenWeights:
+        def astype(self, dtype):
+            raise OSError(28, "No space left on device")
+
+    graph = g.build_knn_graph(np.random.default_rng(9).normal(size=(30, 4)), cfg)
+    half_written = SimpleNamespace(n=graph.n, nnz=graph.nnz,
+                                   row_offsets=graph.row_offsets,
+                                   col_indices=graph.col_indices,
+                                   weights=BrokenWeights())
+    with pytest.raises(OSError, match="No space"):
+        g.save_knn_cache(half_written, cache, digest, cfg)
+    assert cache.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [cache]

@@ -1,9 +1,13 @@
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import graphcp as g
+from graphcp import harness
 from graphcp.errors import ValidationError
 from graphcp.harness import _split_pool, snaps_param_grid
 
@@ -119,6 +123,172 @@ def test_tuning_ignores_labels_outside_tuning_set(small_bundle):
     poisoned = g.tune_hyperparams(scores, knn, adj, poisoned_labels, tune_idx,
                                   alpha=0.1, method="snaps", grid_step=0.25, seed=11)
     assert (clean.lam, clean.mu) == (poisoned.lam, poisoned.mu)
+
+
+# Point-by-point grid search: the reference the batched tuner must match.
+
+def _ref_size_sh(values_cal, labels_cal, values_eval, labels_eval, alpha):
+    n = labels_cal.shape[0]
+    rank = g.conformal_rank(n, alpha)
+    if rank > n:
+        q = math.inf
+    else:
+        true_scores = values_cal[np.arange(n), labels_cal]
+        q = float(np.partition(true_scores, rank - 1)[rank - 1])
+    mask = values_eval <= q
+    sizes = mask.sum(axis=1)
+    covered = mask[np.arange(labels_eval.shape[0]), labels_eval]
+    return float(sizes.mean()), float((covered & (sizes == 1)).mean())
+
+
+def _ref_combine_rows(values, nm, lam, mu, rows):
+    ego = 1.0 - lam * nm.has_knn[rows] - mu * nm.has_adj[rows]
+    return (ego[:, None] * values[rows]
+            + lam * nm.knn_mean[rows] + mu * nm.adj_mean[rows])
+
+
+def _ref_tune_snaps(values, nm, labels, tune_idx, alpha, grid_step, rng,
+                    mu_only=False):
+    a, b = harness._half_split(tune_idx, rng)
+    la, lb = labels[a], labels[b]
+    best, best_key = None, None
+    for p in snaps_param_grid(grid_step, mu_only=mu_only):
+        va = _ref_combine_rows(values, nm, p.lam, p.mu, a)
+        vb = _ref_combine_rows(values, nm, p.lam, p.mu, b)
+        size, sh_val = _ref_size_sh(va, la, vb, lb, alpha)
+        key = (size, -sh_val, p.lam + p.mu, p.lam, p.mu)
+        if best_key is None or key < best_key:
+            best, best_key = p, key
+    return best
+
+
+def _ref_tune_raps(aps_values, ranks, labels, tune_idx, alpha, rng, num_classes):
+    a, b = harness._half_split(tune_idx, rng)
+    la, lb = labels[a], labels[b]
+    ra, rb = ranks[a], ranks[b]
+    va_base, vb_base = aps_values[a], aps_values[b]
+    best, best_key = None, None
+    for k_reg in range(1, min(num_classes, harness.RAPS_MAX_KREG) + 1):
+        pa = np.maximum(0, ra - k_reg)
+        pb = np.maximum(0, rb - k_reg)
+        for lam in harness.RAPS_LAMBDA_GRID:
+            size, sh_val = _ref_size_sh(va_base + lam * pa, la,
+                                        vb_base + lam * pb, lb, alpha)
+            key = (size, -sh_val, lam, k_reg)
+            if best_key is None or key < best_key:
+                best, best_key = g.RapsParams(k_reg, lam), key
+    return best
+
+
+def _draw_matrix(data, n, k, cells):
+    return np.array(data.draw(st.lists(cells, min_size=n * k, max_size=n * k)),
+                    dtype=np.float64).reshape(n, k)
+
+
+# few distinct score values, so Size and singleton-hit ties are common
+_CELLS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+_ALPHAS = st.sampled_from([0.05, 0.1, 0.2, 0.5])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(min_value=2, max_value=60),
+       st.integers(min_value=2, max_value=5), _ALPHAS,
+       st.sampled_from([0.05, 0.25, 0.5, 1.0]), st.booleans(),
+       st.integers(min_value=0, max_value=2 ** 31))
+@example(data=None, n=2, k=2, alpha=0.05, grid_step=0.25, mu_only=False, seed=0)
+def test_batched_snaps_tuner_matches_scalar_grid(data, n, k, alpha, grid_step,
+                                                 mu_only, seed):
+    if data is None:  # fixed example: rank > n on a 1-node half, q = +inf
+        values = np.array([[0.0, 0.5], [0.5, 0.0]])
+        nm = g.NeighborMeans(values[::-1].copy(), values.copy(),
+                             np.ones(2), np.array([1.0, 0.0]))
+        labels = np.array([0, 1])
+    else:
+        values = _draw_matrix(data, n, k, _CELLS)
+        nm = g.NeighborMeans(
+            _draw_matrix(data, n, k, _CELLS), _draw_matrix(data, n, k, _CELLS),
+            _draw_matrix(data, n, 1, st.sampled_from([0.0, 1.0]))[:, 0],
+            _draw_matrix(data, n, 1, st.sampled_from([0.0, 1.0]))[:, 0])
+        labels = np.array(data.draw(st.lists(st.integers(0, k - 1),
+                                             min_size=n, max_size=n)))
+    tune_idx = np.arange(labels.shape[0])
+    args = (values, nm, labels, tune_idx, alpha, grid_step)
+    got = harness._tune_snaps(*args, np.random.default_rng(seed), mu_only=mu_only)
+    want = _ref_tune_snaps(*args, np.random.default_rng(seed), mu_only=mu_only)
+    assert (got.lam, got.mu) == (want.lam, want.mu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(min_value=2, max_value=60),
+       st.integers(min_value=2, max_value=10), _ALPHAS,
+       st.integers(min_value=0, max_value=2 ** 31))
+@example(data=None, n=3, k=3, alpha=0.05, seed=0)
+def test_batched_raps_tuner_matches_scalar_grid(data, n, k, alpha, seed):
+    if data is None:  # fixed example: rank > n on a 1-node half, q = +inf
+        values = np.full((n, k), 0.5)
+        probs = np.full((n, k), 1.0 / k)
+        labels = np.arange(n) % k
+    else:
+        values = _draw_matrix(data, n, k, _CELLS)
+        probs = _draw_matrix(data, n, k, _CELLS)
+        labels = np.array(data.draw(st.lists(st.integers(0, k - 1),
+                                             min_size=n, max_size=n)))
+    ranks = g.probability_ranks(probs)
+    args = (values, ranks, labels, np.arange(n), alpha)
+    got = harness._tune_raps(*args, np.random.default_rng(seed), k)
+    want = _ref_tune_raps(*args, np.random.default_rng(seed), k)
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(["snaps", "daps", "raps"]))
+def test_tuners_pick_the_first_grid_point_with_the_smallest_key(data, method):
+    # Size/singleton-hit counts drawn from {0, 1, 2}, so most grid points tie
+    # on them and the weight tie-breaks decide.
+    if method == "raps":
+        grid = [g.RapsParams(k, lam) for k in range(1, 4)
+                for lam in harness.RAPS_LAMBDA_GRID]
+        tie_key = [(p.lambda_reg, p.k_reg) for p in grid]
+    else:
+        grid = snaps_param_grid(0.25, mu_only=method == "daps")
+        tie_key = [(p.lam + p.mu, p.lam, p.mu) for p in grid]
+    counts = st.lists(st.integers(0, 2), min_size=len(grid), max_size=len(grid))
+    size, sh = np.array(data.draw(counts)), np.array(data.draw(counts))
+    want = grid[min(range(len(grid)),
+                    key=lambda i: (size[i], -sh[i]) + tie_key[i])]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_grid_size_sh", lambda *args: (size, sh))
+        labels = np.zeros(4, dtype=np.int64)
+        values = np.zeros((4, 3))
+        if method == "raps":
+            got = harness._tune_raps(values, np.ones((4, 3), dtype=np.int64),
+                                     labels, np.arange(4), 0.1,
+                                     np.random.default_rng(0), 3)
+        else:
+            nm = g.NeighborMeans(values, values, np.ones(4), np.ones(4))
+            got = harness._tune_snaps(values, nm, labels, np.arange(4), 0.1, 0.25,
+                                      np.random.default_rng(0),
+                                      mu_only=method == "daps")
+    assert got == want
+
+
+@pytest.mark.parametrize("method", ["snaps", "daps", "raps"])
+def test_tuning_ranks_once_per_call(small_bundle, monkeypatch, method):
+    calls = []
+
+    def counting_rank(n, alpha):
+        calls.append(n)
+        return g.conformal_rank(n, alpha)
+
+    monkeypatch.setattr(harness, "conformal_rank", counting_rank)
+    scores = g.aps_scores(small_bundle.probabilities, g.XiPolicy("uniform", seed=4))
+    knn = g.build_knn_graph(small_bundle.features, g.KnnConfig(k=5))
+    adj = g.adjacency_graph(small_bundle.n, small_bundle.edges)
+    g.tune_hyperparams(scores, knn, adj, small_bundle.labels,
+                       np.arange(0, small_bundle.n, 2), alpha=0.1,
+                       method=method, grid_step=0.05, seed=2,
+                       probabilities=small_bundle.probabilities)
+    assert calls == [100]  # one rank for the whole grid, on the 100-node half
 
 
 def test_raps_tuning_returns_params(small_bundle):

@@ -177,3 +177,16 @@ def test_save_and_reload_bundle(tmp_path, small_bundle):
     # matrices survive the float32 container
     assert np.allclose(back.features, small_bundle.features, atol=1e-5)
     assert np.allclose(back.probabilities, small_bundle.probabilities, atol=1e-6)
+
+
+def test_large_k_softmax_survives_float32_round_trip(tmp_path):
+    # each element rounds relative to itself, so a row sum moves by at most
+    # 2^-24 whatever K is
+    logits = np.random.default_rng(5).normal(scale=3.0, size=(6, 4096))
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    p = tmp_path / "p.snpm"
+    g.write_matrix(probs, p)
+    sums = g.load_matrix(p).sum(axis=1)
+    assert np.abs(sums - probs.sum(axis=1)).max() <= 2.0 ** -24
+    assert np.abs(sums - 1.0).max() <= g.matrixio.PROB_ROW_SUM_TOL

@@ -1,5 +1,7 @@
+import csv
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -91,3 +93,22 @@ def test_unwritable_path_is_validation_error(tmp_path):
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValidationError, match="format"):
         g.write_report(_demo_report(), tmp_path / "r.xml", format="xml")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_failed_write_keeps_previous_report(tmp_path, monkeypatch, fmt):
+    path = tmp_path / f"r.{fmt}"
+    g.write_report(_demo_report(seed=1), path, format=fmt)
+    before = path.read_bytes()
+
+    def disk_full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    if fmt == "json":
+        monkeypatch.setattr(json, "dump", disk_full)
+    else:  # fails after the '# config' line has been written
+        monkeypatch.setattr(csv, "writer", lambda fh: SimpleNamespace(writerow=disk_full))
+    with pytest.raises(ValidationError, match="No space"):
+        g.write_report(_demo_report(seed=2), path, format=fmt)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
