@@ -19,7 +19,6 @@ from .graph import (
     empty_graph,
     from_arcs,
     load_knn_cache,
-    row_normalize,
     save_knn_cache,
 )
 from .harness import (

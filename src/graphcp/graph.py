@@ -24,6 +24,12 @@ sort.  Row chunks are sized so that a block and its partition indices stay
 within ``_CHUNK_TARGET`` elements together (32 MB of float64 and int64);
 sampled mode's candidate gather stays within ``_SAMPLED_GATHER`` elements
 (4 MB).
+
+Row sums over arcs (a graph's degrees, and the neighbor sums behind
+``propagate.weighted_row_means``) come from one exact-sum kernel,
+``_exact_row_sums``: vectorized TwoSum accumulation over all rows at once,
+a certificate per entry and a ``math.fsum`` fallback, so every sum equals
+``math.fsum`` of the row bit for bit, whatever the order of its arcs.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 import math
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +50,7 @@ _CHUNK_TARGET = 1 << 22  # elements per similarity block
 # elements of sampled mode's (rows, M, d) candidate gather; its per-row draws
 # dominate, so larger chunks gain no speed, only memory
 _SAMPLED_GATHER = 1 << 19
+_SUM_BLOCK = 1 << 12  # elements of each (rows, C) array of _exact_row_sums
 _CACHE_MAGIC = b"SNPG"
 
 
@@ -51,14 +58,18 @@ _CACHE_MAGIC = b"SNPG"
 class SparseGraph:
     """Compressed-row adjacency with weighted arcs.
 
-    ``degrees[i]`` is the sum of row i's weights (exact, via ``math.fsum``).
+    ``degrees[i]``, derived on construction, is the sum of row i's weights,
+    correctly rounded: bit-equal to ``math.fsum`` of the row, computed for
+    all rows at once by the exact-sum kernel ``_exact_row_sums`` (TwoSum
+    accumulation, a per-entry certificate, ``math.fsum`` fallback for
+    entries it cannot certify).
     """
 
     n: int
     row_offsets: np.ndarray
     col_indices: np.ndarray
     weights: np.ndarray
-    degrees: np.ndarray
+    degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ro = np.asarray(self.row_offsets, dtype=np.int64)
@@ -79,6 +90,12 @@ class SparseGraph:
             interior[starts[starts < ci.size]] = False  # row starts may break monotonicity
             if not (ci[1:][interior[1:]] > ci[:-1][interior[1:]]).all():
                 raise ValidationError("rows must hold strictly increasing column indices")
+        # the kernel sums values[cols] * w; one value 1.0 for every column
+        # makes each term the weight itself
+        degrees = _exact_row_sums(ro, np.broadcast_to(np.int64(0), ci.shape), w,
+                                  np.ones((1, 1)))[:, 0]
+        _freeze(degrees)
+        object.__setattr__(self, "degrees", degrees)
 
     @property
     def nnz(self) -> int:
@@ -117,19 +134,91 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.setflags(write=False)
 
 
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knuth's error-free addition: ``hi = fl(a + b)`` and ``a + b = hi + lo``
+    exactly, for finite inputs whose sum does not overflow."""
+    hi = a + b
+    bb = hi - a
+    lo = hi - bb
+    np.subtract(a, lo, out=lo)
+    np.subtract(b, bb, out=bb)
+    lo += bb
+    return hi, lo
+
+
+def _exact_row_sums(row_offsets: np.ndarray, col_indices: np.ndarray,
+                    weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(n, C) array whose entry (i, c) is ``math.fsum`` of the products
+    ``values[col_indices[a], c] * weights[a]`` over row i's arcs a.
+
+    Rows are visited by arc count, descending: step j adds arc j of every row
+    that has one, as one (rows, C) block, to a running sum ``s`` with
+    TwoSum; a second TwoSum folds the exact errors into ``e`` and ``a2``
+    collects the magnitudes of that second TwoSum's errors.  The exact sum is
+    then ``s + e`` plus at most ``a2`` (up to its own rounding, which the
+    factor ``1 + 2m 2^-53`` covers for m terms), and ``r, f = TwoSum(s, e)``
+    is its correctly rounded value when either ``a2 == 0`` (then ``s + e`` is
+    exact and ``r`` its round-half-even) or the exact sum lies strictly
+    closer to ``r`` than half the gap to r's neighbour toward zero,
+    ``|f| + a2 (1 + 2m 2^-53) < (|r| - nextafter(|r|, 0)) / 2``.  Entries
+    that fail this certificate, or are not finite, are summed by
+    ``math.fsum`` row by row, which also keeps its errors on overflow and
+    inf - inf.  Being the correctly rounded exact sum, every entry is
+    independent of the arcs' order and so of node labels.  A zero sum is
+    +0.0, as ``math.fsum`` returns.  Rows are processed in blocks whose
+    (rows, C) arrays stay within ``_SUM_BLOCK`` elements.
+    """
+    n, num_cols = row_offsets.shape[0] - 1, values.shape[1]
+    out = np.zeros((n, num_cols))
+    counts = np.diff(row_offsets)
+    order = np.argsort(-counts, kind="stable")
+    step = max(1, _SUM_BLOCK // max(num_cols, 1))
+    for lo in range(0, n, step):
+        rows = order[lo:lo + step]
+        if counts[rows[0]] == 0:
+            break
+        out[rows] = _block_sums(row_offsets[rows], counts[rows], col_indices,
+                                weights, values)
+    return out
+
+
+# non-finite entries fall back to math.fsum, so the NaNs on their way stay silent
+@np.errstate(over="ignore", invalid="ignore")
+def _block_sums(starts: np.ndarray, cnt: np.ndarray, col_indices: np.ndarray,
+                weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``_exact_row_sums`` of the rows whose arcs start at ``starts``, with
+    ``cnt`` (nonincreasing) arcs each."""
+    s = np.zeros((starts.shape[0], values.shape[1]))
+    e = np.zeros_like(s)
+    a2 = np.zeros_like(s)
+    # the m rows with an arc at position j come first, as cnt is nonincreasing
+    active = np.searchsorted(-cnt, -np.arange(cnt[0]), side="left")
+    for j, m in enumerate(active.tolist()):
+        arcs = starts[:m] + j
+        terms = values[col_indices[arcs]] * weights[arcs, None]
+        s[:m], err = _two_sum(s[:m], terms)
+        e[:m], err = _two_sum(e[:m], err)
+        a2[:m] += np.abs(err, out=err)
+    r, f = _two_sum(s, e)
+    mag = np.abs(r)
+    half_gap = 0.5 * (mag - np.nextafter(mag, 0.0))
+    slack = 1.0 + cnt[:, None] * 2.0 ** -52
+    ok = (a2 == 0.0) | (np.abs(f) + a2 * slack < half_gap)
+    ok &= np.isfinite(r)
+    for i, c in zip(*np.nonzero(~ok)):
+        arcs = slice(starts[i], starts[i] + cnt[i])
+        r[i, c] = math.fsum(values[col_indices[arcs], c] * weights[arcs])
+    return r
+
+
 def _csr_graph(n: int, row_offsets: np.ndarray, col_indices: np.ndarray,
                weights: np.ndarray) -> SparseGraph:
-    """Freeze compressed-row arrays into a graph; ``degrees`` are per-row
-    ``math.fsum`` of the weights."""
+    """Freeze compressed-row arrays into a graph."""
     row_offsets = np.asarray(row_offsets, dtype=np.int64)
     col_indices = np.asarray(col_indices, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
-    degrees = np.zeros(n, dtype=np.float64)
-    bounds = row_offsets.tolist()
-    for i in np.flatnonzero(np.diff(row_offsets) > 0).tolist():
-        degrees[i] = math.fsum(weights[bounds[i]:bounds[i + 1]])
-    _freeze(row_offsets, col_indices, weights, degrees)
-    return SparseGraph(n, row_offsets, col_indices, weights, degrees)
+    _freeze(row_offsets, col_indices, weights)
+    return SparseGraph(n, row_offsets, col_indices, weights)
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -313,26 +402,6 @@ def build_knn_graph(features: np.ndarray, cfg: KnnConfig) -> SparseGraph:
         row_weights.append(vals[keep])
     return _csr_graph(n, _offsets(counts), np.concatenate(row_cols),
                       np.concatenate(row_weights))
-
-
-def row_normalize(g: SparseGraph) -> SparseGraph:
-    """Rescale each nonempty row to sum to 1; empty rows stay empty."""
-    new_weights = g.weights.copy()
-    degrees = np.zeros(g.n, dtype=np.float64)
-    for i in range(g.n):
-        lo, hi = g.row_offsets[i], g.row_offsets[i + 1]
-        if hi == lo:
-            continue
-        deg = math.fsum(g.weights[lo:hi])
-        if deg <= 0.0:
-            raise ValidationError(
-                f"row {i} has nonpositive degree {deg}; row normalization needs "
-                "nonnegative weights (min_similarity >= 0)"
-            )
-        new_weights[lo:hi] = g.weights[lo:hi] / deg
-        degrees[i] = math.fsum(new_weights[lo:hi])
-    _freeze(new_weights, degrees)
-    return SparseGraph(g.n, g.row_offsets, g.col_indices, new_weights, degrees)
 
 
 def save_knn_cache(g: SparseGraph, path, feature_hash: bytes, cfg: KnnConfig) -> None:

@@ -360,7 +360,10 @@ def run_experiment(bundle: DatasetBundle, cfg: ExperimentConfig) -> TrialReport:
         nm_aps = neighbor_means(base_aps.values, knn, adj) if aggregated else None
         nm_relu: dict[int, NeighborMeans] = {}
         if aggregated and base_is_raps:
-            for k_reg in range(1, min(num_classes, RAPS_MAX_KREG) + 1):
+            # fixed RAPS parameters use one k_reg; tuning may pick any
+            k_regs = (range(1, min(num_classes, RAPS_MAX_KREG) + 1)
+                      if cfg.raps_params is None else [cfg.raps_params.k_reg])
+            for k_reg in k_regs:
                 pen = np.maximum(0, ranks - k_reg).astype(np.float64)
                 nm_relu[k_reg] = neighbor_means(pen, knn, adj)
 

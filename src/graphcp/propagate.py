@@ -10,20 +10,27 @@ Nodes without similarity neighbors get their ``lam`` mass folded back into
 the ego term (likewise ``mu`` for isolated nodes), which keeps every output
 entry inside the convex hull of the inputs it mixes.
 
-Per-row sums use ``math.fsum`` (exactly rounded), so aggregation commutes
-bit-for-bit with any relabeling of the nodes: summation order inside a row
-cannot leak into the result.
+Neighbor sums come from one vectorized exact-sum kernel
+(``graph._exact_row_sums``).  It walks all rows at once, arc position by arc
+position, and accumulates each (row, class) sum with TwoSum, keeping the
+rounding errors and a bound on what they leave out.  A certificate accepts
+the rounded sum when that bound proves it is the correctly rounded exact
+sum; the entries it cannot certify (none on the planted-partition graphs at
+n = 5000 and 10000) are summed with ``math.fsum``.  Every sum is therefore
+bit-equal to ``math.fsum`` of the row's products, and the mean divides it by
+the graph's degree, itself such a sum of the weights.  An exactly rounded
+sum does not depend on the order of its terms, so aggregation commutes
+bit-for-bit with any relabeling of the nodes, with no sort of the terms.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError
-from .graph import SparseGraph, _normalized_rows, _top_k_blocks, empty_graph
+from .graph import SparseGraph, _exact_row_sums, _normalized_rows, _top_k_blocks, empty_graph
 from .scores import ScoreMatrix
 
 _MASK32 = 0xFFFFFFFF
@@ -65,25 +72,17 @@ def weighted_row_means(g: SparseGraph, values: np.ndarray) -> tuple[np.ndarray, 
     """
     if values.shape[0] != g.n:
         raise ValidationError(f"graph has {g.n} rows, scores have {values.shape[0]}")
-    num_classes = values.shape[1]
-    out = np.zeros_like(values)
-    has = np.zeros(g.n, dtype=np.float64)
-    for i in range(g.n):
-        cols, w = g.row(i)
-        if cols.shape[0] == 0:
-            continue
-        deg = math.fsum(w)
-        if deg <= 0.0:
-            raise ValidationError(
-                f"row {i} has nonpositive degree {deg}; aggregation needs "
-                "nonnegative arc weights"
-            )
-        prods = values[cols] * w[:, None]
-        row = out[i]
-        for c in range(num_classes):
-            row[c] = math.fsum(prods[:, c]) / deg
-        has[i] = 1.0
-    return out, has
+    has = np.diff(g.row_offsets) > 0
+    bad = np.flatnonzero(has & (g.degrees <= 0.0))
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(
+            f"row {i} has nonpositive degree {g.degrees[i]}; aggregation needs "
+            "nonnegative arc weights"
+        )
+    means = _exact_row_sums(g.row_offsets, g.col_indices, g.weights, values)
+    np.divide(means, g.degrees[:, None], out=means, where=has[:, None])
+    return means, has.astype(np.float64)
 
 
 def neighbor_means(values: np.ndarray, knn: SparseGraph, adj: SparseGraph) -> NeighborMeans:

@@ -1,6 +1,7 @@
 import math
 import struct
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -213,42 +214,80 @@ def test_zero_norm_rows_warn_and_stay_isolated():
     assert graph.row(0)[0].shape[0] == 1
 
 
-def test_row_normalize_examples():
-    graph = g.from_arcs(3, [(0, 1), (0, 2)], [2.0, 2.0])
-    normed = g.row_normalize(graph)
-    assert np.allclose(normed.row(0)[1], [0.5, 0.5])
-    assert normed.row(1)[0].shape[0] == 0  # empty row stays empty
-    g2 = g.from_arcs(2, [(0, 1)], [1.0])
-    assert g.row_normalize(g2).row(0)[1][0] == pytest.approx(1.0)
-
-
-def test_row_normalize_rejects_negative_degree():
-    graph = g.from_arcs(2, [(0, 1)], [-0.5])
-    with pytest.raises(ValidationError, match="min_similarity"):
-        g.row_normalize(graph)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=2 ** 31))
-def test_row_normalize_rows_sum_to_one(n_arcs, seed):
-    rng = np.random.default_rng(seed)
-    n = 12
-    pairs = {(int(u), int(v)) for u, v in rng.integers(0, n, size=(n_arcs, 2)) if u != v}
-    if not pairs:
-        return
-    arcs = np.array(sorted(pairs))
-    weights = rng.uniform(0.1, 5.0, size=arcs.shape[0])
-    normed = g.row_normalize(g.from_arcs(n, arcs, weights))
-    for i in range(n):
-        w = normed.row(i)[1]
-        if w.shape[0]:
-            assert math.fsum(w) == pytest.approx(1.0, abs=1e-9)
-
-
 def test_degrees_match_row_sums(small_bundle):
     graph = g.adjacency_graph(small_bundle.n, small_bundle.edges)
     for i in range(0, graph.n, 37):
         assert graph.degrees[i] == pytest.approx(math.fsum(graph.row(i)[1]))
+
+
+def _fsum_rows(row_offsets, col_indices, weights, values):
+    out = np.zeros((row_offsets.shape[0] - 1, values.shape[1]))
+    for i in range(out.shape[0]):
+        arcs = slice(row_offsets[i], row_offsets[i + 1])
+        for c in range(values.shape[1]):
+            out[i, c] = math.fsum(values[col_indices[arcs], c] * weights[arcs])
+    return out
+
+
+def _row_terms(rng, size, num_cols, families, cancel):
+    """One row's (size, num_cols) terms, each from one of ``families``:
+    0, small integers and multiples of 2^-53 (sums hit half-ulp ties);
+    1, signed zeros; 2, magnitudes 1e-300..1e300.  ``cancel`` makes the
+    second half of the row the negated first half."""
+    shape = (size, num_cols)
+    grid = np.where(rng.random(shape) < 0.3, rng.integers(-3, 4, shape),
+                    rng.integers(-2 ** 12, 2 ** 12, shape) * 2.0 ** -53)
+    zeros = rng.choice([0.0, -0.0], shape)
+    wide = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    terms = np.choose(rng.choice(sorted(families), shape), [grid, zeros, wide])
+    if cancel:
+        half = size // 2
+        terms[half:2 * half] = -terms[:half]
+    return rng.permutation(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exact_row_sums_equal_fsum_bit_for_bit(data):
+    lengths = data.draw(st.lists(st.sampled_from([0, 1, 2, 3, 7, 38, 41]),
+                                 min_size=1, max_size=12))
+    num_cols = data.draw(st.integers(min_value=1, max_value=3))
+    families = data.draw(st.sets(st.sampled_from([0, 1, 2]), min_size=1))
+    cancel = data.draw(st.booleans())
+    unit_weights = data.draw(st.booleans())
+    block = data.draw(st.sampled_from([1, 5, g.graph._SUM_BLOCK]))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    row_offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    # every arc reads its own value row, so the terms are exactly as drawn
+    values = np.concatenate([np.empty((0, num_cols))]
+                            + [_row_terms(rng, m, num_cols, families, cancel)
+                               for m in lengths])
+    cols = np.arange(values.shape[0])
+    weights = (np.ones(cols.shape[0]) if unit_weights
+               else rng.uniform(0.5, 2.0, cols.shape[0]))
+    with mock.patch.object(g.graph, "_SUM_BLOCK", block):
+        got = g.graph._exact_row_sums(row_offsets, cols, weights, values)
+    want = _fsum_rows(row_offsets, cols, weights, values)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_exact_row_sums_fall_back_to_fsum_only_where_uncertified(monkeypatch):
+    rows = [
+        # s + e rounds to 1, and the 2^-106 left in a2 pushes the exact sum
+        # past the half-ulp tie: not certifiable, fsum rounds up
+        [1.0, 2.0 ** -53, 2.0 ** -106],
+        # an exact half-ulp tie, certified by a2 == 0: round half to even
+        [1.0, 2.0 ** -53],
+        [0.25, 0.5, 1.0 / 3.0],
+    ]
+    values = np.concatenate(rows)[:, None]
+    row_offsets = np.array([0, 3, 5, 8])
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda terms: calls.append(len(terms)) or fsum(terms))
+    got = g.graph._exact_row_sums(row_offsets, np.arange(8), np.ones(8), values)
+    assert calls == [3]
+    assert got[:, 0].tolist() == [1.0 + 2.0 ** -52, 1.0, fsum(rows[2])]
 
 
 def test_duplicate_arcs_rejected():
@@ -321,3 +360,27 @@ def test_failed_cache_write_keeps_previous_cache(tmp_path):
         g.save_knn_cache(half_written, cache, digest, cfg)
     assert cache.read_bytes() == before
     assert list(tmp_path.iterdir()) == [cache]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_corrupt_knn_cache_is_validation_error_naming_the_file(tmp_path_factory, data):
+    cache, digest, cfg = _cache_file(tmp_path_factory.mktemp("cache"))
+    raw = cache.read_bytes()
+    kind = data.draw(st.sampled_from(["truncate", "flip", "extend"]))
+    if kind == "truncate":
+        bad = raw[:data.draw(st.integers(min_value=0, max_value=len(raw) - 1))]
+    elif kind == "flip":
+        bit = data.draw(st.integers(min_value=0, max_value=8 * len(raw) - 1))
+        bad = bytearray(raw)
+        bad[bit // 8] ^= 1 << (bit % 8)
+    else:
+        bad = raw + data.draw(st.binary(min_size=1, max_size=64))
+    cache.write_bytes(bytes(bad))
+    try:
+        g.load_knn_cache(cache, digest, cfg)
+    except ValidationError as exc:
+        assert str(cache) in str(exc)
+    else:
+        # a flipped weight or column bit can still leave a valid graph
+        assert kind == "flip"

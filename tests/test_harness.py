@@ -367,6 +367,28 @@ def test_snaps_on_regularized_base_runs_tuned(small_bundle):
     assert 0.8 <= report.aggregate["coverage"]["mean"] <= 1.0
 
 
+@pytest.mark.parametrize("raps_params, per_split", [
+    (g.RapsParams(2, 0.01), 2),   # ego scores + the one fixed k_reg
+    (g.RapsParams(6, 0.01), 2),   # a fixed k_reg above K=4: a zero penalty
+    (None, 1 + 4),                # ego scores + every k_reg 1..min(K, 8), K=4
+])
+def test_raps_base_aggregates_only_the_k_reg_it_can_use(small_bundle, monkeypatch,
+                                                        raps_params, per_split):
+    calls = []
+
+    def counting_means(values, knn, adj):
+        calls.append(values)
+        return g.neighbor_means(values, knn, adj)
+
+    cfg = g.ExperimentConfig(alpha=0.1, method="snaps", base="raps",
+                             n_model_splits=2, n_conformal_splits=2, seed=47,
+                             knn=g.KnnConfig(k=4), params=g.SnapsParams(0.2, 0.3),
+                             raps_params=raps_params)
+    monkeypatch.setattr(harness, "neighbor_means", counting_means)
+    g.run_experiment(small_bundle, cfg)
+    assert len(calls) == 2 * per_split
+
+
 def test_daps_config_rejects_nonzero_lambda():
     with pytest.raises(ValidationError, match="mu weight"):
         g.ExperimentConfig(method="daps", params=g.SnapsParams(0.2, 0.3))

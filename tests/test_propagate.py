@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphcp as g
 from graphcp.errors import ValidationError
@@ -109,6 +111,38 @@ def test_matrix_form_equivalence_dense_oracle():
         ours = g.snaps_scores(S, knn, adj, g.SnapsParams(float(lam), float(mu))).values
         oracle = dense_mix_oracle(S.values, knn, adj, lam, mu)
         assert np.abs(ours - oracle).max() < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_weighted_row_means_bit_exact_under_relabeling(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 80))
+    # uneven degrees: most rows get a few arcs, about one in ten dozens
+    degree = rng.integers(0, 4, size=n)
+    hubs = rng.random(n) < 0.1
+    degree[hubs] = rng.integers(20, 60, size=int(hubs.sum()))
+    degree = np.minimum(degree, n - 1)
+    arcs = np.array([(i, j) for i in range(n)
+                     for j in rng.choice(np.delete(np.arange(n), i), degree[i],
+                                         replace=False)], dtype=np.int64).reshape(-1, 2)
+    weights = rng.uniform(0.05, 1.0, size=arcs.shape[0])
+    # magnitudes far apart, so the order of a row's terms would show in a
+    # plain floating-point sum
+    values = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-8, 9, size=(n, 4))
+    perm = rng.permutation(n)
+    moved = np.empty_like(values)
+    moved[perm] = values
+    means, has = g.weighted_row_means(g.from_arcs(n, arcs, weights), values)
+    pmeans, phas = g.weighted_row_means(g.from_arcs(n, perm[arcs], weights), moved)
+    assert np.array_equal(pmeans[perm].view(np.int64), means.view(np.int64))
+    assert np.array_equal(phas[perm], has)
+
+
+def test_weighted_row_means_names_first_nonpositive_degree():
+    graph = g.from_arcs(4, [(0, 1), (1, 2), (3, 0), (3, 2)], [0.5, -0.5, 1.0, -2.0])
+    with pytest.raises(ValidationError, match="row 1 has nonpositive degree -0.5"):
+        g.weighted_row_means(graph, np.ones((4, 2)))
 
 
 def test_convexity_bounds():
