@@ -21,9 +21,11 @@ the smaller index, in exactly the order of the first k of a stable
 ``argsort`` of the negated row.  One ``argpartition`` finds each row's k-th
 value; only rows with a tie across that boundary fall back to the stable
 sort.  Row chunks are sized so that a block and its partition indices stay
-within ``_CHUNK_TARGET`` elements together (32 MB of float64 and int64);
+within ``_CHUNK_TARGET`` elements together (8 MB of float64 and int64);
 sampled mode's candidate gather stays within ``_SAMPLED_GATHER`` elements
-(4 MB).
+(4 MB).  Image mode over many splits of one pool runs the kernel once, as a
+self-join of the pool at a fixed depth (``_self_join_order``), and reads
+each split's neighbors from that order.
 
 Row sums over arcs (a graph's degrees, and the neighbor sums behind
 ``propagate.weighted_row_means``) come from one exact-sum kernel,
@@ -46,7 +48,10 @@ from .errors import ValidationError
 from .matrixio import atomic_open
 
 EXACT_MODE_MAX_N = 50_000
-_CHUNK_TARGET = 1 << 22  # elements per similarity block
+# elements per similarity block; 1 << 22 ran no faster, and processes that
+# repeat exact k-NN or image-mode runs at n = 4000-5000 peaked about 20 MB
+# higher in resident memory
+_CHUNK_TARGET = 1 << 20
 # elements of sampled mode's (rows, M, d) candidate gather; its per-row draws
 # dominate, so larger chunks gain no speed, only memory
 _SAMPLED_GATHER = 1 << 19
@@ -313,21 +318,33 @@ def _top_k(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return top, -np.take_along_axis(sims, top, axis=1)
 
 
-def _top_k_blocks(queries: np.ndarray, base: np.ndarray, k: int, exclude_self: bool):
+def _top_k_blocks(queries: np.ndarray, base: np.ndarray, k: int,
+                  self_cols: np.ndarray | None = None):
     """Yield (start, stop, columns, similarities) per chunk of query rows:
     each row's k most similar ``base`` rows under the ``_top_k`` contract.
 
     Both inputs hold unit (or zero) rows, so the dot products are cosine
-    similarities.  ``exclude_self`` drops column i from query row i.
+    similarities.  ``self_cols[i]``, when given, is a column dropped from
+    query row i (the row itself in a self-join).
     """
     step = _block_rows(base.shape[0])
     for start in range(0, queries.shape[0], step):
         stop = min(start + step, queries.shape[0])
         sims = _pairwise_sims(queries[start:stop], base)
-        if exclude_self:
-            rows = np.arange(start, stop)
-            sims[rows - start, rows] = -np.inf
+        if self_cols is not None:
+            sims[np.arange(stop - start), self_cols[start:stop]] = -np.inf
         yield (start, stop, *_top_k(sims, k))
+
+
+def _self_join_order(normed: np.ndarray, depth: int) -> np.ndarray:
+    """(n, depth) array: row i lists its ``depth`` most similar other rows of
+    ``normed`` under the ``_top_k`` contract (higher similarity first, ties
+    to the smaller index), computed in ``_CHUNK_TARGET`` blocks."""
+    n = normed.shape[0]
+    order = np.empty((n, depth), dtype=np.int64)
+    for start, stop, cols, _ in _top_k_blocks(normed, normed, depth, np.arange(n)):
+        order[start:stop] = cols
+    return order
 
 
 def _sampled_blocks(normed: np.ndarray, k: int, m: int, seed: int):
@@ -386,7 +403,7 @@ def build_knn_graph(features: np.ndarray, cfg: KnnConfig) -> SparseGraph:
             stacklevel=2,
         )
     if cfg.sample_size is None:
-        blocks = _top_k_blocks(normed, normed, cfg.k, exclude_self=True)
+        blocks = _top_k_blocks(normed, normed, cfg.k, np.arange(n))
     else:
         blocks = _sampled_blocks(normed, cfg.k, min(cfg.sample_size, n - 1), cfg.seed)
 

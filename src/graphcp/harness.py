@@ -31,8 +31,15 @@ import numpy as np
 
 from .conformal import _order_statistic, calibrate, conformal_rank, predict_sets
 from .errors import ValidationError
-from .graph import KnnConfig, adjacency_graph, build_knn_graph, empty_graph
-from .matrixio import DatasetBundle, make_bundle
+from .graph import (
+    KnnConfig,
+    _normalized_rows,
+    _self_join_order,
+    adjacency_graph,
+    build_knn_graph,
+    empty_graph,
+)
+from .matrixio import DatasetBundle, make_bundle, validate_labels, validate_matrix
 from .metrics import evaluate, sscv
 from .propagate import (
     NeighborMeans,
@@ -456,6 +463,22 @@ def run_oracle_experiment(bundle: DatasetBundle, alpha: float = 0.05,
     return reports
 
 
+def _image_pool_order(feats: np.ndarray, c: int, k: int,
+                      n_trials: int) -> np.ndarray | None:
+    """Each pool row's most similar other pool rows, in ``image_snaps``'s
+    neighbor order, or None when scoring the pool once costs more pairs than
+    the trials would score (n - 1 >= n_trials * c).
+
+    The depth is the smallest T at which a row expects 4k calibration rows in
+    its list (T c / (n - 1) >= 4k); rows that still fall short are scored by
+    ``image_snaps`` itself."""
+    n = feats.shape[0]
+    if n - 1 >= n_trials * c:
+        return None
+    depth = min(n - 1, -(-4 * k * (n - 1) // c))
+    return _self_join_order(_normalized_rows(feats)[0], depth)
+
+
 def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
                          k: int = 5, eta: float = 0.5, n_trials: int = 10,
                          calib_size: int | None = None,
@@ -463,18 +486,27 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
     """Graph-free mode: per trial, split the pool into calibration/test,
     correct both sides with calibration-set neighbor means (calibration rows
     exclude themselves), then calibrate and evaluate.  ``eta=0`` reduces to
-    the plain adaptive score."""
-    P = np.asarray(probabilities, dtype=np.float64)
-    feats = np.asarray(features, dtype=np.float64)
+    the plain adaptive score.
+
+    Every trial draws its calibration set from the same pool, so when the
+    trials together would score more pairs than the pool has, the pool's
+    similarity order is built once and each trial reads its neighbors from
+    it (``image_snaps``'s ``candidates``); the report is bit-identical to
+    scoring every trial from scratch.  Non-finite features and labels
+    outside [0, K) are rejected."""
+    P = validate_matrix(probabilities, "probabilities")
+    feats = validate_matrix(features, "features")
     labels = np.asarray(labels, dtype=np.int64)
     n = P.shape[0]
     if feats.shape[0] != n or labels.shape[0] != n:
         raise ValidationError("probabilities/features/labels row counts disagree")
+    validate_labels(labels, P.shape[1])
     c = n // 2 if calib_size is None else calib_size
     if not 1 <= c < n:
         raise ValidationError(f"calibration size {c} out of range")
     if k > c:
         raise ValidationError(f"k={k} exceeds calibration size {c}")
+    order = _image_pool_order(feats, c, k, n_trials) if eta > 0.0 else None
     trials = []
     for t in range(n_trials):
         rng = np.random.default_rng([seed & _MASK32, 0xE5, t])
@@ -485,10 +517,16 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
         base = aps_scores(P, xi)
         s_cal = ScoreMatrix(base.values[calib], "aps", xi)
         s_test = ScoreMatrix(base.values[test], "aps", xi)
+        cand_cal = cand_test = None
+        if order is not None:
+            # pool index -> calibration position, -1 off the calibration set
+            pos = np.full(n, -1, dtype=np.int64)
+            pos[calib] = np.arange(c)
+            cand_cal, cand_test = pos[order[calib]], pos[order[test]]
         corr_cal = image_snaps(s_cal, s_cal, feats[calib], feats[calib],
-                               k=k, eta=eta, exclude_self=True)
+                               k=k, eta=eta, exclude_self=True, candidates=cand_cal)
         corr_test = image_snaps(s_test, s_cal, feats[test], feats[calib],
-                                k=k, eta=eta)
+                                k=k, eta=eta, candidates=cand_test)
         full = np.empty_like(base.values)
         full[calib] = corr_cal.values
         full[test] = corr_test.values

@@ -66,6 +66,19 @@ def validate_matrix(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
     return mat
 
 
+def validate_labels(labels, num_classes: int) -> np.ndarray:
+    """Coerce to int64 and reject labels outside [0, num_classes), naming the
+    first bad row."""
+    labels = np.asarray(labels, dtype=np.int64)
+    bad = (labels < 0) | (labels >= num_classes)
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise ValidationError(
+            f"label {labels[r]} at row {r} out of range [0, {num_classes})"
+        )
+    return labels
+
+
 def _infer_format(path: Path) -> str:
     if path.suffix == ".csv":
         return "csv"
@@ -230,9 +243,10 @@ def symmetrize_edges(edges: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     edges = edges[~loops]
     if edges.size == 0:
         return np.empty((0, 2), dtype=np.int64), dropped
-    arcs = np.concatenate([edges, edges[:, ::-1]], axis=0)
-    arcs = np.unique(arcs, axis=0)
-    return arcs, dropped
+    # one int64 key per arc orders arcs lexicographically, as 0 <= v < n
+    keys = np.unique(np.concatenate([edges[:, 0] * n + edges[:, 1],
+                                     edges[:, 1] * n + edges[:, 0]]))
+    return np.column_stack([keys // n, keys % n]), dropped
 
 
 def make_bundle(
@@ -264,11 +278,7 @@ def make_bundle(
         raise ValidationError(
             f"probabilities have {probabilities.shape[1]} columns, expected {num_classes}"
         )
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        bad = int(np.argmax((labels < 0) | (labels >= num_classes)))
-        raise ValidationError(
-            f"label {labels[bad]} at row {bad} out of range [0, {num_classes})"
-        )
+    labels = validate_labels(labels, num_classes)
     sums = probabilities.sum(axis=1)
     if renormalize:
         if (sums <= 0).any():

@@ -30,7 +30,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .graph import SparseGraph, _exact_row_sums, _normalized_rows, _top_k_blocks, empty_graph
+from .graph import (
+    _CHUNK_TARGET,
+    SparseGraph,
+    _exact_row_sums,
+    _normalized_rows,
+    _top_k_blocks,
+    empty_graph,
+)
+from .matrixio import validate_matrix
 from .scores import ScoreMatrix
 
 _MASK32 = 0xFFFFFFFF
@@ -180,9 +188,20 @@ def oracle_aggregate(S: ScoreMatrix, labels: np.ndarray, m: int, w: float,
     return ScoreMatrix(values, "oracle", S.xi)
 
 
+def _first_hits(candidates: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``candidates`` with at least k non-negative entries, and those
+    rows' first k such entries, in order, as a (rows, k) array."""
+    hit = candidates >= 0
+    first = hit & (np.cumsum(hit, axis=1) <= k)
+    resolved = np.count_nonzero(first, axis=1) == k
+    first &= resolved[:, None]
+    return resolved, candidates[first].reshape(np.count_nonzero(resolved), k)
+
+
 def image_snaps(S_eval: ScoreMatrix, S_calib: ScoreMatrix,
                 feats_eval: np.ndarray, feats_calib: np.ndarray,
-                k: int, eta: float, exclude_self: bool = False) -> ScoreMatrix:
+                k: int, eta: float, exclude_self: bool = False,
+                candidates: np.ndarray | None = None) -> ScoreMatrix:
     """Graph-free correction: mix each row with the unweighted mean score row
     of its k most cosine-similar calibration rows.
 
@@ -195,12 +214,24 @@ def image_snaps(S_eval: ScoreMatrix, S_calib: ScoreMatrix,
 
     ``exclude_self=True`` treats eval and calibration as the same aligned set
     and skips each row's own entry.  Zero-norm feature rows fall back to the
-    uncorrected score.
+    uncorrected score.  Non-finite features are rejected.
+
+    ``candidates`` (optional, one row per eval row, -1 for "not a
+    calibration row") resolves neighbors without scoring: row i takes its
+    first k non-negative entries as its neighbors, in order.  The result is
+    bit-identical to the kernel's when each row of ``candidates`` is a
+    prefix of that row's tie-exact order (higher similarity first, ties to
+    the smaller index) over a superset of the calibration rows, never holds
+    the row itself, and is mapped to calibration positions that increase
+    with the superset's index: the first k calibration members of such a
+    list are exactly the row's calibration top-k.  ``harness`` builds these
+    lists once per image-mode run from a self-join of the whole pool.  Rows
+    with fewer than k entries go through the kernel.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValidationError("eta must lie in [0, 1]")
-    feats_eval = np.asarray(feats_eval, dtype=np.float64)
-    feats_calib = np.asarray(feats_calib, dtype=np.float64)
+    feats_eval = validate_matrix(feats_eval, "feats_eval")
+    feats_calib = validate_matrix(feats_calib, "feats_calib")
     n_eval, n_calib = feats_eval.shape[0], feats_calib.shape[0]
     if S_eval.n != n_eval or S_calib.n != n_calib:
         raise ValidationError("score/feature row counts disagree")
@@ -210,6 +241,12 @@ def image_snaps(S_eval: ScoreMatrix, S_calib: ScoreMatrix,
         raise ValidationError(f"k={k} must lie in [1, {n_calib}]")
     if exclude_self and n_eval != n_calib:
         raise ValidationError("exclude_self requires aligned eval == calib sets")
+    if candidates is not None:
+        candidates = np.asarray(candidates, dtype=np.int64)
+        if candidates.ndim != 2 or candidates.shape[0] != n_eval:
+            raise ValidationError(f"candidates must be a 2-D array with {n_eval} rows")
+        if candidates.size and candidates.max() >= n_calib:
+            raise ValidationError(f"candidate index out of range (n_calib={n_calib})")
 
     if eta == 0.0:
         values = S_eval.values.copy()
@@ -220,9 +257,22 @@ def image_snaps(S_eval: ScoreMatrix, S_calib: ScoreMatrix,
     nc, _ = _normalized_rows(feats_calib)
     k_eff = min(k, n_calib - 1) if exclude_self else k
 
+    nbrs = np.empty((n_eval, k_eff), dtype=np.int64)
+    rest = np.arange(n_eval)
+    if candidates is not None:
+        resolved, picked = _first_hits(candidates, k_eff)
+        nbrs[resolved] = picked
+        rest = rest[~resolved]
+    # aligned sets: row i's own column is i
+    self_cols = rest if exclude_self else None
+    for start, stop, cols, _ in _top_k_blocks(ne[rest], nc, k_eff, self_cols):
+        nbrs[rest[start:stop]] = cols
+
     values = S_eval.values.copy()
-    for start, stop, nbrs, _ in _top_k_blocks(ne, nc, k_eff, exclude_self):
-        nbr_mean = S_calib.values[nbrs].mean(axis=1)
+    step = max(1, _CHUNK_TARGET // max(k_eff * S_calib.values.shape[1], 1))
+    for start in range(0, n_eval, step):
+        stop = min(start + step, n_eval)
+        nbr_mean = S_calib.values[nbrs[start:stop]].mean(axis=1)
         block = (1.0 - eta) * S_eval.values[start:stop] + eta * nbr_mean
         keep = zero_eval[start:stop]
         block[keep] = S_eval.values[start:stop][keep]

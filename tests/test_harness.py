@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -495,3 +496,87 @@ def test_config_validation():
         g.ExperimentConfig(n_conformal_splits=0)
     with pytest.raises(ValidationError):
         g.ExperimentConfig(calib_rule="bogus")
+
+
+def image_experiment_reference(P, feats, labels, *, alpha, k, eta, n_trials,
+                               calib_size, seed):
+    """Image mode scoring every trial from scratch: a copy of the per-trial
+    loop that ``run_image_experiment`` ran before the pool order existed."""
+    n = P.shape[0]
+    c = calib_size
+    trials = []
+    for t in range(n_trials):
+        rng = np.random.default_rng([seed & harness._MASK32, 0xE5, t])
+        perm = rng.permutation(n)
+        calib = np.sort(perm[:c])
+        test = np.sort(perm[c:])
+        xi = g.XiPolicy("uniform", seed=harness._derive_seed(seed, 0xF6, t))
+        base = g.aps_scores(P, xi)
+        s_cal = g.ScoreMatrix(base.values[calib], "aps", xi)
+        s_test = g.ScoreMatrix(base.values[test], "aps", xi)
+        corr_cal = g.image_snaps(s_cal, s_cal, feats[calib], feats[calib],
+                                 k=k, eta=eta, exclude_self=True)
+        corr_test = g.image_snaps(s_test, s_cal, feats[test], feats[calib],
+                                  k=k, eta=eta)
+        full = np.empty_like(base.values)
+        full[calib] = corr_cal.values
+        full[test] = corr_test.values
+        threshold = g.calibrate(full, labels, calib, alpha)
+        sets = g.predict_sets(full, threshold, test)
+        summary = g.evaluate(sets, labels)
+        summary = replace(summary, sscv=g.sscv(sets, labels, alpha=alpha))
+        trials.append(g.TrialResult(0, t, summary, {"k": k, "eta": eta}))
+    return trials
+
+
+@pytest.mark.parametrize("k, n_trials, calib_size, rounded", [
+    (1, 5, 100, False),   # depth 16 of 399: 12 rows fall back to the kernel
+    (1, 8, 60, True),     # rounded features, heavy ties: 21 rows fall back
+    (5, 8, 60, True),     # depth 133, every row resolved from the pool order
+    (4, 45, 10, False),   # depth capped at n - 1
+])
+def test_image_pool_order_matches_per_trial_scoring(small_bundle, k, n_trials,
+                                                    calib_size, rounded):
+    feats = np.round(small_bundle.features) if rounded else small_bundle.features
+    P, labels = small_bundle.probabilities, small_bundle.labels
+    assert harness._image_pool_order(feats, calib_size, k, n_trials) is not None
+    shared = dict(alpha=0.1, k=k, eta=0.5, n_trials=n_trials,
+                  calib_size=calib_size, seed=71)
+    report = g.run_image_experiment(P, feats, labels, **shared)
+    ref = image_experiment_reference(P, feats, labels, **shared)
+    assert g.reports_equal(report, g.make_report(report.config, ref))
+
+
+def test_image_pool_order_is_built_only_when_it_saves_pairs(small_bundle, monkeypatch):
+    built = []
+    real = harness._self_join_order
+    monkeypatch.setattr(harness, "_self_join_order",
+                        lambda normed, depth: built.append(depth) or real(normed, depth))
+    P, feats, labels = (small_bundle.probabilities, small_bundle.features,
+                        small_bundle.labels)
+    # n - 1 = 399 pairs per pool row against n_trials * c per trial set
+    for n_trials, eta, expect in ((3, 0.5, []), (4, 0.5, [48]), (4, 0.0, [])):
+        built.clear()
+        g.run_image_experiment(P, feats, labels, k=3, eta=eta, n_trials=n_trials,
+                               calib_size=100, seed=72)
+        assert built == expect
+
+
+def test_image_experiment_rejects_non_finite_features(small_bundle):
+    feats = small_bundle.features.copy()
+    feats[3, 1] = np.nan
+    with pytest.raises(ValidationError, match="features: non-finite value at row 3, col 1"):
+        g.run_image_experiment(small_bundle.probabilities, feats, small_bundle.labels,
+                               k=3, n_trials=2, calib_size=100)
+
+
+def test_image_experiment_rejects_out_of_range_labels(small_bundle):
+    labels = small_bundle.labels.copy()
+    labels[7] = 9
+    with pytest.raises(ValidationError, match=r"label 9 at row 7 out of range \[0, 4\)"):
+        g.run_image_experiment(small_bundle.probabilities, small_bundle.features, labels,
+                               k=3, n_trials=2, calib_size=100)
+    labels[7] = -1
+    with pytest.raises(ValidationError, match="label -1 at row 7"):
+        g.run_image_experiment(small_bundle.probabilities, small_bundle.features, labels,
+                               k=3, n_trials=2, calib_size=100)

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import graphcp as g
 from graphcp.errors import ValidationError
@@ -190,3 +192,27 @@ def test_large_k_softmax_survives_float32_round_trip(tmp_path):
     sums = g.load_matrix(p).sum(axis=1)
     assert np.abs(sums - probs.sum(axis=1)).max() <= 2.0 ** -24
     assert np.abs(sums - 1.0).max() <= g.matrixio.PROB_ROW_SUM_TOL
+
+
+def _symmetrize_reference(edges):
+    """Drop self-loops, mirror, and dedup with ``np.unique(axis=0)``."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    arcs = np.concatenate([edges, edges[:, ::-1]], axis=0)
+    return np.unique(arcs, axis=0).reshape(-1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=40))))
+@example((5, []))
+@example((1, [(0, 0), (0, 0)]))
+@example((4, [(1, 2), (2, 1), (1, 2), (3, 3), (0, 3)]))
+def test_symmetrize_edges_matches_unique_rows(case):
+    n, edges = case
+    arcs, dropped = g.symmetrize_edges(np.array(edges, dtype=np.int64), n)
+    ref = _symmetrize_reference(edges)
+    assert arcs.dtype == np.int64 and arcs.shape == ref.shape
+    assert np.array_equal(arcs, ref)
+    assert dropped == sum(u == v for u, v in edges)
