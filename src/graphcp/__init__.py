@@ -15,7 +15,6 @@ from .graph import (
     SparseGraph,
     adjacency_graph,
     build_knn_graph,
-    cosine_similarity,
     empty_graph,
     from_arcs,
     load_knn_cache,
@@ -23,13 +22,11 @@ from .graph import (
 )
 from .harness import (
     ExperimentConfig,
-    SplitIndices,
     edge_homophily,
     generate_synthetic,
     run_experiment,
     run_image_experiment,
     run_oracle_experiment,
-    sample_splits,
     snaps_param_grid,
     tune_hyperparams,
 )

@@ -15,18 +15,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import harness, matrixio
-from .conformal import calibrate, predict_sets
 from .errors import ValidationError
 from .graph import KnnConfig, build_knn_graph, save_knn_cache
-from .metrics import MetricSummary, evaluate, sscv
-from .propagate import SnapsParams, image_snaps
-from .report import TrialResult, make_report, report_to_dict, write_report
-from .scores import XiPolicy, aps_scores
+from .propagate import SnapsParams
+from .report import make_report, report_to_dict, write_report
+from .scores import XiPolicy, _validate_probs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,9 +150,12 @@ def _cmd_oracle(args) -> int:
         # one report object per m, in sweep order
         "reports": [report_to_dict(r) for r in reports],
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    try:
+        with matrixio.atomic_open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write report: {exc}") from exc
     for m, rep in zip(m_sweep, reports):
         agg = rep.aggregate
         print(f"m={m}: coverage={agg['coverage']['mean']:.4f} "
@@ -174,45 +174,50 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _same_extent(a, b, axis: int, what: str, path_a, path_b) -> None:
+    if a.shape[axis] != b.shape[axis]:
+        raise ValidationError(f"{path_a} has {a.shape[axis]} {what} but "
+                              f"{path_b} has {b.shape[axis]}")
+
+
 def _cmd_image(args) -> int:
     p_cal = matrixio.load_matrix(args.probs_calib)
     p_test = matrixio.load_matrix(args.probs_test)
     f_cal = matrixio.load_matrix(args.feats_calib)
     f_test = matrixio.load_matrix(args.feats_test)
-    y_cal = matrixio.load_labels(args.labels_calib, p_cal.shape[1])
-    if y_cal.shape[0] != p_cal.shape[0]:
-        raise ValidationError("calibration labels/probabilities row mismatch")
-    n_cal, n_test = p_cal.shape[0], p_test.shape[0]
-
-    xi = XiPolicy("uniform", seed=args.seed)
-    s_cal = aps_scores(p_cal, xi, node_ids=np.arange(n_cal))
-    s_test = aps_scores(p_test, xi, node_ids=n_cal + np.arange(n_test))
-    corr_cal = image_snaps(s_cal, s_cal, f_cal, f_cal, k=args.k, eta=args.eta,
-                           exclude_self=True)
-    corr_test = image_snaps(s_test, s_cal, f_test, f_cal, k=args.k, eta=args.eta)
-
-    full = np.concatenate([corr_cal.values, corr_test.values], axis=0)
-    labels_full = np.concatenate([y_cal, np.zeros(n_test, dtype=np.int64)])
-    threshold = calibrate(full, labels_full, np.arange(n_cal), args.alpha)
-    sets = predict_sets(full, threshold, n_cal + np.arange(n_test))
-
+    # the two splits are scored as one matrix, so check each file on its own
+    # first: a bad row is named by its file, and the shapes must agree
+    for path, probs in ((args.probs_calib, p_cal), (args.probs_test, p_test)):
+        try:
+            _validate_probs(probs)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+    _same_extent(p_cal, p_test, 1, "classes", args.probs_calib, args.probs_test)
+    _same_extent(f_cal, f_test, 1, "feature columns", args.feats_calib,
+                 args.feats_test)
+    _same_extent(p_cal, f_cal, 0, "rows", args.probs_calib, args.feats_calib)
+    _same_extent(p_test, f_test, 0, "rows", args.probs_test, args.feats_test)
+    labels = matrixio.load_labels(args.labels_calib, p_cal.shape[1])
+    _same_extent(p_cal, labels, 0, "rows", args.probs_calib, args.labels_calib)
     if args.labels_test:
         y_test = matrixio.load_labels(args.labels_test, p_test.shape[1])
-        if y_test.shape[0] != n_test:
-            raise ValidationError("test labels/probabilities row mismatch")
-        labels_full[n_cal:] = y_test
-        summary = evaluate(sets, labels_full)
-        summary = replace(summary, sscv=sscv(sets, labels_full, alpha=args.alpha))
-    else:
-        summary = MetricSummary(coverage=None, size=float(sets.sizes().mean()),
-                                sh=None, sscv=None, n_eval=n_test)
-    trial = TrialResult(0, 0, summary, {"k": args.k, "eta": args.eta})
+        _same_extent(p_test, y_test, 0, "rows", args.probs_test, args.labels_test)
+        labels = np.concatenate([labels, y_test])
+    n_cal, n_test = p_cal.shape[0], p_test.shape[0]
+    calib, test = np.arange(n_cal), n_cal + np.arange(n_test)
+
+    xi = XiPolicy("uniform", seed=args.seed)
+    full = harness._image_scores(np.concatenate([p_cal, p_test]),
+                                 np.concatenate([f_cal, f_test]),
+                                 calib, test, xi, args.k, args.eta)
+    trial = harness._evaluate_trial(full, labels, calib, test, args.alpha, 0, 0,
+                                    {"k": args.k, "eta": args.eta})
     config = {"mode": "image", "alpha": args.alpha, "k": args.k, "eta": args.eta,
               "calib_size": n_cal, "n_test": n_test, "seed": args.seed}
     write_report(make_report(config, [trial]), args.out, format=args.format)
-    size = summary.size
+    summary = trial.metrics
     cov = "n/a" if summary.coverage is None else f"{summary.coverage:.4f}"
-    print(f"image mode: coverage={cov} size={size:.3f} -> {args.out}")
+    print(f"image mode: coverage={cov} size={summary.size:.3f} -> {args.out}")
     return 0
 
 

@@ -262,19 +262,6 @@ def adjacency_graph(n: int, arcs: np.ndarray) -> SparseGraph:
     return from_arcs(n, arcs)
 
 
-def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:
-    """x.y / (|x||y|); 0 when either vector has zero norm."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise ValidationError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
-    nx = math.sqrt(float(np.dot(x, x)))
-    ny = math.sqrt(float(np.dot(y, y)))
-    if nx == 0.0 or ny == 0.0:
-        return 0.0
-    return float(np.dot(x, y) / (nx * ny))
-
-
 def _normalized_rows(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = np.sqrt(np.einsum("nd,nd->n", features, features))
     zero = norms == 0.0

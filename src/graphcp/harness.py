@@ -15,6 +15,11 @@ score built with the same per-element arithmetic as the final mix, so the
 chosen point - same key, first in grid order on a full tie - is the one a
 point-by-point search would pick.
 
+Every runner, and the ``image`` CLI command, measures a trial through one
+evaluator, ``_evaluate_trial``: calibrate -> predict sets -> coverage, Size,
+singleton hit and SSCV.  Image-mode trials build their scores through one
+body, ``_image_scores``.
+
 Everything is driven by integer seeds: per-trial generators are derived from
 (seed, stage, model split, conformal split), so serial and threaded runs
 (env var ``GRAPHCP_THREADS``) produce identical reports.
@@ -40,7 +45,7 @@ from .graph import (
     empty_graph,
 )
 from .matrixio import DatasetBundle, make_bundle, validate_labels, validate_matrix
-from .metrics import evaluate, sscv
+from .metrics import MetricSummary, evaluate, sscv
 from .propagate import (
     NeighborMeans,
     SnapsParams,
@@ -67,23 +72,6 @@ RAPS_MAX_KREG = 8
 THREADS_ENV = "GRAPHCP_THREADS"
 TRAIN_PER_CLASS = 20
 VALID_PER_CLASS = 20
-
-
-@dataclass(frozen=True)
-class SplitIndices:
-    """Disjoint train/valid/calib/test node-index sets (sorted arrays)."""
-
-    train: np.ndarray
-    valid: np.ndarray
-    calib: np.ndarray
-    test: np.ndarray
-
-    def __post_init__(self):
-        parts = [np.asarray(p, dtype=np.int64) for p in
-                 (self.train, self.valid, self.calib, self.test)]
-        merged = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        if np.unique(merged).shape[0] != merged.shape[0]:
-            raise ValidationError("split index sets must be pairwise disjoint")
 
 
 @dataclass(frozen=True)
@@ -177,15 +165,6 @@ def _split_pool(pool: np.ndarray, calib_rule: str, calib_size: int, rng) -> tupl
         )
     perm = rng.permutation(pool)
     return np.sort(perm[:c]), np.sort(perm[c:])
-
-
-def sample_splits(labels: np.ndarray, num_classes: int, cfg: ExperimentConfig,
-                  seed: int) -> SplitIndices:
-    """One full train/valid/calib/test draw under the configured rule."""
-    rng = np.random.default_rng([seed & _MASK32, 0x5B])
-    train, valid, pool = _sample_train_valid(labels, num_classes, rng)
-    calib, test = _split_pool(pool, cfg.calib_rule, cfg.calib_size, rng)
-    return SplitIndices(train=train, valid=valid, calib=calib, test=test)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +274,26 @@ def tune_hyperparams(scores: ScoreMatrix, knn, adj, labels, calib_idx, *,
 
 # ---------------------------------------------------------------------------
 # experiment runners
+
+def _evaluate_trial(scores, labels: np.ndarray, calib: np.ndarray,
+                    test: np.ndarray, alpha: float, model_split: int,
+                    conformal_split: int, params: dict) -> TrialResult:
+    """The one trial evaluator: calibrate on ``calib``, predict the sets of
+    ``test``, then measure coverage, Size, singleton hit and SSCV.
+
+    ``labels`` holds a label per score row, or only the leading calibration
+    labels when the test rows are unlabeled; the summary then has Size
+    alone."""
+    threshold = calibrate(scores, labels, calib, alpha)
+    sets = predict_sets(scores, threshold, test)
+    if labels.shape[0] <= test.max():
+        summary = MetricSummary(coverage=None, size=float(sets.sizes().mean()),
+                                sh=None, sscv=None, n_eval=int(test.shape[0]))
+    else:
+        summary = replace(evaluate(sets, labels),
+                          sscv=sscv(sets, labels, alpha=alpha))
+    return TrialResult(model_split, conformal_split, summary, params)
+
 
 def _linear_nm(nm_a: NeighborMeans, nm_b: NeighborMeans, coeff: float) -> NeighborMeans:
     return NeighborMeans(
@@ -409,11 +408,8 @@ def run_experiment(bundle: DatasetBundle, cfg: ExperimentConfig) -> TrialReport:
                 final_values = combine_scores(base_values, nm, p.lam, p.mu)
             else:
                 final_values = base_values
-            threshold = calibrate(final_values, labels, cal_idx, cfg.alpha)
-            sets = predict_sets(final_values, threshold, test)
-            summary = evaluate(sets, labels)
-            summary = replace(summary, sscv=sscv(sets, labels, alpha=cfg.alpha))
-            return TrialResult(ms, cs, summary, params)
+            return _evaluate_trial(final_values, labels, cal_idx, test,
+                                   cfg.alpha, ms, cs, params)
 
         if n_threads > 1:
             with ThreadPoolExecutor(max_workers=n_threads) as pool_ex:
@@ -445,11 +441,8 @@ def run_oracle_experiment(bundle: DatasetBundle, alpha: float = 0.05,
         agg_seed = _derive_seed(seed, 0x33, t)
         for m in m_sweep:
             corrected = oracle_aggregate(base, labels, int(m), w, agg_seed)
-            threshold = calibrate(corrected, labels, calib, alpha)
-            sets = predict_sets(corrected, threshold, test)
-            summary = evaluate(sets, labels)
-            summary = replace(summary, sscv=sscv(sets, labels, alpha=alpha))
-            by_m[int(m)].append(TrialResult(0, t, summary, {"m": int(m), "w": w}))
+            by_m[int(m)].append(_evaluate_trial(corrected, labels, calib, test,
+                                                alpha, 0, t, {"m": int(m), "w": w}))
     reports = []
     for m in m_sweep:
         config = {
@@ -477,6 +470,36 @@ def _image_pool_order(feats: np.ndarray, c: int, k: int,
         return None
     depth = min(n - 1, -(-4 * k * (n - 1) // c))
     return _self_join_order(_normalized_rows(feats)[0], depth)
+
+
+def _image_scores(P: np.ndarray, feats: np.ndarray, calib: np.ndarray,
+                  test: np.ndarray, xi: XiPolicy, k: int, eta: float,
+                  order: np.ndarray | None = None) -> np.ndarray:
+    """One image-mode trial's corrected scores for every row of ``P``.
+
+    APS scores (node ids are row indices) are mixed, on calibration rows,
+    with the mean scores of their k most similar other calibration rows and,
+    on test rows, with those of their k most similar calibration rows.
+    ``order`` is the pool order from ``_image_pool_order`` (``calib`` sorted);
+    it is mapped to calibration positions for ``image_snaps``'s
+    ``candidates``."""
+    base = aps_scores(P, xi)
+    s_cal = ScoreMatrix(base.values[calib], "aps", xi)
+    s_test = ScoreMatrix(base.values[test], "aps", xi)
+    cand_cal = cand_test = None
+    if order is not None:
+        # pool index -> calibration position, -1 off the calibration set
+        pos = np.full(P.shape[0], -1, dtype=np.int64)
+        pos[calib] = np.arange(calib.shape[0])
+        cand_cal, cand_test = pos[order[calib]], pos[order[test]]
+    corr_cal = image_snaps(s_cal, s_cal, feats[calib], feats[calib],
+                           k=k, eta=eta, exclude_self=True, candidates=cand_cal)
+    corr_test = image_snaps(s_test, s_cal, feats[test], feats[calib],
+                            k=k, eta=eta, candidates=cand_test)
+    full = np.empty_like(base.values)
+    full[calib] = corr_cal.values
+    full[test] = corr_test.values
+    return full
 
 
 def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
@@ -514,27 +537,9 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
         calib = np.sort(perm[:c])
         test = np.sort(perm[c:])
         xi = XiPolicy("uniform", seed=_derive_seed(seed, 0xF6, t))
-        base = aps_scores(P, xi)
-        s_cal = ScoreMatrix(base.values[calib], "aps", xi)
-        s_test = ScoreMatrix(base.values[test], "aps", xi)
-        cand_cal = cand_test = None
-        if order is not None:
-            # pool index -> calibration position, -1 off the calibration set
-            pos = np.full(n, -1, dtype=np.int64)
-            pos[calib] = np.arange(c)
-            cand_cal, cand_test = pos[order[calib]], pos[order[test]]
-        corr_cal = image_snaps(s_cal, s_cal, feats[calib], feats[calib],
-                               k=k, eta=eta, exclude_self=True, candidates=cand_cal)
-        corr_test = image_snaps(s_test, s_cal, feats[test], feats[calib],
-                                k=k, eta=eta, candidates=cand_test)
-        full = np.empty_like(base.values)
-        full[calib] = corr_cal.values
-        full[test] = corr_test.values
-        threshold = calibrate(full, labels, calib, alpha)
-        sets = predict_sets(full, threshold, test)
-        summary = evaluate(sets, labels)
-        summary = replace(summary, sscv=sscv(sets, labels, alpha=alpha))
-        trials.append(TrialResult(0, t, summary, {"k": k, "eta": eta}))
+        full = _image_scores(P, feats, calib, test, xi, k, eta, order)
+        trials.append(_evaluate_trial(full, labels, calib, test, alpha, 0, t,
+                                      {"k": k, "eta": eta}))
     config = {
         "mode": "image", "dataset": {"name": name, "n": n,
                                      "num_classes": int(P.shape[1])},

@@ -241,6 +241,9 @@ def image_snaps(S_eval: ScoreMatrix, S_calib: ScoreMatrix,
         raise ValidationError(f"k={k} must lie in [1, {n_calib}]")
     if exclude_self and n_eval != n_calib:
         raise ValidationError("exclude_self requires aligned eval == calib sets")
+    if exclude_self and n_calib < 2:
+        raise ValidationError(f"calibration set has {n_calib} row(s); excluding "
+                              "self needs at least 2")
     if candidates is not None:
         candidates = np.asarray(candidates, dtype=np.int64)
         if candidates.ndim != 2 or candidates.shape[0] != n_eval:

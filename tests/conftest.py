@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,3 +22,23 @@ def make_sets(mask, alpha=0.05, q_hat=0.5, n_graph=None):
                                       calib_idx=calib_idx)
     return g.PredictionSets(mask=mask, eval_idx=np.arange(n_eval, dtype=np.int64),
                             threshold=threshold)
+
+
+def image_trial_reference(P, feats, labels, calib, test, xi, *, alpha, k, eta):
+    """One image-mode trial scored from scratch with the public functions:
+    APS scores, calibration rows corrected by their other calibration rows,
+    test rows by the calibration rows, then calibrate and evaluate."""
+    base = g.aps_scores(P, xi)
+    s_cal = g.ScoreMatrix(base.values[calib], "aps", xi)
+    s_test = g.ScoreMatrix(base.values[test], "aps", xi)
+    corr_cal = g.image_snaps(s_cal, s_cal, feats[calib], feats[calib],
+                             k=k, eta=eta, exclude_self=True)
+    corr_test = g.image_snaps(s_test, s_cal, feats[test], feats[calib],
+                              k=k, eta=eta)
+    full = np.empty_like(base.values)
+    full[calib] = corr_cal.values
+    full[test] = corr_test.values
+    threshold = g.calibrate(full, labels, calib, alpha)
+    sets = g.predict_sets(full, threshold, test)
+    summary = g.evaluate(sets, labels)
+    return replace(summary, sscv=g.sscv(sets, labels, alpha=alpha))

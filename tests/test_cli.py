@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 import graphcp as g
 from graphcp.cli import main
+
+from conftest import image_trial_reference
 
 
 @pytest.fixture(scope="module")
@@ -104,27 +107,37 @@ def test_knn_cache_subcommand(synth_dir, tmp_path):
     assert graph.n == 300
 
 
+def _image_argv(tmp_path, probs, feats, labels):
+    """Write (calibration, test) pairs of image-mode inputs under ``tmp_path``
+    and return the matching ``graphcp image`` arguments; a test-label entry of
+    None leaves out ``--labels-test``."""
+    argv = ["image"]
+    for flag, (cal, test) in (("probs", probs), ("feats", feats)):
+        for side, mat in (("calib", cal), ("test", test)):
+            path = tmp_path / f"{flag}-{side}.snpm"
+            g.write_matrix(mat, path)
+            argv += [f"--{flag}-{side}", str(path)]
+    for side, y in zip(("calib", "test"), labels):
+        if y is not None:
+            path = tmp_path / f"labels-{side}.txt"
+            path.write_text("".join(f"{v}\n" for v in y))
+            argv += [f"--labels-{side}", str(path)]
+    return argv
+
+
+def _halves(a, at):
+    return a[:at], a[at:]
+
+
 def test_image_subcommand(synth_dir, tmp_path):
     bundle = g.load_bundle(synth_dir / "manifest.txt")
     half = bundle.n // 2
-    g.write_matrix(bundle.probabilities[:half], tmp_path / "pc.snpm")
-    g.write_matrix(bundle.probabilities[half:], tmp_path / "pt.snpm")
-    g.write_matrix(bundle.features[:half], tmp_path / "fc.snpm")
-    g.write_matrix(bundle.features[half:], tmp_path / "ft.snpm")
-    (tmp_path / "yc.txt").write_text("".join(f"{v}\n" for v in bundle.labels[:half]))
-    (tmp_path / "yt.txt").write_text("".join(f"{v}\n" for v in bundle.labels[half:]))
     out = tmp_path / "image.json"
-    code = main([
-        "image",
-        "--probs-calib", str(tmp_path / "pc.snpm"),
-        "--probs-test", str(tmp_path / "pt.snpm"),
-        "--feats-calib", str(tmp_path / "fc.snpm"),
-        "--feats-test", str(tmp_path / "ft.snpm"),
-        "--labels-calib", str(tmp_path / "yc.txt"),
-        "--labels-test", str(tmp_path / "yt.txt"),
-        "--k", "5", "--eta", "0.5", "--alpha", "0.1",
-        "--seed", "3", "--out", str(out),
-    ])
+    code = main(_image_argv(tmp_path, _halves(bundle.probabilities, half),
+                            _halves(bundle.features, half),
+                            _halves(bundle.labels, half))
+                + ["--k", "5", "--eta", "0.5", "--alpha", "0.1",
+                   "--seed", "3", "--out", str(out)])
     assert code == 0
     data = json.loads(out.read_text())
     assert data["config"]["k"] == 5
@@ -134,23 +147,84 @@ def test_image_subcommand(synth_dir, tmp_path):
 def test_image_without_test_labels(synth_dir, tmp_path):
     bundle = g.load_bundle(synth_dir / "manifest.txt")
     half = bundle.n // 2
-    g.write_matrix(bundle.probabilities[:half], tmp_path / "pc.snpm")
-    g.write_matrix(bundle.probabilities[half:], tmp_path / "pt.snpm")
-    g.write_matrix(bundle.features[:half], tmp_path / "fc.snpm")
-    g.write_matrix(bundle.features[half:], tmp_path / "ft.snpm")
-    (tmp_path / "yc.txt").write_text("".join(f"{v}\n" for v in bundle.labels[:half]))
     out = tmp_path / "image.json"
-    code = main([
-        "image",
-        "--probs-calib", str(tmp_path / "pc.snpm"),
-        "--probs-test", str(tmp_path / "pt.snpm"),
-        "--feats-calib", str(tmp_path / "fc.snpm"),
-        "--feats-test", str(tmp_path / "ft.snpm"),
-        "--labels-calib", str(tmp_path / "yc.txt"),
-        "--k", "5", "--eta", "0.5", "--alpha", "0.1",
-        "--seed", "3", "--out", str(out),
-    ])
+    code = main(_image_argv(tmp_path, _halves(bundle.probabilities, half),
+                            _halves(bundle.features, half),
+                            (bundle.labels[:half], None))
+                + ["--k", "5", "--eta", "0.5", "--alpha", "0.1",
+                   "--seed", "3", "--out", str(out)])
     assert code == 0
     data = json.loads(out.read_text())
     assert data["trials"][0]["coverage"] is None
     assert data["trials"][0]["size"] > 0
+
+
+@pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
+def test_image_matches_reference_trial(synth_dir, tmp_path, labeled):
+    bundle = g.load_bundle(synth_dir / "manifest.txt")
+    P, feats, labels = bundle.probabilities, bundle.features, bundle.labels
+    half = bundle.n // 2
+    out = tmp_path / "image.json"
+    code = main(_image_argv(tmp_path, _halves(P, half), _halves(feats, half),
+                            (labels[:half], labels[half:] if labeled else None))
+                + ["--k", "5", "--eta", "0.5", "--alpha", "0.1",
+                   "--seed", "3", "--out", str(out)])
+    assert code == 0
+    # calibration rows come first, and xi is keyed by the row's place in
+    # the calibration-then-test order under the --seed value
+    ref = image_trial_reference(P, feats, labels, np.arange(half),
+                                np.arange(half, bundle.n),
+                                g.XiPolicy("uniform", seed=3),
+                                alpha=0.1, k=5, eta=0.5)
+    got = json.loads(out.read_text())["trials"][0]
+    assert got["size"] == ref.size
+    assert got["n_eval"] == ref.n_eval
+    for key in ("coverage", "sh", "sscv"):
+        assert got[key] == (getattr(ref, key) if labeled else None)
+
+
+def _widen(a):
+    return np.hstack([a, np.zeros((a.shape[0], 1))])
+
+
+@pytest.mark.parametrize("case, message, bad", [
+    # rows of the wider file still sum to 1
+    ("classes", "has 3 classes but", ("probs-calib", "probs-test")),
+    ("feature columns", "has 4 feature columns but", ("feats-calib", "feats-test")),
+    # one row moved across the split: the stacked row counts still agree
+    ("rows", "has 150 rows but", ("probs-calib", "feats-calib")),
+    # named by its row in the test file, not in the stacked matrix
+    ("sums", "probability row 5 sums to", ("probs-test",)),
+], ids=["classes", "feature-columns", "rows", "row-sum"])
+def test_image_rejects_bad_split_files(synth_dir, tmp_path, capsys, case,
+                                       message, bad):
+    bundle = g.load_bundle(synth_dir / "manifest.txt")
+    half = bundle.n // 2
+    p_cal, p_test = _halves(bundle.probabilities, half)
+    f_cal, f_test = _halves(bundle.features, half)
+    if case == "classes":
+        p_test = _widen(p_test)
+    elif case == "feature columns":
+        f_test = _widen(f_test)
+    elif case == "rows":
+        f_cal, f_test = _halves(bundle.features, half + 1)
+    else:
+        p_test = p_test.copy()
+        p_test[5, 0] += 0.5
+    argv = _image_argv(tmp_path, (p_cal, p_test), (f_cal, f_test),
+                       _halves(bundle.labels, half))
+    assert main(argv + ["--out", str(tmp_path / "image.json")]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    for name in bad:
+        assert str(tmp_path / f"{name}.snpm") in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_image_rejects_one_row_calibration(synth_dir, tmp_path, capsys):
+    bundle = g.load_bundle(synth_dir / "manifest.txt")
+    argv = _image_argv(tmp_path, _halves(bundle.probabilities, 1),
+                       _halves(bundle.features, 1), (bundle.labels[:1], None))
+    assert main(argv + ["--k", "1", "--out", str(tmp_path / "image.json")]) == 1
+    assert "calibration set has 1 row" in capsys.readouterr().err
+    assert not (tmp_path / "image.json").exists()

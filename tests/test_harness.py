@@ -1,6 +1,5 @@
 import math
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +11,8 @@ from graphcp import harness
 from graphcp.errors import ValidationError
 from graphcp.harness import _split_pool, snaps_param_grid
 
+from conftest import image_trial_reference
+
 XI = g.XiPolicy("fixed", 1.0)
 
 
@@ -19,37 +20,37 @@ def _balanced_labels(per_class, k):
     return np.repeat(np.arange(k), per_class)
 
 
+def _draw_splits(labels, num_classes, cfg, seed):
+    rng = np.random.default_rng(seed)
+    train, valid, pool = harness._sample_train_valid(labels, num_classes, rng)
+    return (train, valid) + _split_pool(pool, cfg.calib_rule, cfg.calib_size, rng)
+
+
 def test_sample_splits_default_rule_arithmetic():
     labels = _balanced_labels(100, 3)
     cfg = g.ExperimentConfig(method="aps")
-    splits = g.sample_splits(labels, 3, cfg, seed=0)
-    assert splits.train.shape[0] == 60
-    assert splits.valid.shape[0] == 60
-    assert splits.calib.shape[0] == 90  # min(1000, 180 // 2)
-    assert splits.test.shape[0] == 90
-    merged = np.concatenate([splits.train, splits.valid, splits.calib, splits.test])
+    train, valid, calib, test = _draw_splits(labels, 3, cfg, seed=0)
+    assert train.shape[0] == 60
+    assert valid.shape[0] == 60
+    assert calib.shape[0] == 90  # min(1000, 180 // 2)
+    assert test.shape[0] == 90
+    merged = np.concatenate([train, valid, calib, test])
     assert np.array_equal(np.sort(merged), np.arange(300))
 
 
 def test_sample_splits_fixed_rule():
     labels = _balanced_labels(100, 3)
     cfg = g.ExperimentConfig(method="aps", calib_rule="fixed", calib_size=50)
-    splits = g.sample_splits(labels, 3, cfg, seed=1)
-    assert splits.calib.shape[0] == 50
-    assert splits.test.shape[0] == 130
+    _, _, calib, test = _draw_splits(labels, 3, cfg, seed=1)
+    assert calib.shape[0] == 50
+    assert test.shape[0] == 130
 
 
 def test_sample_splits_small_class_names_the_class():
     labels = np.concatenate([np.zeros(50, dtype=int), np.ones(30, dtype=int)])
     cfg = g.ExperimentConfig(method="aps")
     with pytest.raises(ValidationError, match="class 1"):
-        g.sample_splits(labels, 2, cfg, seed=0)
-
-
-def test_split_indices_must_be_disjoint():
-    with pytest.raises(ValidationError, match="disjoint"):
-        g.SplitIndices(np.array([0, 1]), np.array([1, 2]),
-                       np.array([3]), np.array([4]))
+        _draw_splits(labels, 2, cfg, seed=0)
 
 
 def test_pool_exhausted():
@@ -500,31 +501,18 @@ def test_config_validation():
 
 def image_experiment_reference(P, feats, labels, *, alpha, k, eta, n_trials,
                                calib_size, seed):
-    """Image mode scoring every trial from scratch: a copy of the per-trial
-    loop that ``run_image_experiment`` ran before the pool order existed."""
+    """Image mode scoring every trial from scratch: the per-trial loop that
+    ``run_image_experiment`` ran before the pool order existed."""
     n = P.shape[0]
-    c = calib_size
     trials = []
     for t in range(n_trials):
         rng = np.random.default_rng([seed & harness._MASK32, 0xE5, t])
         perm = rng.permutation(n)
-        calib = np.sort(perm[:c])
-        test = np.sort(perm[c:])
+        calib = np.sort(perm[:calib_size])
+        test = np.sort(perm[calib_size:])
         xi = g.XiPolicy("uniform", seed=harness._derive_seed(seed, 0xF6, t))
-        base = g.aps_scores(P, xi)
-        s_cal = g.ScoreMatrix(base.values[calib], "aps", xi)
-        s_test = g.ScoreMatrix(base.values[test], "aps", xi)
-        corr_cal = g.image_snaps(s_cal, s_cal, feats[calib], feats[calib],
-                                 k=k, eta=eta, exclude_self=True)
-        corr_test = g.image_snaps(s_test, s_cal, feats[test], feats[calib],
-                                  k=k, eta=eta)
-        full = np.empty_like(base.values)
-        full[calib] = corr_cal.values
-        full[test] = corr_test.values
-        threshold = g.calibrate(full, labels, calib, alpha)
-        sets = g.predict_sets(full, threshold, test)
-        summary = g.evaluate(sets, labels)
-        summary = replace(summary, sscv=g.sscv(sets, labels, alpha=alpha))
+        summary = image_trial_reference(P, feats, labels, calib, test, xi,
+                                        alpha=alpha, k=k, eta=eta)
         trials.append(g.TrialResult(0, t, summary, {"k": k, "eta": eta}))
     return trials
 
@@ -568,6 +556,13 @@ def test_image_experiment_rejects_non_finite_features(small_bundle):
     with pytest.raises(ValidationError, match="features: non-finite value at row 3, col 1"):
         g.run_image_experiment(small_bundle.probabilities, feats, small_bundle.labels,
                                k=3, n_trials=2, calib_size=100)
+
+
+def test_image_experiment_rejects_one_row_calibration(small_bundle):
+    # a lone calibration row has no other calibration row to average
+    with pytest.raises(ValidationError, match="calibration set has 1 row"):
+        g.run_image_experiment(small_bundle.probabilities, small_bundle.features,
+                               small_bundle.labels, k=1, n_trials=2, calib_size=1)
 
 
 def test_image_experiment_rejects_out_of_range_labels(small_bundle):

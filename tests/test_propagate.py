@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,12 +267,18 @@ def test_image_snaps_exclude_self():
         assert np.allclose(out.values[i], S_cal.values[others].mean(axis=0))
 
 
+def _cosine(x, y):
+    """x.y / (|x||y|); 0 when either vector has zero norm."""
+    nx, ny = math.sqrt(float(np.dot(x, x))), math.sqrt(float(np.dot(y, y)))
+    return 0.0 if nx == 0.0 or ny == 0.0 else float(np.dot(x, y) / (nx * ny))
+
+
 def image_snaps_reference(S_eval, S_cal, feats_eval, feats_cal, k, eta, exclude_self):
     """Brute force: per eval row, rank calibration rows by (cosine desc,
     index asc) and mix with the plain mean of the first k."""
     out = S_eval.values.copy()
     for i, x in enumerate(feats_eval):
-        ranked = sorted((-g.cosine_similarity(x, c), j) for j, c in enumerate(feats_cal)
+        ranked = sorted((-_cosine(x, c), j) for j, c in enumerate(feats_cal)
                         if not (exclude_self and j == i))
         nbrs = [j for _, j in ranked[:k]]
         out[i] = (1 - eta) * S_eval.values[i] + eta * S_cal.values[nbrs].mean(axis=0)

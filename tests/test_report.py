@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import graphcp as g
+from graphcp import cli
 from graphcp.errors import ValidationError
 from graphcp.metrics import MetricSummary
 from graphcp.report import TrialResult
@@ -95,20 +96,40 @@ def test_unknown_format_rejected(tmp_path):
         g.write_report(_demo_report(), tmp_path / "r.xml", format="xml")
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_failed_write_keeps_previous_report(tmp_path, monkeypatch, fmt):
+@pytest.fixture(scope="module")
+def oracle_manifest(tmp_path_factory):
+    bundle = g.generate_synthetic(n=120, num_classes=3, dim=2, homophily=0.8,
+                                  class_sep=2.0, noise=1.0, seed=4)
+    return g.save_bundle(bundle, tmp_path_factory.mktemp("oracle"))
+
+
+def _write_oracle_report(manifest, seed, path):
+    args = cli._build_parser().parse_args([
+        "oracle", "--manifest", str(manifest), "--m-sweep", "0,2",
+        "--trials", "1", "--seed", str(seed), "--out", str(path),
+    ])
+    cli._cmd_oracle(args)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "oracle"])
+def test_failed_write_keeps_previous_report(tmp_path, monkeypatch, request, fmt):
     path = tmp_path / f"r.{fmt}"
-    g.write_report(_demo_report(seed=1), path, format=fmt)
+    if fmt == "oracle":  # the sweep JSON that ``graphcp oracle`` writes
+        manifest = request.getfixturevalue("oracle_manifest")
+        write = lambda seed: _write_oracle_report(manifest, seed, path)
+    else:
+        write = lambda seed: g.write_report(_demo_report(seed=seed), path, format=fmt)
+    write(1)
     before = path.read_bytes()
 
     def disk_full(*args, **kwargs):
         raise OSError(28, "No space left on device")
 
-    if fmt == "json":
-        monkeypatch.setattr(json, "dump", disk_full)
-    else:  # fails after the '# config' line has been written
+    if fmt == "csv":  # fails after the '# config' line has been written
         monkeypatch.setattr(csv, "writer", lambda fh: SimpleNamespace(writerow=disk_full))
+    else:
+        monkeypatch.setattr(json, "dump", disk_full)
     with pytest.raises(ValidationError, match="No space"):
-        g.write_report(_demo_report(seed=2), path, format=fmt)
+        write(2)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
