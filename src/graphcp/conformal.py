@@ -106,10 +106,12 @@ def predict_sets(scores, threshold: CalibratedThreshold,
         raise ValidationError("empty evaluation set")
     if eval_idx.min() < 0 or eval_idx.max() >= values.shape[0]:
         raise ValidationError("evaluation index out of range")
-    overlap = np.intersect1d(eval_idx, threshold.calib_idx)
+    # np.isin picks a lookup table for these small-range integers, where
+    # np.intersect1d sorts both sides
+    overlap = eval_idx[np.isin(eval_idx, threshold.calib_idx)]
     if overlap.size:
         raise ValidationError(
-            f"evaluation set overlaps calibration set (e.g. node {overlap[0]})"
+            f"evaluation set overlaps calibration set (e.g. node {overlap.min()})"
         )
     mask = values[eval_idx] <= threshold.q_hat
     idx = np.array(eval_idx, dtype=np.int64)

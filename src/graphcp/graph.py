@@ -11,8 +11,12 @@ The k-NN builder has two modes:
 * exact: every other node is a candidate; O(n^2 d) via row-chunked matrix
   products (default for n <= 50,000);
 * sampled: each node scores a seed-keyed uniform sample of M candidates,
-  O(n M d).  With M = n - 1 the sampled candidate set is all other nodes and
-  the result equals exact mode.
+  O(n M d).  Node i's sample is the first M distinct values of its draw
+  sequence ``floor(u(seed, i, j) * (n - 1))``, j = 0, 1, 2, ..., shifted past
+  i, where u is the counter hash of ``scores`` (or, for M > (n - 1) / 2, the
+  complement of the first n - 1 - M); every row of a chunk is drawn at once
+  (``_sample_pools``).  With M = n - 1 the sampled candidate set is all
+  other nodes and the result equals exact mode.
 
 Both modes, and the graph-free image mode in ``propagate.image_snaps``, pick
 neighbors with one batched top-k kernel (``_top_k``): per row of a
@@ -46,17 +50,26 @@ import numpy as np
 
 from .errors import ValidationError
 from .matrixio import atomic_open
+from .scores import _counter_uniform
 
 EXACT_MODE_MAX_N = 50_000
 # elements per similarity block; 1 << 22 ran no faster, and processes that
 # repeat exact k-NN or image-mode runs at n = 4000-5000 peaked about 20 MB
 # higher in resident memory
 _CHUNK_TARGET = 1 << 20
-# elements of sampled mode's (rows, M, d) candidate gather; its per-row draws
-# dominate, so larger chunks gain no speed, only memory
+# elements of sampled mode's (rows, M, d) candidate gather; from 1 << 17 to
+# 1 << 21 the build ran equally fast at n = 10000 and 50000 (M = 200, d = 8),
+# so the chunk is kept small for memory
 _SAMPLED_GATHER = 1 << 19
+# draws per row beyond the mean needed for a pool (see _sample_pools)
+_DRAW_SLACK = 16
 _SUM_BLOCK = 1 << 12  # elements of each (rows, C) array of _exact_row_sums
 _CACHE_MAGIC = b"SNPG"
+# format 2 holds pools drawn by _sample_pools; format 1 had no version field
+# and held pools from per-node numpy Generators, so its sampled graphs differ
+_CACHE_VERSION = 2
+# magic, format version, n, nnz, k, M (0: exact), seed, min similarity
+_CACHE_HEADER = struct.Struct("<4sIIQIIqd")
 
 
 @dataclass(frozen=True)
@@ -334,25 +347,88 @@ def _self_join_order(normed: np.ndarray, depth: int) -> np.ndarray:
     return order
 
 
+def _distinct_draws(seed: int, rows: np.ndarray, span: int, count: int,
+                    draws: int) -> np.ndarray:
+    """(len(rows), count) array whose row r holds, in ascending order, the
+    first ``count`` distinct values of row ``rows[r]``'s draw sequence
+    ``floor(u(seed, row, j) * span)``, j = 0, 1, 2, ..., with u the counter
+    hash ``scores._counter_uniform``.  Requires count <= span and
+    count <= draws.
+
+    Each row's first ``draws`` draws are taken at once: one sort of the keys
+    ``value << b | position`` (2^b >= draws) puts equal values together in
+    draw order, the first occurrence of each value is marked, and one
+    ``np.partition`` of their positions finds the count-th earliest; the
+    first occurrences up to it, read in key order, are the answer, already
+    sorted.  A row with fewer than ``count`` distinct values among its draws
+    is redone on twice as many, so the result depends on neither ``draws``
+    nor which rows are drawn together.
+    """
+    out = np.empty((rows.shape[0], count), dtype=np.int64)
+    todo = np.arange(rows.shape[0])
+    while count and todo.size:
+        bits = (draws - 1).bit_length()
+        pos = np.arange(draws, dtype=np.int64)
+        # u * span >= 0, so the cast to int64 is the floor
+        keys = (_counter_uniform(seed, rows[todo], pos) * span).astype(np.int64)
+        keys <<= bits
+        keys |= pos
+        keys.sort(axis=1)
+        values = keys >> bits
+        first = np.empty(keys.shape, dtype=bool)
+        first[:, 0] = True
+        np.not_equal(values[:, 1:], values[:, :-1], out=first[:, 1:])
+        # a repeated value sits past every position, so it never ranks among
+        # the count earliest first occurrences; in a row with fewer than
+        # count of them, the count-th earliest is that sentinel
+        pos = np.where(first, keys & (1 << bits) - 1, draws)
+        last = np.partition(pos, count - 1, axis=1)[:, count - 1:count]
+        full = last[:, 0] < draws
+        out[todo[full]] = values[(pos <= last) & full[:, None]].reshape(-1, count)
+        todo = todo[~full]
+        draws *= 2
+    return out
+
+
+def _sample_pools(seed: int, rows: np.ndarray, n: int, m: int) -> np.ndarray:
+    """(len(rows), m) array: row i's candidate pool, a uniform m-subset of
+    the other n - 1 nodes, sorted ascending.
+
+    The pool is the first m distinct values of row i's draw sequence over
+    [0, n - 1) (``_distinct_draws``), each value v >= i shifted to v + 1 to
+    skip i.  When m > (n - 1) / 2 the sequence picks the n - 1 - m excluded
+    values instead, so a row costs O(n) draws at most; m = n - 1 takes every
+    other node.
+    """
+    span = n - 1
+    count = m if 2 * m <= span else span - m
+    # while count <= span / 2, a row needs fewer than count**2 / span draws
+    # beyond count on average; _DRAW_SLACK covers the spread
+    drawn = _distinct_draws(seed, rows, span, count,
+                            count + count * count // span + _DRAW_SLACK)
+    if count == m:
+        pools = drawn
+    else:
+        keep = np.ones((rows.shape[0], span), dtype=bool)
+        keep[np.arange(rows.shape[0])[:, None], drawn] = False
+        pools = np.nonzero(keep)[1].reshape(-1, m)
+    pools += pools >= rows[:, None]
+    return pools
+
+
 def _sampled_blocks(normed: np.ndarray, k: int, m: int, seed: int):
     """Like ``_top_k_blocks`` over the other n-1 rows, but each row i scores
-    only a uniform M-subset of them, drawn from ``default_rng([seed, i])``."""
+    only its candidate pool of M nodes (``_sample_pools``)."""
     n, d = normed.shape
     step = max(1, _SAMPLED_GATHER // max(m * d, 1))
-    pools = np.empty((min(step, n), m), dtype=np.int64)
     for start in range(0, n, step):
         stop = min(start + step, n)
-        for i in range(start, stop):
-            rng = np.random.default_rng([seed & 0xFFFFFFFF, i])
-            pool = rng.choice(n - 1, size=m, replace=False)
-            pool.sort()
-            pool[pool >= i] += 1
-            pools[i - start] = pool
-        block = pools[:stop - start]
+        block = _sample_pools(seed, np.arange(start, stop), n, m)
         # one einsum per chunk; each dot product stays bit-identical to a
-        # per-row _pairwise_sims of the same pool
-        sims = np.einsum("ijd,ikd->ij", normed[block], normed[start:stop, None, :],
-                         optimize=False)
+        # per-row _pairwise_sims of the same pool (np.take gathers the pool
+        # rows several times faster than fancy indexing)
+        sims = np.einsum("ijd,ikd->ij", np.take(normed, block, axis=0),
+                         normed[start:stop, None, :], optimize=False)
         # pools are sorted, so ties to the smaller position are ties to the
         # smaller node index
         pos, vals = _top_k(sims, k)
@@ -414,9 +490,8 @@ def save_knn_cache(g: SparseGraph, path, feature_hash: bytes, cfg: KnnConfig) ->
     if len(feature_hash) != 32:
         raise ValidationError("feature_hash must be a 32-byte sha256 digest")
     with atomic_open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack(
-            "<IQIIqd", g.n, g.nnz, cfg.k, cfg.sample_size or 0,
+        fh.write(_CACHE_HEADER.pack(
+            _CACHE_MAGIC, _CACHE_VERSION, g.n, g.nnz, cfg.k, cfg.sample_size or 0,
             cfg.seed, cfg.min_similarity,
         ))
         fh.write(feature_hash)
@@ -431,16 +506,21 @@ def load_knn_cache(path, feature_hash: bytes, cfg: KnnConfig) -> SparseGraph:
     if not path.exists():
         raise ValidationError(f"no such cache file: {path}")
     raw = path.read_bytes()
-    header = struct.calcsize("<IQIIqd")
-    if len(raw) < 4 + header + 32 or raw[:4] != _CACHE_MAGIC:
+    if len(raw) < _CACHE_HEADER.size + 32 or raw[:4] != _CACHE_MAGIC:
         raise ValidationError(f"{path}: not a k-NN cache file")
-    n, nnz, k, m, seed, min_sim = struct.unpack("<IQIIqd", raw[4:4 + header])
-    stored_hash = raw[4 + header:4 + header + 32]
+    _, version, n, nnz, k, m, seed, min_sim = _CACHE_HEADER.unpack_from(raw)
+    if version != _CACHE_VERSION:
+        raise ValidationError(
+            f"{path}: k-NN cache format version {version}, expected "
+            f"{_CACHE_VERSION}; rebuild the cache"
+        )
+    off = _CACHE_HEADER.size
+    stored_hash = raw[off:off + 32]
     key = (k, m or 0, seed, min_sim)
     want = (cfg.k, cfg.sample_size or 0, cfg.seed, cfg.min_similarity)
     if stored_hash != feature_hash or key != want:
         raise ValidationError(f"{path}: cache key mismatch (stale cache?)")
-    off = 4 + header + 32
+    off += 32
     expected = off + (n + 1) * 8 + nnz * 4 + nnz * 8
     if len(raw) != expected:
         raise ValidationError(

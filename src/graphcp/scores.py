@@ -13,7 +13,8 @@ with 1-based ranks by descending probability, ties broken by class index.
 ``xi`` is a pure function of (seed, node id, class): a counter-style 64-bit
 mix (splitmix-like) keyed by exactly those values.  Scores are therefore a
 deterministic function of (P, seed), and relabeling nodes while carrying
-their ids along permutes score rows exactly.
+their ids along permutes score rows exactly.  The same counter hash
+(``_counter_uniform``) draws the sampled k-NN candidate pools in ``graph``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class XiPolicy:
         node_ids = np.asarray(node_ids, dtype=np.int64)
         if self.mode == "fixed":
             return np.full((node_ids.shape[0], num_classes), self.fixed_value)
-        return _xi_uniform(self.seed, node_ids, num_classes)
+        return _counter_uniform(self.seed, node_ids, np.arange(num_classes))
 
 
 @dataclass(frozen=True)
@@ -103,11 +104,14 @@ def _mix_int(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _xi_uniform(seed: int, node_ids: np.ndarray, num_classes: int) -> np.ndarray:
+def _counter_uniform(seed: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(len(rows), len(cols)) array of u(seed, r, c) in [0, 1): the top 53
+    bits of a splitmix-style mix of the counter (seed, r, c), so each entry
+    depends on its own (seed, r, c) only."""
     base = np.uint64(_mix_int(seed ^ _GOLDEN))
-    nid = node_ids.astype(np.uint64)[:, None] * np.uint64(_MIX1)
-    cls = np.arange(num_classes, dtype=np.uint64)[None, :] * np.uint64(_MIX2)
-    h = _mix(_mix(base ^ nid) ^ cls)
+    rid = rows.astype(np.uint64)[:, None] * np.uint64(_MIX1)
+    cid = cols.astype(np.uint64)[None, :] * np.uint64(_MIX2)
+    h = _mix(_mix(base ^ rid) ^ cid)
     return (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 

@@ -121,6 +121,13 @@ def test_predict_rejects_overlap_with_calibration():
         g.predict_sets(values, th, np.array([4, 7]))
 
 
+def test_overlap_error_names_the_smallest_shared_node():
+    values = np.random.default_rng(1).uniform(size=(10, 3))
+    th = g.calibrate(values, np.zeros(10, dtype=int), np.array([9, 2, 6, 3]), alpha=0.2)
+    with pytest.raises(ValidationError, match=r"\(e\.g\. node 3\)$"):
+        g.predict_sets(values, th, np.array([8, 6, 0, 3, 9]))
+
+
 def test_calibrate_validation():
     values = np.zeros((3, 2))
     with pytest.raises(ValidationError, match="empty"):

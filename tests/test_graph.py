@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 from types import SimpleNamespace
@@ -36,6 +37,42 @@ def brute_force_knn(features, k, min_similarity=0.0):
     return rows
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def draw_sequence(seed, i, span):
+    """Row i's draws floor(u(seed, i, j) * span), j = 0, 1, 2, ..., with the
+    counter hash written out one draw at a time in Python integers."""
+    base = g.scores._mix_int(seed ^ g.scores._GOLDEN)
+    row = g.scores._mix_int(base ^ (i * g.scores._MIX1 & _MASK64))
+    for j in itertools.count():
+        h = g.scores._mix_int(row ^ (j * g.scores._MIX2 & _MASK64))
+        yield math.floor((h >> 11) * 2.0 ** -53 * span)
+
+
+def first_distinct(seed, i, span, count):
+    """The first ``count`` distinct values of row i's draw sequence, in draw
+    order."""
+    seen = {}
+    for value in draw_sequence(seed, i, span):
+        if len(seen) == count:
+            break
+        seen.setdefault(value, None)
+    return list(seen)
+
+
+def reference_pool(seed, i, n, m):
+    """Row i's sampled candidate pool: the first m distinct draws over the
+    other n - 1 nodes (or all but the first n - 1 - m when m > (n - 1) / 2),
+    shifted past i and sorted."""
+    span = n - 1
+    if 2 * m <= span:
+        values = first_distinct(seed, i, span, m)
+    else:
+        values = set(range(span)) - set(first_distinct(seed, i, span, span - m))
+    return sorted(v + (v >= i) for v in values)
+
+
 def argsort_knn(features, k, min_similarity=0.0, sample_size=None, seed=0):
     """Per-row reference with the same similarities as build_knn_graph: a
     stable argsort of each row's negated similarities (ties to the smaller
@@ -47,9 +84,7 @@ def argsort_knn(features, k, min_similarity=0.0, sample_size=None, seed=0):
         if sample_size is None:
             cand = np.arange(n)
         else:
-            rng = np.random.default_rng([seed & 0xFFFFFFFF, i])
-            cand = np.sort(rng.choice(n - 1, size=min(sample_size, n - 1), replace=False))
-            cand[cand >= i] += 1
+            cand = np.array(reference_pool(seed, i, n, min(sample_size, n - 1)))
         sims = g.graph._pairwise_sims(normed[cand], normed[i:i + 1])[:, 0]
         sims[cand == i] = -np.inf
         order = np.argsort(-sims, kind="stable")[:k]
@@ -128,6 +163,57 @@ def test_sampled_mode_deterministic():
     g3 = g.build_knn_graph(feats, g.KnnConfig(k=2, sample_size=30, seed=12))
     assert not (np.array_equal(g1.col_indices, g3.col_indices)
                 and np.array_equal(g1.weights, g3.weights))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sampled_pools_match_scalar_draw_walk(data):
+    n = data.draw(st.integers(min_value=2, max_value=60))
+    span = n - 1
+    # both sides of the complement switch at m = span / 2, and m = n - 1
+    m = data.draw(st.one_of(st.integers(min_value=1, max_value=span),
+                            st.sampled_from([max(1, span // 2), span // 2 + 1, span])))
+    seed = data.draw(st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1))
+    rows_per_chunk = data.draw(st.integers(min_value=1, max_value=n))
+    slack = data.draw(st.sampled_from([0, 1, 16, 100]))
+    d = 2
+    normed, _ = g.graph._normalized_rows(
+        np.random.default_rng(0).normal(size=(n, d)))
+    with mock.patch.object(g.graph, "_SAMPLED_GATHER", m * d * rows_per_chunk), \
+            mock.patch.object(g.graph, "_DRAW_SLACK", slack):
+        # k = m keeps every pool member, in similarity order
+        blocks = list(g.graph._sampled_blocks(normed, m, m, seed))
+    assert [start for start, *_ in blocks] == list(range(0, n, rows_per_chunk))
+    for start, stop, cols, _ in blocks:
+        for i in range(start, stop):
+            assert sorted(cols[i - start].tolist()) == reference_pool(seed, i, n, m)
+
+
+@pytest.mark.parametrize("m", [20, 60])
+def test_sampled_pools_are_uniform(m):
+    """Each of the 99 other nodes enters a pool with probability m / 99;
+    over R pools its count is Binomial(R, m / 99), so the standardized sum
+    of squares is about chi-square with 98 df (99.9 % quantile 148.2)."""
+    n, span = 100, 99
+    counts = np.zeros(span)
+    for seed in range(20):
+        pools = g.graph._sample_pools(seed, np.arange(n), n, m)
+        np.add.at(counts, pools - (pools > np.arange(n)[:, None]), 1)
+    trials, p = 20 * n, m / span
+    chi2 = float((((counts - trials * p) ** 2) / (trials * p * (1 - p))).sum())
+    assert chi2 < 148.2
+
+
+def test_row_short_of_distinct_draws_extends_its_own_sequence():
+    seed, span, m = 3, 999, 20
+    # a row whose first m draws repeat a value needs more than m draws
+    short = next(i for i in itertools.count()
+                 if len(set(itertools.islice(draw_sequence(seed, i, span), m))) < m)
+    rows = np.array([short + 1, short, short + 2])
+    expected = [sorted(first_distinct(seed, int(i), span, m)) for i in rows]
+    for draws in (m, m + 1, 4 * m):
+        got = g.graph._distinct_draws(seed, rows, span, m, draws)
+        assert got.tolist() == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -324,7 +410,7 @@ def _cache_file(tmp_path):
 def test_knn_cache_wrong_length_is_validation_error(tmp_path, where):
     cache, digest, cfg = _cache_file(tmp_path)
     raw = cache.read_bytes()
-    header = 4 + struct.calcsize("<IQIIqd") + 32
+    header = g.graph._CACHE_HEADER.size + 32
     n, nnz = 30, 30 * 3
     cut = {
         "offsets": header + 8 * (n + 1) // 2,
@@ -335,6 +421,23 @@ def test_knn_cache_wrong_length_is_validation_error(tmp_path, where):
     cache.write_bytes(raw + b"\x00" * 3 if where == "trailing" else raw[:cut[where]])
     with pytest.raises(ValidationError, match="knn.snpg.*bytes, expected"):
         g.load_knn_cache(cache, digest, cfg)
+
+
+def test_knn_cache_of_another_format_version_is_rejected(tmp_path):
+    cache, digest, cfg = _cache_file(tmp_path)
+    raw = cache.read_bytes()
+    header = g.graph._CACHE_HEADER
+    fields = list(header.unpack_from(raw))
+    body = raw[header.size:]
+    # version 1 had no version field: the magic, then n, nnz, k, M, seed and
+    # min similarity
+    version_one = fields[0] + struct.pack("<IQIIqd", *fields[2:]) + body
+    fields[1] = 1
+    labelled_one = header.pack(*fields) + body
+    for bad in (version_one, labelled_one):
+        cache.write_bytes(bad)
+        with pytest.raises(ValidationError, match="knn.snpg: k-NN cache format version"):
+            g.load_knn_cache(cache, digest, cfg)
 
 
 def test_failed_cache_write_keeps_previous_cache(tmp_path):

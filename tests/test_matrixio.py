@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -216,3 +217,73 @@ def test_symmetrize_edges_matches_unique_rows(case):
     assert arcs.dtype == np.int64 and arcs.shape == ref.shape
     assert np.array_equal(arcs, ref)
     assert dropped == sum(u == v for u, v in edges)
+
+
+def _load_edges_by_line(path):
+    """The line-at-a-time edge parser, as reference."""
+    pairs = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValidationError(f"{path}: expected 'u v' at line {lineno}")
+            try:
+                pairs.append((int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: bad edge endpoints at line {lineno}"
+                ) from None
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _outcome(load, path):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return load(path)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+# pieces Python's int() and str.split() read differently from a plain
+# decimal: signs, underscores, non-ASCII digits and spaces, control bytes
+_EDGE_PIECES = ["0", "7", "12", "-3", "-", "+4", "007", "1_0", "9" * 19, "-" + "9" * 18,
+                " ", "  ", "\t", "#", "x", "\x00", "\x0b", "\x0c", "\x1c", "\xa0",
+                "\u0663", "\ufeff", "\u00e9", "\r", "\r\n", "\n"]
+_EDGE_PAIR = st.tuples(st.integers(-10 ** 6, 10 ** 6), st.sampled_from([" ", "\t", " \t "]),
+                       st.integers(-10 ** 6, 10 ** 6)).map(lambda t: f"{t[0]}{t[1]}{t[2]}")
+_EDGE_LINES = st.one_of(
+    _EDGE_PAIR, _EDGE_PAIR, _EDGE_PAIR,
+    st.lists(st.sampled_from(_EDGE_PIECES), max_size=8).map("".join),
+    st.sampled_from(["", "  ", "# u v", "  #x y z", "#\x0b\xff"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_EDGE_LINES, max_size=10), st.sampled_from(["\n", "\r\n", "\r"]),
+       st.booleans(), st.sampled_from([b"", b"\xff", b"\xc3"]))
+@example(["0 1", "# c", "", "2\t3"], "\n", True, b"")
+@example(["0 1 2"], "\n", False, b"")
+@example(["0 -"], "\n", False, b"")
+@example(["1 2", "0 1 2 3"], "\n", False, b"")
+@example(["4-7 1"], "\n", False, b"")
+@example(["9" * 19 + " 1"], "\n", False, b"")
+def test_load_edges_matches_line_parser(tmp_path_factory, lines, sep, trailing, tail):
+    path = tmp_path_factory.mktemp("edges") / "e.txt"
+    path.write_bytes((sep.join(lines) + (sep if trailing else "")).encode() + tail)
+    got, want = _outcome(g.load_edges, path), _outcome(_load_edges_by_line, path)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert got.shape == want.shape
+
+
+def test_plain_edge_file_is_parsed_in_one_pass():
+    raw = b"# header\n0 1\n\n  -2\t30 \r\n# 5\r7 0118\n"
+    assert g.matrixio._parse_edge_bytes(raw).tolist() == [[0, 1], [-2, 30], [7, 118]]
+    assert g.matrixio._parse_edge_bytes(b"").shape == (0, 2)
+    assert g.matrixio._parse_edge_bytes(b"0 1 2\n") is None
