@@ -2,17 +2,18 @@
 """Time the pipeline stages that grow with n, one at a time, at n=50000.
 
 Generates a planted-partition bundle (K=8, d=8, homophily 0.8, class_sep
-2.0, noise 1.0), saves it to a temporary directory, then times each stage
-``--repeats`` times on its own:
+2.0, noise 1.0, seed 1), saves it to a temporary directory, then times each
+stage 5 times on its own:
 
 * ``load_bundle``: read and validate the saved bundle files;
-* ``sampled_knn_build``: ``build_knn_graph`` in sampled mode (k, M);
+* ``sampled_knn_build``: ``build_knn_graph`` in sampled mode (k=20, M=200);
 * ``neighbor_means``: one aggregation of the APS score matrix over the
   k-NN graph and the structural adjacency.
 
-Prints one line per stage and writes every run, with the host context, to
-``--out`` as JSON (``BENCH_<n>.json`` by convention, so the trend can be read
-across changes).
+The shape is fixed so that every ``BENCH_<n>.json`` can be compared with the
+others. Prints one line per stage and writes every run, with the host context,
+to ``--out`` as JSON (``BENCH_<n>.json`` by convention, so the trend can be
+read across changes).
 
 Example:
     PYTHONPATH=src python3 scripts/stage_times.py --out BENCH_1.json
@@ -30,6 +31,12 @@ from pathlib import Path
 import numpy as np
 
 import graphcp as g
+
+N = 50000
+K = 20
+SAMPLE_M = 200
+SEED = 1
+REPEATS = 5
 
 
 def cpu_model() -> str:
@@ -54,28 +61,23 @@ def timed(fn, repeats):
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--n", type=int, default=50000)
-    ap.add_argument("--k", type=int, default=20)
-    ap.add_argument("--sample-m", type=int, default=200)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args()
 
-    bundle = g.generate_synthetic(n=args.n, num_classes=8, dim=8, homophily=0.8,
-                                  class_sep=2.0, noise=1.0, seed=args.seed)
-    knn_cfg = g.KnnConfig(k=args.k, sample_size=args.sample_m, seed=args.seed)
+    bundle = g.generate_synthetic(n=N, num_classes=8, dim=8, homophily=0.8,
+                                  class_sep=2.0, noise=1.0, seed=SEED)
+    knn_cfg = g.KnnConfig(k=K, sample_size=SAMPLE_M, seed=SEED)
     stages = {}
     with tempfile.TemporaryDirectory() as tmp:
         manifest = g.save_bundle(bundle, tmp)
         stages["load_bundle"], bundle = timed(lambda: g.load_bundle(manifest),
-                                              args.repeats)
+                                              REPEATS)
     stages["sampled_knn_build"], knn = timed(
-        lambda: g.build_knn_graph(bundle.features, knn_cfg), args.repeats)
+        lambda: g.build_knn_graph(bundle.features, knn_cfg), REPEATS)
     adj = g.adjacency_graph(bundle.n, bundle.edges)
-    scores = g.aps_scores(bundle.probabilities, g.XiPolicy(seed=args.seed)).values
+    scores = g.aps_scores(bundle.probabilities, g.XiPolicy(seed=SEED)).values
     stages["neighbor_means"], _ = timed(lambda: g.neighbor_means(scores, knn, adj),
-                                        args.repeats)
+                                        REPEATS)
 
     for name, runs in stages.items():
         print(f"{name:<18} median {statistics.median(runs):.3f} s  "
@@ -88,9 +90,9 @@ def main():
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "config": {"n": args.n, "classes": 8, "dim": 8, "k": args.k,
-                   "sample_m": args.sample_m, "seed": args.seed,
-                   "repeats": args.repeats, "knn_arcs": knn.nnz},
+        "config": {"n": N, "classes": 8, "dim": 8, "k": K,
+                   "sample_m": SAMPLE_M, "seed": SEED,
+                   "repeats": REPEATS, "knn_arcs": knn.nnz},
         "stages": {name: {"median_s": statistics.median(runs), "min_s": min(runs),
                           "runs_s": runs}
                    for name, runs in stages.items()},
