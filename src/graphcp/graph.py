@@ -8,8 +8,10 @@ threads.
 
 The k-NN builder has two modes:
 
-* exact: every other node is a candidate; O(n^2 d) via row-chunked matrix
-  products (default for n <= 50,000);
+* exact: every other node is a candidate; O(n^2 d) via row-chunked BLAS
+  matrix products that screen each row down to the few candidates near its
+  k-th similarity, which alone are scored exactly (``_top_k_blocks``;
+  default for n <= 50,000);
 * sampled: each node scores a seed-keyed uniform sample of M candidates,
   O(n M d).  Node i's sample is the first M distinct values of its draw
   sequence ``floor(u(seed, i, j) * (n - 1))``, j = 0, 1, 2, ..., shifted past
@@ -24,12 +26,16 @@ similarity block, the k largest entries, higher similarity first and ties to
 the smaller index, in exactly the order of the first k of a stable
 ``argsort`` of the negated row.  One ``argpartition`` finds each row's k-th
 value; only rows with a tie across that boundary fall back to the stable
-sort.  Row chunks are sized so that a block and its partition indices stay
-within ``_CHUNK_TARGET`` elements together (8 MB of float64 and int64);
-sampled mode's candidate gather stays within ``_SAMPLED_GATHER`` elements
-(4 MB).  Image mode over many splits of one pool runs the kernel once, as a
-self-join of the pool at a fixed depth (``_self_join_order``), and reads
-each split's neighbors from that order.
+sort.  Every similarity the kernel selects from is computed by one einsum
+whose bits do not depend on where a row sits (``_pairwise_sims``,
+``_gathered_sims``); the BLAS screen of ``_top_k_blocks`` only decides,
+under a rounding-error certificate, which entries to score that way.  Row
+chunks are sized so that a screen block and its partition copy stay within
+``_CHUNK_TARGET`` elements together (8 MB of float64); candidate gathers
+stay within ``_SAMPLED_GATHER`` elements (4 MB).  Image mode over many
+splits of one pool runs the kernel once, as a self-join of the pool at a
+fixed depth (``_self_join_order``), and reads each split's neighbors from
+that order.
 
 Row sums over arcs (a graph's degrees, and the neighbor sums behind
 ``propagate.weighted_row_means``) come from one exact-sum kernel,
@@ -59,8 +65,12 @@ EXACT_MODE_MAX_N = 50_000
 _CHUNK_TARGET = 1 << 20
 # elements of sampled mode's (rows, M, d) candidate gather; from 1 << 17 to
 # 1 << 21 the build ran equally fast at n = 10000 and 50000 (M = 200, d = 8),
-# so the chunk is kept small for memory
+# so the chunk is kept small for memory.  It also bounds the (rows, at most
+# 4k + _RESCORE_SLACK, d) gather of the candidates that _top_k_blocks scores
 _SAMPLED_GATHER = 1 << 19
+# a row of _top_k_blocks whose screen passes more than 4k + _RESCORE_SLACK
+# candidates is scored in full instead
+_RESCORE_SLACK = 64
 # draws per row beyond the mean needed for a pool (see _sample_pools)
 _DRAW_SLACK = 16
 _SUM_BLOCK = 1 << 12  # elements of each (rows, C) array of _exact_row_sums
@@ -284,13 +294,26 @@ def _normalized_rows(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _pairwise_sims(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # einsum (no BLAS dispatch) keeps each dot product bit-identical no matter
-    # where the row sits, so relabeling nodes cannot perturb similarities
+    # where the row sits, so relabeling nodes cannot perturb similarities.
+    # Every similarity that reaches a graph or a neighbor list has these
+    # bits: _top_k_blocks screens with BLAS but rescores its candidates with
+    # _gathered_sims, and scores here only the rows its screen cannot certify
     return np.einsum("id,jd->ij", a, b, optimize=False)
 
 
+def _gathered_sims(queries: np.ndarray, base: np.ndarray,
+                   cols: np.ndarray) -> np.ndarray:
+    """(rows, m) array: the similarity of query row i with each base row
+    ``cols[i]``, by one einsum whose dot products have the bits of
+    ``_pairwise_sims`` (np.take gathers the rows several times faster than
+    fancy indexing)."""
+    return np.einsum("ijd,ikd->ij", np.take(base, cols, axis=0),
+                     queries[:, None, :], optimize=False)
+
+
 def _block_rows(width: int) -> int:
-    """Rows per chunk so that a (rows, width) float64 block and its int64
-    partition indices together stay within ``_CHUNK_TARGET`` elements."""
+    """Rows per chunk so that a (rows, width) float64 screen and its
+    partition copy together stay within ``_CHUNK_TARGET`` elements."""
     return max(1, _CHUNK_TARGET // (2 * max(width, 1)))
 
 
@@ -326,14 +349,95 @@ def _top_k_blocks(queries: np.ndarray, base: np.ndarray, k: int,
     Both inputs hold unit (or zero) rows, so the dot products are cosine
     similarities.  ``self_cols[i]``, when given, is a column dropped from
     query row i (the row itself in a self-join).
+
+    Each chunk of rows is screened with one BLAS product, and only the
+    screen's candidates are scored with the einsum arithmetic of
+    ``_pairwise_sims``:
+
+    * screen: ``q @ base.T`` goes into a reused buffer, with -inf at the
+      dropped columns, and a values-only partition of a reused copy gives
+      each row's k-th largest screen value S.  The candidates are the
+      entries at or above ``S - margin``, ``margin = 8 d 2^-53``.  For unit
+      rows a computed dot product is within ``gamma_d |a| |b| ~ d 2^-53`` of
+      the real one, in any summation order, so the screen and the einsum
+      differ by at most ``eps ~ 2 d 2^-53``.  Fewer than k entries have an
+      einsum value above the exact k-th value E, so S <= E + eps, and every
+      entry with an einsum value of at least E (the exact top k and every
+      entry tied with E) screens at least E - eps >= S - 2 eps: the margin
+      covers 2 eps twice over.  It is absolute, so products that underflow
+      are covered too;
+    * rescore: each row's candidates, in ascending column order, are scored
+      by ``_gathered_sims`` (the bits of ``_pairwise_sims``), padded with
+      -inf and selected by ``_top_k``; ascending columns keep ties to the
+      smaller column;
+    * fallback: a row whose screen is not finite at or above its k-th
+      position (the partition puts NaN on top; a -inf k-th value would let
+      a dropped column in), or that passes more than ``4k +
+      _RESCORE_SLACK`` candidates (a zero-norm row ties every column at 0),
+      is scored in full by ``_pairwise_sims`` and ``_top_k``.
+
+    Memory: the screen and its partition copy are allocated once per call
+    and hold ``_CHUNK_TARGET`` elements together, as the block and its
+    partition indices did; a chunk's (rows, candidates, d) gather stays
+    within ``_SAMPLED_GATHER`` elements.  Rows that fall back add one block
+    and its partition indices for their chunk.  Besides the reused buffers,
+    a yield holds only the chunk's (rows, k) results.
     """
-    step = _block_rows(base.shape[0])
+    n_b, d = base.shape
+    cap = 4 * k + _RESCORE_SLACK
+    step = min(_block_rows(n_b),
+               max(1, _SAMPLED_GATHER // max(1, min(cap, n_b) * d)))
+    rows = min(step, queries.shape[0])
+    screen, scratch = np.empty((rows, n_b)), np.empty((rows, n_b))
+    mask = np.empty((rows, n_b), dtype=bool)
     for start in range(0, queries.shape[0], step):
         stop = min(start + step, queries.shape[0])
-        sims = _pairwise_sims(queries[start:stop], base)
+        m = stop - start
+        cols, vals = _screened_top_k(
+            queries[start:stop], base, k, cap,
+            None if self_cols is None else self_cols[start:stop],
+            screen[:m], scratch[:m], mask[:m])
+        yield start, stop, cols, vals
+
+
+def _screened_top_k(q: np.ndarray, base: np.ndarray, k: int, cap: int,
+                    self_cols: np.ndarray | None, screen: np.ndarray,
+                    scratch: np.ndarray, mask: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """``_top_k`` of one chunk of ``_top_k_blocks``, screened into the
+    (rows, n_b) buffers ``screen``/``scratch``/``mask``."""
+    rows, n_b = screen.shape
+    np.matmul(q, base.T, out=screen)
+    if self_cols is not None:
+        screen[np.arange(rows), self_cols] = -np.inf
+    np.copyto(scratch, screen)
+    # k = 0 selects nothing; position n_b - 1 keeps the partition in range
+    at = n_b - max(k, 1)
+    scratch.partition(at, axis=1)  # one position: several times faster than two
+    kth, top = scratch[:, at], scratch[:, at:].max(axis=1)
+    margin = 8 * base.shape[1] * 2.0 ** -53
+    np.greater_equal(screen, (kth - margin)[:, None], out=mask)
+    counts = np.count_nonzero(mask, axis=1)
+    ok = np.isfinite(kth) & np.isfinite(top) & (counts <= cap)
+    mask[~ok] = False
+    counts[~ok] = 0
+    # row-major flat indices give each row's candidate columns ascending
+    flat = np.flatnonzero(mask)
+    r, c = np.divmod(flat, n_b)
+    width = max(k, int(counts.max()))
+    cand = np.zeros((rows, width), dtype=np.int64)
+    cand[r, np.arange(flat.size) - (np.cumsum(counts) - counts)[r]] = c
+    sims = _gathered_sims(q, base, cand)
+    sims[np.arange(width) >= counts[:, None]] = -np.inf
+    pos, vals = _top_k(sims, k)
+    cols = np.take_along_axis(cand, pos, axis=1)
+    fallback = np.flatnonzero(~ok)
+    if fallback.size:
+        full = _pairwise_sims(q[fallback], base)
         if self_cols is not None:
-            sims[np.arange(stop - start), self_cols[start:stop]] = -np.inf
-        yield (start, stop, *_top_k(sims, k))
+            full[np.arange(fallback.size), self_cols[fallback]] = -np.inf
+        cols[fallback], vals[fallback] = _top_k(full, k)
+    return cols, vals
 
 
 def _self_join_order(normed: np.ndarray, depth: int) -> np.ndarray:
@@ -424,11 +528,7 @@ def _sampled_blocks(normed: np.ndarray, k: int, m: int, seed: int):
     for start in range(0, n, step):
         stop = min(start + step, n)
         block = _sample_pools(seed, np.arange(start, stop), n, m)
-        # one einsum per chunk; each dot product stays bit-identical to a
-        # per-row _pairwise_sims of the same pool (np.take gathers the pool
-        # rows several times faster than fancy indexing)
-        sims = np.einsum("ijd,ikd->ij", np.take(normed, block, axis=0),
-                         normed[start:stop, None, :], optimize=False)
+        sims = _gathered_sims(normed[start:stop], normed, block)
         # pools are sorted, so ties to the smaller position are ties to the
         # smaller node index
         pos, vals = _top_k(sims, k)

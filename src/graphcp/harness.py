@@ -27,6 +27,7 @@ Everything is driven by integer seeds: per-trial generators are derived from
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -214,12 +215,22 @@ def _raps_grid_scores(aps_values, ranks, k_reg, lam, rows):
     return lambda cols: v[pos, cols] + lam * np.maximum(0, r[pos, cols] - k_reg)
 
 
+@functools.lru_cache(maxsize=8)
+def _snaps_grid(grid_step: float, mu_only: bool):
+    """``snaps_param_grid`` as a tuple with its read-only (G, 1) ``lam`` and
+    ``mu`` columns, built once per (grid_step, mu_only)."""
+    grid = tuple(snaps_param_grid(grid_step, mu_only=mu_only))
+    lam = np.array([[p.lam] for p in grid])
+    mu = np.array([[p.mu] for p in grid])
+    lam.setflags(write=False)
+    mu.setflags(write=False)
+    return grid, lam, mu
+
+
 def _tune_snaps(values, nm, labels, tune_idx, alpha, grid_step, rng,
                 mu_only=False) -> SnapsParams:
     a, b = _half_split(tune_idx, rng)
-    grid = snaps_param_grid(grid_step, mu_only=mu_only)
-    lam = np.array([[p.lam] for p in grid])
-    mu = np.array([[p.mu] for p in grid])
+    grid, lam, mu = _snaps_grid(grid_step, mu_only)
     size, sh = _grid_size_sh(_snaps_grid_scores(values, nm, lam, mu, a),
                              _snaps_grid_scores(values, nm, lam, mu, b),
                              labels[a], labels[b], values.shape[1], alpha)

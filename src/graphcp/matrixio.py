@@ -80,6 +80,28 @@ def validate_labels(labels, num_classes: int) -> np.ndarray:
     return labels
 
 
+def _text_lines(path: Path):
+    """Yield (line number, line) of a UTF-8 text file, read in text mode
+    (lines end at LF, CRLF or CR).  A line that is not UTF-8 raises
+    ValidationError naming the file and the line, once the lines before it
+    have been read: undecodable bytes come through as lone surrogates, which
+    no UTF-8 text holds and which cannot be encoded back."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValidationError(
+                        f"{path}: not UTF-8 text at line {lineno}") from None
+            yield lineno, line
+
+
+def _require_file(path: Path) -> None:
+    if not path.is_file():
+        raise ValidationError(f"no such file: {path}")
+
+
 def _infer_format(path: Path) -> str:
     if path.suffix == ".csv":
         return "csv"
@@ -89,8 +111,7 @@ def _infer_format(path: Path) -> str:
 def load_matrix(path, format: str | None = None) -> np.ndarray:
     """Load a dense matrix from ``path`` in the given (or inferred) format."""
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"no such file: {path}")
+    _require_file(path)
     fmt = format or _infer_format(path)
     if fmt == "binary":
         return _load_binary(path)
@@ -117,21 +138,20 @@ def _load_binary(path: Path) -> np.ndarray:
 
 def _load_csv(path: Path) -> np.ndarray:
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            parsed = []
-            for colno, cell in enumerate(cells):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}: malformed cell at row {lineno}, col {colno}: {cell!r}"
-                    ) from None
-            rows.append(parsed)
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        parsed = []
+        for colno, cell in enumerate(cells):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: malformed cell at row {lineno}, col {colno}: {cell!r}"
+                ) from None
+        rows.append(parsed)
     if not rows:
         raise ValidationError(f"{path}: empty CSV matrix")
     width = len(rows[0])
@@ -144,18 +164,19 @@ def _load_csv(path: Path) -> np.ndarray:
 
 
 def write_matrix(mat: np.ndarray, path, format: str | None = None) -> None:
-    """Write a matrix; binary payload is float32 little-endian, row-major."""
+    """Write a matrix; binary payload is float32 little-endian, row-major.
+    The file is replaced atomically, so a failed write keeps the old one."""
     path = Path(path)
     mat = validate_matrix(mat, "matrix to write")
     fmt = format or _infer_format(path)
     if fmt == "binary":
         rows, cols = mat.shape
-        with open(path, "wb") as fh:
+        with atomic_open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<II", rows, cols))
             fh.write(np.ascontiguousarray(mat, dtype="<f4").tobytes())
     elif fmt == "csv":
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             for row in mat:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
     else:
@@ -165,20 +186,18 @@ def write_matrix(mat: np.ndarray, path, format: str | None = None) -> None:
 def load_labels(path, num_classes: int | None = None) -> np.ndarray:
     """One integer label per line."""
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"no such file: {path}")
+    _require_file(path)
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(int(line))
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: bad label at line {lineno}: {line!r}"
-                ) from None
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            out.append(int(line))
+        except ValueError:
+            raise ValidationError(
+                f"{path}: bad label at line {lineno}: {line!r}"
+            ) from None
     labels = np.asarray(out, dtype=np.int64)
     if labels.size and labels.min() < 0:
         raise ValidationError(f"{path}: negative label")
@@ -199,8 +218,7 @@ def load_edges(path) -> np.ndarray:
     line.
     """
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"no such file: {path}")
+    _require_file(path)
     pairs = _parse_edge_bytes(path.read_bytes())
     return _load_edge_lines(path) if pairs is None else pairs
 
@@ -246,34 +264,32 @@ def _parse_edge_bytes(raw: bytes) -> np.ndarray | None:
 
 def _load_edge_lines(path: Path) -> np.ndarray:
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValidationError(f"{path}: expected 'u v' at line {lineno}")
-            try:
-                pairs.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: bad edge endpoints at line {lineno}"
-                ) from None
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValidationError(f"{path}: expected 'u v' at line {lineno}")
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ValidationError(
+                f"{path}: bad edge endpoints at line {lineno}"
+            ) from None
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def _parse_manifest(path: Path) -> dict[str, str]:
     entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}: expected 'key = value' at line {lineno}")
-            key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}: expected 'key = value' at line {lineno}")
+        key, _, value = line.partition("=")
+        entries[key.strip()] = value.strip()
     missing = [k for k in _MANIFEST_KEYS if k not in entries]
     if missing:
         raise ValidationError(f"{path}: manifest missing keys {missing}")
@@ -368,43 +384,53 @@ def make_bundle(
 def load_bundle(manifest, renormalize: bool = False) -> DatasetBundle:
     """Load and cross-validate the dataset named by a manifest file."""
     manifest = Path(manifest)
-    if not manifest.exists():
+    if not manifest.is_file():
         raise ValidationError(f"no such manifest: {manifest}")
     entries = _parse_manifest(manifest)
-    base = manifest.parent
     try:
         num_classes = int(entries["classes"])
     except ValueError:
         raise ValidationError(f"{manifest}: classes must be an integer") from None
+    paths = {key: manifest.parent / entries[key]
+             for key in ("features", "probabilities", "labels", "edges")}
+    for key, path in paths.items():
+        if not path.is_file():
+            raise ValidationError(f"{manifest}: {key} file {path} does not exist")
     name = entries.get("name", manifest.stem)
-    features = load_matrix(base / entries["features"])
-    probabilities = load_matrix(base / entries["probabilities"])
-    labels = load_labels(base / entries["labels"], num_classes)
-    edges = load_edges(base / entries["edges"])
-    return make_bundle(
-        name, features, probabilities, labels, num_classes, edges,
-        renormalize=renormalize,
-    )
+    features = load_matrix(paths["features"])
+    probabilities = load_matrix(paths["probabilities"])
+    labels = load_labels(paths["labels"], num_classes)
+    edges = load_edges(paths["edges"])
+    # the files disagree with each other or with the manifest's class count
+    try:
+        return make_bundle(
+            name, features, probabilities, labels, num_classes, edges,
+            renormalize=renormalize,
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{manifest}: {exc}") from None
 
 
 def save_bundle(bundle: DatasetBundle, out_dir) -> Path:
     """Write a bundle's files plus a manifest; returns the manifest path.
 
-    Edges are stored once per undirected pair (u < v).
+    Edges are stored once per undirected pair (u < v).  Each file is replaced
+    atomically (``atomic_open``): a failed write keeps that file's previous
+    contents, and the manifest is written last.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix(bundle.features, out_dir / "features.snpm")
     write_matrix(bundle.probabilities, out_dir / "probabilities.snpm")
-    with open(out_dir / "labels.txt", "w", encoding="utf-8") as fh:
-        for lab in bundle.labels:
-            fh.write(f"{int(lab)}\n")
+    # tolist() gives Python ints, several times faster to format than
+    # numpy scalars
+    with atomic_open(out_dir / "labels.txt", "w", encoding="utf-8") as fh:
+        fh.writelines(f"{lab}\n" for lab in bundle.labels.tolist())
     upper = bundle.edges[bundle.edges[:, 0] < bundle.edges[:, 1]]
-    with open(out_dir / "edges.txt", "w", encoding="utf-8") as fh:
-        for u, v in upper:
-            fh.write(f"{int(u)} {int(v)}\n")
+    with atomic_open(out_dir / "edges.txt", "w", encoding="utf-8") as fh:
+        fh.writelines(f"{u} {v}\n" for u, v in upper.tolist())
     manifest = out_dir / "manifest.txt"
-    with open(manifest, "w", encoding="utf-8") as fh:
+    with atomic_open(manifest, "w", encoding="utf-8") as fh:
         fh.write(f"name = {bundle.name}\n")
         fh.write("features = features.snpm\n")
         fh.write("probabilities = probabilities.snpm\n")

@@ -205,12 +205,13 @@ def image_snaps(S_eval: ScoreMatrix, S_calib: ScoreMatrix,
     """Graph-free correction: mix each row with the unweighted mean score row
     of its k most cosine-similar calibration rows.
 
-    Neighbors come from the k-NN graph's top-k kernel (``graph._top_k``):
-    ties go to the smaller calibration index, and the k rows are averaged in
-    the kernel's order (most similar first), which is the order of a stable
-    argsort, so every score is reproducible to the bit.  Test rows are
-    processed in chunks whose similarity block and partition indices stay
-    within ``graph._CHUNK_TARGET`` elements.
+    Neighbors come from the k-NN graph's top-k kernel (``graph._top_k``, as
+    screened by ``graph._top_k_blocks``): ties go to the smaller calibration
+    index, and the k rows are averaged in the kernel's order (most similar
+    first), which is the order of a stable argsort, so every score is
+    reproducible to the bit.  Test rows are processed in chunks whose screen
+    block and its partition copy stay within ``graph._CHUNK_TARGET``
+    elements.
 
     ``exclude_self=True`` treats eval and calibration as the same aligned set
     and skips each row's own entry.  Zero-norm feature rows fall back to the

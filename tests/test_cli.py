@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -62,6 +63,27 @@ def test_missing_manifest_is_validation_exit(tmp_path):
         "--method", "aps", "--out", str(tmp_path / "r.json"),
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize("name", ["edges.txt", "labels.txt", "manifest.txt",
+                                  "features.csv"])
+def test_non_utf8_bundle_file_exits_one_naming_it(synth_dir, tmp_path, capsys, name):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(synth_dir, bundle)
+    manifest = bundle / "manifest.txt"
+    if name == "features.csv":
+        g.write_matrix(g.load_matrix(bundle / "features.snpm"), bundle / name)
+        manifest.write_text(manifest.read_text().replace("features.snpm", name))
+    path = bundle / name
+    lines = path.read_bytes().count(b"\n")
+    with open(path, "ab") as fh:
+        fh.write(b"\xff 2\n")
+    code = main([
+        "run", "--manifest", str(manifest), "--method", "aps",
+        "--splits", "1", "--trials", "1", "--out", str(tmp_path / "r.json"),
+    ])
+    assert code == 1
+    assert f"{path}: not UTF-8 text at line {lines + 1}\n" in capsys.readouterr().err
 
 
 def test_bad_thread_count_exits_one(synth_dir, tmp_path, monkeypatch, capsys):

@@ -263,6 +263,149 @@ def test_knn_just_above_one_chunk_matches_argsort_reference():
     assert graph_rows(graph) == argsort_knn(feats, 5)
 
 
+def reference_top_k_blocks(queries, base, k, self_cols=None):
+    """The kernel without its screen, as reference: every similarity from
+    _pairwise_sims, every row selected by _top_k."""
+    sims = g.graph._pairwise_sims(queries, base)
+    if self_cols is not None:
+        sims[np.arange(queries.shape[0]), self_cols] = -np.inf
+    return g.graph._top_k(sims, k)
+
+
+def screened_top_k(queries, base, k, self_cols=None):
+    """_top_k_blocks' chunks joined into (rows, k) columns and similarities."""
+    cols = np.empty((queries.shape[0], k), dtype=np.int64)
+    vals = np.empty((queries.shape[0], k))
+    for start, stop, c, v in g.graph._top_k_blocks(queries, base, k, self_cols):
+        cols[start:stop], vals[start:stop] = c, v
+    return cols, vals
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _screen_features(rng, kind, n, d):
+    """(n, d) features: ``grid`` cells from a small value grid (ties, zero
+    rows), ``palette`` rows from a few grid rows (duplicates), ``normal``
+    cells; some rows zeroed, each row scaled by 10^-170..10^150 (below about
+    10^-154 the squared norm underflows and the row stays unnormalized)."""
+    grid = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
+    if kind == "grid":
+        feats = rng.choice(grid, size=(n, d))
+    elif kind == "palette":
+        palette = rng.choice(grid, size=(int(rng.integers(1, 5)), d))
+        feats = palette[rng.integers(0, palette.shape[0], size=n)]
+    else:
+        feats = rng.normal(size=(n, d))
+    feats[rng.random(n) < 0.1] = 0.0
+    return feats * 10.0 ** rng.integers(-170, 151, size=(n, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_screened_top_k_blocks_match_full_scoring_bit_for_bit(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    kind = data.draw(st.sampled_from(["grid", "palette", "normal"]), label="kind")
+    n_b = data.draw(st.integers(2, 40), label="n_b")
+    d = data.draw(st.integers(1, 64), label="d")
+    base = g.graph._normalized_rows(_screen_features(rng, kind, n_b, d))[0]
+    shape = data.draw(st.sampled_from(["self-join", "dropped", "plain"]), label="shape")
+    if shape == "self-join":
+        queries, self_cols = base, np.arange(n_b)
+    else:
+        n_q = data.draw(st.integers(1, 20), label="n_q")
+        queries = g.graph._normalized_rows(_screen_features(rng, kind, n_q, d))[0]
+        self_cols = rng.integers(0, n_b, size=n_q) if shape == "dropped" else None
+    if data.draw(st.booleans(), label="nan"):
+        # NaN features (build_knn_graph does not reject them) make the
+        # screen non-finite
+        which = data.draw(st.sampled_from(["query", "base"]), label="nan_in")
+        (queries if which == "query" else base)[0, 0] = np.nan
+    k = data.draw(st.integers(1, n_b - (self_cols is not None)), label="k")
+    want = reference_top_k_blocks(queries, base, k, self_cols)
+    # chunks of 1 to n_q rows, and a cap from "every row falls back" to
+    # "no row passes too many candidates"
+    rows = data.draw(st.integers(1, queries.shape[0]), label="rows_per_chunk")
+    cap = data.draw(st.integers(0, n_b + 1), label="cap")
+    with mock.patch.object(g.graph, "_CHUNK_TARGET", 2 * n_b * rows), \
+            mock.patch.object(g.graph, "_RESCORE_SLACK", cap - 4 * k):
+        assert_same_bits(screened_top_k(queries, base, k, self_cols), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gathered_sims_have_the_bits_of_pairwise_sims(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    d = data.draw(st.integers(1, 64), label="d")
+    n_q, n_b = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 40))
+    queries = g.graph._normalized_rows(rng.normal(size=(n_q, d)))[0]
+    base = g.graph._normalized_rows(rng.normal(size=(n_b, d)))[0]
+    cols = rng.integers(0, n_b, size=(n_q, data.draw(st.integers(1, 50))))
+    want = np.take_along_axis(g.graph._pairwise_sims(queries, base), cols, axis=1)
+    got = g.graph._gathered_sims(queries, base, cols)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_screen_off_by_a_dot_products_rounding_bound_selects_the_same(monkeypatch):
+    rng = np.random.default_rng(31)
+    n, d, k = 300, 6, 7
+    # 12 directions: each row's k-th similarity is 1, shared by about 24
+    # duplicates, which shifts of either sign reorder in the screen
+    feats = rng.normal(size=(12, d))[rng.integers(0, 12, size=n)]
+    normed = g.graph._normalized_rows(feats)[0]
+    want = reference_top_k_blocks(normed, normed, k, np.arange(n))
+    # a computed dot product of unit rows is within about d 2^-53 of the
+    # real one; the screen must tolerate that on top of its own rounding
+    shift = d * 2.0 ** -53 * rng.choice([-1.0, 1.0], size=(n, n))
+    real = np.matmul
+
+    def shifted(a, b, out):
+        real(a, b, out=out)
+        out += shift[:out.shape[0], :out.shape[1]]
+        return out
+
+    monkeypatch.setattr(np, "matmul", shifted)
+    assert_same_bits(screened_top_k(normed, normed, k, np.arange(n)), want)
+
+
+def test_screen_falls_back_exactly_for_rows_it_cannot_certify(monkeypatch):
+    rng = np.random.default_rng(32)
+    k = 5
+    spread = np.zeros((200, 4))
+    spread[:, :3] = rng.normal(size=(200, 3))
+    same = np.zeros((100, 4))
+    same[:, 3] = 1.0  # orthogonal to the spread rows
+    feats = np.concatenate([spread, same, np.zeros((3, 4))])
+    order = rng.permutation(feats.shape[0])
+    normed = g.graph._normalized_rows(feats[order])[0]
+    n = normed.shape[0]
+    want = reference_top_k_blocks(normed, normed, k, np.arange(n))
+    # each duplicate passes its 99 twins (sim 1) and each zero row every
+    # column (sim 0): more than the cap 4k + 64 = 84; a spread row passes
+    # about k
+    uncertified = np.flatnonzero(order >= 200)
+    monkeypatch.setattr(g.graph, "_CHUNK_TARGET", 2 * n * 7)
+    real = g.graph._pairwise_sims
+    scored = []
+
+    def spy(a, b):
+        scored.append(a)
+        return real(a, b)
+
+    monkeypatch.setattr(g.graph, "_pairwise_sims", spy)
+    for slack, expected in ((g.graph._RESCORE_SLACK, uncertified),
+                            (-10 ** 9, np.arange(n)),       # every row over the cap
+                            (10 ** 9, np.arange(0))):       # no row over it
+        monkeypatch.setattr(g.graph, "_RESCORE_SLACK", slack)
+        scored.clear()
+        assert_same_bits(screened_top_k(normed, normed, k, np.arange(n)), want)
+        got = np.concatenate(scored) if scored else np.empty((0, 4))
+        assert np.array_equal(got, normed[expected])
+
+
 def test_knn_rejects_k_ge_n():
     feats = np.zeros((3, 2))
     with pytest.raises(ValidationError, match="k=3"):

@@ -1,5 +1,7 @@
+import dataclasses
 import struct
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -275,7 +277,11 @@ def test_load_edges_matches_line_parser(tmp_path_factory, lines, sep, trailing, 
     path = tmp_path_factory.mktemp("edges") / "e.txt"
     path.write_bytes((sep.join(lines) + (sep if trailing else "")).encode() + tail)
     got, want = _outcome(g.load_edges, path), _outcome(_load_edges_by_line, path)
-    if isinstance(want, tuple):
+    if isinstance(want, tuple) and want[0] is UnicodeDecodeError:
+        # bytes that are not UTF-8 are a ValidationError naming the file (or
+        # an earlier line's fault is)
+        assert got[0] is ValidationError and got[1].startswith(f"{path}: ")
+    elif isinstance(want, tuple):
         assert got == want
     else:
         assert got.dtype == np.int64 and np.array_equal(got, want)
@@ -287,3 +293,93 @@ def test_plain_edge_file_is_parsed_in_one_pass():
     assert g.matrixio._parse_edge_bytes(raw).tolist() == [[0, 1], [-2, 30], [7, 118]]
     assert g.matrixio._parse_edge_bytes(b"").shape == (0, 2)
     assert g.matrixio._parse_edge_bytes(b"0 1 2\n") is None
+
+
+@pytest.mark.parametrize("load, name", [
+    (g.load_labels, "labels.txt"),
+    (g.load_edges, "edges.txt"),
+    (g.load_matrix, "m.csv"),
+    (g.matrixio._parse_manifest, "manifest.txt"),
+])
+def test_non_utf8_text_is_validation_error_naming_file_and_line(tmp_path, load, name):
+    path = tmp_path / name
+    # blank lines, which every loader skips, ending at CRLF and CR
+    path.write_bytes(b"\r\n\r  \xff 5\n")
+    with pytest.raises(ValidationError) as exc:
+        load(path)
+    assert str(exc.value) == f"{path}: not UTF-8 text at line 3"
+
+
+def corrupt(data, raw):
+    """``raw`` truncated, with one bit flipped, or extended."""
+    kind = data.draw(st.sampled_from(["truncate", "flip", "extend"]), label="kind")
+    if kind == "truncate":
+        return raw[:data.draw(st.integers(0, len(raw) - 1), label="size")]
+    if kind == "flip":
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+        bad = bytearray(raw)
+        bad[bit // 8] ^= 1 << (bit % 8)
+        return bytes(bad)
+    return raw + data.draw(st.binary(min_size=1, max_size=64), label="tail")
+
+
+@pytest.fixture(scope="module")
+def bundle_dir(tmp_path_factory):
+    bundle = g.generate_synthetic(n=200, num_classes=3, dim=4, homophily=0.8,
+                                  class_sep=2.0, noise=1.0, seed=8)
+    return g.save_bundle(bundle, tmp_path_factory.mktemp("bundle")).parent
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_corrupt_manifest_is_validation_error_naming_a_bundle_file(bundle_dir, data):
+    manifest = bundle_dir / "fuzzed.txt"
+    manifest.write_bytes(corrupt(data, (bundle_dir / "manifest.txt").read_bytes()))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            g.load_bundle(manifest)
+    except ValidationError as exc:
+        # the manifest, or a bundle file it names that is itself at fault
+        assert str(manifest) in str(exc) or str(bundle_dir) in str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_corrupt_csv_matrix_is_validation_error_naming_the_file(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    values = np.random.default_rng(2).normal(size=(4, 3))
+    g.write_matrix(values, path)
+    path.write_bytes(corrupt(data, path.read_bytes()))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mat = g.load_matrix(path)
+    except ValidationError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert mat.ndim == 2 and np.isfinite(mat).all()
+
+
+def test_failed_bundle_write_keeps_previous_files(tmp_path, small_bundle, monkeypatch):
+    out = tmp_path / "out"
+    g.save_bundle(small_bundle, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def disk_full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    def one_label_then_disk_full():
+        yield small_bundle.labels[0]
+        disk_full()
+
+    # the disk fills after the features file's magic, then after one label
+    with monkeypatch.context() as m:
+        m.setattr(g.matrixio, "struct", SimpleNamespace(pack=disk_full))
+        with pytest.raises(OSError, match="No space"):
+            g.save_bundle(small_bundle, out)
+    labels = SimpleNamespace(tolist=one_label_then_disk_full)
+    broken = dataclasses.replace(small_bundle, labels=labels)
+    with pytest.raises(OSError, match="No space"):
+        g.save_bundle(broken, out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
