@@ -17,8 +17,6 @@ from .graph import (
     build_knn_graph,
     empty_graph,
     from_arcs,
-    load_knn_cache,
-    save_knn_cache,
 )
 from .harness import (
     ExperimentConfig,

@@ -2,8 +2,7 @@
 
 Subcommands: ``run`` (repeated conformal trials on a dataset bundle),
 ``oracle`` (same-label aggregation sweep), ``synth`` (write a synthetic
-bundle), ``image`` (graph-free correction on pre-split files), and
-``knn-cache`` (build and store a similarity graph).
+bundle) and ``image`` (graph-free correction on pre-split files).
 
 Exit codes: 0 success, 1 validation error (bad inputs or arguments),
 2 runtime error.  All randomness flows from ``--seed``; the env var
@@ -20,10 +19,10 @@ import numpy as np
 
 from . import harness, matrixio
 from .errors import ValidationError
-from .graph import KnnConfig, build_knn_graph, save_knn_cache
+from .graph import KnnConfig
 from .propagate import SnapsParams
 from .report import make_report, report_to_dict, write_report
-from .scores import XiPolicy, _validate_probs
+from .scores import XiPolicy
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,13 +96,6 @@ def _build_parser() -> _Parser:
     image.add_argument("--out", required=True)
     image.add_argument("--format", choices=["json", "csv"], default="json")
 
-    cache = sub.add_parser("knn-cache", help="build and store a similarity graph")
-    cache.add_argument("--features", required=True)
-    cache.add_argument("--k", type=int, required=True)
-    cache.add_argument("--sample-m", type=int, default=None)
-    cache.add_argument("--min-similarity", type=float, default=0.0)
-    cache.add_argument("--seed", type=int, default=0)
-    cache.add_argument("--out", required=True)
     return parser
 
 
@@ -188,10 +180,7 @@ def _cmd_image(args) -> int:
     # the two splits are scored as one matrix, so check each file on its own
     # first: a bad row is named by its file, and the shapes must agree
     for path, probs in ((args.probs_calib, p_cal), (args.probs_test, p_test)):
-        try:
-            _validate_probs(probs)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
+        matrixio.validate_probabilities(probs, path)
     _same_extent(p_cal, p_test, 1, "classes", args.probs_calib, args.probs_test)
     _same_extent(f_cal, f_test, 1, "feature columns", args.feats_calib,
                  args.feats_test)
@@ -221,22 +210,11 @@ def _cmd_image(args) -> int:
     return 0
 
 
-def _cmd_knn_cache(args) -> int:
-    features = matrixio.load_matrix(args.features)
-    cfg = KnnConfig(k=args.k, sample_size=args.sample_m, seed=args.seed,
-                    min_similarity=args.min_similarity)
-    graph = build_knn_graph(features, cfg)
-    save_knn_cache(graph, args.out, matrixio.file_sha256(args.features), cfg)
-    print(f"{args.out}: n={graph.n} arcs={graph.nnz}")
-    return 0
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "oracle": _cmd_oracle,
     "synth": _cmd_synth,
     "image": _cmd_image,
-    "knn-cache": _cmd_knn_cache,
 }
 
 

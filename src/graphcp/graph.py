@@ -10,8 +10,8 @@ The k-NN builder has two modes:
 
 * exact: every other node is a candidate; O(n^2 d) via row-chunked BLAS
   matrix products that screen each row down to the few candidates near its
-  k-th similarity, which alone are scored exactly (``_top_k_blocks``;
-  default for n <= 50,000);
+  k-th similarity, which alone are scored exactly (``_top_k_blocks``);
+  the mode without ``sample_size``, for n <= 50,000 only;
 * sampled: each node scores a seed-keyed uniform sample of M candidates,
   O(n M d).  Node i's sample is the first M distinct values of its draw
   sequence ``floor(u(seed, i, j) * (n - 1))``, j = 0, 1, 2, ..., shifted past
@@ -47,15 +47,13 @@ a certificate per entry and a ``math.fsum`` fallback, so every sum equals
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .matrixio import atomic_open
+from .matrixio import validate_matrix
 from .scores import _counter_uniform
 
 EXACT_MODE_MAX_N = 50_000
@@ -74,12 +72,8 @@ _RESCORE_SLACK = 64
 # draws per row beyond the mean needed for a pool (see _sample_pools)
 _DRAW_SLACK = 16
 _SUM_BLOCK = 1 << 12  # elements of each (rows, C) array of _exact_row_sums
-_CACHE_MAGIC = b"SNPG"
-# format 2 holds pools drawn by _sample_pools; format 1 had no version field
-# and held pools from per-node numpy Generators, so its sampled graphs differ
-_CACHE_VERSION = 2
-# magic, format version, n, nnz, k, M (0: exact), seed, min similarity
-_CACHE_HEADER = struct.Struct("<4sIIQIIqd")
+# a squared row norm outside this range has underflowed or overflowed
+_NORMAL_MIN, _NORMAL_MAX = np.finfo(np.float64).tiny, np.finfo(np.float64).max
 
 
 @dataclass(frozen=True)
@@ -146,7 +140,6 @@ class KnnConfig:
     sample_size: int | None = None
     seed: int = 0
     min_similarity: float = 0.0
-    force_exact: bool = False
 
     def __post_init__(self):
         if self.k < 0:
@@ -286,10 +279,22 @@ def adjacency_graph(n: int, arcs: np.ndarray) -> SparseGraph:
 
 
 def _normalized_rows(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.sqrt(np.einsum("nd,nd->n", features, features))
-    zero = norms == 0.0
-    safe = np.where(zero, 1.0, norms)
-    return features / safe[:, None], zero
+    """(unit rows, mask of all-zero rows): each row divided by its norm, and
+    all-zero rows left zero.  A row whose squared norm leaves the normal
+    range (it underflowed or overflowed) is first scaled by a power of two,
+    which is exact, so that its largest entry lies in [0.5, 1); every other
+    row keeps the bits of a plain division by its norm."""
+    sq = np.einsum("nd,nd->n", features, features)
+    off = ~((sq >= _NORMAL_MIN) & (sq <= _NORMAL_MAX))
+    if off.any():
+        rows = features[off]
+        _, exp = np.frexp(np.max(np.abs(rows), axis=1, initial=0.0))
+        rows = np.ldexp(rows, -exp[:, None])
+        features = features.copy()
+        features[off] = rows
+        sq[off] = np.einsum("nd,nd->n", rows, rows)
+    zero = sq == 0.0
+    return features / np.sqrt(np.where(zero, 1.0, sq))[:, None], zero
 
 
 def _pairwise_sims(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -540,19 +545,17 @@ def build_knn_graph(features: np.ndarray, cfg: KnnConfig) -> SparseGraph:
 
     Arc weights are the similarities; arcs at or below ``min_similarity`` are
     dropped, so zero-norm feature rows end up with no arcs (a warning reports
-    how many).  Ties go to the smaller node index.  Deterministic given
-    (features, cfg.seed).
+    how many).  Non-finite features are rejected, naming the row and column.
+    Ties go to the smaller node index.  Deterministic given (features,
+    cfg.seed).
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValidationError("features must be 2-D")
+    features = validate_matrix(features, "features")
     n = features.shape[0]
     if cfg.k >= n:
         raise ValidationError(f"k={cfg.k} must be < n={n}")
-    if cfg.sample_size is None and n > EXACT_MODE_MAX_N and not cfg.force_exact:
+    if cfg.sample_size is None and n > EXACT_MODE_MAX_N:
         raise ValidationError(
-            f"n={n} exceeds exact-mode limit {EXACT_MODE_MAX_N}; "
-            "set sample_size (or force_exact)"
+            f"n={n} exceeds exact-mode limit {EXACT_MODE_MAX_N}; set sample_size"
         )
     if cfg.sample_size is not None and cfg.sample_size > n:
         raise ValidationError(f"sample_size={cfg.sample_size} exceeds n={n}")
@@ -582,57 +585,3 @@ def build_knn_graph(features: np.ndarray, cfg: KnnConfig) -> SparseGraph:
         row_weights.append(vals[keep])
     return _csr_graph(n, _offsets(counts), np.concatenate(row_cols),
                       np.concatenate(row_weights))
-
-
-def save_knn_cache(g: SparseGraph, path, feature_hash: bytes, cfg: KnnConfig) -> None:
-    """Sidecar cache keyed by feature-file hash and build parameters; the
-    file is replaced atomically, so a failed write keeps the old cache."""
-    if len(feature_hash) != 32:
-        raise ValidationError("feature_hash must be a 32-byte sha256 digest")
-    with atomic_open(path, "wb") as fh:
-        fh.write(_CACHE_HEADER.pack(
-            _CACHE_MAGIC, _CACHE_VERSION, g.n, g.nnz, cfg.k, cfg.sample_size or 0,
-            cfg.seed, cfg.min_similarity,
-        ))
-        fh.write(feature_hash)
-        fh.write(g.row_offsets.astype("<u8").tobytes())
-        fh.write(g.col_indices.astype("<u4").tobytes())
-        fh.write(g.weights.astype("<f8").tobytes())
-
-
-def load_knn_cache(path, feature_hash: bytes, cfg: KnnConfig) -> SparseGraph:
-    """Load a cached graph; rejects caches built with a different key."""
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"no such cache file: {path}")
-    raw = path.read_bytes()
-    if len(raw) < _CACHE_HEADER.size + 32 or raw[:4] != _CACHE_MAGIC:
-        raise ValidationError(f"{path}: not a k-NN cache file")
-    _, version, n, nnz, k, m, seed, min_sim = _CACHE_HEADER.unpack_from(raw)
-    if version != _CACHE_VERSION:
-        raise ValidationError(
-            f"{path}: k-NN cache format version {version}, expected "
-            f"{_CACHE_VERSION}; rebuild the cache"
-        )
-    off = _CACHE_HEADER.size
-    stored_hash = raw[off:off + 32]
-    key = (k, m or 0, seed, min_sim)
-    want = (cfg.k, cfg.sample_size or 0, cfg.seed, cfg.min_similarity)
-    if stored_hash != feature_hash or key != want:
-        raise ValidationError(f"{path}: cache key mismatch (stale cache?)")
-    off += 32
-    expected = off + (n + 1) * 8 + nnz * 4 + nnz * 8
-    if len(raw) != expected:
-        raise ValidationError(
-            f"{path}: cache file is {len(raw)} bytes, expected {expected} "
-            f"for n={n}, nnz={nnz} (truncated or corrupt file)"
-        )
-    ro = np.frombuffer(raw, dtype="<u8", count=n + 1, offset=off).astype(np.int64)
-    off += (n + 1) * 8
-    ci = np.frombuffer(raw, dtype="<u4", count=nnz, offset=off).astype(np.int64)
-    off += nnz * 4
-    w = np.frombuffer(raw, dtype="<f8", count=nnz, offset=off).astype(np.float64)
-    try:
-        return _csr_graph(int(n), ro, ci, w)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None

@@ -80,6 +80,21 @@ def validate_labels(labels, num_classes: int) -> np.ndarray:
     return labels
 
 
+def validate_probabilities(probs, what: str = "probabilities") -> np.ndarray:
+    """``validate_matrix``, then reject rows whose sum is more than
+    ``PROB_ROW_SUM_TOL`` from 1, naming the first such row."""
+    probs = validate_matrix(probs, what)
+    sums = probs.sum(axis=1)
+    off = np.abs(sums - 1.0) > PROB_ROW_SUM_TOL
+    if off.any():
+        r = int(np.argmax(off))
+        raise ValidationError(
+            f"{what}: probability row {r} sums to {sums[r]:.6f}, expected 1 "
+            f"+/- {PROB_ROW_SUM_TOL:g}"
+        )
+    return probs
+
+
 def _text_lines(path: Path):
     """Yield (line number, line) of a UTF-8 text file, read in text mode
     (lines end at LF, CRLF or CR).  A line that is not UTF-8 raises
@@ -184,28 +199,29 @@ def write_matrix(mat: np.ndarray, path, format: str | None = None) -> None:
 
 
 def load_labels(path, num_classes: int | None = None) -> np.ndarray:
-    """One integer label per line."""
+    """One integer label per line, each in [0, num_classes); the first label
+    outside that range is named by its file, line and value."""
     path = Path(path)
     _require_file(path)
+    # without a class count, any label an int64 holds
+    limit = 2 ** 63 if num_classes is None else num_classes
     out = []
     for lineno, line in _text_lines(path):
         line = line.strip()
         if not line:
             continue
         try:
-            out.append(int(line))
+            label = int(line)
         except ValueError:
             raise ValidationError(
                 f"{path}: bad label at line {lineno}: {line!r}"
             ) from None
-    labels = np.asarray(out, dtype=np.int64)
-    if labels.size and labels.min() < 0:
-        raise ValidationError(f"{path}: negative label")
-    if num_classes is not None and labels.size and labels.max() >= num_classes:
-        raise ValidationError(
-            f"{path}: label {labels.max()} out of range for {num_classes} classes"
-        )
-    return labels
+        if not 0 <= label < limit:
+            raise ValidationError(
+                f"{path}: label {label} at line {lineno} out of range [0, {limit})"
+            )
+        out.append(label)
+    return np.asarray(out, dtype=np.int64)
 
 
 def load_edges(path) -> np.ndarray:
@@ -350,19 +366,13 @@ def make_bundle(
             f"probabilities have {probabilities.shape[1]} columns, expected {num_classes}"
         )
     labels = validate_labels(labels, num_classes)
-    sums = probabilities.sum(axis=1)
     if renormalize:
+        sums = probabilities.sum(axis=1)
         if (sums <= 0).any():
             raise ValidationError("cannot renormalize: nonpositive probability row sum")
         probabilities = probabilities / sums[:, None]
     else:
-        off = np.abs(sums - 1.0) > PROB_ROW_SUM_TOL
-        if off.any():
-            r = int(np.argmax(off))
-            raise ValidationError(
-                f"probability row {r} sums to {sums[r]:.6f}, expected 1 "
-                f"+/- {PROB_ROW_SUM_TOL:g}"
-            )
+        validate_probabilities(probabilities)
     arcs, dropped = symmetrize_edges(edges, n)
     if dropped:
         warnings.warn(f"{name}: dropped {dropped} self-loop edge(s)", stacklevel=2)

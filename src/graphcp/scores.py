@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .matrixio import PROB_ROW_SUM_TOL
+from .matrixio import validate_probabilities
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -115,20 +115,6 @@ def _counter_uniform(seed: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarra
     return (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
-def _validate_probs(P: np.ndarray) -> np.ndarray:
-    P = np.asarray(P, dtype=np.float64)
-    if P.ndim != 2:
-        raise ValidationError("probabilities must be 2-D")
-    if not np.isfinite(P).all():
-        raise ValidationError("probabilities contain non-finite values")
-    sums = P.sum(axis=1)
-    off = np.abs(sums - 1.0) > PROB_ROW_SUM_TOL
-    if off.any():
-        r = int(np.argmax(off))
-        raise ValidationError(f"probability row {r} sums to {sums[r]:.6f}")
-    return P
-
-
 def _default_ids(P: np.ndarray, node_ids) -> np.ndarray:
     if node_ids is None:
         return np.arange(P.shape[0], dtype=np.int64)
@@ -152,7 +138,7 @@ def _mass_above(P: np.ndarray) -> np.ndarray:
 
 def aps_scores(P: np.ndarray, xi: XiPolicy, node_ids=None) -> ScoreMatrix:
     """Adaptive scores for every (node, class) pair; entries lie in [0, 1]."""
-    P = _validate_probs(P)
+    P = validate_probabilities(P)
     ids = _default_ids(P, node_ids)
     xi_vals = xi.matrix(ids, P.shape[1])
     values = _mass_above(P) + xi_vals * P

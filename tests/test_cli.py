@@ -100,6 +100,7 @@ def test_bad_thread_count_exits_one(synth_dir, tmp_path, monkeypatch, capsys):
 def test_bad_arguments_exit_one(capsys):
     assert main(["run", "--method", "aps"]) == 1  # --manifest/--out missing
     assert main(["bogus-subcommand"]) == 1
+    assert main(["knn-cache"]) == 1
 
 
 def test_oracle_subcommand(synth_dir, tmp_path):
@@ -114,19 +115,6 @@ def test_oracle_subcommand(synth_dir, tmp_path):
     assert data["m_sweep"] == [0, 2]
     assert len(data["reports"]) == 2
     assert data["reports"][0]["config"]["m"] == 0
-
-
-def test_knn_cache_subcommand(synth_dir, tmp_path):
-    out = tmp_path / "graph.snpg"
-    code = main([
-        "knn-cache", "--features", str(synth_dir / "features.snpm"),
-        "--k", "3", "--seed", "2", "--out", str(out),
-    ])
-    assert code == 0
-    cfg = g.KnnConfig(k=3, seed=2)
-    digest = g.matrixio.file_sha256(synth_dir / "features.snpm")
-    graph = g.load_knn_cache(out, digest, cfg)
-    assert graph.n == 300
 
 
 def _image_argv(tmp_path, probs, feats, labels):

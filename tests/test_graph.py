@@ -1,7 +1,5 @@
 import itertools
 import math
-import struct
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -291,7 +289,8 @@ def _screen_features(rng, kind, n, d):
     """(n, d) features: ``grid`` cells from a small value grid (ties, zero
     rows), ``palette`` rows from a few grid rows (duplicates), ``normal``
     cells; some rows zeroed, each row scaled by 10^-170..10^150 (below about
-    10^-154 the squared norm underflows and the row stays unnormalized)."""
+    10^-154 the squared norm underflows, and the row is rescaled by a power
+    of two before it is normalized)."""
     grid = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
     if kind == "grid":
         feats = rng.choice(grid, size=(n, d))
@@ -320,8 +319,8 @@ def test_screened_top_k_blocks_match_full_scoring_bit_for_bit(data):
         queries = g.graph._normalized_rows(_screen_features(rng, kind, n_q, d))[0]
         self_cols = rng.integers(0, n_b, size=n_q) if shape == "dropped" else None
     if data.draw(st.booleans(), label="nan"):
-        # NaN features (build_knn_graph does not reject them) make the
-        # screen non-finite
+        # a NaN row (build_knn_graph rejects NaN features, but the kernel
+        # does not rely on that) makes the screen non-finite
         which = data.draw(st.sampled_from(["query", "base"]), label="nan_in")
         (queries if which == "query" else base)[0, 0] = np.nan
     k = data.draw(st.integers(1, n_b - (self_cols is not None)), label="k")
@@ -437,6 +436,37 @@ def test_zero_norm_rows_warn_and_stay_isolated():
     assert graph.row(0)[0].shape[0] == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_knn_rejects_non_finite_features(bad):
+    feats = np.array([[bad, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValidationError, match="features: non-finite value at row 0, col 0"):
+        g.build_knn_graph(feats, g.KnnConfig(k=2))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row", [1e200, 1e-200], ids=["overflow", "underflow"])
+def test_knn_row_whose_squared_norm_leaves_the_normal_range_gets_its_neighbors(row):
+    # 1e200**2 overflows and 1e-200**2 underflows; the row is still [1, 1]'s
+    # direction, with cosine 1 to node 3 and 1/sqrt(2) to nodes 1 and 2
+    feats = np.array([[row, row], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    graph = g.build_knn_graph(feats, g.KnnConfig(k=2))
+    cols, weights = graph.row(0)
+    assert cols.tolist() == [1, 3]
+    assert weights == pytest.approx([math.sqrt(0.5), 1.0], rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [2.0 ** 700, 2.0 ** -700], ids=["overflow", "underflow"])
+def test_rows_scaled_by_a_power_of_two_keep_their_graph_bit_for_bit(scale):
+    feats = np.random.default_rng(11).normal(size=(12, 3))
+    want = g.build_knn_graph(feats, g.KnnConfig(k=3))
+    scaled = feats.copy()
+    scaled[[0, 5]] *= scale
+    got = g.build_knn_graph(scaled, g.KnnConfig(k=3))
+    for name in ("row_offsets", "col_indices", "weights", "degrees"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 def test_degrees_match_row_sums(small_bundle):
     graph = g.adjacency_graph(small_bundle.n, small_bundle.edges)
     for i in range(0, graph.n, 37):
@@ -516,111 +546,3 @@ def test_exact_row_sums_fall_back_to_fsum_only_where_uncertified(monkeypatch):
 def test_duplicate_arcs_rejected():
     with pytest.raises(ValidationError, match="duplicate arc"):
         g.from_arcs(3, [(0, 1), (0, 1)])
-
-
-def test_knn_cache_roundtrip(tmp_path):
-    rng = np.random.default_rng(8)
-    feats = rng.normal(size=(30, 4))
-    feat_file = tmp_path / "x.snpm"
-    g.write_matrix(feats, feat_file)
-    loaded = g.load_matrix(feat_file)
-    cfg = g.KnnConfig(k=3, seed=2)
-    graph = g.build_knn_graph(loaded, cfg)
-    digest = g.matrixio.file_sha256(feat_file)
-    cache = tmp_path / "knn.snpg"
-    g.save_knn_cache(graph, cache, digest, cfg)
-    back = g.load_knn_cache(cache, digest, cfg)
-    assert np.array_equal(back.row_offsets, graph.row_offsets)
-    assert np.array_equal(back.col_indices, graph.col_indices)
-    assert np.array_equal(back.weights, graph.weights)
-    with pytest.raises(ValidationError, match="mismatch"):
-        g.load_knn_cache(cache, digest, g.KnnConfig(k=4, seed=2))
-    with pytest.raises(ValidationError, match="mismatch"):
-        g.load_knn_cache(cache, b"\x00" * 32, cfg)
-
-
-def _cache_file(tmp_path):
-    rng = np.random.default_rng(8)
-    feats = rng.normal(size=(30, 4))
-    cfg = g.KnnConfig(k=3, seed=2)
-    digest = b"\x01" * 32
-    cache = tmp_path / "knn.snpg"
-    g.save_knn_cache(g.build_knn_graph(feats, cfg), cache, digest, cfg)
-    return cache, digest, cfg
-
-
-@pytest.mark.parametrize("where", ["offsets", "columns", "weights", "trailing"])
-def test_knn_cache_wrong_length_is_validation_error(tmp_path, where):
-    cache, digest, cfg = _cache_file(tmp_path)
-    raw = cache.read_bytes()
-    header = g.graph._CACHE_HEADER.size + 32
-    n, nnz = 30, 30 * 3
-    cut = {
-        "offsets": header + 8 * (n + 1) // 2,
-        "columns": header + 8 * (n + 1) + 4 * nnz // 2,
-        "weights": len(raw) - 17,
-    }
-    assert len(raw) == header + 8 * (n + 1) + 12 * nnz
-    cache.write_bytes(raw + b"\x00" * 3 if where == "trailing" else raw[:cut[where]])
-    with pytest.raises(ValidationError, match="knn.snpg.*bytes, expected"):
-        g.load_knn_cache(cache, digest, cfg)
-
-
-def test_knn_cache_of_another_format_version_is_rejected(tmp_path):
-    cache, digest, cfg = _cache_file(tmp_path)
-    raw = cache.read_bytes()
-    header = g.graph._CACHE_HEADER
-    fields = list(header.unpack_from(raw))
-    body = raw[header.size:]
-    # version 1 had no version field: the magic, then n, nnz, k, M, seed and
-    # min similarity
-    version_one = fields[0] + struct.pack("<IQIIqd", *fields[2:]) + body
-    fields[1] = 1
-    labelled_one = header.pack(*fields) + body
-    for bad in (version_one, labelled_one):
-        cache.write_bytes(bad)
-        with pytest.raises(ValidationError, match="knn.snpg: k-NN cache format version"):
-            g.load_knn_cache(cache, digest, cfg)
-
-
-def test_failed_cache_write_keeps_previous_cache(tmp_path):
-    cache, digest, cfg = _cache_file(tmp_path)
-    before = cache.read_bytes()
-
-    class BrokenWeights:
-        def astype(self, dtype):
-            raise OSError(28, "No space left on device")
-
-    graph = g.build_knn_graph(np.random.default_rng(9).normal(size=(30, 4)), cfg)
-    half_written = SimpleNamespace(n=graph.n, nnz=graph.nnz,
-                                   row_offsets=graph.row_offsets,
-                                   col_indices=graph.col_indices,
-                                   weights=BrokenWeights())
-    with pytest.raises(OSError, match="No space"):
-        g.save_knn_cache(half_written, cache, digest, cfg)
-    assert cache.read_bytes() == before
-    assert list(tmp_path.iterdir()) == [cache]
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_corrupt_knn_cache_is_validation_error_naming_the_file(tmp_path_factory, data):
-    cache, digest, cfg = _cache_file(tmp_path_factory.mktemp("cache"))
-    raw = cache.read_bytes()
-    kind = data.draw(st.sampled_from(["truncate", "flip", "extend"]))
-    if kind == "truncate":
-        bad = raw[:data.draw(st.integers(min_value=0, max_value=len(raw) - 1))]
-    elif kind == "flip":
-        bit = data.draw(st.integers(min_value=0, max_value=8 * len(raw) - 1))
-        bad = bytearray(raw)
-        bad[bit // 8] ^= 1 << (bit % 8)
-    else:
-        bad = raw + data.draw(st.binary(min_size=1, max_size=64))
-    cache.write_bytes(bytes(bad))
-    try:
-        g.load_knn_cache(cache, digest, cfg)
-    except ValidationError as exc:
-        assert str(cache) in str(exc)
-    else:
-        # a flipped weight or column bit can still leave a valid graph
-        assert kind == "flip"

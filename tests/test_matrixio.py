@@ -147,6 +147,12 @@ def test_bundle_label_out_of_range(tmp_path):
     manifest = _write_bundle_files(tmp_path, probs, [0, 2, 0], [(0, 1)])
     with pytest.raises(ValidationError, match="label"):
         g.load_bundle(manifest)
+    labels = tmp_path / "y.txt"
+    for text, line, value in (("0\n2\n0\n", 2, 2), ("0\n\n1\n-1\n", 4, -1)):
+        labels.write_text(text)
+        with pytest.raises(ValidationError) as exc:
+            g.load_bundle(manifest)
+        assert str(exc.value) == f"{labels}: label {value} at line {line} out of range [0, 2)"
 
 
 def test_bundle_edge_endpoint_out_of_range(tmp_path):
