@@ -544,9 +544,10 @@ def build_knn_graph(features: np.ndarray, cfg: KnnConfig) -> SparseGraph:
     """Directed graph of each node's k most cosine-similar peers.
 
     Arc weights are the similarities; arcs at or below ``min_similarity`` are
-    dropped, so zero-norm feature rows end up with no arcs (a warning reports
-    how many).  Non-finite features are rejected, naming the row and column.
-    Ties go to the smaller node index.  Deterministic given (features,
+    dropped, and zero-norm feature rows get no arcs of their own whatever
+    ``min_similarity`` is (a warning reports how many).  Non-finite features
+    are rejected, naming the row and column.  Ties go to the smaller node
+    index.  Deterministic given (features,
     cfg.seed).
     """
     features = validate_matrix(features, "features")
@@ -579,7 +580,9 @@ def build_knn_graph(features: np.ndarray, cfg: KnnConfig) -> SparseGraph:
         by_col = np.argsort(cols, axis=1)
         cols = np.take_along_axis(cols, by_col, axis=1)
         vals = np.take_along_axis(vals, by_col, axis=1)
-        keep = vals > cfg.min_similarity
+        # a zero-norm row ties every column at 0: it keeps no arcs, even
+        # when min_similarity < 0 would admit them
+        keep = (vals > cfg.min_similarity) & ~zero_rows[start:stop, None]
         counts[start:stop] = np.count_nonzero(keep, axis=1)
         row_cols.append(cols[keep])
         row_weights.append(vals[keep])

@@ -10,10 +10,11 @@ measure Size on the rest, ties broken by higher singleton-hit then smaller
 total weight), the other half feeds the final conformal calibration.
 Tuning therefore never sees the final calibration half or the test set.
 The grid is scored as one batch: one conformal rank per tuning call, every
-grid point's threshold from one partition along the sample axis, and each
-score built with the same per-element arithmetic as the final mix, so the
-chosen point - same key, first in grid order on a full tie - is the one a
-point-by-point search would pick.
+grid point's threshold from one partition along the sample axis, and every
+(lam, mu) score computed by the final mix's own kernel (``propagate._mix``,
+one einsum per class column and (has_knn, has_adj) pair into a reused
+buffer), so the chosen point - same key, first in grid order on a full tie -
+is the one a point-by-point search would pick.
 
 Every runner, and the ``image`` CLI command, measures a trial through one
 evaluator, ``_evaluate_trial``: calibrate -> predict sets -> coverage, Size,
@@ -50,6 +51,9 @@ from .metrics import MetricSummary, evaluate, sscv
 from .propagate import (
     NeighborMeans,
     SnapsParams,
+    _mix,
+    _mix_weights,
+    _pair_blocks,
     combine_scores,
     image_snaps,
     neighbor_means,
@@ -184,68 +188,110 @@ def _grid_size_sh(cal_scores, eval_scores, labels_cal, labels_eval,
     """Size and singleton-hit counts of every grid point at once.
 
     ``cal_scores(cols)``/``eval_scores(cols)`` return the (G, rows) scores of
-    one tuning half at a class column (an int, or one label per row).  Each
-    grid point calibrates on the true labels of the first half and is
+    one tuning half at a class column (an int, or one label per row); they
+    may reuse one buffer, so each result is consumed before the next call.
+    Each grid point calibrates on the true labels of the first half and is
     measured on the second.  Returns counts over the second half, which order
     the grid points exactly as the Size and singleton-hit means would.
     """
     rank = conformal_rank(labels_cal.shape[0], alpha)
     q = _order_statistic(cal_scores(labels_cal), rank)[:, None]
-    sizes = np.zeros((q.shape[0], labels_eval.shape[0]), dtype=np.int64)
+    shape = (q.shape[0], labels_eval.shape[0])
+    hit = np.empty(shape, dtype=bool)
+    # a row's size is at most num_classes
+    sizes = np.zeros(shape, dtype=np.min_scalar_type(num_classes))
     for c in range(num_classes):
-        sizes += eval_scores(c) <= q
-    covered = eval_scores(labels_eval) <= q
-    return sizes.sum(axis=1), (covered & (sizes == 1)).sum(axis=1)
+        sizes += np.less_equal(eval_scores(c), q, out=hit)
+    np.less_equal(eval_scores(labels_eval), q, out=hit)
+    hit &= sizes == 1
+    return sizes.sum(axis=1, dtype=np.int64), np.count_nonzero(hit, axis=1)
 
 
 def _snaps_grid_scores(values, nm: NeighborMeans, lam, mu, rows):
-    """``combine_scores`` on ``rows`` for (G, 1) weight columns ``lam``/``mu``:
-    the same arithmetic per element, broadcast over the grid axis."""
-    ego = 1.0 - lam * nm.has_knn[rows] - mu * nm.has_adj[rows]
-    v, knn_mean, adj_mean = values[rows], nm.knn_mean[rows], nm.adj_mean[rows]
+    """``combine_scores`` on ``rows`` at every grid point of the 1-D weights
+    ``lam``/``mu``, through the same ``_mix`` kernel.
+
+    Returns ``(scores, rows)``: the column closure of ``_grid_size_sh``,
+    which writes into one reused (G, rows) buffer, and ``rows`` regrouped by
+    (has_knn, has_adj) pair, the order of the closure's columns.  The inputs
+    are stacked class-major, so each class column is a contiguous (3, rows)
+    block of v, knn and adj means.
+    """
+    order, blocks = _pair_blocks(nm.has_knn[rows], nm.has_adj[rows])
+    rows = rows[order]
+    x = np.empty((values.shape[1], 3, rows.shape[0]))
+    for j, part in enumerate((values, nm.knn_mean, nm.adj_mean)):
+        x[:, j] = part[rows].T
+    spans = [(slice(start, stop), _mix_weights(lam, mu, hk, ha))
+             for hk, ha, start, stop in blocks]
+    out = np.empty((lam.shape[0], rows.shape[0]))
     pos = np.arange(rows.shape[0])
-    return lambda cols: (ego * v[pos, cols] + lam * knn_mean[pos, cols]
-                         + mu * adj_mean[pos, cols])
+
+    def scores(cols):
+        xc = x[cols] if np.ndim(cols) == 0 else np.ascontiguousarray(x[cols, :, pos].T)
+        for span, w in spans:
+            _mix(w, xc[:, span], out[:, span])
+        return out
+
+    return scores, rows
 
 
 def _raps_grid_scores(aps_values, ranks, k_reg, lam, rows):
-    """``aps + raps_penalty`` on ``rows`` for (G, 1) columns ``k_reg``/``lam``."""
-    v, r = aps_values[rows], ranks[rows]
+    """``aps + raps_penalty`` on ``rows`` for (G, 1) columns ``k_reg``/``lam``,
+    written into one reused (G, rows) buffer."""
+    v, r = aps_values[rows].T.copy(), ranks[rows].T.copy()
     pos = np.arange(rows.shape[0])
-    return lambda cols: v[pos, cols] + lam * np.maximum(0, r[pos, cols] - k_reg)
+    pen = np.empty((k_reg.shape[0], rows.shape[0]), dtype=np.result_type(r, k_reg))
+    out = np.empty(pen.shape)
+
+    def scores(cols):
+        vc, rc = (v[cols], r[cols]) if np.ndim(cols) == 0 else (v[cols, pos], r[cols, pos])
+        np.maximum(np.subtract(rc, k_reg, out=pen), 0, out=pen)
+        return np.add(vc, np.multiply(lam, pen, out=out), out=out)
+
+    return scores
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 @functools.lru_cache(maxsize=8)
 def _snaps_grid(grid_step: float, mu_only: bool):
-    """``snaps_param_grid`` as a tuple with its read-only (G, 1) ``lam`` and
-    ``mu`` columns, built once per (grid_step, mu_only)."""
+    """``snaps_param_grid`` as a tuple with its read-only 1-D ``lam`` and
+    ``mu`` weights, built once per (grid_step, mu_only)."""
     grid = tuple(snaps_param_grid(grid_step, mu_only=mu_only))
-    lam = np.array([[p.lam] for p in grid])
-    mu = np.array([[p.mu] for p in grid])
-    lam.setflags(write=False)
-    mu.setflags(write=False)
-    return grid, lam, mu
+    return (grid, *_read_only(np.array([p.lam for p in grid]),
+                              np.array([p.mu for p in grid])))
+
+
+@functools.lru_cache(maxsize=8)
+def _raps_grid(max_k_reg: int):
+    """The RAPS grid (k_reg in 1..max_k_reg, lam in ``RAPS_LAMBDA_GRID``) as
+    a tuple with its read-only (G, 1) ``k_reg`` and ``lam`` columns."""
+    grid = tuple(RapsParams(k_reg, lam) for k_reg in range(1, max_k_reg + 1)
+                 for lam in RAPS_LAMBDA_GRID)
+    return (grid, *_read_only(np.array([[p.k_reg] for p in grid]),
+                              np.array([[p.lambda_reg] for p in grid])))
 
 
 def _tune_snaps(values, nm, labels, tune_idx, alpha, grid_step, rng,
                 mu_only=False) -> SnapsParams:
     a, b = _half_split(tune_idx, rng)
     grid, lam, mu = _snaps_grid(grid_step, mu_only)
-    size, sh = _grid_size_sh(_snaps_grid_scores(values, nm, lam, mu, a),
-                             _snaps_grid_scores(values, nm, lam, mu, b),
-                             labels[a], labels[b], values.shape[1], alpha)
-    lam, mu = lam[:, 0], mu[:, 0]
+    cal_scores, a = _snaps_grid_scores(values, nm, lam, mu, a)
+    eval_scores, b = _snaps_grid_scores(values, nm, lam, mu, b)
+    size, sh = _grid_size_sh(cal_scores, eval_scores, labels[a], labels[b],
+                             values.shape[1], alpha)
     return grid[np.lexsort((mu, lam, lam + mu, -sh, size))[0]]
 
 
 def _tune_raps(aps_values, ranks, labels, tune_idx, alpha, rng,
                num_classes) -> RapsParams:
     a, b = _half_split(tune_idx, rng)
-    grid = [RapsParams(k_reg, lam)
-            for k_reg in range(1, min(num_classes, RAPS_MAX_KREG) + 1)
-            for lam in RAPS_LAMBDA_GRID]
-    k_reg = np.array([[p.k_reg] for p in grid])
-    lam = np.array([[p.lambda_reg] for p in grid])
+    grid, k_reg, lam = _raps_grid(min(num_classes, RAPS_MAX_KREG))
     size, sh = _grid_size_sh(_raps_grid_scores(aps_values, ranks, k_reg, lam, a),
                              _raps_grid_scores(aps_values, ranks, k_reg, lam, b),
                              labels[a], labels[b], num_classes, alpha)

@@ -21,6 +21,14 @@ bit-equal to ``math.fsum`` of the row's products, and the mean divides it by
 the graph's degree, itself such a sum of the weights.  An exactly rounded
 sum does not depend on the order of its terms, so aggregation commutes
 bit-for-bit with any relabeling of the nodes, with no sort of the terms.
+
+The mix itself is one kernel, ``_mix``: an einsum of (G, 3) weight rows
+``[ego, lam, mu]`` with (3, R) input rows ``[v, knn_mean, adj_mean]``.  The
+ego weight depends on a row's (has_knn, has_adj) pair, so each pair's rows
+are mixed with that pair's weights.  ``combine_scores`` calls the kernel
+with G = 1; the harness's tuning grid calls it with one weight row per grid
+point, so tuning scores each grid point with the final mix's arithmetic by
+construction.
 """
 
 from __future__ import annotations
@@ -99,11 +107,74 @@ def neighbor_means(values: np.ndarray, knn: SparseGraph, adj: SparseGraph) -> Ne
     return NeighborMeans(knn_mean, adj_mean, has_knn, has_adj)
 
 
+def _pair_blocks(has_knn: np.ndarray, has_adj: np.ndarray) -> tuple[np.ndarray, list]:
+    """Rows grouped by their (has_knn, has_adj) pair: ``(order, blocks)``.
+
+    ``blocks`` holds ``(has_knn, has_adj, start, stop)`` for each distinct
+    pair, in sorted pair order, and ``order[start:stop]`` lists that pair's
+    rows in ascending order."""
+    order = np.lexsort((has_adj, has_knn))
+    hk, ha = has_knn[order], has_adj[order]
+    cuts = np.flatnonzero((hk[1:] != hk[:-1]) | (ha[1:] != ha[:-1])) + 1
+    bounds = [0, *cuts.tolist(), order.shape[0]] if order.shape[0] else []
+    return order, [(hk[start], ha[start], start, stop)
+                   for start, stop in zip(bounds[:-1], bounds[1:])]
+
+
+def _mix_weights(lam: np.ndarray, mu: np.ndarray, has_knn, has_adj) -> np.ndarray:
+    """(G, 3) mixing rows ``[ego, lam, mu]`` for 1-D weights ``lam``/``mu``
+    and one (has_knn, has_adj) pair: missing-neighbor mass goes back to the
+    ego term."""
+    w = np.empty((lam.shape[0], 3))
+    w[:, 0] = 1.0 - lam * has_knn - mu * has_adj
+    w[:, 1] = lam
+    w[:, 2] = mu
+    return w
+
+
+def _mix(w: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The one mixing kernel: ``out[g, r] = w[g,0]*x[0,r] + w[g,1]*x[1,r] +
+    w[g,2]*x[2,r]`` for (G, 3) weights and (3, R) rows ``[v, knn_mean,
+    adj_mean]``, written into the (G, R) ``out``.
+
+    numpy's einsum loop (no BLAS, no contraction path) rounds every product
+    and adds them left to right onto a +0.0 accumulator, so each entry is
+    the plain formula's value, bit for bit, except that a -0.0 sum reads
+    +0.0.  That order holds while r is the loop's inner axis: ``x`` needs
+    adjacent columns, and at least two of them (one column makes the three
+    weights the inner axis, which einsum sums pairwise)."""
+    if x.shape[1] == 1:
+        wide = np.empty((w.shape[0], 2))
+        np.einsum("gj,jr->gr", w, np.repeat(x, 2, axis=1), out=wide, optimize=False)
+        out[:] = wide[:, :1]
+        return out
+    if x.strides[1] != x.itemsize:
+        x = np.ascontiguousarray(x)
+    return np.einsum("gj,jr->gr", w, x, out=out, optimize=False)
+
+
 def combine_scores(values: np.ndarray, nm: NeighborMeans, lam: float, mu: float) -> np.ndarray:
     """Mix ego scores with neighbor means; missing-neighbor mass goes back to
-    the ego term."""
-    ego_w = 1.0 - lam * nm.has_knn - mu * nm.has_adj
-    return ego_w[:, None] * values + lam * nm.knn_mean + mu * nm.adj_mean
+    the ego term.  ``_mix`` mixes the rows of each (has_knn, has_adj) pair
+    with that pair's weights, the arithmetic the tuning grid uses."""
+    order, blocks = _pair_blocks(nm.has_knn, nm.has_adj)
+    lam, mu = np.array([lam], dtype=np.float64), np.array([mu], dtype=np.float64)
+    x = np.stack([values, nm.knn_mean, nm.adj_mean])
+    out = np.empty(values.shape)
+    # The largest pair mixes every row in place; the other pairs' rows are
+    # mixed again from a gathered copy (a row's mix does not depend on the
+    # rows beside it).
+    blocks.sort(key=lambda block: block[2] - block[3])
+    for i, (hk, ha, start, stop) in enumerate(blocks):
+        w = _mix_weights(lam, mu, hk, ha)
+        if i == 0:
+            _mix(w, x.reshape(3, -1), out.reshape(1, -1))
+            continue
+        rows = order[start:stop]
+        mixed = np.empty((1, rows.shape[0] * values.shape[1]))
+        _mix(w, np.take(x, rows, axis=1).reshape(3, -1), mixed)
+        out[rows] = mixed.reshape(rows.shape[0], values.shape[1])
+    return out
 
 
 def snaps_scores(S: ScoreMatrix, knn: SparseGraph, adj: SparseGraph,

@@ -436,6 +436,21 @@ def test_zero_norm_rows_warn_and_stay_isolated():
     assert graph.row(0)[0].shape[0] == 1
 
 
+def test_zero_norm_row_gets_no_arcs_under_a_negative_min_similarity():
+    # every similarity of the zero row is 0 > -1; it still keeps no arcs,
+    # so neighbor_means sees a row without neighbors, not one of degree 0
+    feats = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.1], [0.0, 1.0]])
+    with pytest.warns(UserWarning, match="zero-norm"):
+        graph = g.build_knn_graph(feats, g.KnnConfig(k=2, min_similarity=-1))
+    cols, weights = graph.row(1)
+    assert cols.shape[0] == 0 and weights.shape[0] == 0
+    assert [graph.row(i)[0].shape[0] for i in (0, 2, 3)] == [2, 2, 2]
+    values = np.arange(8.0).reshape(4, 2)
+    nm = g.neighbor_means(values, graph, g.empty_graph(4))
+    assert nm.has_knn.tolist() == [1.0, 0.0, 1.0, 1.0]
+    assert nm.knn_mean[1].tolist() == [0.0, 0.0]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_knn_rejects_non_finite_features(bad):
     feats = np.array([[bad, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])

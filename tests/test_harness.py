@@ -242,6 +242,52 @@ def test_batched_raps_tuner_matches_scalar_grid(data, n, k, alpha, seed):
     assert got == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=12),
+       st.integers(min_value=1, max_value=6), st.booleans())
+def test_grid_scores_are_combine_scores_at_every_grid_point(data, n, k, mu_only):
+    # the tuning grid and the final mix share one kernel, so every grid
+    # point's scores are the final mix's bits on the tuning rows
+    values = _draw_matrix(data, n, k, _CELLS)
+    flags = st.sampled_from([0.0, 1.0])
+    nm = g.NeighborMeans(_draw_matrix(data, n, k, _CELLS),
+                         _draw_matrix(data, n, k, _CELLS),
+                         _draw_matrix(data, n, 1, flags)[:, 0],
+                         _draw_matrix(data, n, 1, flags)[:, 0])
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    _, lam, mu = harness._snaps_grid(0.05, mu_only)
+    scores, grouped = harness._snaps_grid_scores(values, nm, lam, mu, rows)
+    assert sorted(grouped.tolist()) == rows.tolist()
+    labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=rows.shape[0],
+                                         max_size=rows.shape[0])))
+    columns = [scores(c).copy() for c in range(k)] + [scores(labels).copy()]
+    for i, (l, m) in enumerate(zip(lam, mu)):
+        mixed = g.combine_scores(values, nm, l, m)[grouped]
+        for c, column in enumerate(columns[:k]):
+            assert column[i].tobytes() == mixed[:, c].tobytes()
+        at_label = mixed[np.arange(grouped.shape[0]), labels]
+        assert columns[k][i].tobytes() == at_label.tobytes()
+
+
+@pytest.mark.parametrize("k", [256, 300])
+def test_grid_sizes_count_past_255_classes(k):
+    # all scores equal, so every label of every row is in every grid set:
+    # Size is k per row, which a uint8 counter would wrap
+    n = 8
+    values = np.full((n, k), 0.5)
+    nm = g.NeighborMeans(values, values, np.ones(n), np.ones(n))
+    labels = np.arange(n) % k
+    _, lam, mu = harness._snaps_grid(0.05, False)
+    cal, a = harness._snaps_grid_scores(values, nm, lam, mu, np.arange(0, n, 2))
+    ev, b = harness._snaps_grid_scores(values, nm, lam, mu, np.arange(1, n, 2))
+    size, sh = harness._grid_size_sh(cal, ev, labels[a], labels[b], k, 0.5)
+    assert size.tolist() == [k * b.shape[0]] * lam.shape[0]
+    assert sh.tolist() == [0] * lam.shape[0]
+    rng = np.random.default_rng(0)
+    picked = harness._tune_snaps(values, nm, labels, np.arange(n), 0.5, 0.05, rng)
+    assert (picked.lam, picked.mu) == (0.0, 0.0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data(), st.sampled_from(["snaps", "daps", "raps"]))
 def test_tuners_pick_the_first_grid_point_with_the_smallest_key(data, method):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import graphcp as g
 from graphcp.errors import ValidationError
@@ -113,6 +114,65 @@ def test_matrix_form_equivalence_dense_oracle():
         ours = g.snaps_scores(S, knn, adj, g.SnapsParams(float(lam), float(mu))).values
         oracle = dense_mix_oracle(S.values, knn, adj, lam, mu)
         assert np.abs(ours - oracle).max() < 1e-9
+
+
+def _formula_mix(values, nm, lam, mu):
+    """The mix as the plain elementwise formula, evaluated left to right."""
+    ego = 1.0 - lam * nm.has_knn - mu * nm.has_adj
+    return ego[:, None] * values + lam * nm.knn_mean + mu * nm.adj_mean
+
+
+_GRID = [(p.lam, p.mu) for p in g.snaps_param_grid(0.05)]
+# grid points whose ego weight 1 - lam - mu rounds to +-2**-54 or so, such
+# as (0.7, 0.3) and (0.8, 0.2)
+_TINY_EGO = [(lam, mu) for lam, mu in _GRID if 0.0 < abs(1.0 - lam - mu) < 1e-15]
+_PAIRS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+_MIX_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, -1.0, 1.0]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+def _mix_inputs(data, n, k):
+    def matrix():
+        return data.draw(arrays(np.float64, (n, k), elements=_MIX_CELLS))
+
+    pairs = np.array(data.draw(st.lists(st.sampled_from(_PAIRS), min_size=n,
+                                        max_size=n))).reshape(n, 2)
+    nm = g.NeighborMeans(matrix(), matrix(), pairs[:, 0].copy(), pairs[:, 1].copy())
+    return matrix(), nm
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=12),
+       st.one_of(st.just(1), st.integers(min_value=1, max_value=17)),
+       st.one_of(st.sampled_from(_TINY_EGO), st.sampled_from(_GRID)))
+def test_mix_kernel_equals_the_elementwise_formula_bit_for_bit(data, n, k, weights):
+    # The einsum kernel rounds each product and adds them left to right onto
+    # a +0.0 accumulator: every entry equals the formula's bits, except that a
+    # -0.0 sum reads +0.0 (adding +0.0 to the formula makes the same change).
+    # Widths 1-17 reach the SIMD loop tails and the one-column path.
+    lam, mu = weights
+    values, nm = _mix_inputs(data, n, k)
+    got = g.combine_scores(values, nm, lam, mu)
+    assert got.tobytes() == (_formula_mix(values, nm, lam, mu) + 0.0).tobytes()
+    # position independence: a row mixed alone equals it mixed in the block
+    i = data.draw(st.integers(min_value=0, max_value=n - 1))
+    row = slice(i, i + 1)
+    alone = g.combine_scores(values[row], g.NeighborMeans(
+        nm.knn_mean[row], nm.adj_mean[row], nm.has_knn[row], nm.has_adj[row]),
+        lam, mu)
+    assert alone.tobytes() == got[row].tobytes()
+
+
+def test_mix_kernel_keeps_the_formula_on_a_non_contiguous_input():
+    rng = np.random.default_rng(5)
+    w = rng.uniform(size=(7, 3))
+    x = rng.uniform(size=(9, 3)).T  # adjacent rows, strided columns
+    out = np.empty((7, 9))
+    g.propagate._mix(w, x, out)
+    want = w[:, :1] * x[0] + w[:, 1:2] * x[1] + w[:, 2:] * x[2]
+    assert out.tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
