@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the pipeline stages that grow with n, one at a time, at n=50000.
+"""Time the pipeline stages that grow with n, one at a time, at n=50000,
+and the two halves of an image-mode run at n=4000.
 
 Generates a planted-partition bundle (K=8, d=8, homophily 0.8, class_sep
 2.0, noise 1.0, seed 1), saves it to a temporary directory, then times each
@@ -10,7 +11,16 @@ stage 5 times on its own:
 * ``neighbor_means``: one aggregation of the APS score matrix over the
   k-NN graph and the structural adjacency.
 
-The shape is fixed so that every ``BENCH_<n>.json`` can be compared with the
+A second bundle of the same kind at n=4000 gives the image-mode stages, at
+the shape of the benchmark's ``image-4k`` workload (calibration size 1000,
+k=5, eta=0.5, 20 trials, alpha=0.05):
+
+* ``image_pool_order``: the pool self-join ``harness._image_pool_order``;
+* ``image_trials``: the rest of ``run_image_experiment``, that is the
+  probabilities' validation and APS mass, then the 20 trial bodies
+  (``harness._image_trial``: split, scores, correction, evaluation).
+
+The shapes are fixed so that every ``BENCH_<n>.json`` can be compared with the
 others. Prints one line per stage and writes every run, with the host context,
 to ``--out`` as JSON (``BENCH_<n>.json`` by convention, so the trend can be
 read across changes).
@@ -37,6 +47,8 @@ K = 20
 SAMPLE_M = 200
 SEED = 1
 REPEATS = 5
+IMAGE_N, IMAGE_CALIB, IMAGE_K, IMAGE_ETA, IMAGE_TRIALS = 4000, 1000, 5, 0.5, 20
+IMAGE_ALPHA = 0.05
 
 
 def cpu_model() -> str:
@@ -79,6 +91,21 @@ def main():
     stages["neighbor_means"], _ = timed(lambda: g.neighbor_means(scores, knn, adj),
                                         REPEATS)
 
+    image = g.generate_synthetic(n=IMAGE_N, num_classes=8, dim=8, homophily=0.8,
+                                 class_sep=2.0, noise=1.0, seed=SEED)
+    P, feats = image.probabilities, image.features
+    stages["image_pool_order"], order = timed(
+        lambda: g.harness._image_pool_order(feats, IMAGE_CALIB, IMAGE_K, IMAGE_TRIALS),
+        REPEATS)
+
+    def image_trials():
+        mass = g.scores._mass_above(g.matrixio.validate_probabilities(P))
+        return [g.harness._image_trial(P, mass, feats, image.labels, IMAGE_CALIB,
+                                       IMAGE_K, IMAGE_ETA, IMAGE_ALPHA, SEED, t, order)
+                for t in range(IMAGE_TRIALS)]
+
+    stages["image_trials"], _ = timed(image_trials, REPEATS)
+
     for name, runs in stages.items():
         print(f"{name:<18} median {statistics.median(runs):.3f} s  "
               f"min {min(runs):.3f} s  (n={len(runs)})")
@@ -92,7 +119,10 @@ def main():
         },
         "config": {"n": N, "classes": 8, "dim": 8, "k": K,
                    "sample_m": SAMPLE_M, "seed": SEED,
-                   "repeats": REPEATS, "knn_arcs": knn.nnz},
+                   "repeats": REPEATS, "knn_arcs": knn.nnz,
+                   "image": {"n": IMAGE_N, "calib_size": IMAGE_CALIB, "k": IMAGE_K,
+                             "eta": IMAGE_ETA, "trials": IMAGE_TRIALS,
+                             "alpha": IMAGE_ALPHA, "pool_depth": order.shape[1]}},
         "stages": {name: {"median_s": statistics.median(runs), "min_s": min(runs),
                           "runs_s": runs}
                    for name, runs in stages.items()},

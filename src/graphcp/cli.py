@@ -22,7 +22,7 @@ from .errors import ValidationError
 from .graph import KnnConfig
 from .propagate import SnapsParams
 from .report import make_report, report_to_dict, write_report
-from .scores import XiPolicy
+from .scores import XiPolicy, aps_scores
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,10 +195,10 @@ def _cmd_image(args) -> int:
     n_cal, n_test = p_cal.shape[0], p_test.shape[0]
     calib, test = np.arange(n_cal), n_cal + np.arange(n_test)
 
-    xi = XiPolicy("uniform", seed=args.seed)
-    full = harness._image_scores(np.concatenate([p_cal, p_test]),
-                                 np.concatenate([f_cal, f_test]),
-                                 calib, test, xi, args.k, args.eta)
+    base = aps_scores(np.concatenate([p_cal, p_test]),
+                      XiPolicy("uniform", seed=args.seed))
+    full = harness._image_scores(base, np.concatenate([f_cal, f_test]),
+                                 calib, test, args.k, args.eta)
     trial = harness._evaluate_trial(full, labels, calib, test, args.alpha, 0, 0,
                                     {"k": args.k, "eta": args.eta})
     config = {"mode": "image", "alpha": args.alpha, "k": args.k, "eta": args.eta,

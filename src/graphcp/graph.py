@@ -24,9 +24,10 @@ Both modes, and the graph-free image mode in ``propagate.image_snaps``, pick
 neighbors with one batched top-k kernel (``_top_k``): per row of a
 similarity block, the k largest entries, higher similarity first and ties to
 the smaller index, in exactly the order of the first k of a stable
-``argsort`` of the negated row.  One ``argpartition`` finds each row's k-th
-value; only rows with a tie across that boundary fall back to the stable
-sort.  Every similarity the kernel selects from is computed by one einsum
+``argsort`` of the negated row.  A block at most 2k wide is sorted whole
+by that argsort; in a wider one, one ``argpartition`` finds each row's k-th
+value, and only rows with a tie across that boundary fall back to the
+stable sort.  Every similarity the kernel selects from is computed by one einsum
 whose bits do not depend on where a row sits (``_pairwise_sims``,
 ``_gathered_sims``); the BLAS screen of ``_top_k_blocks`` only decides,
 under a rounding-error certificate, which entries to score that way.  Row
@@ -72,6 +73,11 @@ _RESCORE_SLACK = 64
 # draws per row beyond the mean needed for a pool (see _sample_pools)
 _DRAW_SLACK = 16
 _SUM_BLOCK = 1 << 12  # elements of each (rows, C) array of _exact_row_sums
+# _top_k sorts a block at most this many times k wide whole: one stable
+# argsort beats partition + sort + argsort + tie check there
+_NARROW_TOP_K = 2
+# from_arcs orders arcs by the int64 key u * n + v, so n * n must fit
+_MAX_ARC_KEY_N = math.isqrt(np.iinfo(np.int64).max)
 # a squared row norm outside this range has underflowed or overflowed
 _NORMAL_MIN, _NORMAL_MAX = np.finfo(np.float64).tiny, np.finfo(np.float64).max
 
@@ -252,7 +258,13 @@ def empty_graph(n: int) -> SparseGraph:
 
 
 def from_arcs(n: int, arcs: np.ndarray, weights: np.ndarray | None = None) -> SparseGraph:
-    """Build a graph from a directed arc list; duplicate arcs are rejected."""
+    """Build a graph from a directed arc list; duplicate arcs are rejected.
+
+    Arcs are ordered by the key ``u * n + v``; a list already in strictly
+    increasing key order (as ``matrixio.symmetrize_edges`` returns it) is
+    taken as it is, any other by a stable argsort of the keys."""
+    if n > _MAX_ARC_KEY_N:
+        raise ValidationError(f"n={n} too large: arc keys u*n + v must fit in int64")
     arcs = np.asarray(arcs, dtype=np.int64).reshape(-1, 2)
     if arcs.size and (arcs.min() < 0 or arcs.max() >= n):
         raise ValidationError(f"arc endpoint out of range (n={n})")
@@ -262,10 +274,12 @@ def from_arcs(n: int, arcs: np.ndarray, weights: np.ndarray | None = None) -> Sp
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape[0] != arcs.shape[0]:
             raise ValidationError("weights length must match arc count")
-    order = np.lexsort((arcs[:, 1], arcs[:, 0]))
-    arcs, weights = arcs[order], weights[order]
-    if arcs.shape[0] > 1:
-        dup = (np.diff(arcs[:, 0]) == 0) & (np.diff(arcs[:, 1]) == 0)
+    keys = arcs[:, 0] * n + arcs[:, 1]
+    if not (keys[1:] > keys[:-1]).all():
+        order = np.argsort(keys, kind="stable")
+        arcs, weights, keys = arcs[order], weights[order], keys[order]
+        # duplicates are equal neighbouring keys
+        dup = keys[1:] == keys[:-1]
         if dup.any():
             u, v = arcs[1:][dup][0]
             raise ValidationError(f"duplicate arc ({u}, {v})")
@@ -329,10 +343,19 @@ def _top_k(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     ``sims`` is a 2-D block with -inf at excluded positions; it is negated in
     place.  Returns (columns, similarities), both (rows, k), with columns in
     exactly the order of ``np.argsort(-sims, axis=1, kind="stable")[:, :k]``.
+
+    A block at most ``_NARROW_TOP_K * k`` wide (as the candidates that
+    ``_top_k_blocks`` rescores mostly are) is selected by exactly that
+    stable argsort.  A wider one goes through one ``argpartition`` at k - 1,
+    and only rows with a tie across the k-th value fall back to the stable
+    argsort.
     """
     np.negative(sims, out=sims)
     if k == 0:
         return np.empty((sims.shape[0], 0), dtype=np.int64), np.empty((sims.shape[0], 0))
+    if sims.shape[1] <= _NARROW_TOP_K * k:
+        top = np.argsort(sims, axis=1, kind="stable")[:, :k]
+        return top, -np.take_along_axis(sims, top, axis=1)
     top = np.argpartition(sims, k - 1, axis=1)[:, :k].copy()
     kth = np.take_along_axis(sims, top[:, k - 1:k], axis=1)
     # a row whose k-th value repeats outside the chosen k has a tie across
@@ -422,18 +445,10 @@ def _screened_top_k(q: np.ndarray, base: np.ndarray, k: int, cap: int,
     kth, top = scratch[:, at], scratch[:, at:].max(axis=1)
     margin = 8 * base.shape[1] * 2.0 ** -53
     np.greater_equal(screen, (kth - margin)[:, None], out=mask)
-    counts = np.count_nonzero(mask, axis=1)
-    ok = np.isfinite(kth) & np.isfinite(top) & (counts <= cap)
-    mask[~ok] = False
-    counts[~ok] = 0
-    # row-major flat indices give each row's candidate columns ascending
-    flat = np.flatnonzero(mask)
-    r, c = np.divmod(flat, n_b)
-    width = max(k, int(counts.max()))
-    cand = np.zeros((rows, width), dtype=np.int64)
-    cand[r, np.arange(flat.size) - (np.cumsum(counts) - counts)[r]] = c
+    cand, counts, ok = _screen_candidates(mask, np.isfinite(kth) & np.isfinite(top),
+                                          k, cap)
     sims = _gathered_sims(q, base, cand)
-    sims[np.arange(width) >= counts[:, None]] = -np.inf
+    sims[np.arange(cand.shape[1]) >= counts[:, None]] = -np.inf
     pos, vals = _top_k(sims, k)
     cols = np.take_along_axis(cand, pos, axis=1)
     fallback = np.flatnonzero(~ok)
@@ -443,6 +458,31 @@ def _screened_top_k(q: np.ndarray, base: np.ndarray, k: int, cap: int,
             full[np.arange(fallback.size), self_cols[fallback]] = -np.inf
         cols[fallback], vals[fallback] = _top_k(full, k)
     return cols, vals
+
+
+def _screen_candidates(mask: np.ndarray, finite: np.ndarray, k: int, cap: int
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cand, counts, ok) of a chunk's screen ``mask``: row i is ``ok`` when
+    its screen is ``finite`` and passes at most ``cap`` candidates; then
+    ``cand[i, :counts[i]]`` lists them in ascending column order.  Rows that
+    are not ok have no candidates (they are scored in full), and ``cand`` is
+    at least k wide."""
+    rows, n_b = mask.shape
+    # row-major flat indices give each row's candidate columns ascending,
+    # and row i's run of them starts where i * n_b would be inserted
+    flat = np.flatnonzero(mask)
+    starts = np.searchsorted(flat, np.arange(rows + 1) * n_b)
+    counts = np.diff(starts)
+    ok = finite & (counts <= cap)
+    r, c = np.divmod(flat, n_b)
+    at = np.arange(flat.size) - starts[r]
+    if not ok.all():
+        keep = ok[r]
+        r, c, at = r[keep], c[keep], at[keep]
+        counts[~ok] = 0
+    cand = np.zeros((rows, max(k, int(counts.max()))), dtype=np.int64)
+    cand[r, at] = c
+    return cand, counts, ok
 
 
 def _self_join_order(normed: np.ndarray, depth: int) -> np.ndarray:

@@ -32,7 +32,7 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,8 +46,14 @@ from .graph import (
     build_knn_graph,
     empty_graph,
 )
-from .matrixio import DatasetBundle, make_bundle, validate_labels, validate_matrix
-from .metrics import MetricSummary, evaluate, sscv
+from .matrixio import (
+    DatasetBundle,
+    make_bundle,
+    validate_labels,
+    validate_matrix,
+    validate_probabilities,
+)
+from .metrics import MetricSummary, _measure
 from .propagate import (
     NeighborMeans,
     SnapsParams,
@@ -64,7 +70,8 @@ from .scores import (
     RapsParams,
     ScoreMatrix,
     XiPolicy,
-    aps_scores,
+    _aps_from_mass,
+    _mass_above,
     probability_ranks,
     raps_penalty,
 )
@@ -347,8 +354,7 @@ def _evaluate_trial(scores, labels: np.ndarray, calib: np.ndarray,
         summary = MetricSummary(coverage=None, size=float(sets.sizes().mean()),
                                 sh=None, sscv=None, n_eval=int(test.shape[0]))
     else:
-        summary = replace(evaluate(sets, labels),
-                          sscv=sscv(sets, labels, alpha=alpha))
+        summary = _measure(sets, labels, None, alpha)
     return TrialResult(model_split, conformal_split, summary, params)
 
 
@@ -413,11 +419,14 @@ def run_experiment(bundle: DatasetBundle, cfg: ExperimentConfig) -> TrialReport:
     aggregated = cfg.method in ("daps", "snaps")
     base_is_raps = cfg.method == "raps" or (aggregated and cfg.base == "raps")
     trials: list[TrialResult] = []
+    # the APS mass and the ranks depend on the probabilities alone
+    P = validate_probabilities(bundle.probabilities)
+    mass = _mass_above(P)
+    ranks = probability_ranks(P) if base_is_raps else None
 
     for ms in range(cfg.n_model_splits):
         xi = XiPolicy("uniform", seed=_derive_seed(cfg.seed, 0xA1, ms))
-        base_aps = aps_scores(bundle.probabilities, xi)
-        ranks = probability_ranks(bundle.probabilities) if base_is_raps else None
+        base_aps = _aps_from_mass(mass, P, xi)
         split_rng = np.random.default_rng([cfg.seed & _MASK32, 0xB2, ms])
         train, valid, pool = _sample_train_valid(labels, num_classes, split_rng)
         nm_aps = neighbor_means(base_aps.values, knn, adj) if aggregated else None
@@ -490,9 +499,11 @@ def run_oracle_experiment(bundle: DatasetBundle, alpha: float = 0.05,
     labels = bundle.labels
     all_nodes = np.arange(bundle.n)
     by_m: dict[int, list[TrialResult]] = {int(m): [] for m in m_sweep}
+    P = validate_probabilities(bundle.probabilities)
+    mass = _mass_above(P)
     for t in range(n_trials):
         xi = XiPolicy("uniform", seed=_derive_seed(seed, 0x11, t))
-        base = aps_scores(bundle.probabilities, xi)
+        base = _aps_from_mass(mass, P, xi)
         rng = np.random.default_rng([seed & _MASK32, 0x22, t])
         calib, test = _split_pool(all_nodes, calib_rule, calib_size, rng)
         agg_seed = _derive_seed(seed, 0x33, t)
@@ -529,24 +540,24 @@ def _image_pool_order(feats: np.ndarray, c: int, k: int,
     return _self_join_order(_normalized_rows(feats)[0], depth)
 
 
-def _image_scores(P: np.ndarray, feats: np.ndarray, calib: np.ndarray,
-                  test: np.ndarray, xi: XiPolicy, k: int, eta: float,
+def _image_scores(base: ScoreMatrix, feats: np.ndarray, calib: np.ndarray,
+                  test: np.ndarray, k: int, eta: float,
                   order: np.ndarray | None = None) -> np.ndarray:
-    """One image-mode trial's corrected scores for every row of ``P``.
+    """One image-mode trial's corrected scores for every row of ``base``.
 
-    APS scores (node ids are row indices) are mixed, on calibration rows,
-    with the mean scores of their k most similar other calibration rows and,
-    on test rows, with those of their k most similar calibration rows.
-    ``order`` is the pool order from ``_image_pool_order`` (``calib`` sorted);
-    it is mapped to calibration positions for ``image_snaps``'s
-    ``candidates``."""
-    base = aps_scores(P, xi)
+    The trial's APS scores ``base`` (node ids are row indices) are mixed, on
+    calibration rows, with the mean scores of their k most similar other
+    calibration rows and, on test rows, with those of their k most similar
+    calibration rows.  ``order`` is the pool order from
+    ``_image_pool_order`` (``calib`` sorted); it is mapped to calibration
+    positions for ``image_snaps``'s ``candidates``."""
+    xi = base.xi
     s_cal = ScoreMatrix(base.values[calib], "aps", xi)
     s_test = ScoreMatrix(base.values[test], "aps", xi)
     cand_cal = cand_test = None
     if order is not None:
         # pool index -> calibration position, -1 off the calibration set
-        pos = np.full(P.shape[0], -1, dtype=np.int64)
+        pos = np.full(base.n, -1, dtype=np.int64)
         pos[calib] = np.arange(calib.shape[0])
         cand_cal, cand_test = pos[order[calib]], pos[order[test]]
     corr_cal = image_snaps(s_cal, s_cal, feats[calib], feats[calib],
@@ -559,6 +570,20 @@ def _image_scores(P: np.ndarray, feats: np.ndarray, calib: np.ndarray,
     return full
 
 
+def _image_trial(P: np.ndarray, mass: np.ndarray, feats: np.ndarray,
+                 labels: np.ndarray, c: int, k: int, eta: float, alpha: float,
+                 seed: int, t: int, order: np.ndarray | None) -> TrialResult:
+    """Trial ``t`` of ``run_image_experiment``: draw its split and xi, add
+    the xi share to the run's APS ``mass``, correct and evaluate."""
+    perm = np.random.default_rng([seed & _MASK32, 0xE5, t]).permutation(P.shape[0])
+    calib, test = np.sort(perm[:c]), np.sort(perm[c:])
+    xi = XiPolicy("uniform", seed=_derive_seed(seed, 0xF6, t))
+    full = _image_scores(_aps_from_mass(mass, P, xi), feats, calib, test, k, eta,
+                         order)
+    return _evaluate_trial(full, labels, calib, test, alpha, 0, t,
+                           {"k": k, "eta": eta})
+
+
 def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
                          k: int = 5, eta: float = 0.5, n_trials: int = 10,
                          calib_size: int | None = None,
@@ -568,12 +593,15 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
     exclude themselves), then calibrate and evaluate.  ``eta=0`` reduces to
     the plain adaptive score.
 
-    Every trial draws its calibration set from the same pool, so when the
-    trials together would score more pairs than the pool has, the pool's
-    similarity order is built once and each trial reads its neighbors from
-    it (``image_snaps``'s ``candidates``); the report is bit-identical to
-    scoring every trial from scratch.  Non-finite features and labels
-    outside [0, K) are rejected."""
+    Each trial does only the work its split and xi change.  The
+    probabilities are validated, and their APS mass (``scores._mass_above``)
+    computed, once per run; a trial adds its own xi share.  Every trial
+    draws its calibration set from the same pool, so when the trials
+    together would score more pairs than the pool has, the pool's similarity
+    order is built once and each trial reads its neighbors from it
+    (``image_snaps``'s ``candidates``).  The report is bit-identical to
+    scoring every trial from scratch.  Non-finite features, probability rows
+    that do not sum to 1 and labels outside [0, K) are rejected."""
     P = validate_matrix(probabilities, "probabilities")
     feats = validate_matrix(features, "features")
     labels = np.asarray(labels, dtype=np.int64)
@@ -586,17 +614,11 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
         raise ValidationError(f"calibration size {c} out of range")
     if k > c:
         raise ValidationError(f"k={k} exceeds calibration size {c}")
+    validate_probabilities(P)
     order = _image_pool_order(feats, c, k, n_trials) if eta > 0.0 else None
-    trials = []
-    for t in range(n_trials):
-        rng = np.random.default_rng([seed & _MASK32, 0xE5, t])
-        perm = rng.permutation(n)
-        calib = np.sort(perm[:c])
-        test = np.sort(perm[c:])
-        xi = XiPolicy("uniform", seed=_derive_seed(seed, 0xF6, t))
-        full = _image_scores(P, feats, calib, test, xi, k, eta, order)
-        trials.append(_evaluate_trial(full, labels, calib, test, alpha, 0, t,
-                                      {"k": k, "eta": eta}))
+    mass = _mass_above(P)
+    trials = [_image_trial(P, mass, feats, labels, c, k, eta, alpha, seed, t,
+                           order) for t in range(n_trials)]
     config = {
         "mode": "image", "dataset": {"name": name, "n": n,
                                      "num_classes": int(P.shape[1])},

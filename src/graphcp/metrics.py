@@ -38,34 +38,24 @@ def _check_sets(sets, labels, eval_idx):
     return labels, eval_idx
 
 
-def evaluate(sets, labels, eval_idx=None) -> MetricSummary:
-    """Coverage, mean set size, and singleton-hit ratio over the eval nodes.
-
-    A singleton hit is a set that is exactly the correct single label, so
-    sh <= coverage always.  ``sscv`` is left unset here; see :func:`sscv`.
-    """
+def _measure(sets, labels, eval_idx, alpha: float | None) -> MetricSummary:
+    """One counting pass: whether each eval node's true label is in its set
+    and each set's size, from which coverage, Size, singleton hit and, when
+    ``alpha`` is given, SSCV all follow.  ``evaluate`` and ``sscv`` are
+    views of this summary."""
     labels, eval_idx = _check_sets(sets, labels, eval_idx)
     true_in = sets.mask[np.arange(eval_idx.shape[0]), labels[eval_idx]]
     sizes = sets.sizes()
-    coverage = float(true_in.mean())
-    size = float(sizes.mean())
-    sh = float((true_in & (sizes == 1)).mean())
-    return MetricSummary(coverage=coverage, size=size, sh=sh, sscv=None,
-                         n_eval=int(eval_idx.shape[0]))
+    return MetricSummary(
+        coverage=float(true_in.mean()), size=float(sizes.mean()),
+        sh=float((true_in & (sizes == 1)).mean()),
+        sscv=None if alpha is None else _worst_stratum(true_in, sizes,
+                                                      sets.num_classes, alpha),
+        n_eval=int(eval_idx.shape[0]))
 
 
-def sscv(sets, labels, eval_idx=None, alpha: float = 0.05) -> float | None:
-    """Largest per-stratum deviation of coverage from 1 - alpha.
-
-    Nodes are stratified by prediction-set size; empty strata are skipped.
-    Returns None only if no stratum is populated.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha={alpha} must lie in (0, 1)")
-    labels, eval_idx = _check_sets(sets, labels, eval_idx)
-    true_in = sets.mask[np.arange(eval_idx.shape[0]), labels[eval_idx]]
-    sizes = sets.sizes()
-    num_classes = sets.num_classes
+def _worst_stratum(true_in: np.ndarray, sizes: np.ndarray, num_classes: int,
+                   alpha: float) -> float | None:
     worst = None
     for lo, hi in SSCV_STRATA:
         if lo > num_classes:
@@ -79,3 +69,23 @@ def sscv(sets, labels, eval_idx=None, alpha: float = 0.05) -> float | None:
         if worst is None or dev > worst:
             worst = dev
     return worst
+
+
+def evaluate(sets, labels, eval_idx=None) -> MetricSummary:
+    """Coverage, mean set size, and singleton-hit ratio over the eval nodes.
+
+    A singleton hit is a set that is exactly the correct single label, so
+    sh <= coverage always.  ``sscv`` is left unset here; see :func:`sscv`.
+    """
+    return _measure(sets, labels, eval_idx, None)
+
+
+def sscv(sets, labels, eval_idx=None, alpha: float = 0.05) -> float | None:
+    """Largest per-stratum deviation of coverage from 1 - alpha.
+
+    Nodes are stratified by prediction-set size; empty strata are skipped.
+    Returns None only if no stratum is populated.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha={alpha} must lie in (0, 1)")
+    return _measure(sets, labels, eval_idx, alpha).sscv

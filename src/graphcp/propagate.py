@@ -261,10 +261,13 @@ def oracle_aggregate(S: ScoreMatrix, labels: np.ndarray, m: int, w: float,
 
 def _first_hits(candidates: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows of ``candidates`` with at least k non-negative entries, and those
-    rows' first k such entries, in order, as a (rows, k) array."""
+    rows' first k such entries, in order, as a (rows, k) array.  The running
+    count of hits fits the narrowest type that holds the row length."""
+    rows, depth = candidates.shape
     hit = candidates >= 0
-    first = hit & (np.cumsum(hit, axis=1) <= k)
-    resolved = np.count_nonzero(first, axis=1) == k
+    seen = np.cumsum(hit, axis=1, dtype=np.min_scalar_type(depth))
+    first = hit & (seen <= k)
+    resolved = seen[:, -1] >= k if depth else np.zeros(rows, dtype=bool)
     first &= resolved[:, None]
     return resolved, candidates[first].reshape(np.count_nonzero(resolved), k)
 

@@ -136,14 +136,23 @@ def _mass_above(P: np.ndarray) -> np.ndarray:
     return out
 
 
-def aps_scores(P: np.ndarray, xi: XiPolicy, node_ids=None) -> ScoreMatrix:
-    """Adaptive scores for every (node, class) pair; entries lie in [0, 1]."""
-    P = validate_probabilities(P)
+def _aps_from_mass(mass: np.ndarray, P: np.ndarray, xi: XiPolicy,
+                   node_ids=None) -> ScoreMatrix:
+    """The one adaptive-score formula, ``mass + xi * P``, for validated
+    probabilities ``P`` and ``mass = _mass_above(P)``.  The mass depends on
+    ``P`` alone, so a run that draws a new xi per trial computes it once."""
     ids = _default_ids(P, node_ids)
-    xi_vals = xi.matrix(ids, P.shape[1])
-    values = _mass_above(P) + xi_vals * P
+    values = mass + xi.matrix(ids, P.shape[1]) * P
     values.setflags(write=False)
     return ScoreMatrix(values, "aps", xi)
+
+
+def aps_scores(P: np.ndarray, xi: XiPolicy, node_ids=None) -> ScoreMatrix:
+    """Adaptive scores for every (node, class) pair; entries lie in [0, 1].
+
+    ``_aps_from_mass`` of the validated ``P`` and its ``_mass_above``."""
+    P = validate_probabilities(P)
+    return _aps_from_mass(_mass_above(P), P, xi, node_ids)
 
 
 def probability_ranks(P: np.ndarray) -> np.ndarray:

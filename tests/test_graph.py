@@ -561,3 +561,77 @@ def test_exact_row_sums_fall_back_to_fsum_only_where_uncertified(monkeypatch):
 def test_duplicate_arcs_rejected():
     with pytest.raises(ValidationError, match="duplicate arc"):
         g.from_arcs(3, [(0, 1), (0, 1)])
+
+
+def test_from_arcs_rejects_n_whose_arc_keys_overflow():
+    n = g.graph._MAX_ARC_KEY_N
+    assert n * n <= np.iinfo(np.int64).max < (n + 1) * (n + 1)
+    with pytest.raises(ValidationError, match="too large"):
+        g.from_arcs(n + 1, np.empty((0, 2), dtype=np.int64))
+
+
+def lexsort_from_arcs(n, arcs, weights):
+    """The lexsort construction from_arcs had before its key order, as
+    reference: (row offsets, columns, weights), or the duplicate message."""
+    order = np.lexsort((arcs[:, 1], arcs[:, 0]))
+    arcs, weights = arcs[order], weights[order]
+    if arcs.shape[0] > 1:
+        dup = (np.diff(arcs[:, 0]) == 0) & (np.diff(arcs[:, 1]) == 0)
+        if dup.any():
+            u, v = arcs[1:][dup][0]
+            return f"duplicate arc ({u}, {v})"
+    counts = np.bincount(arcs[:, 0], minlength=n)
+    return np.concatenate([[0], np.cumsum(counts)]), arcs[:, 1], weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_from_arcs_matches_the_lexsort_construction(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    node = st.integers(0, n - 1)
+    drawn = data.draw(st.lists(st.tuples(node, node), max_size=40), label="arcs")
+    kind = data.draw(st.sampled_from(["sorted", "shuffled", "duplicated"]), label="kind")
+    arcs = sorted(set(drawn))
+    if kind != "sorted":
+        arcs = data.draw(st.permutations(arcs), label="order")
+    if kind == "duplicated" and arcs:
+        arcs.insert(data.draw(st.integers(0, len(arcs)), label="at"),
+                    data.draw(st.sampled_from(arcs), label="twin"))
+    arcs = np.array(arcs, dtype=np.int64).reshape(-1, 2)
+    # distinct weights show that each weight follows its arc
+    weights = np.arange(arcs.shape[0]) + 0.5
+    want = lexsort_from_arcs(n, arcs, weights)
+    if isinstance(want, str):
+        with pytest.raises(ValidationError) as err:
+            g.from_arcs(n, arcs, weights)
+        assert str(err.value) == want
+        return
+    graph = g.from_arcs(n, arcs, weights)
+    for got, expected in zip((graph.row_offsets, graph.col_indices, graph.weights), want):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_from_arcs_of_no_arcs_matches_the_lexsort_construction():
+    arcs = np.empty((0, 2), dtype=np.int64)
+    graph = g.from_arcs(4, arcs)
+    offsets, cols, weights = lexsort_from_arcs(4, arcs, np.ones(0))
+    assert np.array_equal(graph.row_offsets, offsets)
+    assert graph.col_indices.shape == graph.weights.shape == (0,)
+
+
+def test_top_k_sorts_blocks_up_to_2k_wide_whole(monkeypatch):
+    partitioned = []
+    real = np.argpartition
+    monkeypatch.setattr(g.graph.np, "argpartition",
+                        lambda a, *args, **kw: partitioned.append(a.shape) or real(a, *args, **kw))
+    rng = np.random.default_rng(8)
+    k = 4
+    assert g.graph._NARROW_TOP_K == 2
+    for width, wide in ((1, False), (2 * k, False), (2 * k + 1, True), (5 * k, True)):
+        sims = rng.integers(-2, 3, size=(5, width)).astype(float)
+        partitioned.clear()
+        cols, vals = g.graph._top_k(sims.copy(), min(k, width))
+        expected = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(cols, expected)
+        assert np.array_equal(vals, np.take_along_axis(sims, expected, axis=1))
+        assert bool(partitioned) == wide

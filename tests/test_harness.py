@@ -621,3 +621,13 @@ def test_image_experiment_rejects_out_of_range_labels(small_bundle):
     with pytest.raises(ValidationError, match="label -1 at row 7"):
         g.run_image_experiment(small_bundle.probabilities, small_bundle.features, labels,
                                k=3, n_trials=2, calib_size=100)
+
+
+def test_a_labeled_trial_counts_its_sets_once(small_bundle, monkeypatch):
+    sizes_calls = []
+    real = g.PredictionSets.sizes
+    monkeypatch.setattr(g.PredictionSets, "sizes",
+                        lambda self: sizes_calls.append(1) or real(self))
+    g.run_image_experiment(small_bundle.probabilities, small_bundle.features,
+                           small_bundle.labels, k=3, n_trials=3, calib_size=100, seed=5)
+    assert len(sizes_calls) == 3

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,21 @@ def test_sscv_matches_naive_loop(n, k, alpha, seed):
     assert g.sscv(make_sets(mask), labels, alpha=alpha) == pytest.approx(
         sscv_oracle(mask, labels, alpha)
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=80), st.integers(min_value=2, max_value=12),
+       st.sampled_from([0.05, 0.1, 0.2]), st.integers(min_value=0, max_value=2 ** 31))
+def test_one_counting_pass_gives_every_metric(n, k, alpha, seed):
+    rng = np.random.default_rng(seed)
+    mask = rng.uniform(size=(n, k)) < rng.uniform(0.1, 0.9)
+    labels = rng.integers(0, k, size=n)
+    sets = make_sets(mask)
+    summary = g.metrics._measure(sets, labels, None, alpha)
+    assert summary == replace(g.evaluate(sets, labels), sscv=g.sscv(sets, labels, alpha=alpha))
+    cov, sz, sh = evaluate_oracle(mask, labels)
+    assert (summary.coverage, summary.size, summary.sh, summary.sscv) == pytest.approx(
+        (cov, sz, sh, sscv_oracle(mask, labels, alpha)))
 
 
 def test_sscv_invariant_to_node_order():

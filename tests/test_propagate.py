@@ -465,3 +465,18 @@ def test_image_snaps_rejects_non_finite_features(side):
     (feats_eval if side == "eval" else feats_calib)[2, 1] = np.nan
     with pytest.raises(ValidationError, match=f"feats_{side}: non-finite value at row 2, col 1"):
         g.image_snaps(S, S, feats_eval, feats_calib, k=2, eta=0.5)
+
+
+@pytest.mark.parametrize("depth", [256, 300])
+def test_first_hits_counts_hits_past_column_255(depth):
+    rng = np.random.default_rng(depth)
+    cand = np.where(rng.random((6, depth)) < 0.9, rng.integers(0, 50, size=(6, depth)), -1)
+    cand[0] = np.arange(depth)  # every entry a hit: hit 256 sits at column 255
+    cand[1] = -1
+    cand[1, -3:] = 7            # hits only past column 255
+    cand[2] = -1                # no hit at all
+    for k in (1, 3, 255, 256, 257, depth):
+        resolved, picked = g.propagate._first_hits(cand, k)
+        want = [row[row >= 0][:k] for row in cand]
+        assert resolved.tolist() == [w.size == k for w in want]
+        assert picked.tolist() == [w.tolist() for w in want if w.size == k]
