@@ -35,8 +35,10 @@ chunks are sized so that a screen block and its partition copy stay within
 ``_CHUNK_TARGET`` elements together (8 MB of float64); candidate gathers
 stay within ``_SAMPLED_GATHER`` elements (4 MB).  Image mode over many
 splits of one pool runs the kernel once, as a self-join of the pool at a
-fixed depth (``_self_join_order``), and reads each split's neighbors from
-that order.
+fixed depth (``_self_join_order``): each split takes a row's first
+calibration rows in that order as its neighbors, and only rows with too few
+of them there go through ``_top_k_blocks`` against the split's calibration
+rows (``harness._image_scores``).
 
 Row sums over arcs (a graph's degrees, and the neighbor sums behind
 ``propagate.weighted_row_means``) come from one exact-sum kernel,

@@ -33,6 +33,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .graph import (
     KnnConfig,
     _normalized_rows,
     _self_join_order,
+    _top_k_blocks,
     adjacency_graph,
     build_knn_graph,
     empty_graph,
@@ -57,6 +59,7 @@ from .metrics import MetricSummary, _measure
 from .propagate import (
     NeighborMeans,
     SnapsParams,
+    _image_mix,
     _mix,
     _mix_weights,
     _pair_blocks,
@@ -423,6 +426,16 @@ def run_experiment(bundle: DatasetBundle, cfg: ExperimentConfig) -> TrialReport:
     P = validate_probabilities(bundle.probabilities)
     mass = _mass_above(P)
     ranks = probability_ranks(P) if base_is_raps else None
+    # the rank penalty's neighbor means depend on the ranks and the graphs
+    # alone, one per k_reg in use: fixed RAPS parameters use one k_reg;
+    # tuning may pick any
+    nm_relu: dict[int, NeighborMeans] = {}
+    if aggregated and base_is_raps:
+        k_regs = (range(1, min(num_classes, RAPS_MAX_KREG) + 1)
+                  if cfg.raps_params is None else [cfg.raps_params.k_reg])
+        for k_reg in k_regs:
+            pen = np.maximum(0, ranks - k_reg).astype(np.float64)
+            nm_relu[k_reg] = neighbor_means(pen, knn, adj)
 
     for ms in range(cfg.n_model_splits):
         xi = XiPolicy("uniform", seed=_derive_seed(cfg.seed, 0xA1, ms))
@@ -430,14 +443,6 @@ def run_experiment(bundle: DatasetBundle, cfg: ExperimentConfig) -> TrialReport:
         split_rng = np.random.default_rng([cfg.seed & _MASK32, 0xB2, ms])
         train, valid, pool = _sample_train_valid(labels, num_classes, split_rng)
         nm_aps = neighbor_means(base_aps.values, knn, adj) if aggregated else None
-        nm_relu: dict[int, NeighborMeans] = {}
-        if aggregated and base_is_raps:
-            # fixed RAPS parameters use one k_reg; tuning may pick any
-            k_regs = (range(1, min(num_classes, RAPS_MAX_KREG) + 1)
-                      if cfg.raps_params is None else [cfg.raps_params.k_reg])
-            for k_reg in k_regs:
-                pen = np.maximum(0, ranks - k_reg).astype(np.float64)
-                nm_relu[k_reg] = neighbor_means(pen, knn, adj)
 
         def one_trial(cs: int) -> TrialResult:
             rng_split = np.random.default_rng([cfg.seed & _MASK32, 0xC3, ms, cs])
@@ -524,62 +529,116 @@ def run_oracle_experiment(bundle: DatasetBundle, alpha: float = 0.05,
     return reports
 
 
+class _ImagePool(NamedTuple):
+    """What an image-mode run computes once for all its splits of one pool:
+    the unit feature rows, the zero-norm mask and the self-join ``order``."""
+
+    normed: np.ndarray
+    zero: np.ndarray
+    order: np.ndarray
+
+
 def _image_pool_order(feats: np.ndarray, c: int, k: int,
-                      n_trials: int) -> np.ndarray | None:
+                      n_trials: int) -> _ImagePool | None:
     """Each pool row's most similar other pool rows, in ``image_snaps``'s
-    neighbor order, or None when scoring the pool once costs more pairs than
-    the trials would score (n - 1 >= n_trials * c).
+    neighbor order, with the unit rows and zero-norm mask they come from;
+    None when scoring the pool once costs more pairs than the trials would
+    score (n - 1 >= n_trials * c).
 
     The depth is the smallest T at which a row expects 4k calibration rows in
     its list (T c / (n - 1) >= 4k); rows that still fall short are scored by
-    ``image_snaps`` itself."""
+    the top-k kernel in ``_image_scores``."""
     n = feats.shape[0]
     if n - 1 >= n_trials * c:
         return None
     depth = min(n - 1, -(-4 * k * (n - 1) // c))
-    return _self_join_order(_normalized_rows(feats)[0], depth)
+    normed, zero = _normalized_rows(feats)
+    return _ImagePool(normed, zero, _self_join_order(normed, depth))
+
+
+def _calib_hits(order: np.ndarray, calib: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hits, starts): the flat positions of the (n, depth) ``order`` that
+    hold a ``calib`` row, ascending, and where each row's run of them starts
+    (row i's hits are ``hits[starts[i]:starts[i + 1]]``)."""
+    n, depth = order.shape
+    member = np.zeros(n, dtype=bool)
+    member[calib] = True
+    hits = np.flatnonzero(member[order.ravel()])
+    # row-major positions: row i's run starts where i * depth would be inserted
+    return hits, np.searchsorted(hits, np.arange(n + 1) * depth)
+
+
+def _pool_neighbors(pool: _ImagePool, hits: np.ndarray, starts: np.ndarray,
+                    calib: np.ndarray, rows: np.ndarray, k: int,
+                    self_cols: np.ndarray | None) -> np.ndarray:
+    """(len(rows), k) pool ids: each of ``rows``' k most similar calibration
+    rows, most similar first, ties to the smaller id.
+
+    ``hits`` and ``starts`` locate the calibration rows in ``pool.order``
+    (``_calib_hits``).  The order lists a row's most similar other rows,
+    ties to the smaller id, and ``calib`` is sorted, so a row with at least
+    k hits has its first k as its calibration top-k.  The other rows are
+    scored against the calibration rows by ``_top_k_blocks``, without the
+    column ``self_cols`` gives (a calibration row's own position)."""
+    first = starts[rows]
+    ok = starts[rows + 1] - first >= k
+    nbrs = np.empty((rows.shape[0], k), dtype=np.int64)
+    nbrs[ok] = pool.order.ravel()[hits[first[ok, None] + np.arange(k)]]
+    short = np.flatnonzero(~ok)
+    if short.size:
+        blocks = _top_k_blocks(pool.normed[rows[short]], pool.normed[calib], k,
+                               None if self_cols is None else self_cols[short])
+        for start, stop, cols, _ in blocks:
+            nbrs[short[start:stop]] = calib[cols]
+    return nbrs
 
 
 def _image_scores(base: ScoreMatrix, feats: np.ndarray, calib: np.ndarray,
                   test: np.ndarray, k: int, eta: float,
-                  order: np.ndarray | None = None) -> np.ndarray:
+                  pool: _ImagePool | None = None) -> np.ndarray:
     """One image-mode trial's corrected scores for every row of ``base``.
 
     The trial's APS scores ``base`` (node ids are row indices) are mixed, on
     calibration rows, with the mean scores of their k most similar other
     calibration rows and, on test rows, with those of their k most similar
-    calibration rows.  ``order`` is the pool order from
-    ``_image_pool_order`` (``calib`` sorted); it is mapped to calibration
-    positions for ``image_snaps``'s ``candidates``."""
-    xi = base.xi
-    s_cal = ScoreMatrix(base.values[calib], "aps", xi)
-    s_test = ScoreMatrix(base.values[test], "aps", xi)
-    cand_cal = cand_test = None
-    if order is not None:
-        # pool index -> calibration position, -1 off the calibration set
-        pos = np.full(base.n, -1, dtype=np.int64)
-        pos[calib] = np.arange(calib.shape[0])
-        cand_cal, cand_test = pos[order[calib]], pos[order[test]]
-    corr_cal = image_snaps(s_cal, s_cal, feats[calib], feats[calib],
-                           k=k, eta=eta, exclude_self=True, candidates=cand_cal)
-    corr_test = image_snaps(s_test, s_cal, feats[test], feats[calib],
-                            k=k, eta=eta, candidates=cand_test)
-    full = np.empty_like(base.values)
-    full[calib] = corr_cal.values
-    full[test] = corr_test.values
+    calibration rows.  Without ``pool`` each side is one ``image_snaps``
+    call.  With the ``pool`` from ``_image_pool_order`` (``calib`` sorted),
+    one pass over the pool order finds every row's calibration hits, as pool
+    ids (``_pool_neighbors``), and ``propagate._image_mix`` mixes the rows;
+    the scores are the same bits."""
+    if pool is None:
+        xi = base.xi
+        s_cal = ScoreMatrix(base.values[calib], "aps", xi)
+        s_test = ScoreMatrix(base.values[test], "aps", xi)
+        corr_cal = image_snaps(s_cal, s_cal, feats[calib], feats[calib],
+                               k=k, eta=eta, exclude_self=True)
+        corr_test = image_snaps(s_test, s_cal, feats[test], feats[calib],
+                                k=k, eta=eta)
+        full = np.empty_like(base.values)
+        full[calib] = corr_cal.values
+        full[test] = corr_test.values
+        return full
+    hits, starts = _calib_hits(pool.order, calib)
+    c = calib.shape[0]
+    values = base.values
+    full = np.empty_like(values)
+    for rows, k_eff, self_cols in ((calib, min(k, c - 1), np.arange(c)),
+                                   (test, k, None)):
+        nbrs = _pool_neighbors(pool, hits, starts, calib, rows, k_eff, self_cols)
+        full[rows] = _image_mix(values[rows], values, nbrs, eta, pool.zero[rows])
     return full
 
 
 def _image_trial(P: np.ndarray, mass: np.ndarray, feats: np.ndarray,
                  labels: np.ndarray, c: int, k: int, eta: float, alpha: float,
-                 seed: int, t: int, order: np.ndarray | None) -> TrialResult:
+                 seed: int, t: int, pool: _ImagePool | None) -> TrialResult:
     """Trial ``t`` of ``run_image_experiment``: draw its split and xi, add
     the xi share to the run's APS ``mass``, correct and evaluate."""
     perm = np.random.default_rng([seed & _MASK32, 0xE5, t]).permutation(P.shape[0])
     calib, test = np.sort(perm[:c]), np.sort(perm[c:])
     xi = XiPolicy("uniform", seed=_derive_seed(seed, 0xF6, t))
     full = _image_scores(_aps_from_mass(mass, P, xi), feats, calib, test, k, eta,
-                         order)
+                         pool)
     return _evaluate_trial(full, labels, calib, test, alpha, 0, t,
                            {"k": k, "eta": eta})
 
@@ -597,11 +656,14 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
     probabilities are validated, and their APS mass (``scores._mass_above``)
     computed, once per run; a trial adds its own xi share.  Every trial
     draws its calibration set from the same pool, so when the trials
-    together would score more pairs than the pool has, the pool's similarity
-    order is built once and each trial reads its neighbors from it
-    (``image_snaps``'s ``candidates``).  The report is bit-identical to
-    scoring every trial from scratch.  Non-finite features, probability rows
-    that do not sum to 1 and labels outside [0, K) are rejected."""
+    together would score more pairs than the pool has, the pool's unit rows
+    and similarity order are built once (``_image_pool_order``), and each
+    trial finds all its rows' neighbors in one pass over that order, scoring
+    only the rows it leaves short (``_image_scores``).  The report is
+    bit-identical to scoring every trial from scratch with ``image_snaps``.
+    Non-finite features, probability rows that do not sum to 1, labels
+    outside [0, K), eta outside [0, 1], k outside [1, c] and a calibration
+    set of one row (which has no other row to average) are rejected."""
     P = validate_matrix(probabilities, "probabilities")
     feats = validate_matrix(features, "features")
     labels = np.asarray(labels, dtype=np.int64)
@@ -614,11 +676,18 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
         raise ValidationError(f"calibration size {c} out of range")
     if k > c:
         raise ValidationError(f"k={k} exceeds calibration size {c}")
+    if k < 1:
+        raise ValidationError(f"k={k} must lie in [1, {c}]")
+    if c < 2:
+        raise ValidationError(f"calibration set has {c} row(s); excluding "
+                              "self needs at least 2")
+    if not 0.0 <= eta <= 1.0:
+        raise ValidationError("eta must lie in [0, 1]")
     validate_probabilities(P)
-    order = _image_pool_order(feats, c, k, n_trials) if eta > 0.0 else None
+    pool = _image_pool_order(feats, c, k, n_trials) if eta > 0.0 else None
     mass = _mass_above(P)
     trials = [_image_trial(P, mass, feats, labels, c, k, eta, alpha, seed, t,
-                           order) for t in range(n_trials)]
+                           pool) for t in range(n_trials)]
     config = {
         "mode": "image", "dataset": {"name": name, "n": n,
                                      "num_classes": int(P.shape[1])},

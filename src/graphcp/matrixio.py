@@ -198,13 +198,56 @@ def write_matrix(mat: np.ndarray, path, format: str | None = None) -> None:
         raise ValidationError(f"unknown matrix format: {fmt!r}")
 
 
+# byte classes of plain label and edge files: 0 space or tab, 1 newline,
+# 2 digit, 3 minus, 4 anything else
+_BYTE_CLASS = np.full(256, 4, dtype=np.uint8)
+_BYTE_CLASS[[ord(" "), ord("\t")]] = 0
+_BYTE_CLASS[ord("\n")] = 1
+_BYTE_CLASS[ord("0"):ord("9") + 1] = 2
+_BYTE_CLASS[ord("-")] = 3
+
+
 def load_labels(path, num_classes: int | None = None) -> np.ndarray:
     """One integer label per line, each in [0, num_classes); the first label
-    outside that range is named by its file, line and value."""
+    outside that range is named by its file, line and value.
+
+    A plain file is parsed at once (``_parse_label_bytes``); any other file
+    goes through the line loop, which gives the same labels or names the
+    first bad line."""
     path = Path(path)
     _require_file(path)
     # without a class count, any label an int64 holds
     limit = 2 ** 63 if num_classes is None else num_classes
+    labels = _parse_label_bytes(path.read_bytes(), limit)
+    return _load_label_lines(path, limit) if labels is None else labels
+
+
+def _parse_label_bytes(raw: bytes, limit: int) -> np.ndarray | None:
+    """The labels of an ASCII file in which every line is blank (spaces and
+    tabs) or one token ``[0-9]{1,18}`` with a value below ``limit``, between
+    spaces or tabs; None for any other file.  Lines end at LF, CRLF or CR,
+    as in text-mode reading."""
+    if not raw.isascii():
+        return None
+    raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    cls = _BYTE_CLASS[np.frombuffer(raw, dtype=np.uint8)]
+    if (cls > 2).any():
+        return None
+    bounds = np.diff((cls == 2).view(np.int8), prepend=0, append=0)
+    starts, ends = np.flatnonzero(bounds == 1), np.flatnonzero(bounds == -1)
+    # one token per line, of at most 18 digits
+    lines = np.searchsorted(np.flatnonzero(cls == 1), starts)
+    if (ends - starts > 18).any() or (lines[1:] == lines[:-1]).any():
+        return None
+    if not starts.size:
+        return np.empty(0, dtype=np.int64)
+    labels = np.fromstring(raw, dtype=np.int64, sep=" ")
+    if labels.size != starts.size or labels.max() >= limit:
+        return None
+    return labels
+
+
+def _load_label_lines(path: Path, limit: int) -> np.ndarray:
     out = []
     for lineno, line in _text_lines(path):
         line = line.strip()
@@ -239,13 +282,6 @@ def load_edges(path) -> np.ndarray:
     return _load_edge_lines(path) if pairs is None else pairs
 
 
-# byte classes of a plain edge file: 0 space or tab, 1 newline, 2 digit,
-# 3 minus, 4 anything else
-_EDGE_BYTE_CLASS = np.full(256, 4, dtype=np.uint8)
-_EDGE_BYTE_CLASS[[ord(" "), ord("\t")]] = 0
-_EDGE_BYTE_CLASS[ord("\n")] = 1
-_EDGE_BYTE_CLASS[ord("0"):ord("9") + 1] = 2
-_EDGE_BYTE_CLASS[ord("-")] = 3
 _COMMENT_LINE = re.compile(rb"^[ \t]*#.*$", re.MULTILINE)
 
 
@@ -257,7 +293,7 @@ def _parse_edge_bytes(raw: bytes) -> np.ndarray | None:
     if not raw.isascii():
         return None
     raw = _COMMENT_LINE.sub(b"", raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
-    cls = _EDGE_BYTE_CLASS[np.frombuffer(raw, dtype=np.uint8)]
+    cls = _BYTE_CLASS[np.frombuffer(raw, dtype=np.uint8)]
     if (cls == 4).any():
         return None
     bounds = np.diff((cls >= 2).view(np.int8), prepend=0, append=0)

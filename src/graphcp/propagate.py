@@ -259,23 +259,9 @@ def oracle_aggregate(S: ScoreMatrix, labels: np.ndarray, m: int, w: float,
     return ScoreMatrix(values, "oracle", S.xi)
 
 
-def _first_hits(candidates: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``candidates`` with at least k non-negative entries, and those
-    rows' first k such entries, in order, as a (rows, k) array.  The running
-    count of hits fits the narrowest type that holds the row length."""
-    rows, depth = candidates.shape
-    hit = candidates >= 0
-    seen = np.cumsum(hit, axis=1, dtype=np.min_scalar_type(depth))
-    first = hit & (seen <= k)
-    resolved = seen[:, -1] >= k if depth else np.zeros(rows, dtype=bool)
-    first &= resolved[:, None]
-    return resolved, candidates[first].reshape(np.count_nonzero(resolved), k)
-
-
 def image_snaps(S_eval: ScoreMatrix, S_calib: ScoreMatrix,
                 feats_eval: np.ndarray, feats_calib: np.ndarray,
-                k: int, eta: float, exclude_self: bool = False,
-                candidates: np.ndarray | None = None) -> ScoreMatrix:
+                k: int, eta: float, exclude_self: bool = False) -> ScoreMatrix:
     """Graph-free correction: mix each row with the unweighted mean score row
     of its k most cosine-similar calibration rows.
 
@@ -291,17 +277,10 @@ def image_snaps(S_eval: ScoreMatrix, S_calib: ScoreMatrix,
     and skips each row's own entry.  Zero-norm feature rows fall back to the
     uncorrected score.  Non-finite features are rejected.
 
-    ``candidates`` (optional, one row per eval row, -1 for "not a
-    calibration row") resolves neighbors without scoring: row i takes its
-    first k non-negative entries as its neighbors, in order.  The result is
-    bit-identical to the kernel's when each row of ``candidates`` is a
-    prefix of that row's tie-exact order (higher similarity first, ties to
-    the smaller index) over a superset of the calibration rows, never holds
-    the row itself, and is mapped to calibration positions that increase
-    with the superset's index: the first k calibration members of such a
-    list are exactly the row's calibration top-k.  ``harness`` builds these
-    lists once per image-mode run from a self-join of the whole pool.  Rows
-    with fewer than k entries go through the kernel.
+    This scores one split of eval and calibration rows.  Image-mode runs
+    over many splits of one pool read most neighbors from the pool's
+    similarity order instead (``harness._image_scores``); they share the
+    kernel and the mix (``_image_mix``), so both give the same bits.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValidationError("eta must lie in [0, 1]")
@@ -319,12 +298,6 @@ def image_snaps(S_eval: ScoreMatrix, S_calib: ScoreMatrix,
     if exclude_self and n_calib < 2:
         raise ValidationError(f"calibration set has {n_calib} row(s); excluding "
                               "self needs at least 2")
-    if candidates is not None:
-        candidates = np.asarray(candidates, dtype=np.int64)
-        if candidates.ndim != 2 or candidates.shape[0] != n_eval:
-            raise ValidationError(f"candidates must be a 2-D array with {n_eval} rows")
-        if candidates.size and candidates.max() >= n_calib:
-            raise ValidationError(f"candidate index out of range (n_calib={n_calib})")
 
     if eta == 0.0:
         values = S_eval.values.copy()
@@ -336,24 +309,29 @@ def image_snaps(S_eval: ScoreMatrix, S_calib: ScoreMatrix,
     k_eff = min(k, n_calib - 1) if exclude_self else k
 
     nbrs = np.empty((n_eval, k_eff), dtype=np.int64)
-    rest = np.arange(n_eval)
-    if candidates is not None:
-        resolved, picked = _first_hits(candidates, k_eff)
-        nbrs[resolved] = picked
-        rest = rest[~resolved]
     # aligned sets: row i's own column is i
-    self_cols = rest if exclude_self else None
-    for start, stop, cols, _ in _top_k_blocks(ne[rest], nc, k_eff, self_cols):
-        nbrs[rest[start:stop]] = cols
-
-    values = S_eval.values.copy()
-    step = max(1, _CHUNK_TARGET // max(k_eff * S_calib.values.shape[1], 1))
-    for start in range(0, n_eval, step):
-        stop = min(start + step, n_eval)
-        nbr_mean = S_calib.values[nbrs[start:stop]].mean(axis=1)
-        block = (1.0 - eta) * S_eval.values[start:stop] + eta * nbr_mean
-        keep = zero_eval[start:stop]
-        block[keep] = S_eval.values[start:stop][keep]
-        values[start:stop] = block
+    self_cols = np.arange(n_eval) if exclude_self else None
+    for start, stop, cols, _ in _top_k_blocks(ne, nc, k_eff, self_cols):
+        nbrs[start:stop] = cols
+    values = _image_mix(S_eval.values, S_calib.values, nbrs, eta, zero_eval)
     values.setflags(write=False)
     return ScoreMatrix(values, "snaps", S_eval.xi)
+
+
+def _image_mix(v: np.ndarray, values: np.ndarray, nbrs: np.ndarray, eta: float,
+               keep: np.ndarray) -> np.ndarray:
+    """Image mode's mix: row i of ``v`` becomes ``(1 - eta) * v[i] + eta *
+    values[nbrs[i]].mean(axis=0)``, except rows flagged in ``keep`` (zero-norm
+    features), which stay ``v[i]``.  Rows are mixed in chunks whose (rows, k,
+    K) neighbor gather stays within ``graph._CHUNK_TARGET`` elements; the
+    mean runs over axis 1 of that gather, the layout that fixes its bits."""
+    out = np.empty(v.shape)
+    step = max(1, _CHUNK_TARGET // max(nbrs.shape[1] * values.shape[1], 1))
+    for start in range(0, v.shape[0], step):
+        stop = min(start + step, v.shape[0])
+        nbr_mean = np.take(values, nbrs[start:stop], axis=0).mean(axis=1)
+        block = (1.0 - eta) * v[start:stop] + eta * nbr_mean
+        rows = keep[start:stop]
+        block[rows] = v[start:stop][rows]
+        out[start:stop] = block
+    return out

@@ -415,13 +415,13 @@ def test_snaps_on_regularized_base_runs_tuned(small_bundle):
     assert 0.8 <= report.aggregate["coverage"]["mean"] <= 1.0
 
 
-@pytest.mark.parametrize("raps_params, per_split", [
+@pytest.mark.parametrize("raps_params, one_split", [
     (g.RapsParams(2, 0.01), 2),   # ego scores + the one fixed k_reg
     (g.RapsParams(6, 0.01), 2),   # a fixed k_reg above K=4: a zero penalty
     (None, 1 + 4),                # ego scores + every k_reg 1..min(K, 8), K=4
 ])
 def test_raps_base_aggregates_only_the_k_reg_it_can_use(small_bundle, monkeypatch,
-                                                        raps_params, per_split):
+                                                        raps_params, one_split):
     calls = []
 
     def counting_means(values, knn, adj):
@@ -434,7 +434,9 @@ def test_raps_base_aggregates_only_the_k_reg_it_can_use(small_bundle, monkeypatc
                              raps_params=raps_params)
     monkeypatch.setattr(harness, "neighbor_means", counting_means)
     g.run_experiment(small_bundle, cfg)
-    assert len(calls) == 2 * per_split
+    # the penalties' means are computed once per run, so a second model
+    # split adds only its APS scores' means
+    assert len(calls) == one_split + 1
 
 
 def test_daps_config_rejects_nonzero_lambda():
@@ -596,6 +598,116 @@ def test_image_pool_order_is_built_only_when_it_saves_pairs(small_bundle, monkey
         assert built == expect
 
 
+def _pool(feats, depth):
+    """An ``_ImagePool`` of ``feats`` at ``depth``, as ``_image_pool_order``
+    builds it."""
+    normed, zero = g.graph._normalized_rows(feats)
+    return harness._ImagePool(normed, zero, g.graph._self_join_order(normed, depth))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_pool_scores_match_image_snaps_bit_for_bit(data):
+    n = data.draw(st.integers(3, 30), label="n")
+    d = data.draw(st.integers(1, 3), label="d")
+    # a coarse grid gives duplicated rows (ties across the depth boundary)
+    # and zero-norm rows
+    cells = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                               min_size=n * d, max_size=n * d), label="feats")
+    feats = np.array(cells).reshape(n, d)
+    c = data.draw(st.integers(2, n - 1), label="c")
+    calib = np.sort(np.array(data.draw(st.permutations(range(n)), label="perm"))[:c])
+    test = np.setdiff1d(np.arange(n), calib)
+    # k = c leaves calibration rows c - 1 neighbors and test rows c
+    k = data.draw(st.one_of(st.just(c), st.integers(1, c)), label="k")
+    depth = data.draw(st.integers(0, n - 1), label="depth")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    base = g.ScoreMatrix(rng.uniform(size=(n, data.draw(st.integers(1, 3), label="K"))),
+                         "aps", XI)
+    pool = _pool(feats, depth)
+    scored = []
+    real = harness._top_k_blocks
+
+    def spy(queries, calib_rows, k_, self_cols=None):
+        scored.append((queries, k_, self_cols))
+        return real(queries, calib_rows, k_, self_cols)
+
+    harness._top_k_blocks = spy
+    try:
+        out = harness._image_scores(base, feats, calib, test, k, 0.6, pool)
+    finally:
+        harness._top_k_blocks = real
+    ref = harness._image_scores(base, feats, calib, test, k, 0.6)
+    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+    # the kernel scores exactly the rows that have fewer than k_eff
+    # calibration rows in their pool order, calibration rows without their
+    # own position
+    member = np.isin(pool.order, calib)
+    want = []
+    for rows, k_eff, own in ((calib, min(k, c - 1), True), (test, k, False)):
+        short = np.flatnonzero(np.count_nonzero(member[rows], axis=1) < k_eff)
+        if short.size:
+            want.append((pool.normed[rows[short]], k_eff, short if own else None))
+    assert len(scored) == len(want)
+    for (queries, k_, self_cols), (w_queries, w_k, w_self) in zip(scored, want):
+        assert np.array_equal(queries, w_queries) and k_ == w_k
+        assert (self_cols is None) == (w_self is None)
+        assert w_self is None or np.array_equal(self_cols, w_self)
+
+
+def test_pool_neighbors_are_the_first_k_calibration_hits():
+    rng = np.random.default_rng(15)
+    feats = rng.normal(size=(12, 3))
+    calib, test = np.arange(0, 12, 2), np.arange(1, 12, 2)
+    pool = _pool(feats, 11)
+    hits, starts = harness._calib_hits(pool.order, calib)
+    nbrs = harness._pool_neighbors(pool, hits, starts, calib, test, 3, None)
+    first = [row[np.isin(row, calib)][:3] for row in pool.order[test]]
+    assert np.array_equal(nbrs, np.array(first))
+
+
+@pytest.mark.parametrize("depth", [256, 300])
+def test_pool_neighbors_count_hits_past_column_255(monkeypatch, depth):
+    # 700 pool rows, the even ones calibration rows; only rows 0-5 are
+    # resolved, and the orders of the others are never read
+    rng = np.random.default_rng(depth)
+    n, calib = 700, np.arange(0, 700, 2)
+    order = rng.integers(0, n, size=(n, depth))
+    order[0] = calib[:depth]       # every entry a hit: hit 256 sits at column 255
+    order[1] = 1
+    order[1, -3:] = [4, 2, 8]      # hits only past column 255
+    order[2] = 3                   # no hit at all
+    pool = harness._ImagePool(np.eye(n, 4), np.zeros(n, dtype=bool), order)
+    rows = np.arange(6)
+    scored = []
+
+    def spy(queries, calib_rows, k, self_cols=None):
+        scored.append(queries.shape[0])
+        yield 0, queries.shape[0], np.zeros((queries.shape[0], k), dtype=np.int64), None
+
+    monkeypatch.setattr(harness, "_top_k_blocks", spy)
+    hits, starts = harness._calib_hits(order, calib)
+    for k in (1, 3, 255, 256, 257, depth):
+        scored.clear()
+        nbrs = harness._pool_neighbors(pool, hits, starts, calib, rows, k, None)
+        want = [row[row % 2 == 0][:k] for row in order[rows]]
+        resolved = [w.size == k for w in want]
+        assert scored == ([resolved.count(False)] if not all(resolved) else [])
+        assert [r.tolist() for r, ok in zip(nbrs, resolved) if ok] == \
+            [w.tolist() for w in want if w.size == k]
+
+
+def test_image_experiment_at_k_equal_c_matches_per_trial_scoring(small_bundle):
+    P, feats, labels = (small_bundle.probabilities, small_bundle.features,
+                        small_bundle.labels)
+    # calibration rows average their c - 1 others, test rows all c
+    shared = dict(alpha=0.1, k=10, eta=0.5, n_trials=45, calib_size=10, seed=73)
+    assert harness._image_pool_order(feats, 10, 10, 45) is not None
+    report = g.run_image_experiment(P, feats, labels, **shared)
+    ref = image_experiment_reference(P, feats, labels, **shared)
+    assert g.reports_equal(report, g.make_report(report.config, ref))
+
+
 def test_image_experiment_rejects_non_finite_features(small_bundle):
     feats = small_bundle.features.copy()
     feats[3, 1] = np.nan
@@ -609,6 +721,21 @@ def test_image_experiment_rejects_one_row_calibration(small_bundle):
     with pytest.raises(ValidationError, match="calibration set has 1 row"):
         g.run_image_experiment(small_bundle.probabilities, small_bundle.features,
                                small_bundle.labels, k=1, n_trials=2, calib_size=1)
+
+
+@pytest.mark.parametrize("k, eta, message", [
+    (0, 0.5, r"k=0 must lie in \[1, 10\]"),
+    (3, 1.5, r"eta must lie in \[0, 1\]"),
+    (3, -0.5, r"eta must lie in \[0, 1\]"),
+])
+def test_image_experiment_rejects_bad_k_and_eta_with_a_pool_order(small_bundle, k, eta,
+                                                                   message):
+    # 45 trials of 10 calibration rows build the pool order, whose trials
+    # never call image_snaps
+    with pytest.raises(ValidationError, match=message):
+        g.run_image_experiment(small_bundle.probabilities, small_bundle.features,
+                               small_bundle.labels, k=k, eta=eta, n_trials=45,
+                               calib_size=10)
 
 
 def test_image_experiment_rejects_out_of_range_labels(small_bundle):

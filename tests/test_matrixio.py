@@ -301,6 +301,75 @@ def test_plain_edge_file_is_parsed_in_one_pass():
     assert g.matrixio._parse_edge_bytes(b"0 1 2\n") is None
 
 
+def _load_labels_by_line(path, num_classes):
+    """The line-at-a-time label parser, as reference."""
+    limit = 2 ** 63 if num_classes is None else num_classes
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                label = int(line)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: bad label at line {lineno}: {line!r}"
+                ) from None
+            if not 0 <= label < limit:
+                raise ValidationError(
+                    f"{path}: label {label} at line {lineno} out of range [0, {limit})"
+                )
+            out.append(label)
+    return np.asarray(out, dtype=np.int64)
+
+
+_LABEL_PIECES = ["0", "3", "12", "007", "-0", "-2", "+4", "1_0", "9" * 18, "9" * 19,
+                 " ", "\t", "#", "x", "\x00", "\x0b", "\x0c", "\x1c", "\xa0",
+                 "\u0663", "\ufeff", "\r", "\n"]
+_LABEL_LINES = st.one_of(
+    st.tuples(st.sampled_from(["", " ", "\t "]), st.integers(0, 9),
+              st.sampled_from(["", " ", " \t"])).map(lambda t: f"{t[0]}{t[1]}{t[2]}"),
+    st.lists(st.sampled_from(_LABEL_PIECES), max_size=6).map("".join),
+    st.sampled_from(["", "  ", "\t"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LABEL_LINES, max_size=10), st.sampled_from(["\n", "\r\n", "\r"]),
+       st.booleans(), st.sampled_from([b"", b"\xff", b"\xc3"]),
+       st.sampled_from([None, 6, 10]))
+@example(["0", "", " 5\t", "3"], "\r\n", True, b"", 6)
+@example(["0", "6"], "\n", False, b"", 6)
+@example(["1 2"], "\n", False, b"", None)
+@example(["9" * 18, "9" * 19], "\r", False, b"", None)
+@example([], "\n", False, b"", 6)
+def test_load_labels_matches_line_parser(tmp_path_factory, lines, sep, trailing, tail,
+                                         num_classes):
+    path = tmp_path_factory.mktemp("labels") / "y.txt"
+    path.write_bytes((sep.join(lines) + (sep if trailing else "")).encode() + tail)
+    got = _outcome(lambda p: g.load_labels(p, num_classes), path)
+    want = _outcome(lambda p: _load_labels_by_line(p, num_classes), path)
+    if isinstance(want, tuple) and want[0] is UnicodeDecodeError:
+        # bytes that are not UTF-8 are a ValidationError naming the file (or
+        # an earlier line's fault is)
+        assert got[0] is ValidationError and got[1].startswith(f"{path}: ")
+    elif isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert got.shape == want.shape
+
+
+def test_plain_label_file_is_parsed_in_one_pass():
+    raw = b"3\n\n  0\t\r\n007\r1\n"
+    assert g.matrixio._parse_label_bytes(raw, 8).tolist() == [3, 0, 7, 1]
+    assert g.matrixio._parse_label_bytes(b"", 8).shape == (0,)
+    # out of range, two tokens on a line, a sign: left to the line loop
+    for raw in (b"3\n8\n", b"1 2\n", b"-0\n", b"+1\n"):
+        assert g.matrixio._parse_label_bytes(raw, 8) is None
+
+
 @pytest.mark.parametrize("load, name", [
     (g.load_labels, "labels.txt"),
     (g.load_edges, "edges.txt"),

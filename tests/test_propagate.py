@@ -383,80 +383,6 @@ def test_image_snaps_k_bounds():
                       k=5, eta=0.5)
 
 
-def _pool_candidates(feats, calib, rows, depth):
-    """``rows``' pool similarity order at ``depth``, mapped to calibration
-    positions (-1 off the calibration set), as ``run_image_experiment``
-    builds it."""
-    order = g.graph._self_join_order(g.graph._normalized_rows(feats)[0], depth)
-    pos = np.full(feats.shape[0], -1, dtype=np.int64)
-    pos[calib] = np.arange(calib.shape[0])
-    return pos[order[rows]]
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_image_snaps_candidates_match_kernel_bit_for_bit(data):
-    n = data.draw(st.integers(3, 30), label="n")
-    d = data.draw(st.integers(1, 3), label="d")
-    # a coarse grid gives duplicated rows (ties across the depth boundary)
-    # and zero-norm rows
-    cells = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
-                               min_size=n * d, max_size=n * d), label="feats")
-    feats = np.array(cells).reshape(n, d)
-    c = data.draw(st.integers(2, n - 1), label="c")
-    calib = np.sort(np.array(data.draw(st.permutations(range(n)), label="perm"))[:c])
-    test = np.setdiff1d(np.arange(n), calib)
-    k = data.draw(st.integers(1, c), label="k")
-    depth = data.draw(st.integers(0, n - 1), label="depth")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    values = rng.uniform(size=(n, data.draw(st.integers(1, 3), label="K")))
-    S_cal = _score(values[calib])
-    spy_rows = []
-    real = g.propagate._top_k_blocks
-
-    def spy(queries, base, k_, self_cols=None):
-        spy_rows.append(queries)
-        return real(queries, base, k_, self_cols)
-
-    for rows, exclude_self in ((calib, True), (test, False)):
-        S_eval = _score(values[rows])
-        cand = _pool_candidates(feats, calib, rows, depth)
-        k_eff = min(k, c - 1) if exclude_self else k
-        short = np.flatnonzero(np.count_nonzero(cand >= 0, axis=1) < k_eff)
-        args = (S_eval, S_cal, feats[rows], feats[calib])
-        spy_rows.clear()
-        g.propagate._top_k_blocks = spy
-        try:
-            out = g.image_snaps(*args, k=k, eta=0.6, exclude_self=exclude_self,
-                                candidates=cand)
-        finally:
-            g.propagate._top_k_blocks = real
-        ref = g.image_snaps(*args, k=k, eta=0.6, exclude_self=exclude_self)
-        assert np.array_equal(out.values.view(np.int64), ref.values.view(np.int64))
-        # the kernel scores exactly the rows the candidates leave short
-        normed = g.graph._normalized_rows(feats[rows])[0]
-        assert len(spy_rows) == 1
-        assert np.array_equal(spy_rows[0], normed[short])
-
-
-def test_image_snaps_takes_the_first_k_calibration_candidates():
-    rng = np.random.default_rng(15)
-    feats = rng.normal(size=(12, 3))
-    calib, test = np.arange(0, 12, 2), np.arange(1, 12, 2)
-    S_cal, S_test = _score(rng.uniform(size=(6, 2))), _score(rng.uniform(size=(6, 2)))
-    cand = _pool_candidates(feats, calib, test, 11)
-    out = g.image_snaps(S_test, S_cal, feats[test], feats[calib], k=3, eta=1.0,
-                        candidates=cand)
-    first = [row[row >= 0][:3] for row in cand]
-    assert np.array_equal(out.values, np.array([S_cal.values[f].mean(axis=0) for f in first]))
-    with pytest.raises(ValidationError, match="candidates"):
-        g.image_snaps(S_test, S_cal, feats[test], feats[calib], k=3, eta=1.0,
-                      candidates=cand[:5])
-    with pytest.raises(ValidationError, match="candidate index"):
-        g.image_snaps(S_test, S_cal, feats[test], feats[calib], k=3, eta=1.0,
-                      candidates=cand + 6)
-
-
 @pytest.mark.parametrize("side", ["eval", "calib"])
 def test_image_snaps_rejects_non_finite_features(side):
     rng = np.random.default_rng(16)
@@ -465,18 +391,3 @@ def test_image_snaps_rejects_non_finite_features(side):
     (feats_eval if side == "eval" else feats_calib)[2, 1] = np.nan
     with pytest.raises(ValidationError, match=f"feats_{side}: non-finite value at row 2, col 1"):
         g.image_snaps(S, S, feats_eval, feats_calib, k=2, eta=0.5)
-
-
-@pytest.mark.parametrize("depth", [256, 300])
-def test_first_hits_counts_hits_past_column_255(depth):
-    rng = np.random.default_rng(depth)
-    cand = np.where(rng.random((6, depth)) < 0.9, rng.integers(0, 50, size=(6, depth)), -1)
-    cand[0] = np.arange(depth)  # every entry a hit: hit 256 sits at column 255
-    cand[1] = -1
-    cand[1, -3:] = 7            # hits only past column 255
-    cand[2] = -1                # no hit at all
-    for k in (1, 3, 255, 256, 257, depth):
-        resolved, picked = g.propagate._first_hits(cand, k)
-        want = [row[row >= 0][:k] for row in cand]
-        assert resolved.tolist() == [w.size == k for w in want]
-        assert picked.tolist() == [w.tolist() for w in want if w.size == k]
