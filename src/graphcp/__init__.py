@@ -26,7 +26,6 @@ from .harness import (
     run_image_experiment,
     run_oracle_experiment,
     snaps_param_grid,
-    tune_hyperparams,
 )
 from .matrixio import (
     DatasetBundle,
@@ -44,7 +43,6 @@ from .propagate import (
     NeighborMeans,
     SnapsParams,
     combine_scores,
-    daps_scores,
     image_snaps,
     neighbor_means,
     oracle_aggregate,
@@ -54,14 +52,12 @@ from .propagate import (
 from .report import (
     TrialReport,
     TrialResult,
-    compute_aggregate,
     make_report,
     read_report,
-    report_from_dict,
     report_to_dict,
     reports_equal,
     write_report,
 )
-from .scores import RapsParams, ScoreMatrix, XiPolicy, aps_scores, probability_ranks, raps_scores
+from .scores import RapsParams, ScoreMatrix, XiPolicy, aps_scores, probability_ranks
 
 __version__ = "0.1.0"

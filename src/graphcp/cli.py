@@ -99,22 +99,27 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _calib_kwargs(args) -> dict:
+    """``--calib-size`` as runner arguments: any given value, 0 included,
+    fixes the calibration size (and is range-checked there)."""
+    if args.calib_size is None:
+        return {"calib_rule": "min_1000_half", "calib_size": 1000}
+    return {"calib_rule": "fixed", "calib_size": args.calib_size}
+
+
 def _cmd_run(args) -> int:
     bundle = matrixio.load_bundle(args.manifest, renormalize=args.renormalize)
     params = None
     if (args.lam is None) != (args.mu is None):
         raise ValidationError("--lambda and --mu must be given together")
     if args.mu is not None:
-        lam = args.lam if args.method == "snaps" else 0.0
-        params = SnapsParams(lam, args.mu)
+        params = SnapsParams(args.lam, args.mu)
     cfg = harness.ExperimentConfig(
         alpha=args.alpha, method=args.method, base=args.base,
         knn=KnnConfig(k=args.k, sample_size=args.sample_m, seed=args.seed),
         grid_step=args.grid_step,
         n_model_splits=args.splits, n_conformal_splits=args.trials,
-        calib_rule="fixed" if args.calib_size else "min_1000_half",
-        calib_size=args.calib_size or 1000,
-        seed=args.seed, params=params,
+        seed=args.seed, params=params, **_calib_kwargs(args),
     )
     report = harness.run_experiment(bundle, cfg)
     write_report(report, args.out, format=args.format)
@@ -133,9 +138,7 @@ def _cmd_oracle(args) -> int:
         raise ValidationError(f"bad --m-sweep: {args.m_sweep!r}") from None
     reports = harness.run_oracle_experiment(
         bundle, alpha=args.alpha, m_sweep=m_sweep, w=args.w,
-        n_trials=args.trials,
-        calib_rule="fixed" if args.calib_size else "min_1000_half",
-        calib_size=args.calib_size or 1000, seed=args.seed,
+        n_trials=args.trials, seed=args.seed, **_calib_kwargs(args),
     )
     payload = {
         "m_sweep": list(m_sweep),

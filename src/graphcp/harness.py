@@ -9,6 +9,9 @@ calibration set in half - one half tunes on a grid (calibrate on half of it,
 measure Size on the rest, ties broken by higher singleton-hit then smaller
 total weight), the other half feeds the final conformal calibration.
 Tuning therefore never sees the final calibration half or the test set.
+``run_experiment`` is the only caller of the tuners (``_tune_snaps``,
+``_tune_raps``), so the weights a trial picks depend on the run's seed and
+the trial's index alone.
 The grid is scored as one batch: one conformal rank per tuning call, every
 grid point's threshold from one partition along the sample axis, and every
 (lam, mu) score computed by the final mix's own kernel (``propagate._mix``,
@@ -120,6 +123,15 @@ class ExperimentConfig:
             raise ValidationError("fixed calibration size must be >= 1")
         if self.method == "daps" and self.params is not None and self.params.lam != 0.0:
             raise ValidationError("daps admits only the mu weight (lam must be 0)")
+        # forced weights no trial would read are an error, not a silent no-op
+        aggregated = self.method in ("daps", "snaps")
+        if self.params is not None and not aggregated:
+            raise ValidationError(f"method {self.method!r} does not aggregate; "
+                                  "params (lambda, mu) apply to daps and snaps")
+        if self.raps_params is not None and not (
+                self.method == "raps" or (aggregated and self.base == "raps")):
+            raise ValidationError("raps_params apply only to method raps or to "
+                                  "daps/snaps over base raps")
 
 
 def _grid_steps(grid_step: float) -> int:
@@ -174,9 +186,10 @@ def _split_pool(pool: np.ndarray, calib_rule: str, calib_size: int, rng) -> tupl
         c = min(1000, pool.shape[0] // 2)
     else:
         c = calib_size
-    if c < 1 or c >= pool.shape[0]:
+    if not 1 <= c < pool.shape[0]:
         raise ValidationError(
-            f"calibration size {c} leaves no test nodes (pool {pool.shape[0]})"
+            f"calibration size {c} must lie in [1, {pool.shape[0] - 1}] to leave "
+            f"test nodes in a pool of {pool.shape[0]}"
         )
     perm = rng.permutation(pool)
     return np.sort(perm[:c]), np.sort(perm[c:])
@@ -289,6 +302,9 @@ def _raps_grid(max_k_reg: int):
 
 def _tune_snaps(values, nm, labels, tune_idx, alpha, grid_step, rng,
                 mu_only=False) -> SnapsParams:
+    """The (lam, mu) grid point, or with ``mu_only`` the (0, mu) point of
+    daps, that tunes best on ``tune_idx`` for the base ``values`` and their
+    neighbor means ``nm``; ``rng`` draws the half split."""
     a, b = _half_split(tune_idx, rng)
     grid, lam, mu = _snaps_grid(grid_step, mu_only)
     cal_scores, a = _snaps_grid_scores(values, nm, lam, mu, a)
@@ -300,43 +316,15 @@ def _tune_snaps(values, nm, labels, tune_idx, alpha, grid_step, rng,
 
 def _tune_raps(aps_values, ranks, labels, tune_idx, alpha, rng,
                num_classes) -> RapsParams:
+    """The (k_reg, lambda_reg) grid point that tunes best on ``tune_idx`` for
+    APS ``aps_values`` and ``probability_ranks`` ``ranks``; ``rng`` draws the
+    half split."""
     a, b = _half_split(tune_idx, rng)
     grid, k_reg, lam = _raps_grid(min(num_classes, RAPS_MAX_KREG))
     size, sh = _grid_size_sh(_raps_grid_scores(aps_values, ranks, k_reg, lam, a),
                              _raps_grid_scores(aps_values, ranks, k_reg, lam, b),
                              labels[a], labels[b], num_classes, alpha)
     return grid[np.lexsort((k_reg[:, 0], lam[:, 0], -sh, size))[0]]
-
-
-def tune_hyperparams(scores: ScoreMatrix, knn, adj, labels, calib_idx, *,
-                     alpha: float, method: str = "snaps", grid_step: float = 0.05,
-                     seed: int = 0, probabilities=None):
-    """Grid-search hyperparameters on the tuning subset ``calib_idx``.
-
-    The subset is split in half internally: one half calibrates each grid
-    candidate, the other measures Size (higher singleton-hit breaks ties,
-    then smaller total weight).  Returns SnapsParams for ``snaps``, the mu
-    weight (float) for ``daps``, and RapsParams for ``raps`` (which needs
-    ``probabilities`` for the rank matrix).
-    """
-    rng = np.random.default_rng([seed & _MASK32, 0xA11])
-    labels = np.asarray(labels, dtype=np.int64)
-    calib_idx = np.asarray(calib_idx, dtype=np.int64)
-    if method == "snaps":
-        nm = neighbor_means(scores.values, knn, adj)
-        return _tune_snaps(scores.values, nm, labels, calib_idx, alpha,
-                           grid_step, rng)
-    if method == "daps":
-        nm = neighbor_means(scores.values, empty_graph(scores.n), adj)
-        return _tune_snaps(scores.values, nm, labels, calib_idx, alpha,
-                           grid_step, rng, mu_only=True).mu
-    if method == "raps":
-        if probabilities is None:
-            raise ValidationError("raps tuning needs the probability matrix")
-        ranks = probability_ranks(np.asarray(probabilities, dtype=np.float64))
-        return _tune_raps(scores.values, ranks, labels, calib_idx, alpha, rng,
-                          ranks.shape[1])
-    raise ValidationError(f"method {method!r} has no hyperparameters to tune")
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +392,11 @@ def _thread_count() -> int:
     if count < 1:
         raise ValidationError(f"{THREADS_ENV}={raw!r}: expected an integer >= 1")
     return count
+
+
+def _check_trial_count(n_trials: int) -> None:
+    if n_trials < 1:
+        raise ValidationError(f"n_trials={n_trials} must be >= 1")
 
 
 def run_experiment(bundle: DatasetBundle, cfg: ExperimentConfig) -> TrialReport:
@@ -498,12 +491,21 @@ def run_oracle_experiment(bundle: DatasetBundle, alpha: float = 0.05,
                           calib_size: int = 1000,
                           seed: int = 0) -> list[TrialReport]:
     """Same-label aggregation sweep: one report per m, trials aligned across
-    the sweep (same split and xi per trial index) for paired comparisons."""
+    the sweep (same split and xi per trial index) for paired comparisons.
+    An empty sweep, a repeated m and ``n_trials < 1`` are rejected."""
     if not 0.0 <= w <= 1.0:
         raise ValidationError("w must lie in [0, 1]")
+    _check_trial_count(n_trials)
+    m_sweep = [int(m) for m in m_sweep]
+    if not m_sweep:
+        raise ValidationError("m_sweep is empty")
+    repeated = [m for i, m in enumerate(m_sweep) if m in m_sweep[:i]]
+    if repeated:
+        raise ValidationError(f"m_sweep repeats m={repeated[0]}; each m gets "
+                              "one report")
     labels = bundle.labels
     all_nodes = np.arange(bundle.n)
-    by_m: dict[int, list[TrialResult]] = {int(m): [] for m in m_sweep}
+    by_m: dict[int, list[TrialResult]] = {m: [] for m in m_sweep}
     P = validate_probabilities(bundle.probabilities)
     mass = _mass_above(P)
     for t in range(n_trials):
@@ -513,19 +515,19 @@ def run_oracle_experiment(bundle: DatasetBundle, alpha: float = 0.05,
         calib, test = _split_pool(all_nodes, calib_rule, calib_size, rng)
         agg_seed = _derive_seed(seed, 0x33, t)
         for m in m_sweep:
-            corrected = oracle_aggregate(base, labels, int(m), w, agg_seed)
-            by_m[int(m)].append(_evaluate_trial(corrected, labels, calib, test,
-                                                alpha, 0, t, {"m": int(m), "w": w}))
+            corrected = oracle_aggregate(base, labels, m, w, agg_seed)
+            by_m[m].append(_evaluate_trial(corrected, labels, calib, test,
+                                           alpha, 0, t, {"m": m, "w": w}))
     reports = []
     for m in m_sweep:
         config = {
             "mode": "oracle",
             "dataset": {"name": bundle.name, "n": bundle.n,
                         "num_classes": bundle.num_classes},
-            "alpha": alpha, "m": int(m), "w": w, "n_trials": n_trials,
+            "alpha": alpha, "m": m, "w": w, "n_trials": n_trials,
             "calib_rule": calib_rule, "calib_size": calib_size, "seed": seed,
         }
-        reports.append(make_report(config, by_m[int(m)]))
+        reports.append(make_report(config, by_m[m]))
     return reports
 
 
@@ -663,7 +665,9 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
     bit-identical to scoring every trial from scratch with ``image_snaps``.
     Non-finite features, probability rows that do not sum to 1, labels
     outside [0, K), eta outside [0, 1], k outside [1, c] and a calibration
-    set of one row (which has no other row to average) are rejected."""
+    set of one row (which has no other row to average) are rejected, and so
+    is ``n_trials < 1``."""
+    _check_trial_count(n_trials)
     P = validate_matrix(probabilities, "probabilities")
     feats = validate_matrix(features, "features")
     labels = np.asarray(labels, dtype=np.int64)

@@ -33,7 +33,7 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .graph import (
     _exact_row_sums,
     _normalized_rows,
     _top_k_blocks,
-    empty_graph,
 )
 from .matrixio import validate_matrix
 from .scores import ScoreMatrix
@@ -188,14 +187,6 @@ def snaps_scores(S: ScoreMatrix, knn: SparseGraph, adj: SparseGraph,
     values = combine_scores(S.values, nm, p.lam, p.mu)
     values.setflags(write=False)
     return ScoreMatrix(values, "snaps", S.xi)
-
-
-def daps_scores(S: ScoreMatrix, adj: SparseGraph, mu: float) -> ScoreMatrix:
-    """Structural-diffusion-only correction: the lam = 0 case."""
-    if not 0.0 <= mu <= 1.0:
-        raise ValidationError("mu must lie in [0, 1]")
-    out = snaps_scores(S, empty_graph(S.n), adj, SnapsParams(0.0, mu))
-    return replace(out, method="daps")
 
 
 def _same_label_prefixes(labels: np.ndarray, max_m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -167,11 +167,3 @@ def probability_ranks(P: np.ndarray) -> np.ndarray:
 
 def raps_penalty(ranks: np.ndarray, rp: RapsParams) -> np.ndarray:
     return rp.lambda_reg * np.maximum(0, ranks - rp.k_reg)
-
-
-def raps_scores(P: np.ndarray, xi: XiPolicy, rp: RapsParams, node_ids=None) -> ScoreMatrix:
-    """Adaptive scores plus the rank regularization penalty."""
-    base = aps_scores(P, xi, node_ids)
-    values = base.values + raps_penalty(probability_ranks(np.asarray(P, dtype=np.float64)), rp)
-    values.setflags(write=False)
-    return ScoreMatrix(values, "raps", xi)

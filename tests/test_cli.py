@@ -117,6 +117,29 @@ def test_oracle_subcommand(synth_dir, tmp_path):
     assert data["reports"][0]["config"]["m"] == 0
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["oracle", "--trials", "0"], "n_trials=0 must be >= 1"),
+    (["oracle", "--trials", "-2"], "n_trials=-2 must be >= 1"),
+    (["oracle", "--m-sweep", ","], "m_sweep is empty"),
+    (["oracle", "--m-sweep", "2,0,2"], "m_sweep repeats m=2"),
+    (["oracle", "--calib-size", "0"], "calibration size 0 must lie in"),
+    (["run", "--calib-size", "0"], "fixed calibration size must be >= 1"),
+    (["run", "--method", "daps", "--lambda", "0.4", "--mu", "0.2"], "mu weight"),
+    (["run", "--method", "aps", "--lambda", "0.4", "--mu", "0.2"],
+     "method 'aps' does not aggregate"),
+    (["run", "--method", "raps", "--lambda", "0.4", "--mu", "0.2"],
+     "method 'raps' does not aggregate"),
+])
+def test_arguments_no_run_can_honor_exit_one(synth_dir, tmp_path, capsys, extra,
+                                             message):
+    out = tmp_path / "r.json"
+    code = main([extra[0], "--manifest", str(synth_dir / "manifest.txt"),
+                 *extra[1:], "--out", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _image_argv(tmp_path, probs, feats, labels):
     """Write (calibration, test) pairs of image-mode inputs under ``tmp_path``
     and return the matching ``graphcp image`` arguments; a test-label entry of

@@ -81,12 +81,12 @@ def test_tuner_finds_identity_when_neighbors_are_noise():
     # ego scores perfectly separate the true label; neighbor means are pure noise
     values = np.full((n, k), 0.9)
     values[np.arange(n), labels] = 0.05
-    scores = g.ScoreMatrix(values, "aps", XI)
     noise_rows = rng.integers(0, n, size=(n, 2))
     arcs = sorted({(i, int(j)) for i in range(n) for j in noise_rows[i] if int(j) != i})
     noisy = g.from_arcs(n, np.array(arcs))
-    params = g.tune_hyperparams(scores, noisy, noisy, labels, np.arange(n),
-                                alpha=0.1, method="snaps", grid_step=0.25, seed=3)
+    params = harness._tune_snaps(values, g.neighbor_means(values, noisy, noisy),
+                                 labels, np.arange(n), 0.1, 0.25,
+                                 np.random.default_rng(3))
     assert (params.lam, params.mu) == (0.0, 0.0)
 
 
@@ -96,7 +96,6 @@ def test_tuner_prefers_informative_neighbors():
     labels = rng.integers(0, k, size=n)
     values = rng.uniform(size=(n, k))
     values[np.arange(n), labels] *= 0.5  # weak signal
-    scores = g.ScoreMatrix(values, "aps", XI)
     # structural neighbors all share the ego label -> aggregation denoises
     arcs = []
     for c in range(k):
@@ -106,9 +105,11 @@ def test_tuner_prefers_informative_neighbors():
                 if i != j:
                     arcs.append((int(i), int(j)))
     adj = g.from_arcs(n, np.array(sorted(set(arcs))))
-    mu = g.tune_hyperparams(scores, g.empty_graph(n), adj, labels, np.arange(n),
-                            alpha=0.1, method="daps", grid_step=0.1, seed=5)
-    assert mu > 0.0
+    nm = g.neighbor_means(values, g.empty_graph(n), adj)
+    params = harness._tune_snaps(values, nm, labels, np.arange(n), 0.1, 0.1,
+                                 np.random.default_rng(5), mu_only=True)
+    assert params.lam == 0.0
+    assert params.mu > 0.0
 
 
 def test_tuning_ignores_labels_outside_tuning_set(small_bundle):
@@ -116,14 +117,15 @@ def test_tuning_ignores_labels_outside_tuning_set(small_bundle):
     scores = g.aps_scores(small_bundle.probabilities, xi)
     knn = g.build_knn_graph(small_bundle.features, g.KnnConfig(k=5))
     adj = g.adjacency_graph(small_bundle.n, small_bundle.edges)
+    nm = g.neighbor_means(scores.values, knn, adj)
     tune_idx = np.arange(0, small_bundle.n, 3)
-    clean = g.tune_hyperparams(scores, knn, adj, small_bundle.labels, tune_idx,
-                               alpha=0.1, method="snaps", grid_step=0.25, seed=11)
+    clean = harness._tune_snaps(scores.values, nm, small_bundle.labels, tune_idx,
+                                0.1, 0.25, np.random.default_rng(11))
     poisoned_labels = small_bundle.labels.copy()
     outside = np.setdiff1d(np.arange(small_bundle.n), tune_idx)
     poisoned_labels[outside] = (poisoned_labels[outside] + 1) % small_bundle.num_classes
-    poisoned = g.tune_hyperparams(scores, knn, adj, poisoned_labels, tune_idx,
-                                  alpha=0.1, method="snaps", grid_step=0.25, seed=11)
+    poisoned = harness._tune_snaps(scores.values, nm, poisoned_labels, tune_idx,
+                                   0.1, 0.25, np.random.default_rng(11))
     assert (clean.lam, clean.mu) == (poisoned.lam, poisoned.mu)
 
 
@@ -330,22 +332,28 @@ def test_tuning_ranks_once_per_call(small_bundle, monkeypatch, method):
 
     monkeypatch.setattr(harness, "conformal_rank", counting_rank)
     scores = g.aps_scores(small_bundle.probabilities, g.XiPolicy("uniform", seed=4))
-    knn = g.build_knn_graph(small_bundle.features, g.KnnConfig(k=5))
-    adj = g.adjacency_graph(small_bundle.n, small_bundle.edges)
-    g.tune_hyperparams(scores, knn, adj, small_bundle.labels,
-                       np.arange(0, small_bundle.n, 2), alpha=0.1,
-                       method=method, grid_step=0.05, seed=2,
-                       probabilities=small_bundle.probabilities)
+    tune_idx = np.arange(0, small_bundle.n, 2)
+    rng = np.random.default_rng(2)
+    if method == "raps":
+        harness._tune_raps(scores.values, g.probability_ranks(small_bundle.probabilities),
+                           small_bundle.labels, tune_idx, 0.1, rng,
+                           small_bundle.num_classes)
+    else:
+        adj = g.adjacency_graph(small_bundle.n, small_bundle.edges)
+        knn = (g.build_knn_graph(small_bundle.features, g.KnnConfig(k=5))
+               if method == "snaps" else g.empty_graph(small_bundle.n))
+        harness._tune_snaps(scores.values, g.neighbor_means(scores.values, knn, adj),
+                            small_bundle.labels, tune_idx, 0.1, 0.05, rng,
+                            mu_only=method == "daps")
     assert calls == [100]  # one rank for the whole grid, on the 100-node half
 
 
 def test_raps_tuning_returns_params(small_bundle):
     xi = g.XiPolicy("uniform", seed=2)
     scores = g.aps_scores(small_bundle.probabilities, xi)
-    rp = g.tune_hyperparams(scores, None, None, small_bundle.labels,
-                            np.arange(0, small_bundle.n, 2), alpha=0.1,
-                            method="raps", seed=1,
-                            probabilities=small_bundle.probabilities)
+    rp = harness._tune_raps(scores.values, g.probability_ranks(small_bundle.probabilities),
+                            small_bundle.labels, np.arange(0, small_bundle.n, 2),
+                            0.1, np.random.default_rng(1), small_bundle.num_classes)
     assert isinstance(rp, g.RapsParams)
 
 
@@ -444,6 +452,19 @@ def test_daps_config_rejects_nonzero_lambda():
         g.ExperimentConfig(method="daps", params=g.SnapsParams(0.2, 0.3))
 
 
+@pytest.mark.parametrize("method", ["aps", "raps"])
+def test_config_rejects_weights_for_a_method_that_does_not_aggregate(method):
+    with pytest.raises(ValidationError, match=f"method '{method}' does not aggregate"):
+        g.ExperimentConfig(method=method, params=g.SnapsParams(0.4, 0.2))
+
+
+@pytest.mark.parametrize("method, base", [("aps", "aps"), ("aps", "raps"),
+                                          ("daps", "aps"), ("snaps", "aps")])
+def test_config_rejects_raps_params_no_trial_uses(method, base):
+    with pytest.raises(ValidationError, match="raps_params apply only"):
+        g.ExperimentConfig(method=method, base=base, raps_params=g.RapsParams(2, 0.1))
+
+
 def test_synthetic_limit_case_pure_homophily():
     bundle = g.generate_synthetic(n=300, num_classes=3, dim=4, homophily=1.0,
                                   class_sep=1.0, noise=0.0, seed=5)
@@ -513,6 +534,27 @@ def test_oracle_experiment_m_zero_equals_base(small_bundle):
     agg0 = base.aggregate["size"]["mean"]
     agg2 = reports[1].aggregate["size"]["mean"]
     assert agg2 <= agg0 + 1e-9
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"m_sweep": (0, 2), "n_trials": 0}, "n_trials=0 must be >= 1"),
+    ({"m_sweep": (0, 2), "n_trials": -2}, "n_trials=-2 must be >= 1"),
+    ({"m_sweep": (), "n_trials": 3}, "m_sweep is empty"),
+    ({"m_sweep": (1, 1), "n_trials": 3}, "m_sweep repeats m=1"),
+    ({"m_sweep": (0, 4, 2, 4), "n_trials": 3}, "m_sweep repeats m=4"),
+])
+def test_oracle_experiment_rejects_bad_sweeps_and_trial_counts(small_bundle, kw,
+                                                               message):
+    with pytest.raises(ValidationError, match=message):
+        g.run_oracle_experiment(small_bundle, alpha=0.1, **kw)
+
+
+@pytest.mark.parametrize("n_trials", [0, -1])
+def test_image_experiment_rejects_trial_counts_below_one(small_bundle, n_trials):
+    with pytest.raises(ValidationError, match=f"n_trials={n_trials} must be >= 1"):
+        g.run_image_experiment(small_bundle.probabilities, small_bundle.features,
+                               small_bundle.labels, k=3, n_trials=n_trials,
+                               calib_size=100)
 
 
 def test_image_experiment_eta_zero_matches_plain_scores(small_bundle):

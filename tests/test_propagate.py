@@ -78,16 +78,16 @@ def test_isolated_node_falls_back_to_own_score():
 def test_daps_hand_example():
     S = _score([[0.4], [0.2], [0.6]])
     adj = g.from_arcs(3, [(0, 1), (0, 2)])
-    out = g.daps_scores(S, adj, 0.5)
+    out = g.snaps_scores(S, g.empty_graph(3), adj, g.SnapsParams(0.0, 0.5))
     assert out.values[0, 0] == pytest.approx(0.4)
-    assert out.method == "daps"
 
 
 def test_daps_mu_zero_identity():
     rng = np.random.default_rng(1)
     S = _score(rng.uniform(size=(10, 3)))
     adj = _random_graph(10, rng)
-    assert np.array_equal(g.daps_scores(S, adj, 0.0).values, S.values)
+    out = g.snaps_scores(S, g.empty_graph(10), adj, g.SnapsParams(0.0, 0.0))
+    assert np.array_equal(out.values, S.values)
 
 
 def test_daps_equals_snaps_lambda_zero_bitwise():
@@ -97,9 +97,9 @@ def test_daps_equals_snaps_lambda_zero_bitwise():
         S = _score(rng.uniform(size=(n, 4)))
         knn = _random_graph(n, rng, weighted=True)
         adj = _random_graph(n, rng)
-        mu = float(rng.uniform(0, 1))
-        a = g.daps_scores(S, adj, mu).values
-        b = g.snaps_scores(S, knn, adj, g.SnapsParams(0.0, mu)).values
+        p = g.SnapsParams(0.0, float(rng.uniform(0, 1)))
+        a = g.snaps_scores(S, g.empty_graph(n), adj, p).values
+        b = g.snaps_scores(S, knn, adj, p).values
         assert np.array_equal(a, b)
 
 
@@ -237,9 +237,8 @@ def test_weight_sum_validation():
         g.SnapsParams(0.7, 0.4)
     with pytest.raises(ValidationError):
         g.SnapsParams(-0.1, 0.2)
-    S = _score([[0.5]])
     with pytest.raises(ValidationError, match="mu"):
-        g.daps_scores(S, g.empty_graph(1), 1.5)
+        g.SnapsParams(0.0, 1.5)
 
 
 def test_row_count_mismatch():
