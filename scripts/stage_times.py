@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time the pipeline stages that grow with n, one at a time, at n=50000,
-and the two halves of an image-mode run at n=4000.
+the exact k-NN build at n=5000 and the two halves of an image-mode run at
+n=4000.
 
 Generates a planted-partition bundle (K=8, d=8, homophily 0.8, class_sep
 2.0, noise 1.0, seed 1), saves it to a temporary directory, then times each
@@ -11,7 +12,12 @@ stage 5 times on its own:
 * ``neighbor_means``: one aggregation of the APS score matrix over the
   k-NN graph and the structural adjacency.
 
-A second bundle of the same kind at n=4000 gives the image-mode stages, at
+A second bundle of the same kind at n=5000 gives the exact-mode stage, at
+the shape of the benchmark's ``snaps-5k`` workload:
+
+* ``exact_knn_build``: ``build_knn_graph`` in exact mode (k=20).
+
+A third bundle of the same kind at n=4000 gives the image-mode stages, at
 the shape of the benchmark's ``image-4k`` workload (calibration size 1000,
 k=5, eta=0.5, 20 trials, alpha=0.05):
 
@@ -48,6 +54,7 @@ K = 20
 SAMPLE_M = 200
 SEED = 1
 REPEATS = 5
+EXACT_N = 5000
 IMAGE_N, IMAGE_CALIB, IMAGE_K, IMAGE_ETA, IMAGE_TRIALS = 4000, 1000, 5, 0.5, 20
 IMAGE_ALPHA = 0.05
 
@@ -92,6 +99,11 @@ def main():
     stages["neighbor_means"], _ = timed(lambda: g.neighbor_means(scores, knn, adj),
                                         REPEATS)
 
+    exact = g.generate_synthetic(n=EXACT_N, num_classes=8, dim=8, homophily=0.8,
+                                 class_sep=2.0, noise=1.0, seed=SEED)
+    stages["exact_knn_build"], exact_knn = timed(
+        lambda: g.build_knn_graph(exact.features, g.KnnConfig(k=K)), REPEATS)
+
     image = g.generate_synthetic(n=IMAGE_N, num_classes=8, dim=8, homophily=0.8,
                                  class_sep=2.0, noise=1.0, seed=SEED)
     P, feats = image.probabilities, image.features
@@ -121,6 +133,7 @@ def main():
         "config": {"n": N, "classes": 8, "dim": 8, "k": K,
                    "sample_m": SAMPLE_M, "seed": SEED,
                    "repeats": REPEATS, "knn_arcs": knn.nnz,
+                   "exact": {"n": EXACT_N, "k": K, "knn_arcs": exact_knn.nnz},
                    "image": {"n": IMAGE_N, "calib_size": IMAGE_CALIB, "k": IMAGE_K,
                              "eta": IMAGE_ETA, "trials": IMAGE_TRIALS,
                              "alpha": IMAGE_ALPHA, "pool_depth": pool.order.shape[1]}},

@@ -31,9 +31,9 @@ stable sort.  Every similarity the kernel selects from is computed by one einsum
 whose bits do not depend on where a row sits (``_pairwise_sims``,
 ``_gathered_sims``); the BLAS screen of ``_top_k_blocks`` only decides,
 under a rounding-error certificate, which entries to score that way.  Row
-chunks are sized so that a screen block and its partition copy stay within
-``_CHUNK_TARGET`` elements together (8 MB of float64); candidate gathers
-stay within ``_SAMPLED_GATHER`` elements (4 MB).  Image mode over many
+chunks are sized so that a screen block stays within half of
+``_CHUNK_TARGET`` elements (4 MB of float64); candidate gathers stay within
+``_SAMPLED_GATHER`` elements (4 MB).  Image mode over many
 splits of one pool runs the kernel once, as a self-join of the pool at a
 fixed depth (``_self_join_order``): each split takes a row's first
 calibration rows in that order as its neighbors, and only rows with too few
@@ -333,8 +333,8 @@ def _gathered_sims(queries: np.ndarray, base: np.ndarray,
 
 
 def _block_rows(width: int) -> int:
-    """Rows per chunk so that a (rows, width) float64 screen and its
-    partition copy together stay within ``_CHUNK_TARGET`` elements."""
+    """Rows per chunk so that a (rows, width) float64 screen stays within
+    half of ``_CHUNK_TARGET`` elements (4 MB)."""
     return max(1, _CHUNK_TARGET // (2 * max(width, 1)))
 
 
@@ -385,40 +385,42 @@ def _top_k_blocks(queries: np.ndarray, base: np.ndarray, k: int,
     ``_pairwise_sims``:
 
     * screen: ``q @ base.T`` goes into a reused buffer, with -inf at the
-      dropped columns, and a values-only partition of a reused copy gives
-      each row's k-th largest screen value S.  The candidates are the
-      entries at or above ``S - margin``, ``margin = 8 d 2^-53``.  For unit
-      rows a computed dot product is within ``gamma_d |a| |b| ~ d 2^-53`` of
-      the real one, in any summation order, so the screen and the einsum
-      differ by at most ``eps ~ 2 d 2^-53``.  Fewer than k entries have an
-      einsum value above the exact k-th value E, so S <= E + eps, and every
-      entry with an einsum value of at least E (the exact top k and every
-      entry tied with E) screens at least E - eps >= S - 2 eps: the margin
-      covers 2 eps twice over.  It is absolute, so products that underflow
-      are covered too;
+      dropped columns.  Each row's bound L, the k-th largest maximum of at
+      most 4k strided column groups (``_screen_bound``), is at most its k-th
+      largest screen value S.  The candidates are the entries at or
+      above ``L - margin``, ``margin = 8 d 2^-53``, a superset of those at
+      or above ``S - margin``.  For unit rows a computed dot product is
+      within ``gamma_d |a| |b| ~ d 2^-53`` of the real one, in any summation
+      order, so the screen and the einsum differ by at most
+      ``eps ~ 2 d 2^-53``.  Fewer than k entries have an einsum value above
+      the exact k-th value E, so S <= E + eps, and every entry with an
+      einsum value of at least E (the exact top k and every entry tied with
+      E) screens at least E - eps >= S - 2 eps: the margin covers 2 eps
+      twice over.  It is absolute, so products that underflow are covered
+      too;
     * rescore: each row's candidates, in ascending column order, are scored
       by ``_gathered_sims`` (the bits of ``_pairwise_sims``), padded with
       -inf and selected by ``_top_k``; ascending columns keep ties to the
       smaller column;
-    * fallback: a row whose screen is not finite at or above its k-th
-      position (the partition puts NaN on top; a -inf k-th value would let
-      a dropped column in), or that passes more than ``4k +
-      _RESCORE_SLACK`` candidates (a zero-norm row ties every column at 0),
-      is scored in full by ``_pairwise_sims`` and ``_top_k``.
+    * fallback: a row whose bound or largest screen value is not finite
+      (a NaN in the row; a -inf bound would let a dropped column in), or
+      that passes more than ``4k + _RESCORE_SLACK`` candidates (a zero-norm
+      row ties every column at 0), is scored in full by ``_pairwise_sims``
+      and ``_top_k``.
 
-    Memory: the screen and its partition copy are allocated once per call
-    and hold ``_CHUNK_TARGET`` elements together, as the block and its
-    partition indices did; a chunk's (rows, candidates, d) gather stays
-    within ``_SAMPLED_GATHER`` elements.  Rows that fall back add one block
-    and its partition indices for their chunk.  Besides the reused buffers,
-    a yield holds only the chunk's (rows, k) results.
+    Memory: the screen and its candidate mask are allocated once per call,
+    and the screen holds half of ``_CHUNK_TARGET`` elements; a chunk's
+    (rows, candidates, d) gather stays within ``_SAMPLED_GATHER`` elements.
+    Rows that fall back add one block and its partition indices for their
+    chunk.  Besides the reused buffers, a yield holds only the chunk's
+    (rows, k) results.
     """
     n_b, d = base.shape
     cap = 4 * k + _RESCORE_SLACK
     step = min(_block_rows(n_b),
                max(1, _SAMPLED_GATHER // max(1, min(cap, n_b) * d)))
     rows = min(step, queries.shape[0])
-    screen, scratch = np.empty((rows, n_b)), np.empty((rows, n_b))
+    screen = np.empty((rows, n_b))
     mask = np.empty((rows, n_b), dtype=bool)
     for start in range(0, queries.shape[0], step):
         stop = min(start + step, queries.shape[0])
@@ -426,28 +428,23 @@ def _top_k_blocks(queries: np.ndarray, base: np.ndarray, k: int,
         cols, vals = _screened_top_k(
             queries[start:stop], base, k, cap,
             None if self_cols is None else self_cols[start:stop],
-            screen[:m], scratch[:m], mask[:m])
+            screen[:m], mask[:m])
         yield start, stop, cols, vals
 
 
 def _screened_top_k(q: np.ndarray, base: np.ndarray, k: int, cap: int,
                     self_cols: np.ndarray | None, screen: np.ndarray,
-                    scratch: np.ndarray, mask: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
+                    mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_top_k`` of one chunk of ``_top_k_blocks``, screened into the
-    (rows, n_b) buffers ``screen``/``scratch``/``mask``."""
-    rows, n_b = screen.shape
+    (rows, n_b) buffers ``screen``/``mask``."""
+    rows = screen.shape[0]
     np.matmul(q, base.T, out=screen)
     if self_cols is not None:
         screen[np.arange(rows), self_cols] = -np.inf
-    np.copyto(scratch, screen)
-    # k = 0 selects nothing; position n_b - 1 keeps the partition in range
-    at = n_b - max(k, 1)
-    scratch.partition(at, axis=1)  # one position: several times faster than two
-    kth, top = scratch[:, at], scratch[:, at:].max(axis=1)
+    bound, top = _screen_bound(screen, k)
     margin = 8 * base.shape[1] * 2.0 ** -53
-    np.greater_equal(screen, (kth - margin)[:, None], out=mask)
-    cand, counts, ok = _screen_candidates(mask, np.isfinite(kth) & np.isfinite(top),
+    np.greater_equal(screen, (bound - margin)[:, None], out=mask)
+    cand, counts, ok = _screen_candidates(mask, np.isfinite(bound) & np.isfinite(top),
                                           k, cap)
     sims = _gathered_sims(q, base, cand)
     sims[np.arange(cand.shape[1]) >= counts[:, None]] = -np.inf
@@ -460,6 +457,30 @@ def _screened_top_k(q: np.ndarray, base: np.ndarray, k: int, cap: int,
             full[np.arange(fallback.size), self_cols[fallback]] = -np.inf
         cols[fallback], vals[fallback] = _top_k(full, k)
     return cols, vals
+
+
+def _screen_bound(screen: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bound, top) of each row of a (rows, n_b) screen: ``bound`` is the
+    k-th largest of the maxima of ``ng = min(n_b, 4 max(k, 1))`` disjoint
+    column groups, and ``top`` the row's largest value.
+
+    Groups are strided (column j is in group j mod ng, so the n_b mod ng
+    leftover columns join the first groups), which makes each maximum one
+    SIMD pass over the screen.  The k groups whose maxima reach ``bound``
+    give k distinct entries at or above it, so ``bound`` is at most the
+    row's k-th largest value, and equal to it when ng = n_b.  A NaN in the
+    row carries through its group's maximum into ``top``."""
+    rows, n_b = screen.shape
+    ng = min(n_b, 4 * max(k, 1))
+    w = n_b // ng
+    groups = screen[:, :w * ng].reshape(rows, w, ng).max(axis=1)
+    rest = n_b - w * ng
+    np.maximum(groups[:, :rest], screen[:, w * ng:], out=groups[:, :rest])
+    # k = 0 selects nothing; position ng - 1 keeps the partition in range;
+    # the partition puts NaN on top
+    at = ng - max(k, 1)
+    groups.partition(at, axis=1)
+    return groups[:, at], groups[:, at:].max(axis=1)
 
 
 def _screen_candidates(mask: np.ndarray, finite: np.ndarray, k: int, cap: int

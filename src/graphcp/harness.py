@@ -117,8 +117,7 @@ class ExperimentConfig:
         _grid_steps(self.grid_step)
         if self.n_model_splits < 1 or self.n_conformal_splits < 1:
             raise ValidationError("split/trial counts must be >= 1")
-        if self.calib_rule not in ("min_1000_half", "fixed"):
-            raise ValidationError(f"unknown calib_rule {self.calib_rule!r}")
+        _check_calib_rule(self.calib_rule)
         if self.calib_rule == "fixed" and self.calib_size < 1:
             raise ValidationError("fixed calibration size must be >= 1")
         if self.method == "daps" and self.params is not None and self.params.lam != 0.0:
@@ -132,6 +131,15 @@ class ExperimentConfig:
                 self.method == "raps" or (aggregated and self.base == "raps")):
             raise ValidationError("raps_params apply only to method raps or to "
                                   "daps/snaps over base raps")
+        # method raps over base raps is raps itself; aps over raps would not be
+        if self.method == "aps" and self.base != "aps":
+            raise ValidationError(f"method 'aps' does not aggregate; base "
+                                  f"{self.base!r} applies to daps and snaps")
+
+
+def _check_calib_rule(calib_rule: str) -> None:
+    if calib_rule not in ("min_1000_half", "fixed"):
+        raise ValidationError(f"unknown calib_rule {calib_rule!r}")
 
 
 def _grid_steps(grid_step: float) -> int:
@@ -492,10 +500,15 @@ def run_oracle_experiment(bundle: DatasetBundle, alpha: float = 0.05,
                           seed: int = 0) -> list[TrialReport]:
     """Same-label aggregation sweep: one report per m, trials aligned across
     the sweep (same split and xi per trial index) for paired comparisons.
-    An empty sweep, a repeated m and ``n_trials < 1`` are rejected."""
+    An empty sweep, a repeated or non-integer m, an unknown ``calib_rule``
+    and ``n_trials < 1`` are rejected."""
     if not 0.0 <= w <= 1.0:
         raise ValidationError("w must lie in [0, 1]")
     _check_trial_count(n_trials)
+    _check_calib_rule(calib_rule)
+    bad = [m for m in m_sweep if not isinstance(m, (int, np.integer))]
+    if bad:
+        raise ValidationError(f"m_sweep holds {bad[0]!r}; each m must be an integer")
     m_sweep = [int(m) for m in m_sweep]
     if not m_sweep:
         raise ValidationError("m_sweep is empty")

@@ -260,9 +260,8 @@ def image_snaps(S_eval: ScoreMatrix, S_calib: ScoreMatrix,
     screened by ``graph._top_k_blocks``): ties go to the smaller calibration
     index, and the k rows are averaged in the kernel's order (most similar
     first), which is the order of a stable argsort, so every score is
-    reproducible to the bit.  Test rows are processed in chunks whose screen
-    block and its partition copy stay within ``graph._CHUNK_TARGET``
-    elements.
+    reproducible to the bit.  Test rows are screened in chunks of
+    ``graph._block_rows`` rows.
 
     ``exclude_self=True`` treats eval and calibration as the same aligned set
     and skips each row's own entry.  Zero-norm feature rows fall back to the
@@ -313,14 +312,24 @@ def _image_mix(v: np.ndarray, values: np.ndarray, nbrs: np.ndarray, eta: float,
                keep: np.ndarray) -> np.ndarray:
     """Image mode's mix: row i of ``v`` becomes ``(1 - eta) * v[i] + eta *
     values[nbrs[i]].mean(axis=0)``, except rows flagged in ``keep`` (zero-norm
-    features), which stay ``v[i]``.  Rows are mixed in chunks whose (rows, k,
-    K) neighbor gather stays within ``graph._CHUNK_TARGET`` elements; the
-    mean runs over axis 1 of that gather, the layout that fixes its bits."""
+    features), which stay ``v[i]``.  The mean has the bits of ``.mean(axis=1)``
+    over the (rows, k, K) neighbor gather: numpy adds that gather's k slices
+    in order to +0.0 when K > 1, so they are added that way here, one (rows,
+    K) slice at a time; with K = 1 the k axis is contiguous, numpy sums it
+    pairwise, and the gather is reduced as it is.  Rows are mixed in chunks
+    whose gather stays within ``graph._CHUNK_TARGET`` elements."""
     out = np.empty(v.shape)
-    step = max(1, _CHUNK_TARGET // max(nbrs.shape[1] * values.shape[1], 1))
+    k, num_cols = nbrs.shape[1], values.shape[1]
+    step = max(1, _CHUNK_TARGET // max(k * num_cols, 1))
     for start in range(0, v.shape[0], step):
         stop = min(start + step, v.shape[0])
-        nbr_mean = np.take(values, nbrs[start:stop], axis=0).mean(axis=1)
+        if num_cols == 1:
+            nbr_mean = np.take(values, nbrs[start:stop], axis=0).mean(axis=1)
+        else:
+            nbr_mean = np.zeros((stop - start, num_cols))
+            for col in nbrs[start:stop].T:
+                nbr_mean += np.take(values, col, axis=0)
+            nbr_mean /= k
         block = (1.0 - eta) * v[start:stop] + eta * nbr_mean
         rows = keep[start:stop]
         block[rows] = v[start:stop][rows]

@@ -129,6 +129,8 @@ def test_oracle_subcommand(synth_dir, tmp_path):
      "method 'aps' does not aggregate"),
     (["run", "--method", "raps", "--lambda", "0.4", "--mu", "0.2"],
      "method 'raps' does not aggregate"),
+    (["run", "--method", "aps", "--base", "raps"],
+     "method 'aps' does not aggregate; base 'raps'"),
 ])
 def test_arguments_no_run_can_honor_exit_one(synth_dir, tmp_path, capsys, extra,
                                              message):

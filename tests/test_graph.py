@@ -308,7 +308,11 @@ def _screen_features(rng, kind, n, d):
 def test_screened_top_k_blocks_match_full_scoring_bit_for_bit(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     kind = data.draw(st.sampled_from(["grid", "palette", "normal"]), label="kind")
-    n_b = data.draw(st.integers(2, 40), label="n_b")
+    # up to 40 columns with any k, where the screen's groups are mostly single
+    # columns, or up to 300 with k <= 10: groups of several columns, and
+    # usually n_b mod ng leftover columns
+    wide = data.draw(st.booleans(), label="wide")
+    n_b = data.draw(st.integers(41, 300) if wide else st.integers(2, 40), label="n_b")
     d = data.draw(st.integers(1, 64), label="d")
     base = g.graph._normalized_rows(_screen_features(rng, kind, n_b, d))[0]
     shape = data.draw(st.sampled_from(["self-join", "dropped", "plain"]), label="shape")
@@ -318,12 +322,18 @@ def test_screened_top_k_blocks_match_full_scoring_bit_for_bit(data):
         n_q = data.draw(st.integers(1, 20), label="n_q")
         queries = g.graph._normalized_rows(_screen_features(rng, kind, n_q, d))[0]
         self_cols = rng.integers(0, n_b, size=n_q) if shape == "dropped" else None
+    k_max = n_b - (self_cols is not None)
+    k = data.draw(st.integers(1, min(k_max, 10) if wide else k_max), label="k")
     if data.draw(st.booleans(), label="nan"):
         # a NaN row (build_knn_graph rejects NaN features, but the kernel
-        # does not rely on that) makes the screen non-finite
-        which = data.draw(st.sampled_from(["query", "base"]), label="nan_in")
-        (queries if which == "query" else base)[0, 0] = np.nan
-    k = data.draw(st.integers(1, n_b - (self_cols is not None)), label="k")
+        # does not rely on that) makes the screen non-finite; the last base
+        # row is a leftover column of the screen's groups when n_b mod ng > 0
+        which = data.draw(st.sampled_from(["query", "base", "last base"]),
+                          label="nan_in")
+        if which == "query":
+            queries[0, 0] = np.nan
+        else:
+            base[0 if which == "base" else n_b - 1, 0] = np.nan
     want = reference_top_k_blocks(queries, base, k, self_cols)
     # chunks of 1 to n_q rows, and a cap from "every row falls back" to
     # "no row passes too many candidates"
@@ -332,6 +342,37 @@ def test_screened_top_k_blocks_match_full_scoring_bit_for_bit(data):
     with mock.patch.object(g.graph, "_CHUNK_TARGET", 2 * n_b * rows), \
             mock.patch.object(g.graph, "_RESCORE_SLACK", cap - 4 * k):
         assert_same_bits(screened_top_k(queries, base, k, self_cols), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_screen_bound_never_exceeds_the_kth_screen_value(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n_b = data.draw(st.integers(1, 300), label="n_b")
+    k = data.draw(st.integers(0, min(n_b, 40)), label="k")
+    rows = data.draw(st.integers(1, 6), label="rows")
+    # few distinct values give ties within and across groups; -inf stands
+    # for dropped columns
+    palette = np.array([-np.inf, -1.0, -0.25, 0.0, 0.5, 0.5000000000000001, 1.0])
+    if data.draw(st.booleans(), label="ties"):
+        screen = rng.choice(palette, size=(rows, n_b))
+    else:
+        screen = rng.uniform(-1.0, 1.0, size=(rows, n_b))
+    bound, top = g.graph._screen_bound(screen.copy(), k)
+    kth = np.sort(screen, axis=1)[:, n_b - max(k, 1)]
+    assert (bound <= kth).all()
+    assert np.array_equal(top, screen.max(axis=1))
+    if 4 * max(k, 1) >= n_b:  # one column per group: the bound is exact
+        assert np.array_equal(bound, kth)
+
+
+def test_screen_bound_carries_nan_from_a_leftover_column():
+    # 4k = 12 groups of 10 columns; columns 120..124 fold into groups 0..4
+    screen = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 125))
+    screen[1, 123] = np.nan
+    bound, top = g.graph._screen_bound(screen, 3)
+    assert np.isnan(top[1]) and np.isfinite(top[[0, 2]]).all()
+    assert np.isfinite(bound[[0, 2]]).all()
 
 
 @settings(max_examples=150, deadline=None)

@@ -465,6 +465,14 @@ def test_config_rejects_raps_params_no_trial_uses(method, base):
         g.ExperimentConfig(method=method, base=base, raps_params=g.RapsParams(2, 0.1))
 
 
+def test_config_rejects_a_base_the_method_ignores():
+    with pytest.raises(ValidationError,
+                       match="method 'aps' does not aggregate; base 'raps'"):
+        g.ExperimentConfig(method="aps", base="raps")
+    # method raps scores with its own base, so naming it is consistent
+    assert g.ExperimentConfig(method="raps", base="raps").base == "raps"
+
+
 def test_synthetic_limit_case_pure_homophily():
     bundle = g.generate_synthetic(n=300, num_classes=3, dim=4, homophily=1.0,
                                   class_sep=1.0, noise=0.0, seed=5)
@@ -542,6 +550,10 @@ def test_oracle_experiment_m_zero_equals_base(small_bundle):
     ({"m_sweep": (), "n_trials": 3}, "m_sweep is empty"),
     ({"m_sweep": (1, 1), "n_trials": 3}, "m_sweep repeats m=1"),
     ({"m_sweep": (0, 4, 2, 4), "n_trials": 3}, "m_sweep repeats m=4"),
+    ({"m_sweep": (1.7,), "n_trials": 3}, "m_sweep holds 1.7; each m must be an integer"),
+    ({"m_sweep": (0, 2.0), "n_trials": 3}, "m_sweep holds 2.0"),
+    ({"m_sweep": (0, 2), "n_trials": 3, "calib_rule": "bogus"},
+     "unknown calib_rule 'bogus'"),
 ])
 def test_oracle_experiment_rejects_bad_sweeps_and_trial_counts(small_bundle, kw,
                                                                message):

@@ -390,3 +390,30 @@ def test_image_snaps_rejects_non_finite_features(side):
     (feats_eval if side == "eval" else feats_calib)[2, 1] = np.nan
     with pytest.raises(ValidationError, match=f"feats_{side}: non-finite value at row 2, col 1"):
         g.image_snaps(S, S, feats_eval, feats_calib, k=2, eta=0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_image_mix_has_the_bits_of_the_gathered_mean(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    k = data.draw(st.integers(1, 40), label="k")
+    num_cols = data.draw(st.integers(1, 20), label="K")
+    n_rows, n_values = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 50))
+    # magnitudes over 12 decades and signed zeros, so the order of the
+    # additions and the starting zero both show in the bits
+    values = rng.random((n_values, num_cols)) * 10.0 ** rng.integers(
+        -6, 7, size=(n_values, num_cols))
+    values[rng.random(values.shape) < 0.1] = -0.0
+    v = rng.random((n_rows, num_cols))
+    nbrs = rng.integers(0, n_values, size=(n_rows, k))
+    keep = rng.random(n_rows) < 0.2
+    eta = data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]), label="eta")
+    want = (1.0 - eta) * v + eta * np.take(values, nbrs, axis=0).mean(axis=1)
+    want[keep] = v[keep]
+    # chunks of one row up to all of them
+    chunk = data.draw(st.integers(1, n_rows), label="rows_per_chunk")
+    target = chunk * k * num_cols
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(g.propagate, "_CHUNK_TARGET", target)
+        got = g.propagate._image_mix(v, values, nbrs, eta, keep)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
