@@ -113,8 +113,8 @@ def main():
 
     def image_trials():
         mass = g.scores._mass_above(g.matrixio.validate_probabilities(P))
-        return [g.harness._image_trial(P, mass, feats, image.labels, IMAGE_CALIB,
-                                       IMAGE_K, IMAGE_ETA, IMAGE_ALPHA, SEED, t, pool)
+        return [g.harness._image_trial(P, mass, image.labels, IMAGE_CALIB, IMAGE_K,
+                                       IMAGE_ETA, IMAGE_ALPHA, SEED, t, pool)
                 for t in range(IMAGE_TRIALS)]
 
     stages["image_trials"], _ = timed(image_trials, REPEATS)

@@ -197,11 +197,13 @@ def _cmd_image(args) -> int:
         labels = np.concatenate([labels, y_test])
     n_cal, n_test = p_cal.shape[0], p_test.shape[0]
     calib, test = np.arange(n_cal), n_cal + np.arange(n_test)
+    harness._check_image_args(args.k, args.eta, n_cal)
 
     base = aps_scores(np.concatenate([p_cal, p_test]),
                       XiPolicy("uniform", seed=args.seed))
-    full = harness._image_scores(base, np.concatenate([f_cal, f_test]),
-                                 calib, test, args.k, args.eta)
+    pool = harness._image_pool_order(np.concatenate([f_cal, f_test]), n_cal,
+                                     args.k, 1)
+    full = harness._image_scores(base, calib, test, args.k, args.eta, pool)
     trial = harness._evaluate_trial(full, labels, calib, test, args.alpha, 0, 0,
                                     {"k": args.k, "eta": args.eta})
     config = {"mode": "image", "alpha": args.alpha, "k": args.k, "eta": args.eta,

@@ -20,8 +20,8 @@ The k-NN builder has two modes:
   (``_sample_pools``).  With M = n - 1 the sampled candidate set is all
   other nodes and the result equals exact mode.
 
-Both modes, and the graph-free image mode in ``propagate.image_snaps``, pick
-neighbors with one batched top-k kernel (``_top_k``): per row of a
+Both modes, and image mode (``image_snaps`` and ``harness._image_scores``),
+pick neighbors with one batched top-k kernel (``_top_k``): per row of a
 similarity block, the k largest entries, higher similarity first and ties to
 the smaller index, in exactly the order of the first k of a stable
 ``argsort`` of the negated row.  A block at most 2k wide is sorted whole
@@ -33,12 +33,12 @@ whose bits do not depend on where a row sits (``_pairwise_sims``,
 under a rounding-error certificate, which entries to score that way.  Row
 chunks are sized so that a screen block stays within half of
 ``_CHUNK_TARGET`` elements (4 MB of float64); candidate gathers stay within
-``_SAMPLED_GATHER`` elements (4 MB).  Image mode over many
-splits of one pool runs the kernel once, as a self-join of the pool at a
-fixed depth (``_self_join_order``): each split takes a row's first
-calibration rows in that order as its neighbors, and only rows with too few
-of them there go through ``_top_k_blocks`` against the split's calibration
-rows (``harness._image_scores``).
+``_SAMPLED_GATHER`` elements (4 MB).  Image mode scores every split through
+one pool (``harness._image_scores``); when many splits share it, the kernel
+runs once, as a self-join at a fixed depth (``_self_join_order``), and each
+split takes a row's first calibration rows in that order.  Rows with too
+few of them there, every row at depth 0, go through ``_top_k_blocks``
+against the split's calibration rows.
 
 Row sums over arcs (a graph's degrees, and the neighbor sums behind
 ``propagate.weighted_row_means``) come from one exact-sum kernel,

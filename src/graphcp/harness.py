@@ -21,8 +21,8 @@ is the one a point-by-point search would pick.
 
 Every runner, and the ``image`` CLI command, measures a trial through one
 evaluator, ``_evaluate_trial``: calibrate -> predict sets -> coverage, Size,
-singleton hit and SSCV.  Image-mode trials build their scores through one
-body, ``_image_scores``.
+singleton hit and SSCV.  Every image-mode split, the ``image`` command's
+too, is scored through one body, ``_image_scores``.
 
 Everything is driven by integer seeds: per-trial generators are derived from
 (seed, stage, model split, conformal split), so serial and threaded runs
@@ -67,7 +67,6 @@ from .propagate import (
     _mix_weights,
     _pair_blocks,
     combine_scores,
-    image_snaps,
     neighbor_means,
     oracle_aggregate,
 )
@@ -371,7 +370,8 @@ def _config_dict(cfg: ExperimentConfig, bundle: DatasetBundle) -> dict:
                     "num_classes": bundle.num_classes},
         "alpha": cfg.alpha,
         "method": cfg.method,
-        "base": cfg.base,
+        # every raps trial scores RAPS, whatever base the config names
+        "base": "raps" if cfg.method == "raps" else cfg.base,
         "knn": {"k": cfg.knn.k, "sample_size": cfg.knn.sample_size,
                 "seed": cfg.knn.seed, "min_similarity": cfg.knn.min_similarity},
         "grid_step": cfg.grid_step,
@@ -554,20 +554,20 @@ class _ImagePool(NamedTuple):
 
 
 def _image_pool_order(feats: np.ndarray, c: int, k: int,
-                      n_trials: int) -> _ImagePool | None:
-    """Each pool row's most similar other pool rows, in ``image_snaps``'s
-    neighbor order, with the unit rows and zero-norm mask they come from;
-    None when scoring the pool once costs more pairs than the trials would
-    score (n - 1 >= n_trials * c).
-
-    The depth is the smallest T at which a row expects 4k calibration rows in
-    its list (T c / (n - 1) >= 4k); rows that still fall short are scored by
-    the top-k kernel in ``_image_scores``."""
+                      n_trials: int) -> _ImagePool:
+    """The pool an image-mode run scores its splits through: the unit rows,
+    their zero-norm mask and each row's most similar other pool rows, in
+    ``image_snaps``'s neighbor order, to the smallest depth T at which a row
+    expects 4k calibration rows in its list (T c / (n - 1) >= 4k).  The
+    order has depth 0 when scoring the pool once costs at least the pairs
+    that the ``n_trials`` splits reading neighbors would score (n - 1 >=
+    n_trials * c); rows short of k calibration rows in it are scored by the
+    top-k kernel in ``_pool_neighbors``."""
     n = feats.shape[0]
-    if n - 1 >= n_trials * c:
-        return None
-    depth = min(n - 1, -(-4 * k * (n - 1) // c))
     normed, zero = _normalized_rows(feats)
+    if n - 1 >= n_trials * c:
+        return _ImagePool(normed, zero, np.empty((n, 0), dtype=np.int64))
+    depth = min(n - 1, -(-4 * k * (n - 1) // c))
     return _ImagePool(normed, zero, _self_join_order(normed, depth))
 
 
@@ -608,34 +608,23 @@ def _pool_neighbors(pool: _ImagePool, hits: np.ndarray, starts: np.ndarray,
     return nbrs
 
 
-def _image_scores(base: ScoreMatrix, feats: np.ndarray, calib: np.ndarray,
-                  test: np.ndarray, k: int, eta: float,
-                  pool: _ImagePool | None = None) -> np.ndarray:
-    """One image-mode trial's corrected scores for every row of ``base``.
+def _image_scores(base: ScoreMatrix, calib: np.ndarray, test: np.ndarray,
+                  k: int, eta: float, pool: _ImagePool) -> np.ndarray:
+    """One image-mode split's corrected scores for every row of ``base``.
 
-    The trial's APS scores ``base`` (node ids are row indices) are mixed, on
+    The split's APS scores ``base`` (node ids are pool rows) are mixed, on
     calibration rows, with the mean scores of their k most similar other
     calibration rows and, on test rows, with those of their k most similar
-    calibration rows.  Without ``pool`` each side is one ``image_snaps``
-    call.  With the ``pool`` from ``_image_pool_order`` (``calib`` sorted),
-    one pass over the pool order finds every row's calibration hits, as pool
-    ids (``_pool_neighbors``), and ``propagate._image_mix`` mixes the rows;
-    the scores are the same bits."""
-    if pool is None:
-        xi = base.xi
-        s_cal = ScoreMatrix(base.values[calib], "aps", xi)
-        s_test = ScoreMatrix(base.values[test], "aps", xi)
-        corr_cal = image_snaps(s_cal, s_cal, feats[calib], feats[calib],
-                               k=k, eta=eta, exclude_self=True)
-        corr_test = image_snaps(s_test, s_cal, feats[test], feats[calib],
-                                k=k, eta=eta)
-        full = np.empty_like(base.values)
-        full[calib] = corr_cal.values
-        full[test] = corr_test.values
-        return full
+    calibration rows.  One pass over ``pool.order`` (``calib`` sorted)
+    finds every row's calibration hits, ``_pool_neighbors`` turns them into
+    pool ids, and ``propagate._image_mix`` mixes the rows; the scores have
+    the bits of two ``image_snaps`` calls.  At ``eta = 0`` the scores are
+    ``base``'s, and no neighbor is looked up."""
+    values = base.values
+    if eta == 0.0:
+        return values.copy()
     hits, starts = _calib_hits(pool.order, calib)
     c = calib.shape[0]
-    values = base.values
     full = np.empty_like(values)
     for rows, k_eff, self_cols in ((calib, min(k, c - 1), np.arange(c)),
                                    (test, k, None)):
@@ -644,18 +633,29 @@ def _image_scores(base: ScoreMatrix, feats: np.ndarray, calib: np.ndarray,
     return full
 
 
-def _image_trial(P: np.ndarray, mass: np.ndarray, feats: np.ndarray,
-                 labels: np.ndarray, c: int, k: int, eta: float, alpha: float,
-                 seed: int, t: int, pool: _ImagePool | None) -> TrialResult:
+def _image_trial(P: np.ndarray, mass: np.ndarray, labels: np.ndarray, c: int,
+                 k: int, eta: float, alpha: float, seed: int, t: int,
+                 pool: _ImagePool) -> TrialResult:
     """Trial ``t`` of ``run_image_experiment``: draw its split and xi, add
     the xi share to the run's APS ``mass``, correct and evaluate."""
     perm = np.random.default_rng([seed & _MASK32, 0xE5, t]).permutation(P.shape[0])
     calib, test = np.sort(perm[:c]), np.sort(perm[c:])
     xi = XiPolicy("uniform", seed=_derive_seed(seed, 0xF6, t))
-    full = _image_scores(_aps_from_mass(mass, P, xi), feats, calib, test, k, eta,
-                         pool)
+    full = _image_scores(_aps_from_mass(mass, P, xi), calib, test, k, eta, pool)
     return _evaluate_trial(full, labels, calib, test, alpha, 0, t,
                            {"k": k, "eta": eta})
+
+
+def _check_image_args(k: int, eta: float, c: int) -> None:
+    """Image mode's checks, in ``image_snaps``'s order: eta in [0, 1], k in
+    [1, c] and c >= 2 calibration rows (each one averages its others)."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValidationError("eta must lie in [0, 1]")
+    if not 1 <= k <= c:
+        raise ValidationError(f"k={k} must lie in [1, {c}]")
+    if c < 2:
+        raise ValidationError(f"calibration set has {c} row(s); excluding "
+                              "self needs at least 2")
 
 
 def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
@@ -670,12 +670,12 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
     Each trial does only the work its split and xi change.  The
     probabilities are validated, and their APS mass (``scores._mass_above``)
     computed, once per run; a trial adds its own xi share.  Every trial
-    draws its calibration set from the same pool, so when the trials
-    together would score more pairs than the pool has, the pool's unit rows
-    and similarity order are built once (``_image_pool_order``), and each
-    trial finds all its rows' neighbors in one pass over that order, scoring
-    only the rows it leaves short (``_image_scores``).  The report is
-    bit-identical to scoring every trial from scratch with ``image_snaps``.
+    draws its calibration set from the same pool, whose unit rows are built
+    once (``_image_pool_order``), with a similarity order when the trials
+    together would score more pairs than the pool has.  Each trial finds
+    all its rows' neighbors in one pass over that order, scoring only the
+    rows it leaves short (``_image_scores``).  The report is bit-identical
+    to scoring every trial from scratch with ``image_snaps``.
     Non-finite features, probability rows that do not sum to 1, labels
     outside [0, K), eta outside [0, 1], k outside [1, c] and a calibration
     set of one row (which has no other row to average) are rejected, and so
@@ -691,20 +691,13 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
     c = n // 2 if calib_size is None else calib_size
     if not 1 <= c < n:
         raise ValidationError(f"calibration size {c} out of range")
-    if k > c:
-        raise ValidationError(f"k={k} exceeds calibration size {c}")
-    if k < 1:
-        raise ValidationError(f"k={k} must lie in [1, {c}]")
-    if c < 2:
-        raise ValidationError(f"calibration set has {c} row(s); excluding "
-                              "self needs at least 2")
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError("eta must lie in [0, 1]")
+    _check_image_args(k, eta, c)
     validate_probabilities(P)
-    pool = _image_pool_order(feats, c, k, n_trials) if eta > 0.0 else None
+    # at eta = 0 no trial reads a neighbor
+    pool = _image_pool_order(feats, c, k, n_trials if eta > 0.0 else 0)
     mass = _mass_above(P)
-    trials = [_image_trial(P, mass, feats, labels, c, k, eta, alpha, seed, t,
-                           pool) for t in range(n_trials)]
+    trials = [_image_trial(P, mass, labels, c, k, eta, alpha, seed, t, pool)
+              for t in range(n_trials)]
     config = {
         "mode": "image", "dataset": {"name": name, "n": n,
                                      "num_classes": int(P.shape[1])},

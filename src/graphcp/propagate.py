@@ -267,10 +267,10 @@ def image_snaps(S_eval: ScoreMatrix, S_calib: ScoreMatrix,
     and skips each row's own entry.  Zero-norm feature rows fall back to the
     uncorrected score.  Non-finite features are rejected.
 
-    This scores one split of eval and calibration rows.  Image-mode runs
-    over many splits of one pool read most neighbors from the pool's
-    similarity order instead (``harness._image_scores``); they share the
-    kernel and the mix (``_image_mix``), so both give the same bits.
+    This is the public one-split function and the from-scratch reference
+    the pipeline is tested against.  The pipeline scores every split through
+    a pool (``harness._image_scores``) with the same kernel and mix
+    (``_image_mix``), so both give the same bits.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValidationError("eta must lie in [0, 1]")

@@ -24,13 +24,12 @@ def make_sets(mask, alpha=0.05, q_hat=0.5, n_graph=None):
                             threshold=threshold)
 
 
-def image_trial_reference(P, feats, labels, calib, test, xi, *, alpha, k, eta):
-    """One image-mode trial scored from scratch with the public functions:
-    APS scores, calibration rows corrected by their other calibration rows,
-    test rows by the calibration rows, then calibrate and evaluate."""
-    base = g.aps_scores(P, xi)
-    s_cal = g.ScoreMatrix(base.values[calib], "aps", xi)
-    s_test = g.ScoreMatrix(base.values[test], "aps", xi)
+def image_scores_reference(base, feats, calib, test, *, k, eta):
+    """One image-mode split's corrected scores from two ``image_snaps``
+    calls: calibration rows corrected by their other calibration rows, test
+    rows by the calibration rows."""
+    s_cal = g.ScoreMatrix(base.values[calib], "aps", base.xi)
+    s_test = g.ScoreMatrix(base.values[test], "aps", base.xi)
     corr_cal = g.image_snaps(s_cal, s_cal, feats[calib], feats[calib],
                              k=k, eta=eta, exclude_self=True)
     corr_test = g.image_snaps(s_test, s_cal, feats[test], feats[calib],
@@ -38,6 +37,15 @@ def image_trial_reference(P, feats, labels, calib, test, xi, *, alpha, k, eta):
     full = np.empty_like(base.values)
     full[calib] = corr_cal.values
     full[test] = corr_test.values
+    return full
+
+
+def image_trial_reference(P, feats, labels, calib, test, xi, *, alpha, k, eta):
+    """One image-mode trial scored from scratch with the public functions:
+    APS scores, corrected by ``image_scores_reference``, then calibrate and
+    evaluate."""
+    full = image_scores_reference(g.aps_scores(P, xi), feats, calib, test,
+                                  k=k, eta=eta)
     threshold = g.calibrate(full, labels, calib, alpha)
     sets = g.predict_sets(full, threshold, test)
     summary = g.evaluate(sets, labels)

@@ -263,3 +263,19 @@ def test_image_rejects_one_row_calibration(synth_dir, tmp_path, capsys):
     assert main(argv + ["--k", "1", "--out", str(tmp_path / "image.json")]) == 1
     assert "calibration set has 1 row" in capsys.readouterr().err
     assert not (tmp_path / "image.json").exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--k", "0"], "k=0 must lie in [1, 150]"),
+    (["--k", "151"], "k=151 must lie in [1, 150]"),
+    (["--eta", "1.5"], "eta must lie in [0, 1]"),
+    (["--eta", "nan"], "eta must lie in [0, 1]"),
+], ids=["k-zero", "k-past-calibration", "eta-above-one", "eta-nan"])
+def test_image_rejects_bad_k_and_eta(synth_dir, tmp_path, capsys, extra, message):
+    bundle = g.load_bundle(synth_dir / "manifest.txt")
+    half = bundle.n // 2
+    argv = _image_argv(tmp_path, _halves(bundle.probabilities, half),
+                       _halves(bundle.features, half), _halves(bundle.labels, half))
+    assert main(argv + extra + ["--out", str(tmp_path / "image.json")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "image.json").exists()

@@ -11,7 +11,7 @@ from graphcp import harness
 from graphcp.errors import ValidationError
 from graphcp.harness import _split_pool, snaps_param_grid
 
-from conftest import image_trial_reference
+from conftest import image_scores_reference, image_trial_reference
 
 XI = g.XiPolicy("fixed", 1.0)
 
@@ -473,6 +473,15 @@ def test_config_rejects_a_base_the_method_ignores():
     assert g.ExperimentConfig(method="raps", base="raps").base == "raps"
 
 
+def test_raps_report_records_the_base_its_trials_score(small_bundle):
+    # every raps trial scores RAPS, so both configs describe one run
+    reports = [g.run_experiment(small_bundle, g.ExperimentConfig(
+        alpha=0.1, method="raps", base=base, n_model_splits=1,
+        n_conformal_splits=2, seed=9)) for base in ("aps", "raps")]
+    assert reports[0].config["base"] == "raps"
+    assert g.reports_equal(*reports)
+
+
 def test_synthetic_limit_case_pure_homophily():
     bundle = g.generate_synthetic(n=300, num_classes=3, dim=4, homophily=1.0,
                                   class_sep=1.0, noise=0.0, seed=5)
@@ -678,6 +687,8 @@ def test_pool_scores_match_image_snaps_bit_for_bit(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     base = g.ScoreMatrix(rng.uniform(size=(n, data.draw(st.integers(1, 3), label="K"))),
                          "aps", XI)
+    # eta = 0 takes the shortcut that looks up no neighbor
+    eta = data.draw(st.sampled_from([0.0, 0.6, 1.0]), label="eta")
     pool = _pool(feats, depth)
     scored = []
     real = harness._top_k_blocks
@@ -688,10 +699,10 @@ def test_pool_scores_match_image_snaps_bit_for_bit(data):
 
     harness._top_k_blocks = spy
     try:
-        out = harness._image_scores(base, feats, calib, test, k, 0.6, pool)
+        out = harness._image_scores(base, calib, test, k, eta, pool)
     finally:
         harness._top_k_blocks = real
-    ref = harness._image_scores(base, feats, calib, test, k, 0.6)
+    ref = image_scores_reference(base, feats, calib, test, k=k, eta=eta)
     assert np.array_equal(out.view(np.int64), ref.view(np.int64))
     # the kernel scores exactly the rows that have fewer than k_eff
     # calibration rows in their pool order, calibration rows without their
@@ -700,7 +711,7 @@ def test_pool_scores_match_image_snaps_bit_for_bit(data):
     want = []
     for rows, k_eff, own in ((calib, min(k, c - 1), True), (test, k, False)):
         short = np.flatnonzero(np.count_nonzero(member[rows], axis=1) < k_eff)
-        if short.size:
+        if short.size and eta > 0.0:
             want.append((pool.normed[rows[short]], k_eff, short if own else None))
     assert len(scored) == len(want)
     for (queries, k_, self_cols), (w_queries, w_k, w_self) in zip(scored, want):
@@ -784,8 +795,8 @@ def test_image_experiment_rejects_one_row_calibration(small_bundle):
 ])
 def test_image_experiment_rejects_bad_k_and_eta_with_a_pool_order(small_bundle, k, eta,
                                                                    message):
-    # 45 trials of 10 calibration rows build the pool order, whose trials
-    # never call image_snaps
+    # 45 trials of 10 calibration rows would build a pool order; the
+    # arguments are checked before it is
     with pytest.raises(ValidationError, match=message):
         g.run_image_experiment(small_bundle.probabilities, small_bundle.features,
                                small_bundle.labels, k=k, eta=eta, n_trials=45,

@@ -1,0 +1,30 @@
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_stage_times_runs_every_stage_at_small_shapes(tmp_path, monkeypatch, capsys):
+    script = _load("stage_times")
+    for name, value in dict(N=400, EXACT_N=400, IMAGE_N=400, IMAGE_CALIB=100,
+                            IMAGE_TRIALS=4, REPEATS=1, SAMPLE_M=200).items():
+        monkeypatch.setattr(script, name, value)
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", ["stage_times.py", "--out", str(out)])
+    script.main()
+    data = json.loads(out.read_text())
+    assert set(data["stages"]) == {"load_bundle", "sampled_knn_build", "neighbor_means",
+                                   "exact_knn_build", "image_pool_order", "image_trials"}
+    # 4 trials of 100 calibration rows from 400 pay for the self-join:
+    # depth ceil(4 * 5 * 399 / 100)
+    assert data["config"]["image"]["pool_depth"] == 80
+    assert len(capsys.readouterr().out.splitlines()) == 6
