@@ -48,7 +48,8 @@ def _build_parser() -> _Parser:
                      help="candidate sample size for large graphs")
     run.add_argument("--grid-step", type=float, default=0.05)
     run.add_argument("--calib-size", type=int, default=None,
-                     help="fixed calibration size (default: min(1000, pool/2) rule)")
+                     help="calibration nodes per trial, half of them tuning "
+                          "when the method tunes (default: min(1000, pool // 2))")
     run.add_argument("--lambda", dest="lam", type=float, default=None,
                      help="force the similarity weight (skips tuning; needs --mu)")
     run.add_argument("--mu", type=float, default=None,
@@ -65,7 +66,8 @@ def _build_parser() -> _Parser:
     oracle.add_argument("--m-sweep", default="0,1,2,4,8,16,32")
     oracle.add_argument("--w", type=float, default=0.5)
     oracle.add_argument("--trials", type=int, default=20)
-    oracle.add_argument("--calib-size", type=int, default=None)
+    oracle.add_argument("--calib-size", type=int, default=None,
+                        help="calibration nodes per trial (default: min(1000, n // 2))")
     oracle.add_argument("--renormalize", action="store_true")
     oracle.add_argument("--seed", type=int, default=0)
     oracle.add_argument("--out", required=True)
@@ -99,14 +101,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _calib_kwargs(args) -> dict:
-    """``--calib-size`` as runner arguments: any given value, 0 included,
-    fixes the calibration size (and is range-checked there)."""
-    if args.calib_size is None:
-        return {"calib_rule": "min_1000_half", "calib_size": 1000}
-    return {"calib_rule": "fixed", "calib_size": args.calib_size}
-
-
 def _cmd_run(args) -> int:
     bundle = matrixio.load_bundle(args.manifest, renormalize=args.renormalize)
     params = None
@@ -119,7 +113,7 @@ def _cmd_run(args) -> int:
         knn=KnnConfig(k=args.k, sample_size=args.sample_m, seed=args.seed),
         grid_step=args.grid_step,
         n_model_splits=args.splits, n_conformal_splits=args.trials,
-        seed=args.seed, params=params, **_calib_kwargs(args),
+        calib_size=args.calib_size, seed=args.seed, params=params,
     )
     report = harness.run_experiment(bundle, cfg)
     write_report(report, args.out, format=args.format)
@@ -138,7 +132,7 @@ def _cmd_oracle(args) -> int:
         raise ValidationError(f"bad --m-sweep: {args.m_sweep!r}") from None
     reports = harness.run_oracle_experiment(
         bundle, alpha=args.alpha, m_sweep=m_sweep, w=args.w,
-        n_trials=args.trials, seed=args.seed, **_calib_kwargs(args),
+        n_trials=args.trials, calib_size=args.calib_size, seed=args.seed,
     )
     payload = {
         "m_sweep": list(m_sweep),
@@ -189,6 +183,9 @@ def _cmd_image(args) -> int:
                  args.feats_test)
     _same_extent(p_cal, f_cal, 0, "rows", args.probs_calib, args.feats_calib)
     _same_extent(p_test, f_test, 0, "rows", args.probs_test, args.feats_test)
+    if p_test.shape[0] == 0:
+        raise ValidationError(f"--probs-test {args.probs_test} has no rows; "
+                              "image mode needs at least one test row")
     labels = matrixio.load_labels(args.labels_calib, p_cal.shape[1])
     _same_extent(p_cal, labels, 0, "rows", args.probs_calib, args.labels_calib)
     if args.labels_test:

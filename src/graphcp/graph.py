@@ -158,9 +158,11 @@ class KnnConfig:
             )
 
 
-def _freeze(*arrays: np.ndarray) -> None:
+def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark ``arrays`` read-only and return them."""
     for a in arrays:
         a.setflags(write=False)
+    return arrays
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,12 +3,15 @@ hyperparameter tuning, the same-label oracle sweep, the graph-free image
 mode, and a synthetic planted-partition generator for desk-scale checks.
 
 Protocol per trial: sample 20 train + 20 valid nodes per class, pool the
-rest, split the pool into calibration and test (calibration size
-min(1000, pool/2) by default).  Methods with hyperparameters split their
-calibration set in half - one half tunes on a grid (calibrate on half of it,
-measure Size on the rest, ties broken by higher singleton-hit then smaller
-total weight), the other half feeds the final conformal calibration.
-Tuning therefore never sees the final calibration half or the test set.
+rest, split the pool into calibration and test (one setting, ``calib_size``:
+a fixed count, or None for min(1000, pool // 2)).  Methods with
+hyperparameters split their calibration set in half - one half tunes on a
+grid (calibrate on half of it, measure Size on the rest, ties broken by
+higher singleton-hit then smaller total weight), the other half feeds the
+final conformal calibration.  Tuning therefore never sees the final
+calibration half or the test set.  Every random cut - calibration/test,
+tuning/final and the tuning halves, in every runner - is drawn by one
+function, ``_split_pool``.
 ``run_experiment`` is the only caller of the tuners (``_tune_snaps``,
 ``_tune_raps``), so the weights a trial picks depend on the run's seed and
 the trial's index alone.
@@ -44,6 +47,7 @@ from .conformal import _order_statistic, calibrate, conformal_rank, predict_sets
 from .errors import ValidationError
 from .graph import (
     KnnConfig,
+    _freeze,
     _normalized_rows,
     _self_join_order,
     _top_k_blocks,
@@ -100,8 +104,7 @@ class ExperimentConfig:
     grid_step: float = 0.05
     n_model_splits: int = 10
     n_conformal_splits: int = 100
-    calib_rule: str = "min_1000_half"  # calib = min(1000, pool // 2)
-    calib_size: int = 1000
+    calib_size: int | None = None  # None: min(1000, pool // 2)
     seed: int = 0
     params: SnapsParams | None = None      # forced aggregation weights, skips tuning
     raps_params: RapsParams | None = None  # forced regularization, skips tuning
@@ -116,8 +119,7 @@ class ExperimentConfig:
         _grid_steps(self.grid_step)
         if self.n_model_splits < 1 or self.n_conformal_splits < 1:
             raise ValidationError("split/trial counts must be >= 1")
-        _check_calib_rule(self.calib_rule)
-        if self.calib_rule == "fixed" and self.calib_size < 1:
+        if self.calib_size is not None and self.calib_size < 1:
             raise ValidationError("fixed calibration size must be >= 1")
         if self.method == "daps" and self.params is not None and self.params.lam != 0.0:
             raise ValidationError("daps admits only the mu weight (lam must be 0)")
@@ -134,11 +136,6 @@ class ExperimentConfig:
         if self.method == "aps" and self.base != "aps":
             raise ValidationError(f"method 'aps' does not aggregate; base "
                                   f"{self.base!r} applies to daps and snaps")
-
-
-def _check_calib_rule(calib_rule: str) -> None:
-    if calib_rule not in ("min_1000_half", "fixed"):
-        raise ValidationError(f"unknown calib_rule {calib_rule!r}")
 
 
 def _grid_steps(grid_step: float) -> int:
@@ -185,33 +182,25 @@ def _sample_train_valid(labels: np.ndarray, num_classes: int, rng) -> tuple:
     return train, valid, pool
 
 
-def _split_pool(pool: np.ndarray, calib_rule: str, calib_size: int, rng) -> tuple:
-    if pool.shape[0] < 2:
-        raise ValidationError("pool exhausted: need at least one calibration "
-                              "and one test node")
-    if calib_rule == "min_1000_half":
-        c = min(1000, pool.shape[0] // 2)
-    else:
-        c = calib_size
-    if not 1 <= c < pool.shape[0]:
-        raise ValidationError(
-            f"calibration size {c} must lie in [1, {pool.shape[0] - 1}] to leave "
-            f"test nodes in a pool of {pool.shape[0]}"
-        )
-    perm = rng.permutation(pool)
+def _split_pool(ids: np.ndarray, calib_size: int | None,
+                rng) -> tuple[np.ndarray, np.ndarray]:
+    """``ids`` permuted by ``rng`` and cut after ``calib_size`` of them (None:
+    min(1000, len(ids) // 2)), each part sorted: the one way a node set is
+    cut into calibration and test, or into tuning halves."""
+    n = ids.shape[0]
+    if n < 2:
+        raise ValidationError(f"cannot split {n} node(s) into two nonempty "
+                              "parts; a split needs at least 2")
+    c = min(1000, n // 2) if calib_size is None else calib_size
+    if not 1 <= c < n:
+        raise ValidationError(f"calibration size {c} must lie in [1, {n - 1}] "
+                              f"to leave test nodes in a pool of {n}")
+    perm = rng.permutation(ids)
     return np.sort(perm[:c]), np.sort(perm[c:])
 
 
 # ---------------------------------------------------------------------------
 # hyperparameter tuning
-
-def _half_split(idx: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
-    if idx.shape[0] < 2:
-        raise ValidationError("cannot split fewer than 2 nodes in half")
-    perm = rng.permutation(idx)
-    half = idx.shape[0] // 2
-    return np.sort(perm[:half]), np.sort(perm[half:])
-
 
 def _grid_size_sh(cal_scores, eval_scores, labels_cal, labels_eval,
                   num_classes, alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -282,19 +271,13 @@ def _raps_grid_scores(aps_values, ranks, k_reg, lam, rows):
     return scores
 
 
-def _read_only(*arrays):
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
 @functools.lru_cache(maxsize=8)
 def _snaps_grid(grid_step: float, mu_only: bool):
     """``snaps_param_grid`` as a tuple with its read-only 1-D ``lam`` and
     ``mu`` weights, built once per (grid_step, mu_only)."""
     grid = tuple(snaps_param_grid(grid_step, mu_only=mu_only))
-    return (grid, *_read_only(np.array([p.lam for p in grid]),
-                              np.array([p.mu for p in grid])))
+    return (grid, *_freeze(np.array([p.lam for p in grid]),
+                           np.array([p.mu for p in grid])))
 
 
 @functools.lru_cache(maxsize=8)
@@ -303,8 +286,8 @@ def _raps_grid(max_k_reg: int):
     a tuple with its read-only (G, 1) ``k_reg`` and ``lam`` columns."""
     grid = tuple(RapsParams(k_reg, lam) for k_reg in range(1, max_k_reg + 1)
                  for lam in RAPS_LAMBDA_GRID)
-    return (grid, *_read_only(np.array([[p.k_reg] for p in grid]),
-                              np.array([[p.lambda_reg] for p in grid])))
+    return (grid, *_freeze(np.array([[p.k_reg] for p in grid]),
+                           np.array([[p.lambda_reg] for p in grid])))
 
 
 def _tune_snaps(values, nm, labels, tune_idx, alpha, grid_step, rng,
@@ -312,7 +295,7 @@ def _tune_snaps(values, nm, labels, tune_idx, alpha, grid_step, rng,
     """The (lam, mu) grid point, or with ``mu_only`` the (0, mu) point of
     daps, that tunes best on ``tune_idx`` for the base ``values`` and their
     neighbor means ``nm``; ``rng`` draws the half split."""
-    a, b = _half_split(tune_idx, rng)
+    a, b = _split_pool(tune_idx, tune_idx.shape[0] // 2, rng)
     grid, lam, mu = _snaps_grid(grid_step, mu_only)
     cal_scores, a = _snaps_grid_scores(values, nm, lam, mu, a)
     eval_scores, b = _snaps_grid_scores(values, nm, lam, mu, b)
@@ -326,7 +309,7 @@ def _tune_raps(aps_values, ranks, labels, tune_idx, alpha, rng,
     """The (k_reg, lambda_reg) grid point that tunes best on ``tune_idx`` for
     APS ``aps_values`` and ``probability_ranks`` ``ranks``; ``rng`` draws the
     half split."""
-    a, b = _half_split(tune_idx, rng)
+    a, b = _split_pool(tune_idx, tune_idx.shape[0] // 2, rng)
     grid, k_reg, lam = _raps_grid(min(num_classes, RAPS_MAX_KREG))
     size, sh = _grid_size_sh(_raps_grid_scores(aps_values, ranks, k_reg, lam, a),
                              _raps_grid_scores(aps_values, ranks, k_reg, lam, b),
@@ -377,7 +360,6 @@ def _config_dict(cfg: ExperimentConfig, bundle: DatasetBundle) -> dict:
         "grid_step": cfg.grid_step,
         "n_model_splits": cfg.n_model_splits,
         "n_conformal_splits": cfg.n_conformal_splits,
-        "calib_rule": cfg.calib_rule,
         "calib_size": cfg.calib_size,
         "seed": cfg.seed,
         "params": cfg.params.as_dict() if cfg.params is not None else None,
@@ -410,6 +392,8 @@ def _check_trial_count(n_trials: int) -> None:
 def run_experiment(bundle: DatasetBundle, cfg: ExperimentConfig) -> TrialReport:
     """Repeated-split conformal evaluation of one method on one bundle.
 
+    Each trial calibrates on ``cfg.calib_size`` pool nodes (None:
+    min(1000, pool // 2)), half of them when the method tunes.
     Deterministic given (bundle, cfg): all randomness flows from cfg.seed and
     cfg.knn.seed.  Trials run in parallel when ``GRAPHCP_THREADS`` > 1 and
     merge in trial order, so threading never changes the report.
@@ -447,14 +431,14 @@ def run_experiment(bundle: DatasetBundle, cfg: ExperimentConfig) -> TrialReport:
 
         def one_trial(cs: int) -> TrialResult:
             rng_split = np.random.default_rng([cfg.seed & _MASK32, 0xC3, ms, cs])
-            calib, test = _split_pool(pool, cfg.calib_rule, cfg.calib_size, rng_split)
+            calib, test = _split_pool(pool, cfg.calib_size, rng_split)
             rng_tune = np.random.default_rng([cfg.seed & _MASK32, 0xD4, ms, cs])
             need_raps_tune = base_is_raps and cfg.raps_params is None
             need_agg_tune = aggregated and cfg.params is None
             cal_idx = calib
             tune_idx = None
             if need_raps_tune or need_agg_tune:
-                tune_idx, cal_idx = _half_split(calib, rng_tune)
+                tune_idx, cal_idx = _split_pool(calib, calib.shape[0] // 2, rng_tune)
             params: dict = {}
             rp = cfg.raps_params
             if base_is_raps:
@@ -495,17 +479,17 @@ def run_experiment(bundle: DatasetBundle, cfg: ExperimentConfig) -> TrialReport:
 def run_oracle_experiment(bundle: DatasetBundle, alpha: float = 0.05,
                           m_sweep=(0, 1, 2, 4, 8, 16, 32), w: float = 0.5,
                           n_trials: int = 20,
-                          calib_rule: str = "min_1000_half",
-                          calib_size: int = 1000,
+                          calib_size: int | None = None,
                           seed: int = 0) -> list[TrialReport]:
     """Same-label aggregation sweep: one report per m, trials aligned across
     the sweep (same split and xi per trial index) for paired comparisons.
-    An empty sweep, a repeated or non-integer m, an unknown ``calib_rule``
-    and ``n_trials < 1`` are rejected."""
+    Each trial calibrates on ``calib_size`` of all the nodes (None:
+    min(1000, n // 2)) and tests on the rest.  An empty sweep, a repeated or
+    non-integer m, a calibration size outside [1, n) and ``n_trials < 1``
+    are rejected."""
     if not 0.0 <= w <= 1.0:
         raise ValidationError("w must lie in [0, 1]")
     _check_trial_count(n_trials)
-    _check_calib_rule(calib_rule)
     bad = [m for m in m_sweep if not isinstance(m, (int, np.integer))]
     if bad:
         raise ValidationError(f"m_sweep holds {bad[0]!r}; each m must be an integer")
@@ -525,7 +509,7 @@ def run_oracle_experiment(bundle: DatasetBundle, alpha: float = 0.05,
         xi = XiPolicy("uniform", seed=_derive_seed(seed, 0x11, t))
         base = _aps_from_mass(mass, P, xi)
         rng = np.random.default_rng([seed & _MASK32, 0x22, t])
-        calib, test = _split_pool(all_nodes, calib_rule, calib_size, rng)
+        calib, test = _split_pool(all_nodes, calib_size, rng)
         agg_seed = _derive_seed(seed, 0x33, t)
         for m in m_sweep:
             corrected = oracle_aggregate(base, labels, m, w, agg_seed)
@@ -538,7 +522,7 @@ def run_oracle_experiment(bundle: DatasetBundle, alpha: float = 0.05,
             "dataset": {"name": bundle.name, "n": bundle.n,
                         "num_classes": bundle.num_classes},
             "alpha": alpha, "m": m, "w": w, "n_trials": n_trials,
-            "calib_rule": calib_rule, "calib_size": calib_size, "seed": seed,
+            "calib_size": calib_size, "seed": seed,
         }
         reports.append(make_report(config, by_m[m]))
     return reports
@@ -638,8 +622,8 @@ def _image_trial(P: np.ndarray, mass: np.ndarray, labels: np.ndarray, c: int,
                  pool: _ImagePool) -> TrialResult:
     """Trial ``t`` of ``run_image_experiment``: draw its split and xi, add
     the xi share to the run's APS ``mass``, correct and evaluate."""
-    perm = np.random.default_rng([seed & _MASK32, 0xE5, t]).permutation(P.shape[0])
-    calib, test = np.sort(perm[:c]), np.sort(perm[c:])
+    rng = np.random.default_rng([seed & _MASK32, 0xE5, t])
+    calib, test = _split_pool(np.arange(P.shape[0]), c, rng)
     xi = XiPolicy("uniform", seed=_derive_seed(seed, 0xF6, t))
     full = _image_scores(_aps_from_mass(mass, P, xi), calib, test, k, eta, pool)
     return _evaluate_trial(full, labels, calib, test, alpha, 0, t,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import graphcp as g
+from graphcp import harness
 from graphcp.cli import main
 
 from conftest import image_trial_reference
@@ -131,6 +132,9 @@ def test_oracle_subcommand(synth_dir, tmp_path):
      "method 'raps' does not aggregate"),
     (["run", "--method", "aps", "--base", "raps"],
      "method 'aps' does not aggregate; base 'raps'"),
+    # 3 calibration nodes leave 1 to tune on, too few to halve
+    (["run", "--method", "snaps", "--calib-size", "3"],
+     "cannot split 1 node(s) into two nonempty parts"),
 ])
 def test_arguments_no_run_can_honor_exit_one(synth_dir, tmp_path, capsys, extra,
                                              message):
@@ -263,6 +267,24 @@ def test_image_rejects_one_row_calibration(synth_dir, tmp_path, capsys):
     assert main(argv + ["--k", "1", "--out", str(tmp_path / "image.json")]) == 1
     assert "calibration set has 1 row" in capsys.readouterr().err
     assert not (tmp_path / "image.json").exists()
+
+
+def test_image_rejects_empty_test_split_before_building_the_pool(
+        synth_dir, tmp_path, capsys, monkeypatch):
+    calls = []
+    join = harness._self_join_order
+    monkeypatch.setattr(harness, "_self_join_order",
+                        lambda *args: calls.append(args) or join(*args))
+    bundle = g.load_bundle(synth_dir / "manifest.txt")
+    argv = _image_argv(tmp_path, _halves(bundle.probabilities[:100], 100),
+                       _halves(bundle.features[:100], 100),
+                       (bundle.labels[:100], None))
+    out = tmp_path / "image.json"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"--probs-test {tmp_path / 'probs-test.snpm'} has no rows" in err
+    assert not out.exists()
+    assert calls == []
 
 
 @pytest.mark.parametrize("extra, message", [

@@ -23,7 +23,7 @@ def _balanced_labels(per_class, k):
 def _draw_splits(labels, num_classes, cfg, seed):
     rng = np.random.default_rng(seed)
     train, valid, pool = harness._sample_train_valid(labels, num_classes, rng)
-    return (train, valid) + _split_pool(pool, cfg.calib_rule, cfg.calib_size, rng)
+    return (train, valid) + _split_pool(pool, cfg.calib_size, rng)
 
 
 def test_sample_splits_default_rule_arithmetic():
@@ -40,10 +40,30 @@ def test_sample_splits_default_rule_arithmetic():
 
 def test_sample_splits_fixed_rule():
     labels = _balanced_labels(100, 3)
-    cfg = g.ExperimentConfig(method="aps", calib_rule="fixed", calib_size=50)
+    cfg = g.ExperimentConfig(method="aps", calib_size=50)
     _, _, calib, test = _draw_splits(labels, 3, cfg, seed=1)
     assert calib.shape[0] == 50
     assert test.shape[0] == 130
+
+
+@pytest.mark.parametrize("calib_size, n_test", [(None, 120), (200, 40)])
+def test_calibration_size_sets_every_trial_split(small_bundle, calib_size, n_test):
+    # 400 nodes and 4 classes leave a pool of 240 after the train/valid draws
+    cfg = g.ExperimentConfig(method="aps", calib_size=calib_size,
+                             n_model_splits=2, n_conformal_splits=3)
+    report = g.run_experiment(small_bundle, cfg)
+    assert {t.metrics.n_eval for t in report.trials} == {n_test}
+    assert report.config["calib_size"] == calib_size
+
+
+@pytest.mark.parametrize("calib_size, n_test", [(None, 200), (150, 250)])
+def test_oracle_calibration_size_sets_every_trial_split(small_bundle, calib_size,
+                                                         n_test):
+    reports = g.run_oracle_experiment(small_bundle, alpha=0.1, m_sweep=(0, 2),
+                                      n_trials=3, calib_size=calib_size)
+    for report in reports:
+        assert {t.metrics.n_eval for t in report.trials} == {n_test}
+        assert report.config["calib_size"] == calib_size
 
 
 def test_sample_splits_small_class_names_the_class():
@@ -56,7 +76,7 @@ def test_sample_splits_small_class_names_the_class():
 def test_pool_exhausted():
     rng = np.random.default_rng(0)
     with pytest.raises(ValidationError):
-        _split_pool(np.arange(10), "fixed", 10, rng)
+        _split_pool(np.arange(10), 10, rng)
 
 
 def test_param_grid_counts():
@@ -153,7 +173,7 @@ def _ref_combine_rows(values, nm, lam, mu, rows):
 
 def _ref_tune_snaps(values, nm, labels, tune_idx, alpha, grid_step, rng,
                     mu_only=False):
-    a, b = harness._half_split(tune_idx, rng)
+    a, b = _split_pool(tune_idx, tune_idx.shape[0] // 2, rng)
     la, lb = labels[a], labels[b]
     best, best_key = None, None
     for p in snaps_param_grid(grid_step, mu_only=mu_only):
@@ -167,7 +187,7 @@ def _ref_tune_snaps(values, nm, labels, tune_idx, alpha, grid_step, rng,
 
 
 def _ref_tune_raps(aps_values, ranks, labels, tune_idx, alpha, rng, num_classes):
-    a, b = harness._half_split(tune_idx, rng)
+    a, b = _split_pool(tune_idx, tune_idx.shape[0] // 2, rng)
     la, lb = labels[a], labels[b]
     ra, rb = ranks[a], ranks[b]
     va_base, vb_base = aps_values[a], aps_values[b]
@@ -561,8 +581,6 @@ def test_oracle_experiment_m_zero_equals_base(small_bundle):
     ({"m_sweep": (0, 4, 2, 4), "n_trials": 3}, "m_sweep repeats m=4"),
     ({"m_sweep": (1.7,), "n_trials": 3}, "m_sweep holds 1.7; each m must be an integer"),
     ({"m_sweep": (0, 2.0), "n_trials": 3}, "m_sweep holds 2.0"),
-    ({"m_sweep": (0, 2), "n_trials": 3, "calib_rule": "bogus"},
-     "unknown calib_rule 'bogus'"),
 ])
 def test_oracle_experiment_rejects_bad_sweeps_and_trial_counts(small_bundle, kw,
                                                                message):
@@ -606,8 +624,6 @@ def test_config_validation():
         g.ExperimentConfig(method="thr")
     with pytest.raises(ValidationError):
         g.ExperimentConfig(n_conformal_splits=0)
-    with pytest.raises(ValidationError):
-        g.ExperimentConfig(calib_rule="bogus")
 
 
 def image_experiment_reference(P, feats, labels, *, alpha, k, eta, n_trials,

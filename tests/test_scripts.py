@@ -28,3 +28,17 @@ def test_stage_times_runs_every_stage_at_small_shapes(tmp_path, monkeypatch, cap
     # depth ceil(4 * 5 * 399 / 100)
     assert data["config"]["image"]["pool_depth"] == 80
     assert len(capsys.readouterr().out.splitlines()) == 6
+
+
+def test_synthetic_benchmark_runs_every_method(tmp_path, monkeypatch, capsys):
+    script = _load("synthetic_benchmark")
+    monkeypatch.setattr(sys, "argv", [
+        "synthetic_benchmark.py", "--n", "400", "--classes", "4", "--dim", "4",
+        "--trials", "2", "--k", "5", "--out-dir", str(tmp_path)])
+    script.main()
+    reports = sorted(p.name for p in tmp_path.glob("*.json"))
+    assert reports == ["aps.json", "daps.json", "raps.json", "snaps.json"]
+    for name in reports:
+        assert len(json.loads((tmp_path / name).read_text())["trials"]) == 2
+    # the bundle line, the header and one row per method
+    assert len(capsys.readouterr().out.splitlines()) == 6
