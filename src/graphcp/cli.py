@@ -5,8 +5,8 @@ Subcommands: ``run`` (repeated conformal trials on a dataset bundle),
 bundle) and ``image`` (graph-free correction on pre-split files).
 
 Exit codes: 0 success, 1 validation error (bad inputs or arguments),
-2 runtime error.  All randomness flows from ``--seed``; the env var
-``GRAPHCP_THREADS`` sets the trial-level thread count.
+2 runtime error.  All randomness flows from ``--seed``, and trials run
+one after another.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def _cmd_image(args) -> int:
         labels = np.concatenate([labels, y_test])
     n_cal, n_test = p_cal.shape[0], p_test.shape[0]
     calib, test = np.arange(n_cal), n_cal + np.arange(n_test)
-    harness._check_image_args(args.k, args.eta, n_cal)
+    harness._check_image_args(args.k, args.eta, n_cal, args.alpha)
 
     base = aps_scores(np.concatenate([p_cal, p_test]),
                       XiPolicy("uniform", seed=args.seed))

@@ -53,10 +53,15 @@ class PredictionSets:
         return self.mask.shape[1]
 
 
-def conformal_rank(n: int, alpha: float) -> int:
-    """ceil((1-alpha)(n+1)) with alpha read as the decimal the caller wrote."""
+def _check_alpha(alpha: float) -> None:
+    """The one miscoverage check: ``alpha`` must lie in (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha={alpha} must lie in (0, 1)")
+
+
+def conformal_rank(n: int, alpha: float) -> int:
+    """ceil((1-alpha)(n+1)) with alpha read as the decimal the caller wrote."""
+    _check_alpha(alpha)
     return math.ceil((n + 1) * (1 - Fraction(str(alpha))))
 
 

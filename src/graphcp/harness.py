@@ -28,22 +28,21 @@ singleton hit and SSCV.  Every image-mode split, the ``image`` command's
 too, is scored through one body, ``_image_scores``.
 
 Everything is driven by integer seeds: per-trial generators are derived from
-(seed, stage, model split, conformal split), so serial and threaded runs
-(env var ``GRAPHCP_THREADS``) produce identical reports.
+(seed, stage, model split, conformal split), and trials run one after
+another in (model split, conformal split) order.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .conformal import _order_statistic, calibrate, conformal_rank, predict_sets
+from .conformal import (_check_alpha, _order_statistic, calibrate,
+                        conformal_rank, predict_sets)
 from .errors import ValidationError
 from .graph import (
     KnnConfig,
@@ -90,7 +89,6 @@ METHODS = ("aps", "raps", "daps", "snaps")
 BASES = ("aps", "raps")
 RAPS_LAMBDA_GRID = (0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0)
 RAPS_MAX_KREG = 8
-THREADS_ENV = "GRAPHCP_THREADS"
 TRAIN_PER_CLASS = 20
 VALID_PER_CLASS = 20
 
@@ -110,8 +108,7 @@ class ExperimentConfig:
     raps_params: RapsParams | None = None  # forced regularization, skips tuning
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError("alpha must lie in (0, 1)")
+        _check_alpha(self.alpha)
         if self.method not in METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
         if self.base not in BASES:
@@ -162,19 +159,24 @@ def _derive_seed(*keys: int) -> int:
     return (int(state[0]) << 32) | int(state[1])
 
 
+def _pool_size(labels: np.ndarray, num_classes: int) -> int:
+    """The node count ``_sample_train_valid`` leaves in the pool; a class
+    too small for the per-class split rule is rejected."""
+    need = TRAIN_PER_CLASS + VALID_PER_CLASS
+    for c, count in enumerate(np.bincount(labels, minlength=num_classes)):
+        if count < need:
+            raise ValidationError(f"class {c} has {count} nodes; the per-class "
+                                  f"split rule needs >= {need}")
+    return labels.shape[0] - need * num_classes
+
+
 def _sample_train_valid(labels: np.ndarray, num_classes: int, rng) -> tuple:
+    _pool_size(labels, num_classes)  # rejects a class too small to split
     train_parts, valid_parts = [], []
     for c in range(num_classes):
-        members = np.flatnonzero(labels == c)
-        need = TRAIN_PER_CLASS + VALID_PER_CLASS
-        if members.shape[0] < need:
-            raise ValidationError(
-                f"class {c} has {members.shape[0]} nodes; the per-class split "
-                f"rule needs >= {need}"
-            )
-        perm = rng.permutation(members)
+        perm = rng.permutation(np.flatnonzero(labels == c))
         train_parts.append(perm[:TRAIN_PER_CLASS])
-        valid_parts.append(perm[TRAIN_PER_CLASS:need])
+        valid_parts.append(perm[TRAIN_PER_CLASS:TRAIN_PER_CLASS + VALID_PER_CLASS])
     train = np.sort(np.concatenate(train_parts))
     valid = np.sort(np.concatenate(valid_parts))
     held = np.concatenate([train, valid])
@@ -182,12 +184,10 @@ def _sample_train_valid(labels: np.ndarray, num_classes: int, rng) -> tuple:
     return train, valid, pool
 
 
-def _split_pool(ids: np.ndarray, calib_size: int | None,
-                rng) -> tuple[np.ndarray, np.ndarray]:
-    """``ids`` permuted by ``rng`` and cut after ``calib_size`` of them (None:
-    min(1000, len(ids) // 2)), each part sorted: the one way a node set is
-    cut into calibration and test, or into tuning halves."""
-    n = ids.shape[0]
+def _cut_size(n: int, calib_size: int | None) -> int:
+    """How many of ``n`` nodes ``_split_pool`` puts in the first part:
+    ``calib_size``, or min(1000, n // 2) when None.  A cut that leaves
+    either part empty is rejected."""
     if n < 2:
         raise ValidationError(f"cannot split {n} node(s) into two nonempty "
                               "parts; a split needs at least 2")
@@ -195,6 +195,15 @@ def _split_pool(ids: np.ndarray, calib_size: int | None,
     if not 1 <= c < n:
         raise ValidationError(f"calibration size {c} must lie in [1, {n - 1}] "
                               f"to leave test nodes in a pool of {n}")
+    return c
+
+
+def _split_pool(ids: np.ndarray, calib_size: int | None,
+                rng) -> tuple[np.ndarray, np.ndarray]:
+    """``ids`` permuted by ``rng`` and cut after ``_cut_size`` of them, each
+    part sorted: the one way a node set is cut into calibration and test, or
+    into tuning halves."""
+    c = _cut_size(ids.shape[0], calib_size)
     perm = rng.permutation(ids)
     return np.sort(perm[:c]), np.sort(perm[c:])
 
@@ -369,21 +378,6 @@ def _config_dict(cfg: ExperimentConfig, bundle: DatasetBundle) -> dict:
     }
 
 
-def _thread_count() -> int:
-    """Trial threads from ``GRAPHCP_THREADS`` (1 when unset); anything but an
-    integer >= 1 is rejected."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValidationError(f"{THREADS_ENV}={raw!r}: expected an integer >= 1")
-    return count
-
-
 def _check_trial_count(n_trials: int) -> None:
     if n_trials < 1:
         raise ValidationError(f"n_trials={n_trials} must be >= 1")
@@ -393,19 +387,26 @@ def run_experiment(bundle: DatasetBundle, cfg: ExperimentConfig) -> TrialReport:
     """Repeated-split conformal evaluation of one method on one bundle.
 
     Each trial calibrates on ``cfg.calib_size`` pool nodes (None:
-    min(1000, pool // 2)), half of them when the method tunes.
+    min(1000, pool // 2)), half of them when the method tunes; sizes no
+    trial could split are rejected before any graph is built.
     Deterministic given (bundle, cfg): all randomness flows from cfg.seed and
-    cfg.knn.seed.  Trials run in parallel when ``GRAPHCP_THREADS`` > 1 and
-    merge in trial order, so threading never changes the report.
+    cfg.knn.seed.  Trials run one after another, conformal splits inside
+    model splits, and the report lists them in that order.
     """
-    n_threads = _thread_count()
     labels = bundle.labels
     num_classes = bundle.num_classes
+    aggregated = cfg.method in ("daps", "snaps")
+    base_is_raps = cfg.method == "raps" or (aggregated and cfg.base == "raps")
+    need_raps_tune = base_is_raps and cfg.raps_params is None
+    need_agg_tune = aggregated and cfg.params is None
+    # the cuts every trial makes: pool, then calibration set and tuning half
+    c = _cut_size(_pool_size(labels, num_classes), cfg.calib_size)
+    if need_raps_tune or need_agg_tune:
+        half = _cut_size(c, c // 2)
+        _cut_size(half, half // 2)
     adj = adjacency_graph(bundle.n, bundle.edges)
     knn = (build_knn_graph(bundle.features, cfg.knn)
            if cfg.method == "snaps" else empty_graph(bundle.n))
-    aggregated = cfg.method in ("daps", "snaps")
-    base_is_raps = cfg.method == "raps" or (aggregated and cfg.base == "raps")
     trials: list[TrialResult] = []
     # the APS mass and the ranks depend on the probabilities alone
     P = validate_probabilities(bundle.probabilities)
@@ -428,15 +429,11 @@ def run_experiment(bundle: DatasetBundle, cfg: ExperimentConfig) -> TrialReport:
         split_rng = np.random.default_rng([cfg.seed & _MASK32, 0xB2, ms])
         train, valid, pool = _sample_train_valid(labels, num_classes, split_rng)
         nm_aps = neighbor_means(base_aps.values, knn, adj) if aggregated else None
-
-        def one_trial(cs: int) -> TrialResult:
+        for cs in range(cfg.n_conformal_splits):
             rng_split = np.random.default_rng([cfg.seed & _MASK32, 0xC3, ms, cs])
             calib, test = _split_pool(pool, cfg.calib_size, rng_split)
             rng_tune = np.random.default_rng([cfg.seed & _MASK32, 0xD4, ms, cs])
-            need_raps_tune = base_is_raps and cfg.raps_params is None
-            need_agg_tune = aggregated and cfg.params is None
-            cal_idx = calib
-            tune_idx = None
+            tune_idx, cal_idx = None, calib
             if need_raps_tune or need_agg_tune:
                 tune_idx, cal_idx = _split_pool(calib, calib.shape[0] // 2, rng_tune)
             params: dict = {}
@@ -464,14 +461,8 @@ def run_experiment(bundle: DatasetBundle, cfg: ExperimentConfig) -> TrialReport:
                 final_values = combine_scores(base_values, nm, p.lam, p.mu)
             else:
                 final_values = base_values
-            return _evaluate_trial(final_values, labels, cal_idx, test,
-                                   cfg.alpha, ms, cs, params)
-
-        if n_threads > 1:
-            with ThreadPoolExecutor(max_workers=n_threads) as pool_ex:
-                trials.extend(pool_ex.map(one_trial, range(cfg.n_conformal_splits)))
-        else:
-            trials.extend(one_trial(cs) for cs in range(cfg.n_conformal_splits))
+            trials.append(_evaluate_trial(final_values, labels, cal_idx, test,
+                                          cfg.alpha, ms, cs, params))
 
     return make_report(_config_dict(cfg, bundle), trials)
 
@@ -486,7 +477,8 @@ def run_oracle_experiment(bundle: DatasetBundle, alpha: float = 0.05,
     Each trial calibrates on ``calib_size`` of all the nodes (None:
     min(1000, n // 2)) and tests on the rest.  An empty sweep, a repeated or
     non-integer m, a calibration size outside [1, n) and ``n_trials < 1``
-    are rejected."""
+    are rejected, and so is an alpha outside (0, 1), before any trial."""
+    _check_alpha(alpha)
     if not 0.0 <= w <= 1.0:
         raise ValidationError("w must lie in [0, 1]")
     _check_trial_count(n_trials)
@@ -630,9 +622,10 @@ def _image_trial(P: np.ndarray, mass: np.ndarray, labels: np.ndarray, c: int,
                            {"k": k, "eta": eta})
 
 
-def _check_image_args(k: int, eta: float, c: int) -> None:
+def _check_image_args(k: int, eta: float, c: int, alpha: float) -> None:
     """Image mode's checks, in ``image_snaps``'s order: eta in [0, 1], k in
-    [1, c] and c >= 2 calibration rows (each one averages its others)."""
+    [1, c] and c >= 2 calibration rows (each one averages its others); then
+    alpha in (0, 1), before any neighbor is looked up."""
     if not 0.0 <= eta <= 1.0:
         raise ValidationError("eta must lie in [0, 1]")
     if not 1 <= k <= c:
@@ -640,6 +633,7 @@ def _check_image_args(k: int, eta: float, c: int) -> None:
     if c < 2:
         raise ValidationError(f"calibration set has {c} row(s); excluding "
                               "self needs at least 2")
+    _check_alpha(alpha)
 
 
 def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
@@ -663,7 +657,7 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
     Non-finite features, probability rows that do not sum to 1, labels
     outside [0, K), eta outside [0, 1], k outside [1, c] and a calibration
     set of one row (which has no other row to average) are rejected, and so
-    is ``n_trials < 1``."""
+    are ``n_trials < 1`` and an alpha outside (0, 1)."""
     _check_trial_count(n_trials)
     P = validate_matrix(probabilities, "probabilities")
     feats = validate_matrix(features, "features")
@@ -675,7 +669,7 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
     c = n // 2 if calib_size is None else calib_size
     if not 1 <= c < n:
         raise ValidationError(f"calibration size {c} out of range")
-    _check_image_args(k, eta, c)
+    _check_image_args(k, eta, c, alpha)
     validate_probabilities(P)
     # at eta = 0 no trial reads a neighbor
     pool = _image_pool_order(feats, c, k, n_trials if eta > 0.0 else 0)

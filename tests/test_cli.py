@@ -87,17 +87,6 @@ def test_non_utf8_bundle_file_exits_one_naming_it(synth_dir, tmp_path, capsys, n
     assert f"{path}: not UTF-8 text at line {lines + 1}\n" in capsys.readouterr().err
 
 
-def test_bad_thread_count_exits_one(synth_dir, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GRAPHCP_THREADS", "abc")
-    code = main([
-        "run", "--manifest", str(synth_dir / "manifest.txt"),
-        "--method", "aps", "--splits", "1", "--trials", "1",
-        "--out", str(tmp_path / "r.json"),
-    ])
-    assert code == 1
-    assert "GRAPHCP_THREADS" in capsys.readouterr().err
-
-
 def test_bad_arguments_exit_one(capsys):
     assert main(["run", "--method", "aps"]) == 1  # --manifest/--out missing
     assert main(["bogus-subcommand"]) == 1
@@ -283,6 +272,22 @@ def test_image_rejects_empty_test_split_before_building_the_pool(
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"--probs-test {tmp_path / 'probs-test.snpm'} has no rows" in err
+    assert not out.exists()
+    assert calls == []
+
+
+def test_image_rejects_bad_alpha_before_building_the_pool(
+        synth_dir, tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "_image_pool_order",
+                        lambda *args: calls.append(args))
+    bundle = g.load_bundle(synth_dir / "manifest.txt")
+    half = bundle.n // 2
+    argv = _image_argv(tmp_path, _halves(bundle.probabilities, half),
+                       _halves(bundle.features, half), _halves(bundle.labels, half))
+    out = tmp_path / "image.json"
+    assert main(argv + ["--alpha", "1.5", "--out", str(out)]) == 1
+    assert "alpha=1.5 must lie in (0, 1)" in capsys.readouterr().err
     assert not out.exists()
     assert calls == []
 

@@ -1,5 +1,6 @@
+import dataclasses
 import math
-import os
+import re
 
 import numpy as np
 import pytest
@@ -386,25 +387,76 @@ def test_run_experiment_deterministic(small_bundle):
     assert g.reports_equal(r1, r2)
 
 
-def test_run_experiment_threaded_matches_serial(small_bundle):
-    cfg = g.ExperimentConfig(alpha=0.1, method="daps", n_model_splits=1,
-                             n_conformal_splits=6, seed=23, grid_step=0.25)
-    serial = g.run_experiment(small_bundle, cfg)
-    os.environ["GRAPHCP_THREADS"] = "4"
-    try:
-        threaded = g.run_experiment(small_bundle, cfg)
-    finally:
-        del os.environ["GRAPHCP_THREADS"]
-    assert g.reports_equal(serial, threaded)
+def test_run_experiment_lists_trials_in_split_order(small_bundle):
+    cfg = g.ExperimentConfig(alpha=0.1, method="daps", n_model_splits=2,
+                             n_conformal_splits=3, seed=23, grid_step=0.25)
+    report = g.run_experiment(small_bundle, cfg)
+    assert [(t.model_split, t.conformal_split) for t in report.trials] == [
+        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
 
-@pytest.mark.parametrize("value", ["abc", "-3", "0", "1.5", ""])
-def test_bad_thread_count_is_rejected(small_bundle, monkeypatch, value):
-    monkeypatch.setenv("GRAPHCP_THREADS", value)
-    cfg = g.ExperimentConfig(alpha=0.1, method="aps", n_model_splits=1,
-                             n_conformal_splits=1, seed=23)
-    with pytest.raises(ValidationError, match="GRAPHCP_THREADS"):
+def _spy_graph_builds(monkeypatch):
+    calls = []
+    for name in ("build_knn_graph", "adjacency_graph"):
+        monkeypatch.setattr(harness, name, lambda *args, _name=name: calls.append(_name))
+    return calls
+
+
+# small_bundle leaves a pool of 400 - 40 * 4 = 240 nodes
+@pytest.mark.parametrize("method, calib_size, message", [
+    ("aps", 240, "calibration size 240 must lie in [1, 239] to leave test "
+                 "nodes in a pool of 240"),
+    ("snaps", 240, "calibration size 240 must lie in [1, 239] to leave test "
+                   "nodes in a pool of 240"),
+    # a tuned method halves 2 calibration nodes into 1 to tune on, then that 1
+    ("daps", 1, "cannot split 1 node(s) into two nonempty parts; a split needs "
+                "at least 2"),
+    ("raps", 2, "cannot split 1 node(s) into two nonempty parts; a split needs "
+                "at least 2"),
+    ("snaps", 3, "cannot split 1 node(s) into two nonempty parts; a split needs "
+                 "at least 2"),
+])
+def test_run_experiment_rejects_calibration_sizes_before_building_graphs(
+        small_bundle, monkeypatch, method, calib_size, message):
+    calls = _spy_graph_builds(monkeypatch)
+    cfg = g.ExperimentConfig(alpha=0.1, method=method, calib_size=calib_size,
+                             n_model_splits=1, n_conformal_splits=1)
+    with pytest.raises(ValidationError) as err:
         g.run_experiment(small_bundle, cfg)
+    assert str(err.value) == message
+    assert calls == []
+
+
+def test_run_experiment_rejects_a_short_class_before_building_graphs(
+        small_bundle, monkeypatch):
+    labels = small_bundle.labels.copy()
+    labels[np.flatnonzero(labels == 2)[39:]] = 0
+    bundle = dataclasses.replace(small_bundle, labels=labels)
+    calls = _spy_graph_builds(monkeypatch)
+    with pytest.raises(ValidationError) as err:
+        g.run_experiment(bundle, g.ExperimentConfig(method="snaps"))
+    assert str(err.value) == "class 2 has 39 nodes; the per-class split rule needs >= 40"
+    assert calls == []
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+def test_runners_reject_alpha_before_any_neighbor_work(small_bundle, monkeypatch,
+                                                       alpha):
+    calls = []
+    monkeypatch.setattr(harness, "_self_join_order", lambda *a: calls.append(a))
+    monkeypatch.setattr(harness, "oracle_aggregate", lambda *a: calls.append(a))
+    message = re.escape(f"alpha={alpha} must lie in (0, 1)")
+    with pytest.raises(ValidationError, match=message):
+        g.ExperimentConfig(alpha=alpha)
+    # 5 trials of 200 calibration rows would build a pool order
+    with pytest.raises(ValidationError, match=message):
+        g.run_image_experiment(small_bundle.probabilities, small_bundle.features,
+                               small_bundle.labels, alpha=alpha, k=3,
+                               n_trials=5, calib_size=200)
+    with pytest.raises(ValidationError, match=message):
+        g.run_oracle_experiment(small_bundle, alpha=alpha, m_sweep=(0, 2),
+                                n_trials=2)
+    assert calls == []
 
 
 def test_reduction_chain_matches_base(small_bundle):
