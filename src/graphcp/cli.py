@@ -12,7 +12,6 @@ one after another.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -21,7 +20,7 @@ from . import harness, matrixio
 from .errors import ValidationError
 from .graph import KnnConfig
 from .propagate import SnapsParams
-from .report import make_report, report_to_dict, write_report
+from .report import make_report, report_to_dict, write_json, write_report
 from .scores import XiPolicy, aps_scores
 
 
@@ -139,12 +138,7 @@ def _cmd_oracle(args) -> int:
         # one report object per m, in sweep order
         "reports": [report_to_dict(r) for r in reports],
     }
-    try:
-        with matrixio.atomic_open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise ValidationError(f"cannot write report: {exc}") from exc
+    write_json(payload, args.out)
     for m, rep in zip(m_sweep, reports):
         agg = rep.aggregate
         print(f"m={m}: coverage={agg['coverage']['mean']:.4f} "

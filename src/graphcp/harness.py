@@ -17,10 +17,11 @@ function, ``_split_pool``.
 the trial's index alone.
 The grid is scored as one batch: one conformal rank per tuning call, every
 grid point's threshold from one partition along the sample axis, and every
-(lam, mu) score computed by the final mix's own kernel (``propagate._mix``,
-one einsum per class column and (has_knn, has_adj) pair into a reused
-buffer), so the chosen point - same key, first in grid order on a full tie -
-is the one a point-by-point search would pick.
+(lam, mu) score computed by the batched kernel ``propagate._mix`` (one
+einsum per class column and (has_knn, has_adj) pair into a reused buffer),
+which tests pin to ``combine_scores`` bit for bit.  So the chosen point -
+same key, first in grid order on a full tie - is the one a point-by-point
+search with the final mix would pick.
 
 Every runner, and the ``image`` CLI command, measures a trial through one
 evaluator, ``_evaluate_trial``: calibrate -> predict sets -> coverage, Size,
@@ -237,7 +238,7 @@ def _grid_size_sh(cal_scores, eval_scores, labels_cal, labels_eval,
 
 def _snaps_grid_scores(values, nm: NeighborMeans, lam, mu, rows):
     """``combine_scores`` on ``rows`` at every grid point of the 1-D weights
-    ``lam``/``mu``, through the same ``_mix`` kernel.
+    ``lam``/``mu``, with its bits, through the batched ``_mix`` kernel.
 
     Returns ``(scores, rows)``: the column closure of ``_grid_size_sh``,
     which writes into one reused (G, rows) buffer, and ``rows`` regrouped by
@@ -475,9 +476,10 @@ def run_oracle_experiment(bundle: DatasetBundle, alpha: float = 0.05,
     """Same-label aggregation sweep: one report per m, trials aligned across
     the sweep (same split and xi per trial index) for paired comparisons.
     Each trial calibrates on ``calib_size`` of all the nodes (None:
-    min(1000, n // 2)) and tests on the rest.  An empty sweep, a repeated or
-    non-integer m, a calibration size outside [1, n) and ``n_trials < 1``
-    are rejected, and so is an alpha outside (0, 1), before any trial."""
+    min(1000, n // 2)) and tests on the rest.  An empty sweep, a repeated,
+    negative or non-integer m, a calibration size outside [1, n) and
+    ``n_trials < 1`` are rejected, and so is an alpha outside (0, 1), before
+    any trial."""
     _check_alpha(alpha)
     if not 0.0 <= w <= 1.0:
         raise ValidationError("w must lie in [0, 1]")
@@ -492,6 +494,9 @@ def run_oracle_experiment(bundle: DatasetBundle, alpha: float = 0.05,
     if repeated:
         raise ValidationError(f"m_sweep repeats m={repeated[0]}; each m gets "
                               "one report")
+    negative = [m for m in m_sweep if m < 0]
+    if negative:
+        raise ValidationError(f"m_sweep holds m={negative[0]}; each m must be >= 0")
     labels = bundle.labels
     all_nodes = np.arange(bundle.n)
     by_m: dict[int, list[TrialResult]] = {m: [] for m in m_sweep}
@@ -655,9 +660,10 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
     rows it leaves short (``_image_scores``).  The report is bit-identical
     to scoring every trial from scratch with ``image_snaps``.
     Non-finite features, probability rows that do not sum to 1, labels
-    outside [0, K), eta outside [0, 1], k outside [1, c] and a calibration
-    set of one row (which has no other row to average) are rejected, and so
-    are ``n_trials < 1`` and an alpha outside (0, 1)."""
+    outside [0, K), a calibration size outside [1, n), eta outside [0, 1],
+    k outside [1, c] and a calibration set of one row (which has no other
+    row to average) are rejected, and so are ``n_trials < 1`` and an alpha
+    outside (0, 1)."""
     _check_trial_count(n_trials)
     P = validate_matrix(probabilities, "probabilities")
     feats = validate_matrix(features, "features")
@@ -666,9 +672,7 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
     if feats.shape[0] != n or labels.shape[0] != n:
         raise ValidationError("probabilities/features/labels row counts disagree")
     validate_labels(labels, P.shape[1])
-    c = n // 2 if calib_size is None else calib_size
-    if not 1 <= c < n:
-        raise ValidationError(f"calibration size {c} out of range")
+    c = _cut_size(n, n // 2 if calib_size is None else calib_size)
     _check_image_args(k, eta, c, alpha)
     validate_probabilities(P)
     # at eta = 0 no trial reads a neighbor

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conformal import _check_alpha
 from .errors import ValidationError
 
 # contiguous set-size strata; the upper bounds get clipped to K
@@ -86,6 +87,5 @@ def sscv(sets, labels, eval_idx=None, alpha: float = 0.05) -> float | None:
     Nodes are stratified by prediction-set size; empty strata are skipped.
     Returns None only if no stratum is populated.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha={alpha} must lie in (0, 1)")
+    _check_alpha(alpha)
     return _measure(sets, labels, eval_idx, alpha).sscv

@@ -22,13 +22,12 @@ the graph's degree, itself such a sum of the weights.  An exactly rounded
 sum does not depend on the order of its terms, so aggregation commutes
 bit-for-bit with any relabeling of the nodes, with no sort of the terms.
 
-The mix itself is one kernel, ``_mix``: an einsum of (G, 3) weight rows
-``[ego, lam, mu]`` with (3, R) input rows ``[v, knn_mean, adj_mean]``.  The
-ego weight depends on a row's (has_knn, has_adj) pair, so each pair's rows
-are mixed with that pair's weights.  ``combine_scores`` calls the kernel
-with G = 1; the harness's tuning grid calls it with one weight row per grid
-point, so tuning scores each grid point with the final mix's arithmetic by
-construction.
+``combine_scores`` computes the mix as the per-row formula above.  The
+harness's tuning grid scores every grid point at once with a batched
+kernel, ``_mix``: an einsum of (G, 3) weight rows ``[ego, lam, mu]`` with
+(3, R) input rows ``[v, knn_mean, adj_mean]``, one call per (has_knn,
+has_adj) pair of rows.  Tests pin the kernel to the formula bit for bit, so
+tuning scores each grid point with the final mix's bits.
 """
 
 from __future__ import annotations
@@ -132,16 +131,18 @@ def _mix_weights(lam: np.ndarray, mu: np.ndarray, has_knn, has_adj) -> np.ndarra
 
 
 def _mix(w: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The one mixing kernel: ``out[g, r] = w[g,0]*x[0,r] + w[g,1]*x[1,r] +
-    w[g,2]*x[2,r]`` for (G, 3) weights and (3, R) rows ``[v, knn_mean,
-    adj_mean]``, written into the (G, R) ``out``.
+    """The tuning grid's batched mix: ``out[g, r] = w[g,0]*x[0,r] +
+    w[g,1]*x[1,r] + w[g,2]*x[2,r]`` for (G, 3) weights and (3, R) rows ``[v,
+    knn_mean, adj_mean]``, written into the (G, R) ``out``.
 
     numpy's einsum loop (no BLAS, no contraction path) rounds every product
     and adds them left to right onto a +0.0 accumulator, so each entry is
     the plain formula's value, bit for bit, except that a -0.0 sum reads
     +0.0.  That order holds while r is the loop's inner axis: ``x`` needs
     adjacent columns, and at least two of them (one column makes the three
-    weights the inner axis, which einsum sums pairwise)."""
+    weights the inner axis, which einsum sums pairwise).  ``combine_scores``
+    adds +0.0 to the formula, so the two agree to the bit (checked by
+    tests)."""
     if x.shape[1] == 1:
         wide = np.empty((w.shape[0], 2))
         np.einsum("gj,jr->gr", w, np.repeat(x, 2, axis=1), out=wide, optimize=False)
@@ -154,25 +155,14 @@ def _mix(w: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def combine_scores(values: np.ndarray, nm: NeighborMeans, lam: float, mu: float) -> np.ndarray:
     """Mix ego scores with neighbor means; missing-neighbor mass goes back to
-    the ego term.  ``_mix`` mixes the rows of each (has_knn, has_adj) pair
-    with that pair's weights, the arithmetic the tuning grid uses."""
-    order, blocks = _pair_blocks(nm.has_knn, nm.has_adj)
-    lam, mu = np.array([lam], dtype=np.float64), np.array([mu], dtype=np.float64)
-    x = np.stack([values, nm.knn_mean, nm.adj_mean])
-    out = np.empty(values.shape)
-    # The largest pair mixes every row in place; the other pairs' rows are
-    # mixed again from a gathered copy (a row's mix does not depend on the
-    # rows beside it).
-    blocks.sort(key=lambda block: block[2] - block[3])
-    for i, (hk, ha, start, stop) in enumerate(blocks):
-        w = _mix_weights(lam, mu, hk, ha)
-        if i == 0:
-            _mix(w, x.reshape(3, -1), out.reshape(1, -1))
-            continue
-        rows = order[start:stop]
-        mixed = np.empty((1, rows.shape[0] * values.shape[1]))
-        _mix(w, np.take(x, rows, axis=1).reshape(3, -1), mixed)
-        out[rows] = mixed.reshape(rows.shape[0], values.shape[1])
+    the ego term.  The formula is evaluated left to right, then +0.0 turns a
+    -0.0 sum into +0.0, so each entry has the bits of the tuning kernel
+    ``_mix``."""
+    ego = 1.0 - lam * nm.has_knn - mu * nm.has_adj
+    out = ego[:, None] * values
+    out += lam * nm.knn_mean
+    out += mu * nm.adj_mean
+    out += 0.0
     return out
 
 
@@ -238,14 +228,12 @@ def oracle_aggregate(S: ScoreMatrix, labels: np.ndarray, m: int, w: float,
     values = S.values.copy()
     if m > 0:
         sel, counts = _same_label_prefixes(labels, m, seed)
-        full = counts == m
-        if full.any():
-            idx = np.flatnonzero(full)
-            mean = S.values[sel[idx, :m]].mean(axis=1)
-            values[idx] = (1.0 - w) * S.values[idx] + w * mean
-        for i in np.flatnonzero(~full & (counts > 0)):
-            mean = S.values[sel[i, :counts[i]]].mean(axis=0)
-            values[i] = (1.0 - w) * S.values[i] + w * mean
+        # rows with the same peer count mix as one block; rows with no
+        # peers keep their scores
+        for c in np.unique(counts[counts > 0]):
+            idx = np.flatnonzero(counts == c)
+            values[idx] = _image_mix(S.values[idx], S.values, sel[idx, :c], w,
+                                     np.zeros(idx.size, dtype=bool))
     values.setflags(write=False)
     return ScoreMatrix(values, "oracle", S.xi)
 
@@ -310,14 +298,16 @@ def image_snaps(S_eval: ScoreMatrix, S_calib: ScoreMatrix,
 
 def _image_mix(v: np.ndarray, values: np.ndarray, nbrs: np.ndarray, eta: float,
                keep: np.ndarray) -> np.ndarray:
-    """Image mode's mix: row i of ``v`` becomes ``(1 - eta) * v[i] + eta *
-    values[nbrs[i]].mean(axis=0)``, except rows flagged in ``keep`` (zero-norm
-    features), which stay ``v[i]``.  The mean has the bits of ``.mean(axis=1)``
-    over the (rows, k, K) neighbor gather: numpy adds that gather's k slices
-    in order to +0.0 when K > 1, so they are added that way here, one (rows,
-    K) slice at a time; with K = 1 the k axis is contiguous, numpy sums it
-    pairwise, and the gather is reduced as it is.  Rows are mixed in chunks
-    whose gather stays within ``graph._CHUNK_TARGET`` elements."""
+    """The peer-mean mix of image mode and of the same-label oracle: row i of
+    ``v`` becomes ``(1 - eta) * v[i] + eta * values[nbrs[i]].mean(axis=0)``,
+    except rows flagged in ``keep`` (zero-norm features), which stay
+    ``v[i]``.  The mean has the bits of ``.mean(axis=1)`` over the (rows, k,
+    K) neighbor gather: numpy adds that gather's k slices in order to +0.0
+    when K > 1, so they are added that way here, one (rows, K) slice at a
+    time; with K = 1 the k axis is contiguous, numpy sums it pairwise, and
+    the gather is reduced as it is.  (One ``.mean(axis=1)`` of
+    the gather for every K is as exact but about 3x slower.)  Rows are mixed
+    in chunks whose gather stays within ``graph._CHUNK_TARGET`` elements."""
     out = np.empty(v.shape)
     k, num_cols = nbrs.shape[1], values.shape[1]
     step = max(1, _CHUNK_TARGET // max(k * num_cols, 1))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,8 +25,7 @@ from .errors import ValidationError
 from .matrixio import atomic_open
 from .metrics import MetricSummary
 
-_TRIAL_FLOATS = ("coverage", "size", "sh", "sscv")
-_AGG_METRICS = ("coverage", "size", "sh", "sscv")
+_METRICS = ("coverage", "size", "sh", "sscv")
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def _mean_std(values: list[float]) -> dict:
 def compute_aggregate(trials: list[TrialResult]) -> dict:
     """Population mean/std of each metric over the trial list."""
     agg = {}
-    for key in _AGG_METRICS:
+    for key in _METRICS:
         agg[key] = _mean_std([getattr(t.metrics, key) for t in trials])
     return agg
 
@@ -107,6 +107,24 @@ def _fmt(value) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
+@contextmanager
+def _report_file(path, **kwargs):
+    """``atomic_open(path, "w")``; an ``OSError`` becomes a ``ValidationError``."""
+    try:
+        with atomic_open(path, "w", encoding="utf-8", **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"cannot write report: {exc}") from exc
+
+
+def write_json(payload: dict, path) -> None:
+    """The one JSON report writer: ``payload`` indented by 2 with a trailing
+    newline, replacing ``path`` atomically."""
+    with _report_file(path) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def write_report(report: TrialReport, path, format: str = "json") -> None:
     """Serialize a report; field order is deterministic for both formats.
 
@@ -114,30 +132,22 @@ def write_report(report: TrialReport, path, format: str = "json") -> None:
     report at ``path`` intact."""
     path = Path(path)
     if format == "json":
-        try:
-            with atomic_open(path, "w", encoding="utf-8") as fh:
-                json.dump(report_to_dict(report), fh, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            raise ValidationError(f"cannot write report: {exc}") from exc
+        write_json(report_to_dict(report), path)
     elif format == "csv":
-        try:
-            with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write("# config " + json.dumps(report.config, sort_keys=True) + "\n")
-                writer = csv.writer(fh)
-                writer.writerow(
-                    ["model_split", "conformal_split", "coverage", "size",
-                     "sh", "sscv", "n_eval", "params"]
-                )
-                for t in report.trials:
-                    writer.writerow([
-                        t.model_split, t.conformal_split,
-                        _fmt(t.metrics.coverage), _fmt(t.metrics.size),
-                        _fmt(t.metrics.sh), _fmt(t.metrics.sscv),
-                        t.metrics.n_eval, json.dumps(t.params, sort_keys=True),
-                    ])
-        except OSError as exc:
-            raise ValidationError(f"cannot write report: {exc}") from exc
+        with _report_file(path, newline="") as fh:
+            fh.write("# config " + json.dumps(report.config, sort_keys=True) + "\n")
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["model_split", "conformal_split", "coverage", "size",
+                 "sh", "sscv", "n_eval", "params"]
+            )
+            for t in report.trials:
+                writer.writerow([
+                    t.model_split, t.conformal_split,
+                    _fmt(t.metrics.coverage), _fmt(t.metrics.size),
+                    _fmt(t.metrics.sh), _fmt(t.metrics.sscv),
+                    t.metrics.n_eval, json.dumps(t.params, sort_keys=True),
+                ])
     else:
         raise ValidationError(f"unknown report format: {format!r}")
 
@@ -203,7 +213,7 @@ def reports_equal(a: TrialReport, b: TrialReport, tol: float = 0.0,
             return False
         if ta.metrics.n_eval != tb.metrics.n_eval:
             return False
-        for key in _TRIAL_FLOATS:
+        for key in _METRICS:
             if not close(getattr(ta.metrics, key), getattr(tb.metrics, key)):
                 return False
         if not ignore_params:

@@ -269,8 +269,8 @@ def test_batched_raps_tuner_matches_scalar_grid(data, n, k, alpha, seed):
 @given(st.data(), st.integers(min_value=1, max_value=12),
        st.integers(min_value=1, max_value=6), st.booleans())
 def test_grid_scores_are_combine_scores_at_every_grid_point(data, n, k, mu_only):
-    # the tuning grid and the final mix share one kernel, so every grid
-    # point's scores are the final mix's bits on the tuning rows
+    # the tuning grid's batched kernel gives every grid point the final
+    # mix's bits on the tuning rows
     values = _draw_matrix(data, n, k, _CELLS)
     flags = st.sampled_from([0.0, 1.0])
     nm = g.NeighborMeans(_draw_matrix(data, n, k, _CELLS),
@@ -640,6 +640,16 @@ def test_oracle_experiment_rejects_bad_sweeps_and_trial_counts(small_bundle, kw,
         g.run_oracle_experiment(small_bundle, alpha=0.1, **kw)
 
 
+def test_oracle_experiment_rejects_a_negative_m_before_any_trial(small_bundle,
+                                                                  monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "oracle_aggregate", lambda *a: calls.append(a))
+    with pytest.raises(ValidationError, match="m_sweep holds m=-1; each m must be >= 0"):
+        g.run_oracle_experiment(small_bundle, alpha=0.1, m_sweep=(0, 2, -1),
+                                n_trials=2)
+    assert calls == []
+
+
 @pytest.mark.parametrize("n_trials", [0, -1])
 def test_image_experiment_rejects_trial_counts_below_one(small_bundle, n_trials):
     with pytest.raises(ValidationError, match=f"n_trials={n_trials} must be >= 1"):
@@ -847,6 +857,20 @@ def test_image_experiment_rejects_non_finite_features(small_bundle):
     with pytest.raises(ValidationError, match="features: non-finite value at row 3, col 1"):
         g.run_image_experiment(small_bundle.probabilities, feats, small_bundle.labels,
                                k=3, n_trials=2, calib_size=100)
+
+
+def test_image_and_oracle_runners_reject_a_calibration_size_alike(small_bundle):
+    # both cut all n nodes of the bundle, through the same check
+    with pytest.raises(ValidationError) as image_err:
+        g.run_image_experiment(small_bundle.probabilities, small_bundle.features,
+                               small_bundle.labels, k=3, n_trials=2,
+                               calib_size=small_bundle.n)
+    with pytest.raises(ValidationError) as oracle_err:
+        g.run_oracle_experiment(small_bundle, alpha=0.1, m_sweep=(0, 2), n_trials=2,
+                                calib_size=small_bundle.n)
+    assert str(image_err.value) == str(oracle_err.value) == (
+        "calibration size 400 must lie in [1, 399] to leave test nodes in a "
+        "pool of 400")
 
 
 def test_image_experiment_rejects_one_row_calibration(small_bundle):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -84,6 +85,13 @@ def test_evaluate_matches_naive_loop(n, k, seed):
     assert summary.sh == pytest.approx(sh)
     assert summary.sh <= summary.coverage + 1e-12
     assert 0 <= summary.size <= k
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+def test_sscv_rejects_alpha_outside_the_unit_interval(alpha):
+    mask = np.ones((4, 2), dtype=bool)
+    with pytest.raises(ValidationError, match=re.escape(f"alpha={alpha} must lie in (0, 1)")):
+        g.sscv(make_sets(mask), np.zeros(4, dtype=int), alpha=alpha)
 
 
 def test_sscv_two_strata_hand_value():

@@ -165,6 +165,30 @@ def test_mix_kernel_equals_the_elementwise_formula_bit_for_bit(data, n, k, weigh
     assert alone.tobytes() == got[row].tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=12),
+       st.one_of(st.just(1), st.integers(min_value=1, max_value=17)),
+       st.lists(st.one_of(st.sampled_from(_TINY_EGO), st.sampled_from(_GRID)),
+                min_size=2, max_size=6))
+def test_batched_mix_kernel_equals_the_formula_per_pair_block(data, n, k, weights):
+    # The tuner mixes each (has_knn, has_adj) pair's rows with G weight rows
+    # at once; every row of the result must be the formula's bits plus 0.0.
+    # A block of one row with k = 1 takes the one-column path.
+    values, nm = _mix_inputs(data, n, k)
+    lam = np.array([l for l, _ in weights])
+    mu = np.array([m for _, m in weights])
+    want = np.stack([_formula_mix(values, nm, l, m) + 0.0 for l, m in weights])
+    for hk, ha in _PAIRS:
+        rows = np.flatnonzero((nm.has_knn == hk) & (nm.has_adj == ha))
+        if rows.size == 0:
+            continue
+        x = np.stack([values[rows], nm.knn_mean[rows], nm.adj_mean[rows]])
+        out = np.empty((len(weights), rows.size * k))
+        g.propagate._mix(g.propagate._mix_weights(lam, mu, hk, ha),
+                         x.reshape(3, -1), out)
+        assert out.tobytes() == want[:, rows].reshape(len(weights), -1).tobytes()
+
+
 def test_mix_kernel_keeps_the_formula_on_a_non_contiguous_input():
     rng = np.random.default_rng(5)
     w = rng.uniform(size=(7, 3))
@@ -295,6 +319,41 @@ def test_oracle_aggregate_nested_selection_prefixes():
     sel4, _ = g.propagate._same_label_prefixes(labels, 4, seed=9)
     sel8, _ = g.propagate._same_label_prefixes(labels, 8, seed=9)
     assert np.array_equal(sel8[:, :4], sel4)
+
+
+def _two_branch_oracle(values, labels, m, w, seed):
+    """The oracle mix written out: rows with m peers mix through one
+    (rows, m, K) gather's ``.mean(axis=1)``, rows of smaller classes one at a
+    time through ``.mean(axis=0)``."""
+    out = values.copy()
+    if m == 0:
+        return out
+    sel, counts = g.propagate._same_label_prefixes(labels, m, seed)
+    full = np.flatnonzero(counts == m)
+    if full.size:
+        mean = values[sel[full, :m]].mean(axis=1)
+        out[full] = (1.0 - w) * values[full] + w * mean
+    for i in np.flatnonzero((counts < m) & (counts > 0)):
+        mean = values[sel[i, :counts[i]]].mean(axis=0)
+        out[i] = (1.0 - w) * values[i] + w * mean
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=130), st.sampled_from([0.0, 0.3, 1.0]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_oracle_aggregate_equals_the_two_branch_mix_bit_for_bit(data, k, m, w, seed):
+    # class sizes from singletons to past m + 1, so rows have no peers, fewer
+    # than m or exactly m; K = 1 sums each mean pairwise past 8 peers
+    sizes = data.draw(st.lists(st.one_of(st.just(1), st.integers(1, m + 2),
+                                         st.integers(1, 140)),
+                               min_size=1, max_size=5))
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    labels = labels[np.random.default_rng(seed).permutation(labels.shape[0])]
+    values = data.draw(arrays(np.float64, (labels.shape[0], k), elements=_MIX_CELLS))
+    got = g.oracle_aggregate(_score(values), labels, m, w, seed).values
+    assert got.tobytes() == _two_branch_oracle(values, labels, m, w, seed).tobytes()
 
 
 # --- graph-free (image) correction ------------------------------------------
