@@ -112,7 +112,6 @@ def test_oracle_subcommand(synth_dir, tmp_path):
     (["oracle", "--trials", "-2"], "n_trials=-2 must be >= 1"),
     (["oracle", "--m-sweep", ","], "m_sweep is empty"),
     (["oracle", "--m-sweep", "2,0,2"], "m_sweep repeats m=2"),
-    (["oracle", "--m-sweep", "0,2,-1"], "m_sweep holds m=-1; each m must be >= 0"),
     (["oracle", "--calib-size", "0"], "calibration size 0 must lie in"),
     (["run", "--calib-size", "0"], "fixed calibration size must be >= 1"),
     (["run", "--method", "daps", "--lambda", "0.4", "--mu", "0.2"], "mu weight"),
@@ -125,6 +124,7 @@ def test_oracle_subcommand(synth_dir, tmp_path):
     # 3 calibration nodes leave 1 to tune on, too few to halve
     (["run", "--method", "snaps", "--calib-size", "3"],
      "cannot split 1 node(s) into two nonempty parts"),
+    (["oracle", "--m-sweep", "0,2,-1"], "m_sweep holds m=-1; each m must be >= 0"),
 ])
 def test_arguments_no_run_can_honor_exit_one(synth_dir, tmp_path, capsys, extra,
                                              message):
