@@ -44,7 +44,12 @@ Row sums over arcs (a graph's degrees, and the neighbor sums behind
 ``propagate.weighted_row_means``) come from one exact-sum kernel,
 ``_exact_row_sums``: vectorized TwoSum accumulation over all rows at once,
 a certificate per entry and a ``math.fsum`` fallback, so every sum equals
-``math.fsum`` of the row bit for bit, whatever the order of its arcs.
+``math.fsum`` of the row bit for bit, whatever the order of its arcs.  Each
+block of rows writes every pass into (rows, C) buffers allocated once, and
+the running sums swap between two of them instead of being copied back.
+Unit weights (the structural adjacency) skip the multiply by 1.0, and a
+unit-weight graph's degrees are its arc counts, which is exactly what
+``math.fsum`` gives for m ones.
 """
 
 from __future__ import annotations
@@ -74,7 +79,13 @@ _SAMPLED_GATHER = 1 << 19
 _RESCORE_SLACK = 64
 # draws per row beyond the mean needed for a pool (see _sample_pools)
 _DRAW_SLACK = 16
-_SUM_BLOCK = 1 << 12  # elements of each (rows, C) array of _exact_row_sums
+# elements of each (rows, C) buffer of _exact_row_sums (8 buffers, 1 MB).
+# One neighbor_means over both graphs of a planted bundle (K = 8, k = 20,
+# M = 200) on 2 Xeon vCPUs, medians of 11: 2^12, 2^13, 2^14, 2^15, 2^16 took
+# 44, 34, 32, 36, 39 ms at n = 10000 and 18.5, 15.6, 15.7, 14.8, 15.6 ms at
+# n = 5000; at n = 50000 (medians of 5) 2^12 to 2^15 took 203, 185, 160,
+# 166 ms
+_SUM_BLOCK = 1 << 14
 # _top_k sorts a block at most this many times k wide whole: one stable
 # argsort beats partition + sort + argsort + tie check there
 _NARROW_TOP_K = 2
@@ -89,7 +100,8 @@ class SparseGraph:
     """Compressed-row adjacency with weighted arcs.
 
     ``degrees[i]``, derived on construction, is the sum of row i's weights,
-    correctly rounded: bit-equal to ``math.fsum`` of the row, computed for
+    correctly rounded: bit-equal to ``math.fsum`` of the row.  When every
+    weight is 1.0 it is the row's arc count; otherwise it is computed for
     all rows at once by the exact-sum kernel ``_exact_row_sums`` (TwoSum
     accumulation, a per-entry certificate, ``math.fsum`` fallback for
     entries it cannot certify).
@@ -120,10 +132,12 @@ class SparseGraph:
             interior[starts[starts < ci.size]] = False  # row starts may break monotonicity
             if not (ci[1:][interior[1:]] > ci[:-1][interior[1:]]).all():
                 raise ValidationError("rows must hold strictly increasing column indices")
-        # the kernel sums values[cols] * w; one value 1.0 for every column
-        # makes each term the weight itself
-        degrees = _exact_row_sums(ro, np.broadcast_to(np.int64(0), ci.shape), w,
-                                  np.ones((1, 1)))[:, 0]
+        if (w == 1.0).all():
+            # m unit weights sum to m exactly, as math.fsum does
+            degrees = np.diff(ro).astype(np.float64)
+        else:
+            # arc a reads value row a: each term is the weight itself
+            degrees = _exact_row_sums(ro, np.arange(w.shape[0]), None, w[:, None])[:, 0]
         _freeze(degrees)
         object.__setattr__(self, "degrees", degrees)
 
@@ -165,12 +179,15 @@ def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Knuth's error-free addition: ``hi = fl(a + b)`` and ``a + b = hi + lo``
-    exactly, for finite inputs whose sum does not overflow."""
-    hi = a + b
-    bb = hi - a
-    lo = hi - bb
+def _two_sum(a: np.ndarray, b: np.ndarray, hi: np.ndarray, lo: np.ndarray,
+             bb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knuth's error-free addition into buffers: ``hi = fl(a + b)`` and
+    ``a + b = hi + lo`` exactly, for finite inputs whose sum does not
+    overflow.  ``bb`` is scratch; ``hi``, ``lo`` and ``bb`` are distinct and
+    alias neither input."""
+    np.add(a, b, out=hi)
+    np.subtract(hi, a, out=bb)
+    np.subtract(hi, bb, out=lo)
     np.subtract(a, lo, out=lo)
     np.subtract(b, bb, out=bb)
     lo += bb
@@ -178,14 +195,16 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _exact_row_sums(row_offsets: np.ndarray, col_indices: np.ndarray,
-                    weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+                    weights: np.ndarray | None, values: np.ndarray) -> np.ndarray:
     """(n, C) array whose entry (i, c) is ``math.fsum`` of the products
-    ``values[col_indices[a], c] * weights[a]`` over row i's arcs a.
+    ``values[col_indices[a], c] * weights[a]`` over row i's arcs a
+    (``weights`` None: unit weights).
 
     Rows are visited by arc count, descending: step j adds arc j of every row
     that has one, as one (rows, C) block, to a running sum ``s`` with
     TwoSum; a second TwoSum folds the exact errors into ``e`` and ``a2``
-    collects the magnitudes of that second TwoSum's errors.  The exact sum is
+    collects the magnitudes of that second TwoSum's errors (the Sum2 scheme
+    of Ogita, Rump and Oishi with a second error level).  The exact sum is
     then ``s + e`` plus at most ``a2`` (up to its own rounding, which the
     factor ``1 + 2m 2^-53`` covers for m terms), and ``r, f = TwoSum(s, e)``
     is its correctly rounded value when either ``a2 == 0`` (then ``s + e`` is
@@ -196,10 +215,18 @@ def _exact_row_sums(row_offsets: np.ndarray, col_indices: np.ndarray,
     ``math.fsum`` row by row, which also keeps its errors on overflow and
     inf - inf.  Being the correctly rounded exact sum, every entry is
     independent of the arcs' order and so of node labels.  A zero sum is
-    +0.0, as ``math.fsum`` returns.  Rows are processed in blocks whose
-    (rows, C) arrays stay within ``_SUM_BLOCK`` elements.
+    +0.0 (a row of -0.0 terms too), as ``math.fsum`` returns: every sum
+    starts at +0.0, and ``e``, which starts there too, is never -0.0, so
+    ``r = s + e`` is +0.0 wherever ``s`` is a zero.
+
+    When every weight is 1.0 the products are the gathered values
+    themselves, so the multiply is skipped; that is exact, since x * 1.0 is
+    x.  Rows are processed in blocks whose (rows, C) buffers hold
+    ``_SUM_BLOCK`` elements each (``_block_sums``).
     """
     n, num_cols = row_offsets.shape[0] - 1, values.shape[1]
+    if weights is not None and (weights == 1.0).all():
+        weights = None
     out = np.zeros((n, num_cols))
     counts = np.diff(row_offsets)
     order = np.argsort(-counts, kind="stable")
@@ -216,21 +243,46 @@ def _exact_row_sums(row_offsets: np.ndarray, col_indices: np.ndarray,
 # non-finite entries fall back to math.fsum, so the NaNs on their way stay silent
 @np.errstate(over="ignore", invalid="ignore")
 def _block_sums(starts: np.ndarray, cnt: np.ndarray, col_indices: np.ndarray,
-                weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+                weights: np.ndarray | None, values: np.ndarray) -> np.ndarray:
     """``_exact_row_sums`` of the rows whose arcs start at ``starts``, with
-    ``cnt`` (nonincreasing) arcs each."""
-    s = np.zeros((starts.shape[0], values.shape[1]))
-    e = np.zeros_like(s)
-    a2 = np.zeros_like(s)
+    ``cnt`` (nonincreasing, first one positive) arcs each.
+
+    Every elementwise pass writes through ``out=`` into (rows, C) buffers
+    allocated once per block: the terms are gathered by ``np.take`` into
+    ``t`` and multiplied by their weights in place, both TwoSums write into
+    the buffers, and ``t`` takes the second TwoSum's error.  Each step writes
+    its new ``s`` and ``e`` into a second pair of buffers, and the pairs swap
+    instead of being copied back.  A step touches only the rows that still
+    have an arc, so rows that have run out are copied once into the other
+    pair, which then holds every finished row whichever pair is current.
+    Step 0 adds the first terms to the +0.0 start, where TwoSum's error is
+    exactly 0, so it makes that one addition and leaves ``e`` and ``a2`` at
+    zero.
+    """
+    shape = (starts.shape[0], values.shape[1])
+    s, s_next, e, e_next, a2 = (np.zeros(shape) for _ in range(5))
+    t, lo, bb = (np.empty(shape) for _ in range(3))
     # the m rows with an arc at position j come first, as cnt is nonincreasing
-    active = np.searchsorted(-cnt, -np.arange(cnt[0]), side="left")
-    for j, m in enumerate(active.tolist()):
+    active = np.searchsorted(-cnt, -np.arange(cnt[0]), side="left").tolist()
+    for j, m in enumerate(active):
         arcs = starts[:m] + j
-        terms = values[col_indices[arcs]] * weights[arcs, None]
-        s[:m], err = _two_sum(s[:m], terms)
-        e[:m], err = _two_sum(e[:m], err)
+        tm = np.take(values, np.take(col_indices, arcs), axis=0, out=t[:m])
+        if weights is not None:
+            tm *= np.take(weights, arcs)[:, None]
+        if j == 0:
+            np.add(s[:m], tm, out=s[:m])
+            continue
+        # rows m.. ran out of arcs after step j - 1, and live in s and e
+        done = active[j - 1]
+        if m < done:
+            s_next[m:done] = s[m:done]
+            e_next[m:done] = e[m:done]
+        _, err = _two_sum(s[:m], tm, s_next[:m], lo[:m], bb[:m])
+        _, err = _two_sum(e[:m], err, e_next[:m], tm, bb[:m])
         a2[:m] += np.abs(err, out=err)
-    r, f = _two_sum(s, e)
+        s, s_next, e, e_next = s_next, s, e_next, e
+    # the spare pair holds only copies now, so it takes r and f
+    r, f = _two_sum(s, e, s_next, e_next, bb)
     mag = np.abs(r)
     half_gap = 0.5 * (mag - np.nextafter(mag, 0.0))
     slack = 1.0 + cnt[:, None] * 2.0 ** -52
@@ -238,7 +290,8 @@ def _block_sums(starts: np.ndarray, cnt: np.ndarray, col_indices: np.ndarray,
     ok &= np.isfinite(r)
     for i, c in zip(*np.nonzero(~ok)):
         arcs = slice(starts[i], starts[i] + cnt[i])
-        r[i, c] = math.fsum(values[col_indices[arcs], c] * weights[arcs])
+        terms = values[col_indices[arcs], c]
+        r[i, c] = math.fsum(terms if weights is None else terms * weights[arcs])
     return r
 
 

@@ -216,24 +216,35 @@ def _grid_size_sh(cal_scores, eval_scores, labels_cal, labels_eval,
                   num_classes, alpha) -> tuple[np.ndarray, np.ndarray]:
     """Size and singleton-hit counts of every grid point at once.
 
-    ``cal_scores(cols)``/``eval_scores(cols)`` return the (G, rows) scores of
-    one tuning half at a class column (an int, or one label per row); they
-    may reuse one buffer, so each result is consumed before the next call.
-    Each grid point calibrates on the true labels of the first half and is
-    measured on the second.  Returns counts over the second half, which order
-    the grid points exactly as the Size and singleton-hit means would.
+    ``cal_scores(cols)`` returns the (G, rows) scores of the first tuning
+    half at one label per row, ``eval_scores(c)`` those of the second half
+    at class column c; they may reuse one buffer, so each result is consumed
+    before the next call.  Each grid point calibrates on the true labels of
+    the first half and is measured on the second.  An evaluation row's
+    true-label hit is copied out of the class pass of its label, one slice
+    per run of equal ``labels_eval``, so callers group the second half's
+    rows by label.  Returns counts over the second half, which order the
+    grid points exactly as the Size and singleton-hit means would.
     """
     rank = conformal_rank(labels_cal.shape[0], alpha)
     q = _order_statistic(cal_scores(labels_cal), rank)[:, None]
     shape = (q.shape[0], labels_eval.shape[0])
     hit = np.empty(shape, dtype=bool)
+    true_hit = np.empty(shape, dtype=bool)
+    runs = [[] for _ in range(num_classes)]
+    first = np.ones(shape[1], dtype=bool)
+    np.not_equal(labels_eval[1:], labels_eval[:-1], out=first[1:])
+    starts = np.flatnonzero(first).tolist()
+    for lo, hi in zip(starts, [*starts[1:], shape[1]]):
+        runs[labels_eval[lo]].append(slice(lo, hi))
     # a row's size is at most num_classes
     sizes = np.zeros(shape, dtype=np.min_scalar_type(num_classes))
     for c in range(num_classes):
         sizes += np.less_equal(eval_scores(c), q, out=hit)
-    np.less_equal(eval_scores(labels_eval), q, out=hit)
-    hit &= sizes == 1
-    return sizes.sum(axis=1, dtype=np.int64), np.count_nonzero(hit, axis=1)
+        for run in runs[c]:
+            true_hit[:, run] = hit[:, run]
+    true_hit &= sizes == 1
+    return sizes.sum(axis=1, dtype=np.int64), np.count_nonzero(true_hit, axis=1)
 
 
 def _snaps_grid_scores(values, nm: NeighborMeans, lam, mu, rows):
@@ -300,12 +311,20 @@ def _raps_grid(max_k_reg: int):
                            np.array([[p.lambda_reg] for p in grid])))
 
 
+def _label_grouped_halves(tune_idx, labels, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The tuning halves that ``rng`` draws from ``tune_idx``, the second
+    one ordered by label (stably), as ``_grid_size_sh`` wants it; counts
+    over a half do not depend on the order of its rows."""
+    a, b = _split_pool(tune_idx, tune_idx.shape[0] // 2, rng)
+    return a, b[np.argsort(labels[b], kind="stable")]
+
+
 def _tune_snaps(values, nm, labels, tune_idx, alpha, grid_step, rng,
                 mu_only=False) -> SnapsParams:
     """The (lam, mu) grid point, or with ``mu_only`` the (0, mu) point of
     daps, that tunes best on ``tune_idx`` for the base ``values`` and their
     neighbor means ``nm``; ``rng`` draws the half split."""
-    a, b = _split_pool(tune_idx, tune_idx.shape[0] // 2, rng)
+    a, b = _label_grouped_halves(tune_idx, labels, rng)
     grid, lam, mu = _snaps_grid(grid_step, mu_only)
     cal_scores, a = _snaps_grid_scores(values, nm, lam, mu, a)
     eval_scores, b = _snaps_grid_scores(values, nm, lam, mu, b)
@@ -319,7 +338,7 @@ def _tune_raps(aps_values, ranks, labels, tune_idx, alpha, rng,
     """The (k_reg, lambda_reg) grid point that tunes best on ``tune_idx`` for
     APS ``aps_values`` and ``probability_ranks`` ``ranks``; ``rng`` draws the
     half split."""
-    a, b = _split_pool(tune_idx, tune_idx.shape[0] // 2, rng)
+    a, b = _label_grouped_halves(tune_idx, labels, rng)
     grid, k_reg, lam = _raps_grid(min(num_classes, RAPS_MAX_KREG))
     size, sh = _grid_size_sh(_raps_grid_scores(aps_values, ranks, k_reg, lam, a),
                              _raps_grid_scores(aps_values, ranks, k_reg, lam, b),

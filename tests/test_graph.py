@@ -524,9 +524,16 @@ def test_rows_scaled_by_a_power_of_two_keep_their_graph_bit_for_bit(scale):
 
 
 def test_degrees_match_row_sums(small_bundle):
-    graph = g.adjacency_graph(small_bundle.n, small_bundle.edges)
-    for i in range(0, graph.n, 37):
-        assert graph.degrees[i] == pytest.approx(math.fsum(graph.row(i)[1]))
+    # unit weights (degrees are arc counts) and similarity weights, exact
+    # and sampled, each equal to math.fsum of its row bit for bit
+    graphs = [g.adjacency_graph(small_bundle.n, small_bundle.edges),
+              # unit weights but one
+              g.from_arcs(3, [(0, 1), (0, 2), (1, 0), (2, 0)], [1.0, 1.0, 0.1, 1.0])]
+    graphs += [g.build_knn_graph(small_bundle.features, g.KnnConfig(k=7, sample_size=m, seed=5))
+               for m in (None, 70)]
+    for graph in graphs:
+        want = np.array([math.fsum(graph.row(i)[1]) for i in range(graph.n)])
+        assert np.array_equal(graph.degrees.view(np.int64), want.view(np.int64))
 
 
 def _fsum_rows(row_offsets, col_indices, weights, values):
@@ -597,6 +604,34 @@ def test_exact_row_sums_fall_back_to_fsum_only_where_uncertified(monkeypatch):
     got = g.graph._exact_row_sums(row_offsets, np.arange(8), np.ones(8), values)
     assert calls == [3]
     assert got[:, 0].tolist() == [1.0 + 2.0 ** -52, 1.0, fsum(rows[2])]
+
+
+@pytest.mark.parametrize("unit", [True, False])
+def test_exact_row_sums_carry_finished_rows_across_buffer_swaps(unit):
+    # rows of 2, 0, 5, 1 and 4 arcs in one block: rows that run out of arcs
+    # early must keep their s and e while later steps swap the buffers.  The
+    # 2- and 4-arc rows finish in the pair that the 5-arc row does not end
+    # in, and the other pair holds an earlier s or e of theirs
+    tie, tiny = 2.0 ** -53, 2.0 ** -80
+    rows = [
+        [[tie, -0.0], [1.0, -0.0]],                   # a half-ulp tie; -0.0s
+        [],
+        [[tie, 1.0], [1.0, -tie], [tie, tie], [tie, -0.0], [-1.0, -tie]],
+        [[-0.0, -0.0]],                               # all -0.0: sums to +0.0
+        # e is a tie after 4 terms and past it after 3: e decides
+        [[1.0, -1.0], [tie, -tie], [tiny, -tiny], [-tiny, tiny]],
+    ]
+    values = np.array([term for row in rows for term in row])
+    row_offsets = np.concatenate([[0], np.cumsum([len(row) for row in rows])])
+    weights = np.ones(values.shape[0])
+    if not unit:
+        weights[[1, 6]] = 2.0, 0.5   # the first weights stay 1.0
+    with mock.patch.object(g.graph, "_SUM_BLOCK", len(rows) * values.shape[1]):
+        got = g.graph._exact_row_sums(row_offsets, np.arange(values.shape[0]),
+                                      weights, values)
+    want = _fsum_rows(row_offsets, np.arange(values.shape[0]), weights, values)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got[3].view(np.int64).tolist() == [0, 0]
 
 
 def test_duplicate_arcs_rejected():

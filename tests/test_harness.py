@@ -292,6 +292,27 @@ def test_grid_scores_are_combine_scores_at_every_grid_point(data, n, k, mu_only)
         assert columns[k][i].tobytes() == at_label.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=30),
+       st.integers(min_value=1, max_value=5), _ALPHAS)
+def test_grid_counts_take_true_label_hits_from_the_class_passes(data, n, k, alpha):
+    # each evaluation row's true-label hit is read from the class pass of its
+    # label, whatever the rows' order: here labels run in any order
+    values = _draw_matrix(data, 2 * n, k, _CELLS)
+    labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=2 * n,
+                                         max_size=2 * n)))
+    flags = _draw_matrix(data, 2 * n, 1, st.sampled_from([0.0, 1.0]))[:, 0]
+    nm = g.NeighborMeans(values[::-1].copy(), values, flags, flags[::-1].copy())
+    _, lam, mu = harness._snaps_grid(0.25, False)
+    cal, a = harness._snaps_grid_scores(values, nm, lam, mu, np.arange(n))
+    ev, b = harness._snaps_grid_scores(values, nm, lam, mu, np.arange(n, 2 * n))
+    size, sh = harness._grid_size_sh(cal, ev, labels[a], labels[b], k, alpha)
+    for i, (l, m) in enumerate(zip(lam, mu)):
+        mixed = g.combine_scores(values, nm, l, m)
+        want = _ref_size_sh(mixed[a], labels[a], mixed[b], labels[b], alpha)
+        assert (round(want[0] * n), round(want[1] * n)) == (size[i], sh[i])
+
+
 @pytest.mark.parametrize("k", [256, 300])
 def test_grid_sizes_count_past_255_classes(k):
     # all scores equal, so every label of every row is in every grid set:
