@@ -21,8 +21,8 @@ A third bundle of the same kind at n=4000 gives the image-mode stages, at
 the shape of the benchmark's ``image-4k`` workload (calibration size 1000,
 k=5, eta=0.5, 20 trials, alpha=0.05):
 
-* ``image_pool_order``: ``harness._image_pool_order``, the pool's unit
-  rows and their self-join;
+* ``image_neighbors``: the pool's neighbor search, its unit rows and
+  their self-join at depth k (``graph._self_join_order``);
 * ``image_trials``: the rest of ``run_image_experiment``, that is the
   probabilities' validation and APS mass, then the 20 trial bodies
   (``harness._image_trial``: split, scores, correction, evaluation).
@@ -107,14 +107,17 @@ def main():
     image = g.generate_synthetic(n=IMAGE_N, num_classes=8, dim=8, homophily=0.8,
                                  class_sep=2.0, noise=1.0, seed=SEED)
     P, feats = image.probabilities, image.features
-    stages["image_pool_order"], pool = timed(
-        lambda: g.harness._image_pool_order(feats, IMAGE_CALIB, IMAGE_K, IMAGE_TRIALS),
-        REPEATS)
+
+    def image_neighbors():
+        normed, zero = g.graph._normalized_rows(feats)
+        return g.graph._self_join_order(normed, IMAGE_K), zero
+
+    stages["image_neighbors"], (nbrs, zero) = timed(image_neighbors, REPEATS)
 
     def image_trials():
         mass = g.scores._mass_above(g.matrixio.validate_probabilities(P))
         return [g.harness._image_trial(P, mass, image.labels, IMAGE_CALIB, IMAGE_K,
-                                       IMAGE_ETA, IMAGE_ALPHA, SEED, t, pool)
+                                       IMAGE_ETA, IMAGE_ALPHA, SEED, t, nbrs, zero)
                 for t in range(IMAGE_TRIALS)]
 
     stages["image_trials"], _ = timed(image_trials, REPEATS)
@@ -136,7 +139,7 @@ def main():
                    "exact": {"n": EXACT_N, "k": K, "knn_arcs": exact_knn.nnz},
                    "image": {"n": IMAGE_N, "calib_size": IMAGE_CALIB, "k": IMAGE_K,
                              "eta": IMAGE_ETA, "trials": IMAGE_TRIALS,
-                             "alpha": IMAGE_ALPHA, "pool_depth": pool.order.shape[1]}},
+                             "alpha": IMAGE_ALPHA, "neighbor_depth": nbrs.shape[1]}},
         "stages": {name: {"median_s": statistics.median(runs), "min_s": min(runs),
                           "runs_s": runs}
                    for name, runs in stages.items()},

@@ -17,9 +17,10 @@ import sys
 import numpy as np
 
 from . import harness, matrixio
+from .conformal import _check_alpha
 from .errors import ValidationError
 from .graph import KnnConfig
-from .propagate import SnapsParams
+from .propagate import SnapsParams, image_snaps
 from .report import make_report, report_to_dict, write_json, write_report
 from .scores import XiPolicy, aps_scores
 
@@ -188,13 +189,11 @@ def _cmd_image(args) -> int:
         labels = np.concatenate([labels, y_test])
     n_cal, n_test = p_cal.shape[0], p_test.shape[0]
     calib, test = np.arange(n_cal), n_cal + np.arange(n_test)
-    harness._check_image_args(args.k, args.eta, n_cal, args.alpha)
-
+    # alpha is checked before image_snaps looks up any neighbor
+    _check_alpha(args.alpha)
     base = aps_scores(np.concatenate([p_cal, p_test]),
                       XiPolicy("uniform", seed=args.seed))
-    pool = harness._image_pool_order(np.concatenate([f_cal, f_test]), n_cal,
-                                     args.k, 1)
-    full = harness._image_scores(base, calib, test, args.k, args.eta, pool)
+    full = image_snaps(base, np.concatenate([f_cal, f_test]), args.k, args.eta)
     trial = harness._evaluate_trial(full, labels, calib, test, args.alpha, 0, 0,
                                     {"k": args.k, "eta": args.eta})
     config = {"mode": "image", "alpha": args.alpha, "k": args.k, "eta": args.eta,

@@ -20,25 +20,24 @@ The k-NN builder has two modes:
   (``_sample_pools``).  With M = n - 1 the sampled candidate set is all
   other nodes and the result equals exact mode.
 
-Both modes, and image mode (``image_snaps`` and ``harness._image_scores``),
-pick neighbors with one batched top-k kernel (``_top_k``): per row of a
-similarity block, the k largest entries, higher similarity first and ties to
-the smaller index, in exactly the order of the first k of a stable
-``argsort`` of the negated row.  A block at most 2k wide is sorted whole
-by that argsort; in a wider one, one ``argpartition`` finds each row's k-th
-value, and only rows with a tie across that boundary fall back to the
-stable sort.  Every similarity the kernel selects from is computed by one einsum
-whose bits do not depend on where a row sits (``_pairwise_sims``,
+Both modes, and image mode (``propagate.image_snaps`` and
+``harness.run_image_experiment``), pick neighbors with one batched top-k
+kernel (``_top_k``): per row of a similarity block, the k largest entries,
+higher similarity first and ties to the smaller index, in exactly the order
+of the first k of a stable ``argsort`` of the negated row.  A block at
+most 2k wide is sorted whole by that argsort; in a wider one, one
+``argpartition`` finds each row's k-th value, and only rows with a tie
+across that boundary fall back to the stable sort.  Every similarity the
+kernel selects from is computed by one einsum whose bits do not depend on
+where a row sits (``_pairwise_sims``,
 ``_gathered_sims``); the BLAS screen of ``_top_k_blocks`` only decides,
 under a rounding-error certificate, which entries to score that way.  Row
 chunks are sized so that a screen block stays within half of
 ``_CHUNK_TARGET`` elements (4 MB of float64); candidate gathers stay within
-``_SAMPLED_GATHER`` elements (4 MB).  Image mode scores every split through
-one pool (``harness._image_scores``); when many splits share it, the kernel
-runs once, as a self-join at a fixed depth (``_self_join_order``), and each
-split takes a row's first calibration rows in that order.  Rows with too
-few of them there, every row at depth 0, go through ``_top_k_blocks``
-against the split's calibration rows.
+``_SAMPLED_GATHER`` elements (4 MB).  Every screened search is a
+self-join: the exact build and image mode both take each row's k most
+similar other rows of the whole node set (image mode through
+``_self_join_order``, once per run, before any split is drawn).
 
 Row sums over arcs (a graph's degrees, and the neighbor sums behind
 ``propagate.weighted_row_means``) come from one exact-sum kernel,
@@ -426,21 +425,18 @@ def _top_k(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return top, -np.take_along_axis(sims, top, axis=1)
 
 
-def _top_k_blocks(queries: np.ndarray, base: np.ndarray, k: int,
-                  self_cols: np.ndarray | None = None):
-    """Yield (start, stop, columns, similarities) per chunk of query rows:
-    each row's k most similar ``base`` rows under the ``_top_k`` contract.
+def _top_k_blocks(normed: np.ndarray, k: int):
+    """Yield (start, stop, columns, similarities) per chunk of rows: each
+    row's k most similar other rows of ``normed`` under the ``_top_k``
+    contract, the row's own column dropped.
 
-    Both inputs hold unit (or zero) rows, so the dot products are cosine
-    similarities.  ``self_cols[i]``, when given, is a column dropped from
-    query row i (the row itself in a self-join).
+    ``normed`` holds unit (or zero) rows, so the dot products are cosine
+    similarities.  Each chunk of rows is screened with one BLAS product,
+    and only the screen's candidates are scored with the einsum arithmetic
+    of ``_pairwise_sims``:
 
-    Each chunk of rows is screened with one BLAS product, and only the
-    screen's candidates are scored with the einsum arithmetic of
-    ``_pairwise_sims``:
-
-    * screen: ``q @ base.T`` goes into a reused buffer, with -inf at the
-      dropped columns.  Each row's bound L, the k-th largest maximum of at
+    * screen: ``q @ normed.T`` goes into a reused buffer, with -inf at each
+      row's own column.  Each row's bound L, the k-th largest maximum of at
       most 4k strided column groups (``_screen_bound``), is at most its k-th
       largest screen value S.  The candidates are the entries at or
       above ``L - margin``, ``margin = 8 d 2^-53``, a superset of those at
@@ -458,7 +454,7 @@ def _top_k_blocks(queries: np.ndarray, base: np.ndarray, k: int,
       -inf and selected by ``_top_k``; ascending columns keep ties to the
       smaller column;
     * fallback: a row whose bound or largest screen value is not finite
-      (a NaN in the row; a -inf bound would let a dropped column in), or
+      (a NaN in the row; a -inf bound would let its own column in), or
       that passes more than ``4k + _RESCORE_SLACK`` candidates (a zero-norm
       row ties every column at 0), is scored in full by ``_pairwise_sims``
       and ``_top_k``.
@@ -470,46 +466,40 @@ def _top_k_blocks(queries: np.ndarray, base: np.ndarray, k: int,
     chunk.  Besides the reused buffers, a yield holds only the chunk's
     (rows, k) results.
     """
-    n_b, d = base.shape
+    n, d = normed.shape
     cap = 4 * k + _RESCORE_SLACK
-    step = min(_block_rows(n_b),
-               max(1, _SAMPLED_GATHER // max(1, min(cap, n_b) * d)))
-    rows = min(step, queries.shape[0])
-    screen = np.empty((rows, n_b))
-    mask = np.empty((rows, n_b), dtype=bool)
-    for start in range(0, queries.shape[0], step):
-        stop = min(start + step, queries.shape[0])
-        m = stop - start
-        cols, vals = _screened_top_k(
-            queries[start:stop], base, k, cap,
-            None if self_cols is None else self_cols[start:stop],
-            screen[:m], mask[:m])
+    step = min(_block_rows(n), max(1, _SAMPLED_GATHER // max(1, min(cap, n) * d)))
+    rows = min(step, n)
+    screen = np.empty((rows, n))
+    mask = np.empty((rows, n), dtype=bool)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        cols, vals = _screened_top_k(normed, start, stop, k, cap,
+                                     screen[:stop - start], mask[:stop - start])
         yield start, stop, cols, vals
 
 
-def _screened_top_k(q: np.ndarray, base: np.ndarray, k: int, cap: int,
-                    self_cols: np.ndarray | None, screen: np.ndarray,
-                    mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_top_k`` of one chunk of ``_top_k_blocks``, screened into the
-    (rows, n_b) buffers ``screen``/``mask``."""
-    rows = screen.shape[0]
-    np.matmul(q, base.T, out=screen)
-    if self_cols is not None:
-        screen[np.arange(rows), self_cols] = -np.inf
+def _screened_top_k(normed: np.ndarray, start: int, stop: int, k: int, cap: int,
+                    screen: np.ndarray, mask: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """``_top_k`` of rows ``start:stop``, one chunk of ``_top_k_blocks``,
+    screened into the (rows, n) buffers ``screen``/``mask``."""
+    q = normed[start:stop]
+    np.matmul(q, normed.T, out=screen)
+    screen[np.arange(stop - start), np.arange(start, stop)] = -np.inf
     bound, top = _screen_bound(screen, k)
-    margin = 8 * base.shape[1] * 2.0 ** -53
+    margin = 8 * normed.shape[1] * 2.0 ** -53
     np.greater_equal(screen, (bound - margin)[:, None], out=mask)
     cand, counts, ok = _screen_candidates(mask, np.isfinite(bound) & np.isfinite(top),
                                           k, cap)
-    sims = _gathered_sims(q, base, cand)
+    sims = _gathered_sims(q, normed, cand)
     sims[np.arange(cand.shape[1]) >= counts[:, None]] = -np.inf
     pos, vals = _top_k(sims, k)
     cols = np.take_along_axis(cand, pos, axis=1)
     fallback = np.flatnonzero(~ok)
     if fallback.size:
-        full = _pairwise_sims(q[fallback], base)
-        if self_cols is not None:
-            full[np.arange(fallback.size), self_cols[fallback]] = -np.inf
+        full = _pairwise_sims(q[fallback], normed)
+        full[np.arange(fallback.size), start + fallback] = -np.inf
         cols[fallback], vals[fallback] = _top_k(full, k)
     return cols, vals
 
@@ -569,7 +559,7 @@ def _self_join_order(normed: np.ndarray, depth: int) -> np.ndarray:
     to the smaller index), computed in ``_CHUNK_TARGET`` blocks."""
     n = normed.shape[0]
     order = np.empty((n, depth), dtype=np.int64)
-    for start, stop, cols, _ in _top_k_blocks(normed, normed, depth, np.arange(n)):
+    for start, stop, cols, _ in _top_k_blocks(normed, depth):
         order[start:stop] = cols
     return order
 
@@ -688,7 +678,7 @@ def build_knn_graph(features: np.ndarray, cfg: KnnConfig) -> SparseGraph:
             stacklevel=2,
         )
     if cfg.sample_size is None:
-        blocks = _top_k_blocks(normed, normed, cfg.k, np.arange(n))
+        blocks = _top_k_blocks(normed, cfg.k)
     else:
         blocks = _sampled_blocks(normed, cfg.k, min(cfg.sample_size, n - 1), cfg.seed)
 

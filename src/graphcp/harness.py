@@ -25,8 +25,7 @@ search with the final mix would pick.
 
 Every runner, and the ``image`` CLI command, measures a trial through one
 evaluator, ``_evaluate_trial``: calibrate -> predict sets -> coverage, Size,
-singleton hit and SSCV.  Every image-mode split, the ``image`` command's
-too, is scored through one body, ``_image_scores``.
+singleton hit and SSCV.
 
 Everything is driven by integer seeds: per-trial generators are derived from
 (seed, stage, model split, conformal split), and trials run one after
@@ -38,7 +37,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +48,6 @@ from .graph import (
     _freeze,
     _normalized_rows,
     _self_join_order,
-    _top_k_blocks,
     adjacency_graph,
     build_knn_graph,
     empty_graph,
@@ -66,6 +63,7 @@ from .metrics import MetricSummary, _measure
 from .propagate import (
     NeighborMeans,
     SnapsParams,
+    _check_image_k_eta,
     _image_mix,
     _mix,
     _mix_weights,
@@ -544,120 +542,20 @@ def run_oracle_experiment(bundle: DatasetBundle, alpha: float = 0.05,
     return reports
 
 
-class _ImagePool(NamedTuple):
-    """What an image-mode run computes once for all its splits of one pool:
-    the unit feature rows, the zero-norm mask and the self-join ``order``."""
-
-    normed: np.ndarray
-    zero: np.ndarray
-    order: np.ndarray
-
-
-def _image_pool_order(feats: np.ndarray, c: int, k: int,
-                      n_trials: int) -> _ImagePool:
-    """The pool an image-mode run scores its splits through: the unit rows,
-    their zero-norm mask and each row's most similar other pool rows, in
-    ``image_snaps``'s neighbor order, to the smallest depth T at which a row
-    expects 4k calibration rows in its list (T c / (n - 1) >= 4k).  The
-    order has depth 0 when scoring the pool once costs at least the pairs
-    that the ``n_trials`` splits reading neighbors would score (n - 1 >=
-    n_trials * c); rows short of k calibration rows in it are scored by the
-    top-k kernel in ``_pool_neighbors``."""
-    n = feats.shape[0]
-    normed, zero = _normalized_rows(feats)
-    if n - 1 >= n_trials * c:
-        return _ImagePool(normed, zero, np.empty((n, 0), dtype=np.int64))
-    depth = min(n - 1, -(-4 * k * (n - 1) // c))
-    return _ImagePool(normed, zero, _self_join_order(normed, depth))
-
-
-def _calib_hits(order: np.ndarray, calib: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(hits, starts): the flat positions of the (n, depth) ``order`` that
-    hold a ``calib`` row, ascending, and where each row's run of them starts
-    (row i's hits are ``hits[starts[i]:starts[i + 1]]``)."""
-    n, depth = order.shape
-    member = np.zeros(n, dtype=bool)
-    member[calib] = True
-    hits = np.flatnonzero(member[order.ravel()])
-    # row-major positions: row i's run starts where i * depth would be inserted
-    return hits, np.searchsorted(hits, np.arange(n + 1) * depth)
-
-
-def _pool_neighbors(pool: _ImagePool, hits: np.ndarray, starts: np.ndarray,
-                    calib: np.ndarray, rows: np.ndarray, k: int,
-                    self_cols: np.ndarray | None) -> np.ndarray:
-    """(len(rows), k) pool ids: each of ``rows``' k most similar calibration
-    rows, most similar first, ties to the smaller id.
-
-    ``hits`` and ``starts`` locate the calibration rows in ``pool.order``
-    (``_calib_hits``).  The order lists a row's most similar other rows,
-    ties to the smaller id, and ``calib`` is sorted, so a row with at least
-    k hits has its first k as its calibration top-k.  The other rows are
-    scored against the calibration rows by ``_top_k_blocks``, without the
-    column ``self_cols`` gives (a calibration row's own position)."""
-    first = starts[rows]
-    ok = starts[rows + 1] - first >= k
-    nbrs = np.empty((rows.shape[0], k), dtype=np.int64)
-    nbrs[ok] = pool.order.ravel()[hits[first[ok, None] + np.arange(k)]]
-    short = np.flatnonzero(~ok)
-    if short.size:
-        blocks = _top_k_blocks(pool.normed[rows[short]], pool.normed[calib], k,
-                               None if self_cols is None else self_cols[short])
-        for start, stop, cols, _ in blocks:
-            nbrs[short[start:stop]] = calib[cols]
-    return nbrs
-
-
-def _image_scores(base: ScoreMatrix, calib: np.ndarray, test: np.ndarray,
-                  k: int, eta: float, pool: _ImagePool) -> np.ndarray:
-    """One image-mode split's corrected scores for every row of ``base``.
-
-    The split's APS scores ``base`` (node ids are pool rows) are mixed, on
-    calibration rows, with the mean scores of their k most similar other
-    calibration rows and, on test rows, with those of their k most similar
-    calibration rows.  One pass over ``pool.order`` (``calib`` sorted)
-    finds every row's calibration hits, ``_pool_neighbors`` turns them into
-    pool ids, and ``propagate._image_mix`` mixes the rows; the scores have
-    the bits of two ``image_snaps`` calls.  At ``eta = 0`` the scores are
-    ``base``'s, and no neighbor is looked up."""
-    values = base.values
-    if eta == 0.0:
-        return values.copy()
-    hits, starts = _calib_hits(pool.order, calib)
-    c = calib.shape[0]
-    full = np.empty_like(values)
-    for rows, k_eff, self_cols in ((calib, min(k, c - 1), np.arange(c)),
-                                   (test, k, None)):
-        nbrs = _pool_neighbors(pool, hits, starts, calib, rows, k_eff, self_cols)
-        full[rows] = _image_mix(values[rows], values, nbrs, eta, pool.zero[rows])
-    return full
-
-
 def _image_trial(P: np.ndarray, mass: np.ndarray, labels: np.ndarray, c: int,
                  k: int, eta: float, alpha: float, seed: int, t: int,
-                 pool: _ImagePool) -> TrialResult:
+                 nbrs: np.ndarray | None, zero: np.ndarray | None) -> TrialResult:
     """Trial ``t`` of ``run_image_experiment``: draw its split and xi, add
-    the xi share to the run's APS ``mass``, correct and evaluate."""
+    the xi share to the run's APS ``mass``, mix every row with its pool
+    neighbors ``nbrs`` (none at ``eta = 0``) and evaluate."""
     rng = np.random.default_rng([seed & _MASK32, 0xE5, t])
     calib, test = _split_pool(np.arange(P.shape[0]), c, rng)
     xi = XiPolicy("uniform", seed=_derive_seed(seed, 0xF6, t))
-    full = _image_scores(_aps_from_mass(mass, P, xi), calib, test, k, eta, pool)
-    return _evaluate_trial(full, labels, calib, test, alpha, 0, t,
+    values = _aps_from_mass(mass, P, xi).values
+    if eta > 0.0:
+        values = _image_mix(values, values, nbrs, eta, zero)
+    return _evaluate_trial(values, labels, calib, test, alpha, 0, t,
                            {"k": k, "eta": eta})
-
-
-def _check_image_args(k: int, eta: float, c: int, alpha: float) -> None:
-    """Image mode's checks, in ``image_snaps``'s order: eta in [0, 1], k in
-    [1, c] and c >= 2 calibration rows (each one averages its others); then
-    alpha in (0, 1), before any neighbor is looked up."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError("eta must lie in [0, 1]")
-    if not 1 <= k <= c:
-        raise ValidationError(f"k={k} must lie in [1, {c}]")
-    if c < 2:
-        raise ValidationError(f"calibration set has {c} row(s); excluding "
-                              "self needs at least 2")
-    _check_alpha(alpha)
 
 
 def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
@@ -665,24 +563,21 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
                          calib_size: int | None = None,
                          seed: int = 0, name: str = "image") -> TrialReport:
     """Graph-free mode: per trial, split the pool into calibration/test,
-    correct both sides with calibration-set neighbor means (calibration rows
-    exclude themselves), then calibrate and evaluate.  ``eta=0`` reduces to
-    the plain adaptive score.
+    correct every row with the mean scores of its k most similar other pool
+    rows (``propagate.image_snaps``), then calibrate and evaluate.
+    ``eta=0`` reduces to the plain adaptive score.
 
-    Each trial does only the work its split and xi change.  The
-    probabilities are validated, and their APS mass (``scores._mass_above``)
-    computed, once per run; a trial adds its own xi share.  Every trial
-    draws its calibration set from the same pool, whose unit rows are built
-    once (``_image_pool_order``), with a similarity order when the trials
-    together would score more pairs than the pool has.  Each trial finds
-    all its rows' neighbors in one pass over that order, scoring only the
-    rows it leaves short (``_image_scores``).  The report is bit-identical
-    to scoring every trial from scratch with ``image_snaps``.
+    The neighbor lists read no label and do not depend on the split, so
+    they come from one self-join (``graph._self_join_order``), computed once
+    per run before any split is drawn.  The probabilities are validated,
+    and their APS mass (``scores._mass_above``) computed, once per run; a
+    trial adds its own xi share and mixes all rows through
+    ``propagate._image_mix``.  The report is bit-identical to scoring every
+    trial from scratch with ``image_snaps``.
     Non-finite features, probability rows that do not sum to 1, labels
-    outside [0, K), a calibration size outside [1, n), eta outside [0, 1],
-    k outside [1, c] and a calibration set of one row (which has no other
-    row to average) are rejected, and so are ``n_trials < 1`` and an alpha
-    outside (0, 1)."""
+    outside [0, K), a calibration size outside [1, n), eta outside [0, 1]
+    and k outside [1, n - 1] are rejected, and so are ``n_trials < 1`` and
+    an alpha outside (0, 1)."""
     _check_trial_count(n_trials)
     P = validate_matrix(probabilities, "probabilities")
     feats = validate_matrix(features, "features")
@@ -692,12 +587,15 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
         raise ValidationError("probabilities/features/labels row counts disagree")
     validate_labels(labels, P.shape[1])
     c = _cut_size(n, n // 2 if calib_size is None else calib_size)
-    _check_image_args(k, eta, c, alpha)
+    _check_image_k_eta(k, eta, n)
+    _check_alpha(alpha)
     validate_probabilities(P)
-    # at eta = 0 no trial reads a neighbor
-    pool = _image_pool_order(feats, c, k, n_trials if eta > 0.0 else 0)
+    nbrs = zero = None
+    if eta > 0.0:
+        normed, zero = _normalized_rows(feats)
+        nbrs = _self_join_order(normed, k)
     mass = _mass_above(P)
-    trials = [_image_trial(P, mass, labels, c, k, eta, alpha, seed, t, pool)
+    trials = [_image_trial(P, mass, labels, c, k, eta, alpha, seed, t, nbrs, zero)
               for t in range(n_trials)]
     config = {
         "mode": "image", "dataset": {"name": name, "n": n,

@@ -24,28 +24,26 @@ def make_sets(mask, alpha=0.05, q_hat=0.5, n_graph=None):
                             threshold=threshold)
 
 
-def image_scores_reference(base, feats, calib, test, *, k, eta):
-    """One image-mode split's corrected scores from two ``image_snaps``
-    calls: calibration rows corrected by their other calibration rows, test
-    rows by the calibration rows."""
-    s_cal = g.ScoreMatrix(base.values[calib], "aps", base.xi)
-    s_test = g.ScoreMatrix(base.values[test], "aps", base.xi)
-    corr_cal = g.image_snaps(s_cal, s_cal, feats[calib], feats[calib],
-                             k=k, eta=eta, exclude_self=True)
-    corr_test = g.image_snaps(s_test, s_cal, feats[test], feats[calib],
-                              k=k, eta=eta)
-    full = np.empty_like(base.values)
-    full[calib] = corr_cal.values
-    full[test] = corr_test.values
+def image_scores_reference(values, feats, *, k, eta):
+    """Image-mode scores of a pool from scratch, without the screened
+    kernel: every cosine similarity from ``_pairwise_sims``, each row's own
+    column dropped, each row's k neighbors the first k of a stable argsort
+    (ties to the smaller row), mixed with their ``.mean(axis=1)``; zero-norm
+    rows keep their scores."""
+    normed, zero = g.graph._normalized_rows(np.asarray(feats, dtype=float))
+    sims = g.graph._pairwise_sims(normed, normed)
+    np.fill_diagonal(sims, -np.inf)
+    nbrs = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    full = (1.0 - eta) * values + eta * np.take(values, nbrs, axis=0).mean(axis=1)
+    full[zero] = values[zero]
     return full
 
 
 def image_trial_reference(P, feats, labels, calib, test, xi, *, alpha, k, eta):
     """One image-mode trial scored from scratch with the public functions:
-    APS scores, corrected by ``image_scores_reference``, then calibrate and
-    evaluate."""
-    full = image_scores_reference(g.aps_scores(P, xi), feats, calib, test,
-                                  k=k, eta=eta)
+    APS scores of the whole pool, corrected by ``image_snaps``, then
+    calibrate on ``calib`` and evaluate ``test``."""
+    full = g.image_snaps(g.aps_scores(P, xi), feats, k, eta)
     threshold = g.calibrate(full, labels, calib, alpha)
     sets = g.predict_sets(full, threshold, test)
     summary = g.evaluate(sets, labels)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import graphcp as g
-from graphcp import harness
 from graphcp.cli import main
 
 from conftest import image_trial_reference
@@ -250,20 +249,25 @@ def test_image_rejects_bad_split_files(synth_dir, tmp_path, capsys, case,
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_image_rejects_one_row_calibration(synth_dir, tmp_path, capsys):
+def test_image_accepts_one_row_calibration(synth_dir, tmp_path, capsys):
+    # k is bounded by the 300-row pool, not by the one calibration row;
+    # rank ceil(0.9 * 2) = 2 exceeds one calibration score, so the threshold
+    # saturates and every test set holds all 3 labels
     bundle = g.load_bundle(synth_dir / "manifest.txt")
     argv = _image_argv(tmp_path, _halves(bundle.probabilities, 1),
-                       _halves(bundle.features, 1), (bundle.labels[:1], None))
-    assert main(argv + ["--k", "1", "--out", str(tmp_path / "image.json")]) == 1
-    assert "calibration set has 1 row" in capsys.readouterr().err
-    assert not (tmp_path / "image.json").exists()
+                       _halves(bundle.features, 1), _halves(bundle.labels, 1))
+    out = tmp_path / "image.json"
+    assert main(argv + ["--k", "5", "--out", str(out)]) == 0
+    assert "coverage=1.0000 size=3.000" in capsys.readouterr().out
+    trial = json.loads(out.read_text())["trials"][0]
+    assert (trial["coverage"], trial["size"], trial["n_eval"]) == (1.0, 3.0, 299)
 
 
 def test_image_rejects_empty_test_split_before_building_the_pool(
         synth_dir, tmp_path, capsys, monkeypatch):
     calls = []
-    join = harness._self_join_order
-    monkeypatch.setattr(harness, "_self_join_order",
+    join = g.propagate._self_join_order
+    monkeypatch.setattr(g.propagate, "_self_join_order",
                         lambda *args: calls.append(args) or join(*args))
     bundle = g.load_bundle(synth_dir / "manifest.txt")
     argv = _image_argv(tmp_path, _halves(bundle.probabilities[:100], 100),
@@ -280,7 +284,7 @@ def test_image_rejects_empty_test_split_before_building_the_pool(
 def test_image_rejects_bad_alpha_before_building_the_pool(
         synth_dir, tmp_path, capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(harness, "_image_pool_order",
+    monkeypatch.setattr(g.propagate, "_self_join_order",
                         lambda *args: calls.append(args))
     bundle = g.load_bundle(synth_dir / "manifest.txt")
     half = bundle.n // 2
@@ -293,9 +297,10 @@ def test_image_rejects_bad_alpha_before_building_the_pool(
     assert calls == []
 
 
+# k is bounded by the pool of 150 calibration and 150 test rows
 @pytest.mark.parametrize("extra, message", [
-    (["--k", "0"], "k=0 must lie in [1, 150]"),
-    (["--k", "151"], "k=151 must lie in [1, 150]"),
+    (["--k", "0"], "k=0 must lie in [1, 299]"),
+    (["--k", "300"], "k=300 must lie in [1, 299]"),
     (["--eta", "1.5"], "eta must lie in [0, 1]"),
     (["--eta", "nan"], "eta must lie in [0, 1]"),
 ], ids=["k-zero", "k-past-calibration", "eta-above-one", "eta-nan"])

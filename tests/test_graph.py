@@ -261,20 +261,20 @@ def test_knn_just_above_one_chunk_matches_argsort_reference():
     assert graph_rows(graph) == argsort_knn(feats, 5)
 
 
-def reference_top_k_blocks(queries, base, k, self_cols=None):
+def reference_top_k_blocks(normed, k):
     """The kernel without its screen, as reference: every similarity from
-    _pairwise_sims, every row selected by _top_k."""
-    sims = g.graph._pairwise_sims(queries, base)
-    if self_cols is not None:
-        sims[np.arange(queries.shape[0]), self_cols] = -np.inf
+    _pairwise_sims, each row's own column dropped, every row selected by
+    _top_k."""
+    sims = g.graph._pairwise_sims(normed, normed)
+    np.fill_diagonal(sims, -np.inf)
     return g.graph._top_k(sims, k)
 
 
-def screened_top_k(queries, base, k, self_cols=None):
+def screened_top_k(normed, k):
     """_top_k_blocks' chunks joined into (rows, k) columns and similarities."""
-    cols = np.empty((queries.shape[0], k), dtype=np.int64)
-    vals = np.empty((queries.shape[0], k))
-    for start, stop, c, v in g.graph._top_k_blocks(queries, base, k, self_cols):
+    cols = np.empty((normed.shape[0], k), dtype=np.int64)
+    vals = np.empty((normed.shape[0], k))
+    for start, stop, c, v in g.graph._top_k_blocks(normed, k):
         cols[start:stop], vals[start:stop] = c, v
     return cols, vals
 
@@ -308,40 +308,27 @@ def _screen_features(rng, kind, n, d):
 def test_screened_top_k_blocks_match_full_scoring_bit_for_bit(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     kind = data.draw(st.sampled_from(["grid", "palette", "normal"]), label="kind")
-    # up to 40 columns with any k, where the screen's groups are mostly single
+    # up to 40 rows with any k, where the screen's groups are mostly single
     # columns, or up to 300 with k <= 10: groups of several columns, and
-    # usually n_b mod ng leftover columns
+    # usually n mod ng leftover columns
     wide = data.draw(st.booleans(), label="wide")
-    n_b = data.draw(st.integers(41, 300) if wide else st.integers(2, 40), label="n_b")
+    n = data.draw(st.integers(41, 300) if wide else st.integers(2, 40), label="n")
     d = data.draw(st.integers(1, 64), label="d")
-    base = g.graph._normalized_rows(_screen_features(rng, kind, n_b, d))[0]
-    shape = data.draw(st.sampled_from(["self-join", "dropped", "plain"]), label="shape")
-    if shape == "self-join":
-        queries, self_cols = base, np.arange(n_b)
-    else:
-        n_q = data.draw(st.integers(1, 20), label="n_q")
-        queries = g.graph._normalized_rows(_screen_features(rng, kind, n_q, d))[0]
-        self_cols = rng.integers(0, n_b, size=n_q) if shape == "dropped" else None
-    k_max = n_b - (self_cols is not None)
-    k = data.draw(st.integers(1, min(k_max, 10) if wide else k_max), label="k")
+    normed = g.graph._normalized_rows(_screen_features(rng, kind, n, d))[0]
+    k = data.draw(st.integers(1, min(n - 1, 10) if wide else n - 1), label="k")
     if data.draw(st.booleans(), label="nan"):
         # a NaN row (build_knn_graph rejects NaN features, but the kernel
-        # does not rely on that) makes the screen non-finite; the last base
-        # row is a leftover column of the screen's groups when n_b mod ng > 0
-        which = data.draw(st.sampled_from(["query", "base", "last base"]),
-                          label="nan_in")
-        if which == "query":
-            queries[0, 0] = np.nan
-        else:
-            base[0 if which == "base" else n_b - 1, 0] = np.nan
-    want = reference_top_k_blocks(queries, base, k, self_cols)
-    # chunks of 1 to n_q rows, and a cap from "every row falls back" to
-    # "no row passes too many candidates"
-    rows = data.draw(st.integers(1, queries.shape[0]), label="rows_per_chunk")
-    cap = data.draw(st.integers(0, n_b + 1), label="cap")
-    with mock.patch.object(g.graph, "_CHUNK_TARGET", 2 * n_b * rows), \
+        # does not rely on that) makes the screen non-finite; the last row
+        # is a leftover column of the screen's groups when n mod ng > 0
+        normed[data.draw(st.sampled_from([0, n - 1]), label="nan_row"), 0] = np.nan
+    want = reference_top_k_blocks(normed, k)
+    # chunks of 1 to n rows, and a cap from "every row falls back" to "no
+    # row passes too many candidates"
+    rows = data.draw(st.integers(1, n), label="rows_per_chunk")
+    cap = data.draw(st.integers(0, n + 1), label="cap")
+    with mock.patch.object(g.graph, "_CHUNK_TARGET", 2 * n * rows), \
             mock.patch.object(g.graph, "_RESCORE_SLACK", cap - 4 * k):
-        assert_same_bits(screened_top_k(queries, base, k, self_cols), want)
+        assert_same_bits(screened_top_k(normed, k), want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -396,7 +383,7 @@ def test_screen_off_by_a_dot_products_rounding_bound_selects_the_same(monkeypatc
     # duplicates, which shifts of either sign reorder in the screen
     feats = rng.normal(size=(12, d))[rng.integers(0, 12, size=n)]
     normed = g.graph._normalized_rows(feats)[0]
-    want = reference_top_k_blocks(normed, normed, k, np.arange(n))
+    want = reference_top_k_blocks(normed, k)
     # a computed dot product of unit rows is within about d 2^-53 of the
     # real one; the screen must tolerate that on top of its own rounding
     shift = d * 2.0 ** -53 * rng.choice([-1.0, 1.0], size=(n, n))
@@ -408,7 +395,7 @@ def test_screen_off_by_a_dot_products_rounding_bound_selects_the_same(monkeypatc
         return out
 
     monkeypatch.setattr(np, "matmul", shifted)
-    assert_same_bits(screened_top_k(normed, normed, k, np.arange(n)), want)
+    assert_same_bits(screened_top_k(normed, k), want)
 
 
 def test_screen_falls_back_exactly_for_rows_it_cannot_certify(monkeypatch):
@@ -422,7 +409,7 @@ def test_screen_falls_back_exactly_for_rows_it_cannot_certify(monkeypatch):
     order = rng.permutation(feats.shape[0])
     normed = g.graph._normalized_rows(feats[order])[0]
     n = normed.shape[0]
-    want = reference_top_k_blocks(normed, normed, k, np.arange(n))
+    want = reference_top_k_blocks(normed, k)
     # each duplicate passes its 99 twins (sim 1) and each zero row every
     # column (sim 0): more than the cap 4k + 64 = 84; a spread row passes
     # about k
@@ -441,7 +428,7 @@ def test_screen_falls_back_exactly_for_rows_it_cannot_certify(monkeypatch):
                             (10 ** 9, np.arange(0))):       # no row over it
         monkeypatch.setattr(g.graph, "_RESCORE_SLACK", slack)
         scored.clear()
-        assert_same_bits(screened_top_k(normed, normed, k, np.arange(n)), want)
+        assert_same_bits(screened_top_k(normed, k), want)
         got = np.concatenate(scored) if scored else np.empty((0, 4))
         assert np.array_equal(got, normed[expected])
 

@@ -469,7 +469,7 @@ def test_runners_reject_alpha_before_any_neighbor_work(small_bundle, monkeypatch
     message = re.escape(f"alpha={alpha} must lie in (0, 1)")
     with pytest.raises(ValidationError, match=message):
         g.ExperimentConfig(alpha=alpha)
-    # 5 trials of 200 calibration rows would build a pool order
+    # at eta > 0 a run builds its pool order
     with pytest.raises(ValidationError, match=message):
         g.run_image_experiment(small_bundle.probabilities, small_bundle.features,
                                small_bundle.labels, alpha=alpha, k=3,
@@ -711,8 +711,9 @@ def test_config_validation():
 
 def image_experiment_reference(P, feats, labels, *, alpha, k, eta, n_trials,
                                calib_size, seed):
-    """Image mode scoring every trial from scratch: the per-trial loop that
-    ``run_image_experiment`` ran before the pool order existed."""
+    """Image mode scoring every trial from scratch: each trial's split and
+    xi, then the public ``image_snaps`` over the whole pool
+    (``image_trial_reference``)."""
     n = P.shape[0]
     trials = []
     for t in range(n_trials):
@@ -728,148 +729,119 @@ def image_experiment_reference(P, feats, labels, *, alpha, k, eta, n_trials,
 
 
 @pytest.mark.parametrize("k, n_trials, calib_size, rounded", [
-    (1, 5, 100, False),   # depth 16 of 399: 12 rows fall back to the kernel
-    (1, 8, 60, True),     # rounded features, heavy ties: 21 rows fall back
-    (5, 8, 60, True),     # depth 133, every row resolved from the pool order
-    (4, 45, 10, False),   # depth capped at n - 1
+    (1, 5, 100, False),   # one neighbor per row
+    (1, 8, 60, True),     # rounded features: heavy ties and zero-norm rows
+    (5, 8, 60, True),
+    (4, 45, 10, False),   # many trials of a small calibration set
+    (12, 3, 10, False),   # k past the calibration size: bounded by the pool
 ])
-def test_image_pool_order_matches_per_trial_scoring(small_bundle, k, n_trials,
-                                                    calib_size, rounded):
+def test_image_pool_order_matches_per_trial_scoring(small_bundle, monkeypatch, k,
+                                                    n_trials, calib_size, rounded):
+    # the run's one pool order (each row's k most similar other rows) gives
+    # every trial the scores of image_snaps over the whole pool, to the bit
     feats = np.round(small_bundle.features) if rounded else small_bundle.features
     P, labels = small_bundle.probabilities, small_bundle.labels
-    assert harness._image_pool_order(feats, calib_size, k, n_trials) is not None
+    scored = []
+    real = harness._evaluate_trial
+    monkeypatch.setattr(harness, "_evaluate_trial",
+                        lambda scores, *a: scored.append(scores) or real(scores, *a))
     shared = dict(alpha=0.1, k=k, eta=0.5, n_trials=n_trials,
                   calib_size=calib_size, seed=71)
     report = g.run_image_experiment(P, feats, labels, **shared)
     ref = image_experiment_reference(P, feats, labels, **shared)
     assert g.reports_equal(report, g.make_report(report.config, ref))
+    for t, scores in enumerate(scored):
+        xi = g.XiPolicy("uniform", seed=harness._derive_seed(71, 0xF6, t))
+        want = g.image_snaps(g.aps_scores(P, xi), feats, k, 0.5).values
+        assert np.array_equal(scores.view(np.int64), want.view(np.int64))
 
 
-def test_image_pool_order_is_built_only_when_it_saves_pairs(small_bundle, monkeypatch):
+def test_image_pool_order_is_built_once_per_run(small_bundle, monkeypatch):
     built = []
     real = harness._self_join_order
     monkeypatch.setattr(harness, "_self_join_order",
                         lambda normed, depth: built.append(depth) or real(normed, depth))
     P, feats, labels = (small_bundle.probabilities, small_bundle.features,
                         small_bundle.labels)
-    # n - 1 = 399 pairs per pool row against n_trials * c per trial set
-    for n_trials, eta, expect in ((3, 0.5, []), (4, 0.5, [48]), (4, 0.0, [])):
+    # at depth k, whatever the trial count; eta = 0 looks up no neighbor
+    for n_trials, eta, expect in ((1, 0.5, [3]), (4, 0.5, [3]), (4, 0.0, [])):
         built.clear()
         g.run_image_experiment(P, feats, labels, k=3, eta=eta, n_trials=n_trials,
                                calib_size=100, seed=72)
         assert built == expect
 
 
-def _pool(feats, depth):
-    """An ``_ImagePool`` of ``feats`` at ``depth``, as ``_image_pool_order``
-    builds it."""
-    normed, zero = g.graph._normalized_rows(feats)
-    return harness._ImagePool(normed, zero, g.graph._self_join_order(normed, depth))
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_pool_scores_match_image_snaps_bit_for_bit(data):
-    n = data.draw(st.integers(3, 30), label="n")
+    n = data.draw(st.integers(2, 30), label="n")
     d = data.draw(st.integers(1, 3), label="d")
-    # a coarse grid gives duplicated rows (ties across the depth boundary)
-    # and zero-norm rows
+    # a coarse grid gives duplicated rows (ties at the k-th neighbor) and
+    # zero-norm rows
     cells = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
                                min_size=n * d, max_size=n * d), label="feats")
     feats = np.array(cells).reshape(n, d)
-    c = data.draw(st.integers(2, n - 1), label="c")
-    calib = np.sort(np.array(data.draw(st.permutations(range(n)), label="perm"))[:c])
-    test = np.setdiff1d(np.arange(n), calib)
-    # k = c leaves calibration rows c - 1 neighbors and test rows c
-    k = data.draw(st.one_of(st.just(c), st.integers(1, c)), label="k")
-    depth = data.draw(st.integers(0, n - 1), label="depth")
+    k = data.draw(st.one_of(st.just(n - 1), st.integers(1, n - 1)), label="k")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    base = g.ScoreMatrix(rng.uniform(size=(n, data.draw(st.integers(1, 3), label="K"))),
-                         "aps", XI)
-    # eta = 0 takes the shortcut that looks up no neighbor
+    values = rng.uniform(size=(n, data.draw(st.integers(1, 3), label="K")))
     eta = data.draw(st.sampled_from([0.0, 0.6, 1.0]), label="eta")
-    pool = _pool(feats, depth)
-    scored = []
-    real = harness._top_k_blocks
-
-    def spy(queries, calib_rows, k_, self_cols=None):
-        scored.append((queries, k_, self_cols))
-        return real(queries, calib_rows, k_, self_cols)
-
-    harness._top_k_blocks = spy
-    try:
-        out = harness._image_scores(base, calib, test, k, eta, pool)
-    finally:
-        harness._top_k_blocks = real
-    ref = image_scores_reference(base, feats, calib, test, k=k, eta=eta)
+    # chunks of one row up to all of them
+    rows = data.draw(st.integers(1, n), label="rows_per_chunk")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(g.graph, "_CHUNK_TARGET", 2 * n * rows)
+        out = g.image_snaps(g.ScoreMatrix(values, "aps", XI), feats, k, eta).values
+    ref = image_scores_reference(values, feats, k=k, eta=eta)
     assert np.array_equal(out.view(np.int64), ref.view(np.int64))
-    # the kernel scores exactly the rows that have fewer than k_eff
-    # calibration rows in their pool order, calibration rows without their
-    # own position
-    member = np.isin(pool.order, calib)
-    want = []
-    for rows, k_eff, own in ((calib, min(k, c - 1), True), (test, k, False)):
-        short = np.flatnonzero(np.count_nonzero(member[rows], axis=1) < k_eff)
-        if short.size and eta > 0.0:
-            want.append((pool.normed[rows[short]], k_eff, short if own else None))
-    assert len(scored) == len(want)
-    for (queries, k_, self_cols), (w_queries, w_k, w_self) in zip(scored, want):
-        assert np.array_equal(queries, w_queries) and k_ == w_k
-        assert (self_cols is None) == (w_self is None)
-        assert w_self is None or np.array_equal(self_cols, w_self)
 
 
-def test_pool_neighbors_are_the_first_k_calibration_hits():
+def test_pool_neighbors_are_prefixes_of_the_full_order():
+    # a row's k neighbors are the first k of its full similarity order
     rng = np.random.default_rng(15)
-    feats = rng.normal(size=(12, 3))
-    calib, test = np.arange(0, 12, 2), np.arange(1, 12, 2)
-    pool = _pool(feats, 11)
-    hits, starts = harness._calib_hits(pool.order, calib)
-    nbrs = harness._pool_neighbors(pool, hits, starts, calib, test, 3, None)
-    first = [row[np.isin(row, calib)][:3] for row in pool.order[test]]
-    assert np.array_equal(nbrs, np.array(first))
+    normed = g.graph._normalized_rows(rng.normal(size=(12, 3)))[0]
+    full = g.graph._self_join_order(normed, 11)
+    for k in range(1, 12):
+        assert np.array_equal(g.graph._self_join_order(normed, k), full[:, :k])
 
 
 @pytest.mark.parametrize("depth", [256, 300])
-def test_pool_neighbors_count_hits_past_column_255(monkeypatch, depth):
-    # 700 pool rows, the even ones calibration rows; only rows 0-5 are
-    # resolved, and the orders of the others are never read
+def test_pool_order_matches_stable_argsort_past_column_255(depth):
+    # 700 rows in 40 directions: every row has about 17 exact twins, so
+    # ties straddle the depth, which lies past column 255
     rng = np.random.default_rng(depth)
-    n, calib = 700, np.arange(0, 700, 2)
-    order = rng.integers(0, n, size=(n, depth))
-    order[0] = calib[:depth]       # every entry a hit: hit 256 sits at column 255
-    order[1] = 1
-    order[1, -3:] = [4, 2, 8]      # hits only past column 255
-    order[2] = 3                   # no hit at all
-    pool = harness._ImagePool(np.eye(n, 4), np.zeros(n, dtype=bool), order)
-    rows = np.arange(6)
-    scored = []
-
-    def spy(queries, calib_rows, k, self_cols=None):
-        scored.append(queries.shape[0])
-        yield 0, queries.shape[0], np.zeros((queries.shape[0], k), dtype=np.int64), None
-
-    monkeypatch.setattr(harness, "_top_k_blocks", spy)
-    hits, starts = harness._calib_hits(order, calib)
-    for k in (1, 3, 255, 256, 257, depth):
-        scored.clear()
-        nbrs = harness._pool_neighbors(pool, hits, starts, calib, rows, k, None)
-        want = [row[row % 2 == 0][:k] for row in order[rows]]
-        resolved = [w.size == k for w in want]
-        assert scored == ([resolved.count(False)] if not all(resolved) else [])
-        assert [r.tolist() for r, ok in zip(nbrs, resolved) if ok] == \
-            [w.tolist() for w in want if w.size == k]
+    feats = rng.normal(size=(40, 4))[rng.integers(0, 40, size=700)]
+    feats[::97] = 0.0
+    normed = g.graph._normalized_rows(feats)[0]
+    sims = g.graph._pairwise_sims(normed, normed)
+    np.fill_diagonal(sims, -np.inf)
+    want = np.argsort(-sims, axis=1, kind="stable")[:, :depth]
+    assert np.array_equal(g.graph._self_join_order(normed, depth), want)
 
 
 def test_image_experiment_at_k_equal_c_matches_per_trial_scoring(small_bundle):
     P, feats, labels = (small_bundle.probabilities, small_bundle.features,
                         small_bundle.labels)
-    # calibration rows average their c - 1 others, test rows all c
+    # every row averages k = c other pool rows, calibration rows included
     shared = dict(alpha=0.1, k=10, eta=0.5, n_trials=45, calib_size=10, seed=73)
-    assert harness._image_pool_order(feats, 10, 10, 45) is not None
     report = g.run_image_experiment(P, feats, labels, **shared)
     ref = image_experiment_reference(P, feats, labels, **shared)
     assert g.reports_equal(report, g.make_report(report.config, ref))
+
+
+def test_image_mode_keeps_small_calibration_sets_exchangeable():
+    # every row is scored by the same function of the whole pool, so the
+    # corrected scores cover as often as plain APS (eta = 0) on the same
+    # splits and xi; a correction that treated calibration and test rows
+    # differently read +0.021 (se 0.0017) here
+    diffs = []
+    for seed in range(100, 112):
+        b = g.generate_synthetic(n=400, num_classes=4, dim=4, homophily=0.8,
+                                 class_sep=1.0, noise=1.0, seed=seed)
+        shared = dict(alpha=0.1, k=5, n_trials=300, calib_size=10, seed=seed)
+        cov = [[t.metrics.coverage for t in g.run_image_experiment(
+                    b.probabilities, b.features, b.labels, eta=eta, **shared).trials]
+               for eta in (1.0, 0.0)]
+        diffs.append(np.mean(np.subtract(*cov)))
+    assert abs(np.mean(diffs)) <= 0.01, diffs
 
 
 def test_image_experiment_rejects_non_finite_features(small_bundle):
@@ -894,26 +866,42 @@ def test_image_and_oracle_runners_reject_a_calibration_size_alike(small_bundle):
         "pool of 400")
 
 
-def test_image_experiment_rejects_one_row_calibration(small_bundle):
-    # a lone calibration row has no other calibration row to average
-    with pytest.raises(ValidationError, match="calibration set has 1 row"):
-        g.run_image_experiment(small_bundle.probabilities, small_bundle.features,
-                               small_bundle.labels, k=1, n_trials=2, calib_size=1)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_image_experiment_accepts_one_row_calibration(small_bundle):
+    # the lone calibration row averages its k most similar pool rows like
+    # any other row; rank ceil(0.9 * 2) = 2 exceeds one calibration score,
+    # so the threshold saturates and every test set holds all 4 labels
+    P, feats, labels = (small_bundle.probabilities, small_bundle.features,
+                        small_bundle.labels)
+    shared = dict(alpha=0.1, k=3, eta=0.5, n_trials=2, calib_size=1, seed=74)
+    report = g.run_image_experiment(P, feats, labels, **shared)
+    ref = image_experiment_reference(P, feats, labels, **shared)
+    assert g.reports_equal(report, g.make_report(report.config, ref))
+    for t in report.trials:
+        assert (t.metrics.coverage, t.metrics.size, t.metrics.n_eval) == (1.0, 4.0, 399)
+    scores = g.image_snaps(g.aps_scores(P, XI), feats, 3, 0.5)
+    threshold = g.calibrate(scores, labels, np.array([5]), 0.1)
+    assert threshold.saturated
+    assert g.predict_sets(scores, threshold, np.arange(6, 400)).mask.all()
 
 
 @pytest.mark.parametrize("k, eta, message", [
-    (0, 0.5, r"k=0 must lie in \[1, 10\]"),
+    (0, 0.5, r"k=0 must lie in \[1, 399\]"),
     (3, 1.5, r"eta must lie in \[0, 1\]"),
     (3, -0.5, r"eta must lie in \[0, 1\]"),
+    (400, 0.5, r"k=400 must lie in \[1, 399\]"),
 ])
-def test_image_experiment_rejects_bad_k_and_eta_with_a_pool_order(small_bundle, k, eta,
-                                                                   message):
-    # 45 trials of 10 calibration rows would build a pool order; the
-    # arguments are checked before it is
+def test_image_experiment_rejects_bad_k_and_eta_with_a_pool_order(
+        small_bundle, monkeypatch, k, eta, message):
+    # k is bounded by the pool of 400 rows, and the arguments are checked
+    # before the pool order is built
+    calls = []
+    monkeypatch.setattr(harness, "_self_join_order", lambda *a: calls.append(a))
     with pytest.raises(ValidationError, match=message):
         g.run_image_experiment(small_bundle.probabilities, small_bundle.features,
                                small_bundle.labels, k=k, eta=eta, n_trials=45,
                                calib_size=10)
+    assert calls == []
 
 
 def test_image_experiment_rejects_out_of_range_labels(small_bundle):

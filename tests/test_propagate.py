@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -358,31 +358,32 @@ def test_oracle_aggregate_equals_the_two_branch_mix_bit_for_bit(data, k, m, w, s
 
 # --- graph-free (image) correction ------------------------------------------
 
-def test_image_snaps_eta_zero_identity():
+def test_image_snaps_eta_zero_identity(monkeypatch):
     rng = np.random.default_rng(9)
-    S_eval, S_cal = _score(rng.uniform(size=(6, 3))), _score(rng.uniform(size=(8, 3)))
-    out = g.image_snaps(S_eval, S_cal, rng.normal(size=(6, 4)), rng.normal(size=(8, 4)),
-                        k=3, eta=0.0)
-    assert np.array_equal(out.values, S_eval.values)
+    S = _score(rng.uniform(size=(8, 3)))
+    # eta = 0 looks up no neighbor
+    monkeypatch.setattr(g.propagate, "_self_join_order", None)
+    out = g.image_snaps(S, rng.normal(size=(8, 4)), k=3, eta=0.0)
+    assert np.array_equal(out.values, S.values)
 
 
 def test_image_snaps_full_pool_eta_one_gives_calib_mean():
+    # k = n - 1: every row becomes the mean of all the other rows
     rng = np.random.default_rng(10)
-    S_eval, S_cal = _score(rng.uniform(size=(5, 3))), _score(rng.uniform(size=(7, 3)))
-    out = g.image_snaps(S_eval, S_cal, rng.normal(size=(5, 4)), rng.normal(size=(7, 4)),
-                        k=7, eta=1.0)
-    mean = S_cal.values.mean(axis=0)
-    assert np.allclose(out.values, np.tile(mean, (5, 1)))
+    S = _score(rng.uniform(size=(7, 3)))
+    out = g.image_snaps(S, rng.normal(size=(7, 4)), k=6, eta=1.0)
+    for i in range(7):
+        assert np.allclose(out.values[i], np.delete(S.values, i, axis=0).mean(axis=0))
 
 
 def test_image_snaps_exclude_self():
+    # every row has an exact twin; at k = 1 a row takes its twin, never
+    # itself, though both have similarity 1
     rng = np.random.default_rng(11)
-    S_cal = _score(rng.uniform(size=(6, 2)))
-    feats = rng.normal(size=(6, 3))
-    out = g.image_snaps(S_cal, S_cal, feats, feats, k=6, eta=1.0, exclude_self=True)
-    for i in range(6):
-        others = np.delete(np.arange(6), i)
-        assert np.allclose(out.values[i], S_cal.values[others].mean(axis=0))
+    S = _score(rng.uniform(size=(6, 2)))
+    feats = rng.normal(size=(3, 3))[[0, 1, 2, 2, 0, 1]]
+    out = g.image_snaps(S, feats, k=1, eta=1.0)
+    assert np.array_equal(out.values, S.values[[4, 5, 3, 2, 0, 1]])
 
 
 def _cosine(x, y):
@@ -391,64 +392,89 @@ def _cosine(x, y):
     return 0.0 if nx == 0.0 or ny == 0.0 else float(np.dot(x, y) / (nx * ny))
 
 
-def image_snaps_reference(S_eval, S_cal, feats_eval, feats_cal, k, eta, exclude_self):
-    """Brute force: per eval row, rank calibration rows by (cosine desc,
-    index asc) and mix with the plain mean of the first k."""
-    out = S_eval.values.copy()
-    for i, x in enumerate(feats_eval):
-        ranked = sorted((-_cosine(x, c), j) for j, c in enumerate(feats_cal)
-                        if not (exclude_self and j == i))
+def image_snaps_reference(S, feats, k, eta):
+    """Brute force: per row, rank the other rows by (cosine desc, index asc)
+    and mix with the plain mean of the first k; zero-norm rows stay."""
+    out = S.values.copy()
+    for i, x in enumerate(feats):
+        if not np.any(x):
+            continue
+        ranked = sorted((-_cosine(x, y), j) for j, y in enumerate(feats) if j != i)
         nbrs = [j for _, j in ranked[:k]]
-        out[i] = (1 - eta) * S_eval.values[i] + eta * S_cal.values[nbrs].mean(axis=0)
+        out[i] = (1 - eta) * S.values[i] + eta * S.values[nbrs].mean(axis=0)
     return out
 
 
-@pytest.mark.parametrize("exclude_self", [False, True])
-def test_image_snaps_duplicate_calibration_rows_tie_to_smaller_index(exclude_self):
+@pytest.mark.parametrize("zero_rows", [False, True])
+def test_image_snaps_duplicate_calibration_rows_tie_to_smaller_index(zero_rows):
     rng = np.random.default_rng(14)
     # 5 distinct directions, each repeated 4 times at scattered indices, so
-    # the k-th neighbor is tied with later duplicates
-    feats_cal = rng.normal(size=(5, 3))[rng.permutation(np.repeat(np.arange(5), 4))]
-    S_cal = _score(rng.uniform(size=(20, 3)))
-    if exclude_self:
-        S_eval, feats_eval = S_cal, feats_cal
-    else:
-        S_eval = _score(rng.uniform(size=(9, 3)))
-        feats_eval = rng.normal(size=(9, 3))
-    for k in (1, 2, 3, 6):
-        out = g.image_snaps(S_eval, S_cal, feats_eval, feats_cal, k=k, eta=0.7,
-                            exclude_self=exclude_self)
-        ref = image_snaps_reference(S_eval, S_cal, feats_eval, feats_cal, k, 0.7,
-                                    exclude_self)
+    # the k-th neighbor is tied with later duplicates; zero-norm rows tie
+    # every row at similarity 0
+    feats = rng.normal(size=(5, 3))[rng.permutation(np.repeat(np.arange(5), 4))]
+    if zero_rows:
+        feats[[3, 11, 12]] = 0.0
+    S = _score(rng.uniform(size=(20, 3)))
+    for k in (1, 2, 3, 6, 19):
+        out = g.image_snaps(S, feats, k=k, eta=0.7)
+        ref = image_snaps_reference(S, feats, k, 0.7)
         assert np.allclose(out.values, ref, rtol=0, atol=1e-12)
 
 
 def test_image_snaps_zero_norm_rows_fall_back():
     rng = np.random.default_rng(12)
-    S_eval, S_cal = _score(rng.uniform(size=(3, 2))), _score(rng.uniform(size=(5, 2)))
-    feats_eval = rng.normal(size=(3, 4))
-    feats_eval[1] = 0.0
-    out = g.image_snaps(S_eval, S_cal, feats_eval, rng.normal(size=(5, 4)), k=2, eta=0.8)
-    assert np.array_equal(out.values[1], S_eval.values[1])
-    assert not np.array_equal(out.values[0], S_eval.values[0])
+    S = _score(rng.uniform(size=(8, 2)))
+    feats = rng.normal(size=(8, 4))
+    feats[1] = 0.0
+    out = g.image_snaps(S, feats, k=2, eta=0.8)
+    assert np.array_equal(out.values[1], S.values[1])
+    assert not np.array_equal(out.values[0], S.values[0])
 
 
 def test_image_snaps_k_bounds():
     rng = np.random.default_rng(13)
-    S_eval, S_cal = _score(rng.uniform(size=(3, 2))), _score(rng.uniform(size=(4, 2)))
-    with pytest.raises(ValidationError, match="k="):
-        g.image_snaps(S_eval, S_cal, rng.normal(size=(3, 2)), rng.normal(size=(4, 2)),
-                      k=5, eta=0.5)
+    S, feats = _score(rng.uniform(size=(4, 2))), rng.normal(size=(4, 2))
+    for k in (0, 4):
+        with pytest.raises(ValidationError, match=rf"k={k} must lie in \[1, 3\]"):
+            g.image_snaps(S, feats, k=k, eta=0.5)
+    assert g.image_snaps(S, feats, k=3, eta=0.5).values.shape == (4, 2)
 
 
 @pytest.mark.parametrize("side", ["eval", "calib"])
 def test_image_snaps_rejects_non_finite_features(side):
+    # the pool stacks calibration rows over evaluation rows, as the image
+    # command does, and the error names the row of the pool
     rng = np.random.default_rng(16)
-    S = _score(rng.uniform(size=(4, 2)))
-    feats_eval, feats_calib = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    S = _score(rng.uniform(size=(8, 2)))
+    feats_calib, feats_eval = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
     (feats_eval if side == "eval" else feats_calib)[2, 1] = np.nan
-    with pytest.raises(ValidationError, match=f"feats_{side}: non-finite value at row 2, col 1"):
-        g.image_snaps(S, S, feats_eval, feats_calib, k=2, eta=0.5)
+    row = 6 if side == "eval" else 2
+    with pytest.raises(ValidationError, match=f"features: non-finite value at row {row}, col 1"):
+        g.image_snaps(S, np.concatenate([feats_calib, feats_eval]), k=2, eta=0.5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_image_snaps_is_permutation_equivariant_bit_for_bit(data):
+    n = data.draw(st.integers(2, 40), label="n")
+    d = data.draw(st.integers(2, 5), label="d")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    feats = rng.normal(size=(n, d))
+    feats[rng.permutation(n)[:data.draw(st.integers(0, 3), label="zero_rows")]] = 0.0
+    k = data.draw(st.integers(1, n - 1), label="k")
+    # tie-free: each row with features has k + 1 distinct leading
+    # similarities, so its neighbors and their order do not hang on indices
+    normed, zero = g.graph._normalized_rows(feats)
+    sims = g.graph._pairwise_sims(normed, normed)
+    np.fill_diagonal(sims, -np.inf)
+    lead = -np.sort(-sims, axis=1)[~zero, :k + 1]
+    assume((np.diff(lead, axis=1) < 0).all())
+    S = _score(rng.uniform(size=(n, data.draw(st.integers(1, 4), label="K"))))
+    eta = data.draw(st.sampled_from([0.3, 0.5, 1.0]), label="eta")
+    perm = np.array(data.draw(st.permutations(range(n)), label="perm"))
+    out = g.image_snaps(S, feats, k, eta).values
+    moved = g.image_snaps(_score(S.values[perm]), feats[perm], k, eta).values
+    assert np.array_equal(moved.view(np.int64), out[perm].view(np.int64))
 
 
 @settings(max_examples=200, deadline=None)

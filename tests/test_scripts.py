@@ -23,10 +23,9 @@ def test_stage_times_runs_every_stage_at_small_shapes(tmp_path, monkeypatch, cap
     script.main()
     data = json.loads(out.read_text())
     assert set(data["stages"]) == {"load_bundle", "sampled_knn_build", "neighbor_means",
-                                   "exact_knn_build", "image_pool_order", "image_trials"}
-    # 4 trials of 100 calibration rows from 400 pay for the self-join:
-    # depth ceil(4 * 5 * 399 / 100)
-    assert data["config"]["image"]["pool_depth"] == 80
+                                   "exact_knn_build", "image_neighbors", "image_trials"}
+    # the pool's neighbor search runs at depth k, whatever the trial count
+    assert data["config"]["image"]["neighbor_depth"] == 5
     assert len(capsys.readouterr().out.splitlines()) == 6
 
 
