@@ -27,6 +27,12 @@ k=5, eta=0.5, 20 trials, alpha=0.05):
   probabilities' validation and APS mass, then the 20 trial bodies
   (``harness._image_trial``: split, scores, correction, evaluation).
 
+For the exact bundle and the image bundle, the JSON also records
+``fallback_rows``: how many rows of the self-join at depth k the screen of
+``graph._top_k_blocks`` could not certify, so that they were scored against
+every row (counted by wrapping ``graph._pairwise_sims``, which scores only
+those rows).
+
 The shapes are fixed so that every ``BENCH_<n>.json`` can be compared with the
 others. Prints one line per stage and writes every run, with the host context,
 to ``--out`` as JSON (``BENCH_<n>.json`` by convention, so the trend can be
@@ -76,6 +82,22 @@ def timed(fn, repeats):
         result = fn()
         runs.append(time.perf_counter() - start)
     return runs, result
+
+
+def fallback_rows(normed, k):
+    """Rows of ``graph._self_join_order(normed, k)`` scored in full."""
+    real, rows = g.graph._pairwise_sims, []
+
+    def counting(a, b):
+        rows.append(a.shape[0])
+        return real(a, b)
+
+    g.graph._pairwise_sims = counting
+    try:
+        g.graph._self_join_order(normed, k)
+    finally:
+        g.graph._pairwise_sims = real
+    return sum(rows)
 
 
 def main():
@@ -136,10 +158,14 @@ def main():
         "config": {"n": N, "classes": 8, "dim": 8, "k": K,
                    "sample_m": SAMPLE_M, "seed": SEED,
                    "repeats": REPEATS, "knn_arcs": knn.nnz,
-                   "exact": {"n": EXACT_N, "k": K, "knn_arcs": exact_knn.nnz},
+                   "exact": {"n": EXACT_N, "k": K, "knn_arcs": exact_knn.nnz,
+                             "fallback_rows": fallback_rows(
+                                 g.graph._normalized_rows(exact.features)[0], K)},
                    "image": {"n": IMAGE_N, "calib_size": IMAGE_CALIB, "k": IMAGE_K,
                              "eta": IMAGE_ETA, "trials": IMAGE_TRIALS,
-                             "alpha": IMAGE_ALPHA, "neighbor_depth": nbrs.shape[1]}},
+                             "alpha": IMAGE_ALPHA, "neighbor_depth": nbrs.shape[1],
+                             "fallback_rows": fallback_rows(
+                                 g.graph._normalized_rows(feats)[0], IMAGE_K)}},
         "stages": {name: {"median_s": statistics.median(runs), "min_s": min(runs),
                           "runs_s": runs}
                    for name, runs in stages.items()},

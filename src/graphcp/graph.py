@@ -8,9 +8,9 @@ threads.
 
 The k-NN builder has two modes:
 
-* exact: every other node is a candidate; O(n^2 d) via row-chunked BLAS
-  matrix products that screen each row down to the few candidates near its
-  k-th similarity, which alone are scored exactly (``_top_k_blocks``);
+* exact: every other node is a candidate; O(n^2 d) via row-chunked float32
+  BLAS matrix products that screen each row down to the few candidates near
+  its k-th similarity, which alone are scored exactly (``_top_k_blocks``);
   the mode without ``sample_size``, for n <= 50,000 only;
 * sampled: each node scores a seed-keyed uniform sample of M candidates,
   O(n M d).  Node i's sample is the first M distinct values of its draw
@@ -32,8 +32,8 @@ kernel selects from is computed by one einsum whose bits do not depend on
 where a row sits (``_pairwise_sims``,
 ``_gathered_sims``); the BLAS screen of ``_top_k_blocks`` only decides,
 under a rounding-error certificate, which entries to score that way.  Row
-chunks are sized so that a screen block stays within half of
-``_CHUNK_TARGET`` elements (4 MB of float64); candidate gathers stay within
+chunks are sized so that a float32 screen block stays within half of
+``_CHUNK_TARGET`` elements (2 MB); candidate gathers stay within
 ``_SAMPLED_GATHER`` elements (4 MB).  Every screened search is a
 self-join: the exact build and image mode both take each row's k most
 similar other rows of the whole node set (image mode through
@@ -85,6 +85,14 @@ _DRAW_SLACK = 16
 # n = 5000; at n = 50000 (medians of 5) 2^12 to 2^15 took 203, 185, 160,
 # 166 ms
 _SUM_BLOCK = 1 << 14
+# _screen_bound groups each screen row into max(4k, _SCREEN_GROUPS) strided
+# columns (each column its own group when the row is no wider).  More groups
+# mean shorter inner loops in the max-reduce and a tighter bound.
+# _self_join_order on planted bundles (K = 8, d = 8, seed 7) on 2 Xeon vCPUs,
+# medians of 25 interleaved rounds, two runs: 4k, 64, 128, 256, 512 groups
+# took 54/47, 35/30, 29/28, 33/28, 31/30 ms at n = 4000, k = 5 and 66/62,
+# 66/61, 62/57, 60/55, 63/62 ms at n = 5000, k = 20
+_SCREEN_GROUPS = 256
 # _top_k sorts a block at most this many times k wide whole: one stable
 # argsort beats partition + sort + argsort + tie check there
 _NARROW_TOP_K = 2
@@ -387,8 +395,8 @@ def _gathered_sims(queries: np.ndarray, base: np.ndarray,
 
 
 def _block_rows(width: int) -> int:
-    """Rows per chunk so that a (rows, width) float64 screen stays within
-    half of ``_CHUNK_TARGET`` elements (4 MB)."""
+    """Rows per chunk so that a (rows, width) float32 screen stays within
+    half of ``_CHUNK_TARGET`` elements (2 MB)."""
     return max(1, _CHUNK_TARGET // (2 * max(width, 1)))
 
 
@@ -435,20 +443,30 @@ def _top_k_blocks(normed: np.ndarray, k: int):
     and only the screen's candidates are scored with the einsum arithmetic
     of ``_pairwise_sims``:
 
-    * screen: ``q @ normed.T`` goes into a reused buffer, with -inf at each
-      row's own column.  Each row's bound L, the k-th largest maximum of at
-      most 4k strided column groups (``_screen_bound``), is at most its k-th
-      largest screen value S.  The candidates are the entries at or
-      above ``L - margin``, ``margin = 8 d 2^-53``, a superset of those at
-      or above ``S - margin``.  For unit rows a computed dot product is
-      within ``gamma_d |a| |b| ~ d 2^-53`` of the real one, in any summation
-      order, so the screen and the einsum differ by at most
-      ``eps ~ 2 d 2^-53``.  Fewer than k entries have an einsum value above
-      the exact k-th value E, so S <= E + eps, and every entry with an
-      einsum value of at least E (the exact top k and every entry tied with
-      E) screens at least E - eps >= S - 2 eps: the margin covers 2 eps
-      twice over.  It is absolute, so products that underflow are covered
-      too;
+    * screen: ``q @ normed.T`` is computed in float32, from a float32 copy
+      of ``normed`` made once per call, into a reused float32 buffer, with
+      -inf at each row's own column.  Each row's bound L, the k-th largest
+      maximum of max(4k, ``_SCREEN_GROUPS``) strided column groups
+      (``_screen_bound``), is at most its k-th largest screen value S.  The
+      candidates are the entries at or above ``L - margin``,
+      ``margin = 8 (d + 2) u`` with u = 2^-24, a superset of those at or
+      above ``S - margin``.  For unit rows a and b, rounding each entry to
+      float32 moves the real dot product by at most
+      ``(2u + u^2) |a| |b|``, float32 accumulation in any order (BLAS
+      blocking and fused multiply-adds included) adds at most
+      ``gamma_d |a| |b|`` with ``gamma_d = d u / (1 - d u)`` (Higham,
+      Accuracy and Stability of Numerical Algorithms, section 3.1), and the
+      einsum is within ``d 2^-53`` of the real product.  So for
+      ``d u <= 1/4`` the screen and the einsum differ by at most
+      ``eps <= 2 (d + 2) u``; entries that underflow in float32 add at most
+      about ``d 2^-149``, far inside that.  Fewer than k entries have an
+      einsum value above the exact k-th value E, so S <= E + eps, and every
+      entry with an einsum value of at least E (the exact top k and every
+      entry tied with E) screens at least E - eps >= S - 2 eps: the margin
+      covers 2 eps twice over.  ``L - margin`` is taken in float64 (its
+      rounding, at most 2^-53, lies far inside that slack) and rounded down
+      to float32 (``_float32_below``), so the float32 comparison gives back
+      none of the margin;
     * rescore: each row's candidates, in ascending column order, are scored
       by ``_gathered_sims`` (the bits of ``_pairwise_sims``), padded with
       -inf and selected by ``_top_k``; ascending columns keep ties to the
@@ -459,8 +477,9 @@ def _top_k_blocks(normed: np.ndarray, k: int):
       row ties every column at 0), is scored in full by ``_pairwise_sims``
       and ``_top_k``.
 
-    Memory: the screen and its candidate mask are allocated once per call,
-    and the screen holds half of ``_CHUNK_TARGET`` elements; a chunk's
+    Memory: the float32 copy of ``normed``, the screen and its candidate
+    mask are allocated once per call, and the screen holds half of
+    ``_CHUNK_TARGET`` elements (2 MB); a chunk's
     (rows, candidates, d) gather stays within ``_SAMPLED_GATHER`` elements.
     Rows that fall back add one block and its partition indices for their
     chunk.  Besides the reused buffers, a yield holds only the chunk's
@@ -470,26 +489,29 @@ def _top_k_blocks(normed: np.ndarray, k: int):
     cap = 4 * k + _RESCORE_SLACK
     step = min(_block_rows(n), max(1, _SAMPLED_GATHER // max(1, min(cap, n) * d)))
     rows = min(step, n)
-    screen = np.empty((rows, n))
+    normed32 = normed.astype(np.float32)
+    screen = np.empty((rows, n), dtype=np.float32)
     mask = np.empty((rows, n), dtype=bool)
     for start in range(0, n, step):
         stop = min(start + step, n)
-        cols, vals = _screened_top_k(normed, start, stop, k, cap,
+        cols, vals = _screened_top_k(normed, normed32, start, stop, k, cap,
                                      screen[:stop - start], mask[:stop - start])
         yield start, stop, cols, vals
 
 
-def _screened_top_k(normed: np.ndarray, start: int, stop: int, k: int, cap: int,
-                    screen: np.ndarray, mask: np.ndarray
+def _screened_top_k(normed: np.ndarray, normed32: np.ndarray, start: int, stop: int,
+                    k: int, cap: int, screen: np.ndarray, mask: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
     """``_top_k`` of rows ``start:stop``, one chunk of ``_top_k_blocks``,
-    screened into the (rows, n) buffers ``screen``/``mask``."""
+    screened with the float32 copy ``normed32`` into the (rows, n) buffers
+    ``screen``/``mask``."""
     q = normed[start:stop]
-    np.matmul(q, normed.T, out=screen)
+    np.matmul(normed32[start:stop], normed32.T, out=screen)
     screen[np.arange(stop - start), np.arange(start, stop)] = -np.inf
     bound, top = _screen_bound(screen, k)
-    margin = 8 * normed.shape[1] * 2.0 ** -53
-    np.greater_equal(screen, (bound - margin)[:, None], out=mask)
+    margin = 8 * (normed.shape[1] + 2) * 2.0 ** -24
+    np.greater_equal(screen, _float32_below(bound.astype(np.float64) - margin)[:, None],
+                     out=mask)
     cand, counts, ok = _screen_candidates(mask, np.isfinite(bound) & np.isfinite(top),
                                           k, cap)
     sims = _gathered_sims(q, normed, cand)
@@ -506,8 +528,9 @@ def _screened_top_k(normed: np.ndarray, start: int, stop: int, k: int, cap: int,
 
 def _screen_bound(screen: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(bound, top) of each row of a (rows, n_b) screen: ``bound`` is the
-    k-th largest of the maxima of ``ng = min(n_b, 4 max(k, 1))`` disjoint
-    column groups, and ``top`` the row's largest value.
+    k-th largest of the maxima of
+    ``ng = min(n_b, max(4 max(k, 1), _SCREEN_GROUPS))`` disjoint column
+    groups, and ``top`` the row's largest value.
 
     Groups are strided (column j is in group j mod ng, so the n_b mod ng
     leftover columns join the first groups), which makes each maximum one
@@ -516,7 +539,7 @@ def _screen_bound(screen: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     row's k-th largest value, and equal to it when ng = n_b.  A NaN in the
     row carries through its group's maximum into ``top``."""
     rows, n_b = screen.shape
-    ng = min(n_b, 4 * max(k, 1))
+    ng = min(n_b, max(4 * max(k, 1), _SCREEN_GROUPS))
     w = n_b // ng
     groups = screen[:, :w * ng].reshape(rows, w, ng).max(axis=1)
     rest = n_b - w * ng
@@ -526,6 +549,14 @@ def _screen_bound(screen: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     at = ng - max(k, 1)
     groups.partition(at, axis=1)
     return groups[:, at], groups[:, at:].max(axis=1)
+
+
+def _float32_below(x: np.ndarray) -> np.ndarray:
+    """Float32 array of the largest float32 at or below each entry of the
+    float64 array ``x`` (NaN and infinities kept), so that a float32 ``v``
+    satisfies ``v >= result`` exactly when ``v >= x``."""
+    y = x.astype(np.float32)
+    return np.where(y > x, np.nextafter(y, np.float32(-np.inf)), y)
 
 
 def _screen_candidates(mask: np.ndarray, finite: np.ndarray, k: int, cap: int

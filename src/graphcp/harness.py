@@ -67,10 +67,11 @@ from .propagate import (
     _image_mix,
     _mix,
     _mix_weights,
+    _oracle_mix,
     _pair_blocks,
+    _same_label_prefixes,
     combine_scores,
     neighbor_means,
-    oracle_aggregate,
 )
 from .report import TrialReport, TrialResult, make_report
 from .scores import (
@@ -524,9 +525,12 @@ def run_oracle_experiment(bundle: DatasetBundle, alpha: float = 0.05,
         base = _aps_from_mass(mass, P, xi)
         rng = np.random.default_rng([seed & _MASK32, 0x22, t])
         calib, test = _split_pool(all_nodes, calib_size, rng)
-        agg_seed = _derive_seed(seed, 0x33, t)
+        # one draw at the largest m serves every m: a smaller m's peers are
+        # a prefix of it
+        sel, counts = _same_label_prefixes(labels, max(m_sweep),
+                                           _derive_seed(seed, 0x33, t))
         for m in m_sweep:
-            corrected = oracle_aggregate(base, labels, m, w, agg_seed)
+            corrected = _oracle_mix(base, sel, counts, m, w)
             by_m[m].append(_evaluate_trial(corrected, labels, calib, test,
                                            alpha, 0, t, {"m": m, "w": w}))
     reports = []

@@ -189,6 +189,8 @@ def _same_label_prefixes(labels: np.ndarray, max_m: int, seed: int) -> tuple[np.
     n = labels.shape[0]
     sel = np.full((n, max_m), -1, dtype=np.int64)
     counts = np.zeros(n, dtype=np.int64)
+    if max_m == 0:
+        return sel, counts
     for c in np.unique(labels):
         members = np.flatnonzero(labels == c)
         t = members.shape[0]
@@ -225,15 +227,24 @@ def oracle_aggregate(S: ScoreMatrix, labels: np.ndarray, m: int, w: float,
         raise ValidationError("w must lie in [0, 1]")
     if m < 0:
         raise ValidationError("m must be >= 0")
+    sel, counts = _same_label_prefixes(labels, m, seed)
+    return _oracle_mix(S, sel, counts, m, w)
+
+
+def _oracle_mix(S: ScoreMatrix, sel: np.ndarray, counts: np.ndarray, m: int,
+                w: float) -> ScoreMatrix:
+    """``oracle_aggregate`` at ``m`` from the peers ``_same_label_prefixes``
+    drew at any ``max_m >= m`` with the same labels and seed: node i's
+    sample at m is the prefix of its larger one, so its peers are
+    ``sel[i, :min(counts[i], m)]``."""
     values = S.values.copy()
-    if m > 0:
-        sel, counts = _same_label_prefixes(labels, m, seed)
-        # rows with the same peer count mix as one block; rows with no
-        # peers keep their scores
-        for c in np.unique(counts[counts > 0]):
-            idx = np.flatnonzero(counts == c)
-            values[idx] = _image_mix(S.values[idx], S.values, sel[idx, :c], w,
-                                     np.zeros(idx.size, dtype=bool))
+    counts = np.minimum(counts, m)
+    # rows with the same peer count mix as one block; rows with no peers
+    # keep their scores
+    for c in np.unique(counts[counts > 0]):
+        idx = np.flatnonzero(counts == c)
+        values[idx] = _image_mix(S.values[idx], S.values, sel[idx, :c], w,
+                                 np.zeros(idx.size, dtype=bool))
     values.setflags(write=False)
     return ScoreMatrix(values, "oracle", S.xi)
 

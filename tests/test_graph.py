@@ -310,7 +310,8 @@ def test_screened_top_k_blocks_match_full_scoring_bit_for_bit(data):
     kind = data.draw(st.sampled_from(["grid", "palette", "normal"]), label="kind")
     # up to 40 rows with any k, where the screen's groups are mostly single
     # columns, or up to 300 with k <= 10: groups of several columns, and
-    # usually n mod ng leftover columns
+    # usually n mod ng leftover columns, once the group floor is patched
+    # below n
     wide = data.draw(st.booleans(), label="wide")
     n = data.draw(st.integers(41, 300) if wide else st.integers(2, 40), label="n")
     d = data.draw(st.integers(1, 64), label="d")
@@ -326,8 +327,10 @@ def test_screened_top_k_blocks_match_full_scoring_bit_for_bit(data):
     # row passes too many candidates"
     rows = data.draw(st.integers(1, n), label="rows_per_chunk")
     cap = data.draw(st.integers(0, n + 1), label="cap")
+    groups = data.draw(st.sampled_from([1, 16, g.graph._SCREEN_GROUPS]), label="groups")
     with mock.patch.object(g.graph, "_CHUNK_TARGET", 2 * n * rows), \
-            mock.patch.object(g.graph, "_RESCORE_SLACK", cap - 4 * k):
+            mock.patch.object(g.graph, "_RESCORE_SLACK", cap - 4 * k), \
+            mock.patch.object(g.graph, "_SCREEN_GROUPS", groups):
         assert_same_bits(screened_top_k(normed, k), want)
 
 
@@ -345,18 +348,23 @@ def test_screen_bound_never_exceeds_the_kth_screen_value(data):
         screen = rng.choice(palette, size=(rows, n_b))
     else:
         screen = rng.uniform(-1.0, 1.0, size=(rows, n_b))
-    bound, top = g.graph._screen_bound(screen.copy(), k)
+    # a floor of 1 leaves 4k groups; 16 and the real floor give more
+    groups = data.draw(st.sampled_from([1, 16, g.graph._SCREEN_GROUPS]), label="groups")
+    with mock.patch.object(g.graph, "_SCREEN_GROUPS", groups):
+        bound, top = g.graph._screen_bound(screen.copy(), k)
     kth = np.sort(screen, axis=1)[:, n_b - max(k, 1)]
     assert (bound <= kth).all()
     assert np.array_equal(top, screen.max(axis=1))
-    if 4 * max(k, 1) >= n_b:  # one column per group: the bound is exact
+    if max(4 * max(k, 1), groups) >= n_b:  # one column per group: the bound is exact
         assert np.array_equal(bound, kth)
 
 
 def test_screen_bound_carries_nan_from_a_leftover_column():
-    # 4k = 12 groups of 10 columns; columns 120..124 fold into groups 0..4
-    screen = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 125))
-    screen[1, 123] = np.nan
+    # k = 3 takes the floor's ng groups of 2 columns; the 5 columns past
+    # 2 ng fold into groups 0..4
+    ng = max(12, g.graph._SCREEN_GROUPS)
+    screen = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 2 * ng + 5))
+    screen[1, 2 * ng + 3] = np.nan
     bound, top = g.graph._screen_bound(screen, 3)
     assert np.isnan(top[1]) and np.isfinite(top[[0, 2]]).all()
     assert np.isfinite(bound[[0, 2]]).all()
@@ -384,9 +392,10 @@ def test_screen_off_by_a_dot_products_rounding_bound_selects_the_same(monkeypatc
     feats = rng.normal(size=(12, d))[rng.integers(0, 12, size=n)]
     normed = g.graph._normalized_rows(feats)[0]
     want = reference_top_k_blocks(normed, k)
-    # a computed dot product of unit rows is within about d 2^-53 of the
-    # real one; the screen must tolerate that on top of its own rounding
-    shift = d * 2.0 ** -53 * rng.choice([-1.0, 1.0], size=(n, n))
+    # a float32 dot product of unit rows, inputs rounded to float32, is
+    # within about (d + 2) 2^-24 of the real one; the screen must tolerate
+    # that on top of its own rounding
+    shift = (d + 2) * 2.0 ** -24 * rng.choice([-1.0, 1.0], size=(n, n))
     real = np.matmul
 
     def shifted(a, b, out):
@@ -396,6 +405,27 @@ def test_screen_off_by_a_dot_products_rounding_bound_selects_the_same(monkeypatc
 
     monkeypatch.setattr(np, "matmul", shifted)
     assert_same_bits(screened_top_k(normed, k), want)
+
+
+def test_screen_orders_similarities_closer_than_float32_resolution():
+    rng = np.random.default_rng(33)
+    n, d, k = 300, 8, 6
+    # 8 unit directions whose first d - 1 entries sit halfway between two
+    # float32 values, each copied 30 times with every entry perturbed by
+    # about 1e-9, and 60 free rows.  The perturbation picks each entry's
+    # float32 rounding at random, so the float32 screen orders the copies at
+    # random, while their similarities, to a free row or to a twin, differ
+    # below float32 resolution (about 6e-8 near 1) and are decided in float64
+    base = g.graph._normalized_rows(rng.normal(size=(8, d)))[0]
+    low = base[:, :-1].astype(np.float32)
+    base[:, :-1] = (low.astype(np.float64)
+                    + np.nextafter(low, np.float32(np.inf)).astype(np.float64)) / 2
+    base[:, -1] = np.sqrt(1.0 - (base[:, :-1] ** 2).sum(axis=1))
+    copies = base[np.repeat(np.arange(8), 30)]
+    feats = np.concatenate([copies + 1e-9 * rng.normal(size=copies.shape),
+                            rng.normal(size=(60, d))])
+    normed = g.graph._normalized_rows(feats[rng.permutation(n)])[0]
+    assert_same_bits(screened_top_k(normed, k), reference_top_k_blocks(normed, k))
 
 
 def test_screen_falls_back_exactly_for_rows_it_cannot_certify(monkeypatch):

@@ -465,7 +465,7 @@ def test_runners_reject_alpha_before_any_neighbor_work(small_bundle, monkeypatch
                                                        alpha):
     calls = []
     monkeypatch.setattr(harness, "_self_join_order", lambda *a: calls.append(a))
-    monkeypatch.setattr(harness, "oracle_aggregate", lambda *a: calls.append(a))
+    monkeypatch.setattr(harness, "_same_label_prefixes", lambda *a: calls.append(a))
     message = re.escape(f"alpha={alpha} must lie in (0, 1)")
     with pytest.raises(ValidationError, match=message):
         g.ExperimentConfig(alpha=alpha)
@@ -664,7 +664,7 @@ def test_oracle_experiment_rejects_bad_sweeps_and_trial_counts(small_bundle, kw,
 def test_oracle_experiment_rejects_a_negative_m_before_any_trial(small_bundle,
                                                                   monkeypatch):
     calls = []
-    monkeypatch.setattr(harness, "oracle_aggregate", lambda *a: calls.append(a))
+    monkeypatch.setattr(harness, "_same_label_prefixes", lambda *a: calls.append(a))
     with pytest.raises(ValidationError, match="m_sweep holds m=-1; each m must be >= 0"):
         g.run_oracle_experiment(small_bundle, alpha=0.1, m_sweep=(0, 2, -1),
                                 n_trials=2)

@@ -321,6 +321,19 @@ def test_oracle_aggregate_nested_selection_prefixes():
     assert np.array_equal(sel8[:, :4], sel4)
 
 
+def test_oracle_mix_of_one_draw_at_the_largest_m_equals_oracle_aggregate():
+    rng = np.random.default_rng(10)
+    # a 3-node class (2 peers each, fewer than m for m > 2), a singleton and
+    # a 20-node class, shuffled
+    labels = rng.permutation(np.repeat([0, 1, 2], [3, 1, 20]))
+    S = _score(rng.uniform(size=(labels.shape[0], 4)))
+    sel, counts = g.propagate._same_label_prefixes(labels, 8, seed=5)
+    for m in range(9):
+        want = g.oracle_aggregate(S, labels, m, 0.5, seed=5).values
+        got = g.propagate._oracle_mix(S, sel, counts, m, 0.5).values
+        assert got.tobytes() == want.tobytes()
+
+
 def _two_branch_oracle(values, labels, m, w, seed):
     """The oracle mix written out: rows with m peers mix through one
     (rows, m, K) gather's ``.mean(axis=1)``, rows of smaller classes one at a

@@ -3,6 +3,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -26,7 +28,18 @@ def test_stage_times_runs_every_stage_at_small_shapes(tmp_path, monkeypatch, cap
                                    "exact_knn_build", "image_neighbors", "image_trials"}
     # the pool's neighbor search runs at depth k, whatever the trial count
     assert data["config"]["image"]["neighbor_depth"] == 5
+    for shape in ("exact", "image"):
+        assert data["config"][shape]["fallback_rows"] >= 0
     assert len(capsys.readouterr().out.splitlines()) == 6
+
+
+def test_stage_times_counts_the_rows_the_screen_scores_in_full():
+    script = _load("stage_times")
+    feats = np.random.default_rng(5).normal(size=(200, 4))
+    feats[[3, 70, 199]] = 0.0  # a zero row ties every column at 0: over the cap
+    normed = script.g.graph._normalized_rows(feats)[0]
+    assert script.fallback_rows(normed, 5) == 3
+    assert script.fallback_rows(normed[:150], 5) == 2
 
 
 def test_synthetic_benchmark_runs_every_method(tmp_path, monkeypatch, capsys):
