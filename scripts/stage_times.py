@@ -21,17 +21,18 @@ A third bundle of the same kind at n=4000 gives the image-mode stages, at
 the shape of the benchmark's ``image-4k`` workload (calibration size 1000,
 k=5, eta=0.5, 20 trials, alpha=0.05):
 
-* ``image_neighbors``: the pool's neighbor search, its unit rows and
-  their self-join at depth k (``graph._self_join_order``);
+* ``image_neighbors``: the pool's neighbor search
+  (``propagate._image_neighbors``): its unit rows and their exact k-NN
+  lists at depth k (``graph._knn_lists``);
 * ``image_trials``: the rest of ``run_image_experiment``, that is the
   probabilities' validation and APS mass, then the 20 trial bodies
   (``harness._image_trial``: split, scores, correction, evaluation).
 
 For the exact bundle and the image bundle, the JSON also records
-``fallback_rows``: how many rows of the self-join at depth k the screen of
-``graph._top_k_blocks`` could not certify, so that they were scored against
-every row (counted by wrapping ``graph._pairwise_sims``, which scores only
-those rows).
+``fallback_rows``: how many rows of the exact k-NN lists at depth k
+(``graph._knn_lists``) the screen of ``graph._top_k_blocks`` could not
+certify, so that they were scored against every row (counted by wrapping
+``graph._pairwise_sims``, which scores only those rows).
 
 The shapes are fixed so that every ``BENCH_<n>.json`` can be compared with the
 others. Prints one line per stage and writes every run, with the host context,
@@ -85,7 +86,7 @@ def timed(fn, repeats):
 
 
 def fallback_rows(normed, k):
-    """Rows of ``graph._self_join_order(normed, k)`` scored in full."""
+    """Rows of the exact ``graph._knn_lists(normed, k)`` scored in full."""
     real, rows = g.graph._pairwise_sims, []
 
     def counting(a, b):
@@ -94,7 +95,7 @@ def fallback_rows(normed, k):
 
     g.graph._pairwise_sims = counting
     try:
-        g.graph._self_join_order(normed, k)
+        g.graph._knn_lists(normed, k)
     finally:
         g.graph._pairwise_sims = real
     return sum(rows)
@@ -130,11 +131,8 @@ def main():
                                  class_sep=2.0, noise=1.0, seed=SEED)
     P, feats = image.probabilities, image.features
 
-    def image_neighbors():
-        normed, zero = g.graph._normalized_rows(feats)
-        return g.graph._self_join_order(normed, IMAGE_K), zero
-
-    stages["image_neighbors"], (nbrs, zero) = timed(image_neighbors, REPEATS)
+    stages["image_neighbors"], (nbrs, zero) = timed(
+        lambda: g.propagate._image_neighbors(feats, IMAGE_K), REPEATS)
 
     def image_trials():
         mass = g.scores._mass_above(g.matrixio.validate_probabilities(P))

@@ -20,24 +20,24 @@ The k-NN builder has two modes:
   (``_sample_pools``).  With M = n - 1 the sampled candidate set is all
   other nodes and the result equals exact mode.
 
-Both modes, and image mode (``propagate.image_snaps`` and
-``harness.run_image_experiment``), pick neighbors with one batched top-k
-kernel (``_top_k``): per row of a similarity block, the k largest entries,
-higher similarity first and ties to the smaller index, in exactly the order
-of the first k of a stable ``argsort`` of the negated row.  A block at
+One list stage, ``_knn_lists``, gives every row's k neighbors in either
+mode: ``build_knn_graph`` turns its lists into arcs, and image mode
+(``propagate._image_neighbors``) reads its exact lists as they are.  Both
+modes pick neighbors with one batched top-k kernel (``_top_k``): per row of
+a similarity block, the k largest entries, higher similarity first and ties
+to the smaller index, in exactly the order of the first k of a stable
+``argsort`` of the negated row.  A block at
 most 2k wide is sorted whole by that argsort; in a wider one, one
 ``argpartition`` finds each row's k-th value, and only rows with a tie
 across that boundary fall back to the stable sort.  Every similarity the
 kernel selects from is computed by one einsum whose bits do not depend on
-where a row sits (``_pairwise_sims``,
-``_gathered_sims``); the BLAS screen of ``_top_k_blocks`` only decides,
-under a rounding-error certificate, which entries to score that way.  Row
-chunks are sized so that a float32 screen block stays within half of
+where a row sits (``_pairwise_sims``, and ``_gathered_sims`` in
+``_candidate_top_k``, which scores both the screen's candidates and the
+sampled pools); the BLAS screen of ``_top_k_blocks`` only decides, under a
+rounding-error certificate, which entries to score that way.  Row chunks
+are sized so that a float32 screen block stays within half of
 ``_CHUNK_TARGET`` elements (2 MB); candidate gathers stay within
-``_SAMPLED_GATHER`` elements (4 MB).  Every screened search is a
-self-join: the exact build and image mode both take each row's k most
-similar other rows of the whole node set (image mode through
-``_self_join_order``, once per run, before any split is drawn).
+``_SAMPLED_GATHER`` elements (4 MB).
 
 Row sums over arcs (a graph's degrees, and the neighbor sums behind
 ``propagate.weighted_row_means``) come from one exact-sum kernel,
@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .matrixio import validate_matrix
+from .matrixio import _check_int, validate_matrix
 from .scores import _counter_uniform
 
 EXACT_MODE_MAX_N = 50_000
@@ -88,7 +88,7 @@ _SUM_BLOCK = 1 << 14
 # _screen_bound groups each screen row into max(4k, _SCREEN_GROUPS) strided
 # columns (each column its own group when the row is no wider).  More groups
 # mean shorter inner loops in the max-reduce and a tighter bound.
-# _self_join_order on planted bundles (K = 8, d = 8, seed 7) on 2 Xeon vCPUs,
+# exact _knn_lists on planted bundles (K = 8, d = 8, seed 7) on 2 Xeon vCPUs,
 # medians of 25 interleaved rounds, two runs: 4k, 64, 128, 256, 512 groups
 # took 54/47, 35/30, 29/28, 33/28, 31/30 ms at n = 4000, k = 5 and 66/62,
 # 66/61, 62/57, 60/55, 63/62 ms at n = 5000, k = 20
@@ -171,12 +171,14 @@ class KnnConfig:
     min_similarity: float = 0.0
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValidationError("k must be >= 0")
-        if self.sample_size is not None and self.sample_size < 10 * self.k:
-            raise ValidationError(
-                f"sample_size={self.sample_size} too small: need >= 10*k = {10 * self.k}"
-            )
+        _check_int(self.k, f"k={self.k}", 0)
+        if math.isnan(self.min_similarity):
+            raise ValidationError("min_similarity must not be NaN")
+        if self.sample_size is not None:
+            _check_int(self.sample_size, f"sample_size={self.sample_size}")
+            if self.sample_size < 10 * self.k:
+                raise ValidationError(f"sample_size={self.sample_size} too small: "
+                                      f"need >= 10*k = {10 * self.k}")
 
 
 def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -394,6 +396,19 @@ def _gathered_sims(queries: np.ndarray, base: np.ndarray,
                      queries[:, None, :], optimize=False)
 
 
+def _candidate_top_k(queries: np.ndarray, base: np.ndarray, cand: np.ndarray,
+                     k: int, counts: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """``_top_k`` of query row i over the base rows ``cand[i]`` (ascending, so
+    ties go to the smaller column; entries past ``counts[i]`` are padding),
+    scored by ``_gathered_sims``: (columns, similarities), both (rows, k)."""
+    sims = _gathered_sims(queries, base, cand)
+    if counts is not None:
+        sims[np.arange(cand.shape[1]) >= counts[:, None]] = -np.inf
+    pos, vals = _top_k(sims, k)
+    return np.take_along_axis(cand, pos, axis=1), vals
+
+
 def _block_rows(width: int) -> int:
     """Rows per chunk so that a (rows, width) float32 screen stays within
     half of ``_CHUNK_TARGET`` elements (2 MB)."""
@@ -468,9 +483,8 @@ def _top_k_blocks(normed: np.ndarray, k: int):
       to float32 (``_float32_below``), so the float32 comparison gives back
       none of the margin;
     * rescore: each row's candidates, in ascending column order, are scored
-      by ``_gathered_sims`` (the bits of ``_pairwise_sims``), padded with
-      -inf and selected by ``_top_k``; ascending columns keep ties to the
-      smaller column;
+      (the bits of ``_pairwise_sims``) and selected by ``_candidate_top_k``;
+      ascending columns keep ties to the smaller column;
     * fallback: a row whose bound or largest screen value is not finite
       (a NaN in the row; a -inf bound would let its own column in), or
       that passes more than ``4k + _RESCORE_SLACK`` candidates (a zero-norm
@@ -488,42 +502,28 @@ def _top_k_blocks(normed: np.ndarray, k: int):
     n, d = normed.shape
     cap = 4 * k + _RESCORE_SLACK
     step = min(_block_rows(n), max(1, _SAMPLED_GATHER // max(1, min(cap, n) * d)))
-    rows = min(step, n)
     normed32 = normed.astype(np.float32)
-    screen = np.empty((rows, n), dtype=np.float32)
-    mask = np.empty((rows, n), dtype=bool)
+    screen_buf = np.empty((min(step, n), n), dtype=np.float32)
+    mask_buf = np.empty(screen_buf.shape, dtype=bool)
+    margin = 8 * (d + 2) * 2.0 ** -24
     for start in range(0, n, step):
         stop = min(start + step, n)
-        cols, vals = _screened_top_k(normed, normed32, start, stop, k, cap,
-                                     screen[:stop - start], mask[:stop - start])
+        q, screen, mask = (normed[start:stop], screen_buf[:stop - start],
+                           mask_buf[:stop - start])
+        np.matmul(normed32[start:stop], normed32.T, out=screen)
+        screen[np.arange(stop - start), np.arange(start, stop)] = -np.inf
+        bound, top = _screen_bound(screen, k)
+        np.greater_equal(screen, _float32_below(bound.astype(np.float64) - margin)[:, None],
+                         out=mask)
+        cand, counts, ok = _screen_candidates(mask, np.isfinite(bound) & np.isfinite(top),
+                                              k, cap)
+        cols, vals = _candidate_top_k(q, normed, cand, k, counts)
+        fallback = np.flatnonzero(~ok)
+        if fallback.size:
+            full = _pairwise_sims(q[fallback], normed)
+            full[np.arange(fallback.size), start + fallback] = -np.inf
+            cols[fallback], vals[fallback] = _top_k(full, k)
         yield start, stop, cols, vals
-
-
-def _screened_top_k(normed: np.ndarray, normed32: np.ndarray, start: int, stop: int,
-                    k: int, cap: int, screen: np.ndarray, mask: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """``_top_k`` of rows ``start:stop``, one chunk of ``_top_k_blocks``,
-    screened with the float32 copy ``normed32`` into the (rows, n) buffers
-    ``screen``/``mask``."""
-    q = normed[start:stop]
-    np.matmul(normed32[start:stop], normed32.T, out=screen)
-    screen[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-    bound, top = _screen_bound(screen, k)
-    margin = 8 * (normed.shape[1] + 2) * 2.0 ** -24
-    np.greater_equal(screen, _float32_below(bound.astype(np.float64) - margin)[:, None],
-                     out=mask)
-    cand, counts, ok = _screen_candidates(mask, np.isfinite(bound) & np.isfinite(top),
-                                          k, cap)
-    sims = _gathered_sims(q, normed, cand)
-    sims[np.arange(cand.shape[1]) >= counts[:, None]] = -np.inf
-    pos, vals = _top_k(sims, k)
-    cols = np.take_along_axis(cand, pos, axis=1)
-    fallback = np.flatnonzero(~ok)
-    if fallback.size:
-        full = _pairwise_sims(q[fallback], normed)
-        full[np.arange(fallback.size), start + fallback] = -np.inf
-        cols[fallback], vals[fallback] = _top_k(full, k)
-    return cols, vals
 
 
 def _screen_bound(screen: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -582,17 +582,6 @@ def _screen_candidates(mask: np.ndarray, finite: np.ndarray, k: int, cap: int
     cand = np.zeros((rows, max(k, int(counts.max()))), dtype=np.int64)
     cand[r, at] = c
     return cand, counts, ok
-
-
-def _self_join_order(normed: np.ndarray, depth: int) -> np.ndarray:
-    """(n, depth) array: row i lists its ``depth`` most similar other rows of
-    ``normed`` under the ``_top_k`` contract (higher similarity first, ties
-    to the smaller index), computed in ``_CHUNK_TARGET`` blocks."""
-    n = normed.shape[0]
-    order = np.empty((n, depth), dtype=np.int64)
-    for start, stop, cols, _ in _top_k_blocks(normed, depth):
-        order[start:stop] = cols
-    return order
 
 
 def _distinct_draws(seed: int, rows: np.ndarray, span: int, count: int,
@@ -671,12 +660,23 @@ def _sampled_blocks(normed: np.ndarray, k: int, m: int, seed: int):
     step = max(1, _SAMPLED_GATHER // max(m * d, 1))
     for start in range(0, n, step):
         stop = min(start + step, n)
-        block = _sample_pools(seed, np.arange(start, stop), n, m)
-        sims = _gathered_sims(normed[start:stop], normed, block)
-        # pools are sorted, so ties to the smaller position are ties to the
-        # smaller node index
-        pos, vals = _top_k(sims, k)
-        yield start, stop, np.take_along_axis(block, pos, axis=1), vals
+        pools = _sample_pools(seed, np.arange(start, stop), n, m)
+        yield start, stop, *_candidate_top_k(normed[start:stop], normed, pools, k)
+
+
+def _knn_lists(normed: np.ndarray, k: int, sample_size: int | None = None,
+               seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(columns, similarities), both (n, k): row i's k most similar other
+    rows of ``normed`` in ``_top_k`` order, from the exact screen
+    (``_top_k_blocks``) or, given ``sample_size``, from seed-keyed pools of
+    min(sample_size, n - 1) rows (``_sampled_blocks``)."""
+    n = normed.shape[0]
+    blocks = (_top_k_blocks(normed, k) if sample_size is None
+              else _sampled_blocks(normed, k, min(sample_size, n - 1), seed))
+    cols, sims = np.empty((n, k), dtype=np.int64), np.empty((n, k))
+    for start, stop, c, s in blocks:
+        cols[start:stop], sims[start:stop] = c, s
+    return cols, sims
 
 
 def build_knn_graph(features: np.ndarray, cfg: KnnConfig) -> SparseGraph:
@@ -708,22 +708,12 @@ def build_knn_graph(features: np.ndarray, cfg: KnnConfig) -> SparseGraph:
             f"{int(zero_rows.sum())} zero-norm feature row(s) get no neighbors",
             stacklevel=2,
         )
-    if cfg.sample_size is None:
-        blocks = _top_k_blocks(normed, cfg.k)
-    else:
-        blocks = _sampled_blocks(normed, cfg.k, min(cfg.sample_size, n - 1), cfg.seed)
-
-    counts = np.zeros(n, dtype=np.int64)
-    row_cols, row_weights = [], []
-    for start, stop, cols, vals in blocks:
-        by_col = np.argsort(cols, axis=1)
-        cols = np.take_along_axis(cols, by_col, axis=1)
-        vals = np.take_along_axis(vals, by_col, axis=1)
-        # a zero-norm row ties every column at 0: it keeps no arcs, even
-        # when min_similarity < 0 would admit them
-        keep = (vals > cfg.min_similarity) & ~zero_rows[start:stop, None]
-        counts[start:stop] = np.count_nonzero(keep, axis=1)
-        row_cols.append(cols[keep])
-        row_weights.append(vals[keep])
-    return _csr_graph(n, _offsets(counts), np.concatenate(row_cols),
-                      np.concatenate(row_weights))
+    cols, sims = _knn_lists(normed, cfg.k, cfg.sample_size, cfg.seed)
+    by_col = np.argsort(cols, axis=1)
+    cols = np.take_along_axis(cols, by_col, axis=1)
+    sims = np.take_along_axis(sims, by_col, axis=1)
+    # a zero-norm row ties every column at 0: it keeps no arcs, even when
+    # min_similarity < 0 would admit them
+    keep = (sims > cfg.min_similarity) & ~zero_rows[:, None]
+    return _csr_graph(n, _offsets(np.count_nonzero(keep, axis=1)), cols[keep],
+                      sims[keep])

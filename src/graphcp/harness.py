@@ -46,14 +46,13 @@ from .errors import ValidationError
 from .graph import (
     KnnConfig,
     _freeze,
-    _normalized_rows,
-    _self_join_order,
     adjacency_graph,
     build_knn_graph,
     empty_graph,
 )
 from .matrixio import (
     DatasetBundle,
+    _check_int,
     make_bundle,
     validate_labels,
     validate_matrix,
@@ -65,6 +64,7 @@ from .propagate import (
     SnapsParams,
     _check_image_k_eta,
     _image_mix,
+    _image_neighbors,
     _mix,
     _mix_weights,
     _oracle_mix,
@@ -114,6 +114,8 @@ class ExperimentConfig:
         if self.base not in BASES:
             raise ValidationError(f"unknown base score {self.base!r}")
         _grid_steps(self.grid_step)
+        for name in ("n_model_splits", "n_conformal_splits"):
+            _check_int(getattr(self, name), f"{name}={getattr(self, name)}")
         if self.n_model_splits < 1 or self.n_conformal_splits < 1:
             raise ValidationError("split/trial counts must be >= 1")
         if self.calib_size is not None and self.calib_size < 1:
@@ -136,7 +138,7 @@ class ExperimentConfig:
 
 
 def _grid_steps(grid_step: float) -> int:
-    if grid_step <= 0 or grid_step > 1:
+    if not 0 < grid_step <= 1:  # NaN fails it too
         raise ValidationError("grid_step must lie in (0, 1]")
     steps = round(1.0 / grid_step)
     if abs(steps * grid_step - 1.0) > 1e-9:
@@ -191,6 +193,8 @@ def _cut_size(n: int, calib_size: int | None) -> int:
     if n < 2:
         raise ValidationError(f"cannot split {n} node(s) into two nonempty "
                               "parts; a split needs at least 2")
+    if calib_size is not None:
+        _check_int(calib_size, f"calibration size {calib_size}")
     c = min(1000, n // 2) if calib_size is None else calib_size
     if not 1 <= c < n:
         raise ValidationError(f"calibration size {c} must lie in [1, {n - 1}] "
@@ -397,11 +401,6 @@ def _config_dict(cfg: ExperimentConfig, bundle: DatasetBundle) -> dict:
     }
 
 
-def _check_trial_count(n_trials: int) -> None:
-    if n_trials < 1:
-        raise ValidationError(f"n_trials={n_trials} must be >= 1")
-
-
 def run_experiment(bundle: DatasetBundle, cfg: ExperimentConfig) -> TrialReport:
     """Repeated-split conformal evaluation of one method on one bundle.
 
@@ -495,16 +494,15 @@ def run_oracle_experiment(bundle: DatasetBundle, alpha: float = 0.05,
     the sweep (same split and xi per trial index) for paired comparisons.
     Each trial calibrates on ``calib_size`` of all the nodes (None:
     min(1000, n // 2)) and tests on the rest.  An empty sweep, a repeated,
-    negative or non-integer m, a calibration size outside [1, n) and
-    ``n_trials < 1`` are rejected, and so is an alpha outside (0, 1), before
-    any trial."""
+    negative or non-integer m, a calibration size outside [1, n) and an
+    ``n_trials`` that is not an integer >= 1 are rejected, and so is an
+    alpha outside (0, 1), before any trial."""
     _check_alpha(alpha)
     if not 0.0 <= w <= 1.0:
         raise ValidationError("w must lie in [0, 1]")
-    _check_trial_count(n_trials)
-    bad = [m for m in m_sweep if not isinstance(m, (int, np.integer))]
-    if bad:
-        raise ValidationError(f"m_sweep holds {bad[0]!r}; each m must be an integer")
+    _check_int(n_trials, f"n_trials={n_trials}", 1)
+    for m in m_sweep:
+        _check_int(m, f"m_sweep holds {m!r}; each m")
     m_sweep = [int(m) for m in m_sweep]
     if not m_sweep:
         raise ValidationError("m_sweep is empty")
@@ -572,17 +570,17 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
     ``eta=0`` reduces to the plain adaptive score.
 
     The neighbor lists read no label and do not depend on the split, so
-    they come from one self-join (``graph._self_join_order``), computed once
-    per run before any split is drawn.  The probabilities are validated,
-    and their APS mass (``scores._mass_above``) computed, once per run; a
-    trial adds its own xi share and mixes all rows through
+    they are the pool's exact k-NN lists (``propagate._image_neighbors``),
+    computed once per run before any split is drawn.  The probabilities are
+    validated, and their APS mass (``scores._mass_above``) computed, once
+    per run; a trial adds its own xi share and mixes all rows through
     ``propagate._image_mix``.  The report is bit-identical to scoring every
     trial from scratch with ``image_snaps``.
     Non-finite features, probability rows that do not sum to 1, labels
     outside [0, K), a calibration size outside [1, n), eta outside [0, 1]
-    and k outside [1, n - 1] are rejected, and so are ``n_trials < 1`` and
-    an alpha outside (0, 1)."""
-    _check_trial_count(n_trials)
+    and k outside [1, n - 1] are rejected, and so are non-integer counts,
+    ``n_trials < 1`` and an alpha outside (0, 1)."""
+    _check_int(n_trials, f"n_trials={n_trials}", 1)
     P = validate_matrix(probabilities, "probabilities")
     feats = validate_matrix(features, "features")
     labels = np.asarray(labels, dtype=np.int64)
@@ -594,10 +592,7 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
     _check_image_k_eta(k, eta, n)
     _check_alpha(alpha)
     validate_probabilities(P)
-    nbrs = zero = None
-    if eta > 0.0:
-        normed, zero = _normalized_rows(feats)
-        nbrs = _self_join_order(normed, k)
+    nbrs, zero = _image_neighbors(feats, k) if eta > 0.0 else (None, None)
     mass = _mass_above(P)
     trials = [_image_trial(P, mass, labels, c, k, eta, alpha, seed, t, nbrs, zero)
               for t in range(n_trials)]

@@ -55,6 +55,15 @@ class DatasetBundle:
         return self.features.shape[0]
 
 
+def _check_int(value, what: str, low: int | None = None) -> None:
+    """The one count check: ``value`` must be a Python or numpy integer, not
+    a bool, and at least ``low`` when given; ``what`` names it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer")
+    if low is not None and value < low:
+        raise ValidationError(f"{what} must be >= {low}")
+
+
 def validate_matrix(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Coerce to 2-D float64 and reject non-finite entries."""
     mat = np.asarray(mat, dtype=np.float64)

@@ -37,14 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .graph import (
-    _CHUNK_TARGET,
-    SparseGraph,
-    _exact_row_sums,
-    _normalized_rows,
-    _self_join_order,
-)
-from .matrixio import validate_matrix
+from .graph import SparseGraph, _exact_row_sums, _knn_lists, _normalized_rows
+from .matrixio import _check_int, validate_matrix
 from .scores import ScoreMatrix
 
 _MASK32 = 0xFFFFFFFF
@@ -59,9 +53,10 @@ class SnapsParams:
     mu: float
 
     def __post_init__(self):
-        if self.lam < 0 or self.mu < 0:
+        # written so that a NaN weight fails them
+        if not (self.lam >= 0 and self.mu >= 0):
             raise ValidationError("aggregation weights must be >= 0")
-        if self.lam + self.mu > 1.0 + 1e-9:
+        if not self.lam + self.mu <= 1.0 + 1e-9:
             raise ValidationError(f"lam + mu = {self.lam + self.mu} exceeds 1")
 
     def as_dict(self) -> dict:
@@ -254,6 +249,7 @@ def _check_image_k_eta(k: int, eta: float, n: int) -> None:
     [1, n - 1] (each row averages k other rows)."""
     if not 0.0 <= eta <= 1.0:
         raise ValidationError("eta must lie in [0, 1]")
+    _check_int(k, f"k={k}")
     if not 1 <= k <= n - 1:
         raise ValidationError(f"k={k} must lie in [1, {n - 1}]")
 
@@ -265,17 +261,16 @@ def image_snaps(S: ScoreMatrix, features: np.ndarray, k: int,
 
     Every row is scored by the same function of the whole pool, and no
     label is read, so any calibration/test split of the pool leaves the
-    two sides exchangeable, as in graph mode.  Neighbors come from one
-    self-join with the k-NN graph's top-k kernel (``graph._self_join_order``):
-    ties go to the smaller row index, and ``_image_mix`` averages the k rows
-    in the kernel's order (most similar first), so every score is
-    reproducible to the bit.  ``harness.run_image_experiment`` builds the
-    same neighbor list once per run and mixes each trial's scores through
-    the same ``_image_mix``, so both give the same bits.
+    two sides exchangeable, as in graph mode.  Neighbors are the pool's
+    exact k-NN lists (``_image_neighbors``): ties go to the smaller row
+    index, and ``_image_mix`` averages the k rows in the lists' order (most
+    similar first), so every score is reproducible to the bit.
+    ``harness.run_image_experiment`` builds the same lists once per run and
+    mixes each trial through the same ``_image_mix``: the same bits.
 
     Zero-norm feature rows keep their uncorrected score.  Non-finite
-    features, eta outside [0, 1] and k outside [1, n - 1] are rejected.  At
-    ``eta = 0`` no neighbor is looked up.
+    features, eta outside [0, 1] and k outside [1, n - 1] (or not an
+    integer) are rejected.  At ``eta = 0`` no neighbor is looked up.
     """
     features = validate_matrix(features, "features")
     if S.n != features.shape[0]:
@@ -284,10 +279,18 @@ def image_snaps(S: ScoreMatrix, features: np.ndarray, k: int,
     if eta == 0.0:
         values = S.values.copy()
     else:
-        normed, zero = _normalized_rows(features)
-        values = _image_mix(S.values, S.values, _self_join_order(normed, k), eta, zero)
+        nbrs, zero = _image_neighbors(features, k)
+        values = _image_mix(S.values, S.values, nbrs, eta, zero)
     values.setflags(write=False)
     return ScoreMatrix(values, "snaps", S.xi)
+
+
+def _image_neighbors(features: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nbrs, zero) of a pool's validated ``features``: the (n, k) exact
+    k-NN lists of its unit rows (``graph._knn_lists``, at any n) and the
+    mask of zero-norm rows, which keep their own scores."""
+    normed, zero = _normalized_rows(features)
+    return _knn_lists(normed, k)[0], zero
 
 
 def _image_mix(v: np.ndarray, values: np.ndarray, nbrs: np.ndarray, eta: float,
@@ -298,24 +301,17 @@ def _image_mix(v: np.ndarray, values: np.ndarray, nbrs: np.ndarray, eta: float,
     ``v[i]``.  The mean has the bits of ``.mean(axis=1)`` over the (rows, k,
     K) neighbor gather: numpy adds that gather's k slices in order to +0.0
     when K > 1, so they are added that way here, one (rows, K) slice at a
-    time; with K = 1 the k axis is contiguous, numpy sums it pairwise, and
-    the gather is reduced as it is.  (One ``.mean(axis=1)`` of
-    the gather for every K is as exact but about 3x slower.)  Rows are mixed
-    in chunks whose gather stays within ``graph._CHUNK_TARGET`` elements."""
-    out = np.empty(v.shape)
-    k, num_cols = nbrs.shape[1], values.shape[1]
-    step = max(1, _CHUNK_TARGET // max(k * num_cols, 1))
-    for start in range(0, v.shape[0], step):
-        stop = min(start + step, v.shape[0])
-        if num_cols == 1:
-            nbr_mean = np.take(values, nbrs[start:stop], axis=0).mean(axis=1)
-        else:
-            nbr_mean = np.zeros((stop - start, num_cols))
-            for col in nbrs[start:stop].T:
-                nbr_mean += np.take(values, col, axis=0)
-            nbr_mean /= k
-        block = (1.0 - eta) * v[start:stop] + eta * nbr_mean
-        rows = keep[start:stop]
-        block[rows] = v[start:stop][rows]
-        out[start:stop] = block
+    time, into an accumulator the size of the output; with K = 1 the k axis
+    is contiguous, numpy sums it pairwise, and the (rows, k) gather is
+    reduced as it is.  (One ``.mean(axis=1)`` of the gather for every K is
+    as exact but about 3x slower.)"""
+    if values.shape[1] == 1:
+        nbr_mean = np.take(values, nbrs, axis=0).mean(axis=1)
+    else:
+        nbr_mean = np.zeros(v.shape)
+        for col in nbrs.T:
+            nbr_mean += np.take(values, col, axis=0)
+        nbr_mean /= nbrs.shape[1]
+    out = (1.0 - eta) * v + eta * nbr_mean
+    out[keep] = v[keep]
     return out

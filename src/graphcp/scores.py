@@ -64,10 +64,11 @@ class RapsParams:
     lambda_reg: float
 
     def __post_init__(self):
-        if self.k_reg < 1:
+        # NaN fails both; an infinite lambda_reg gives NaN penalties (inf * 0)
+        if not self.k_reg >= 1:
             raise ValidationError("k_reg must be >= 1")
-        if self.lambda_reg < 0:
-            raise ValidationError("lambda_reg must be >= 0")
+        if not 0 <= self.lambda_reg < np.inf:
+            raise ValidationError("lambda_reg must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -266,9 +266,9 @@ def test_image_accepts_one_row_calibration(synth_dir, tmp_path, capsys):
 def test_image_rejects_empty_test_split_before_building_the_pool(
         synth_dir, tmp_path, capsys, monkeypatch):
     calls = []
-    join = g.propagate._self_join_order
-    monkeypatch.setattr(g.propagate, "_self_join_order",
-                        lambda *args: calls.append(args) or join(*args))
+    find = g.propagate._image_neighbors
+    monkeypatch.setattr(g.propagate, "_image_neighbors",
+                        lambda *args: calls.append(args) or find(*args))
     bundle = g.load_bundle(synth_dir / "manifest.txt")
     argv = _image_argv(tmp_path, _halves(bundle.probabilities[:100], 100),
                        _halves(bundle.features[:100], 100),
@@ -284,7 +284,7 @@ def test_image_rejects_empty_test_split_before_building_the_pool(
 def test_image_rejects_bad_alpha_before_building_the_pool(
         synth_dir, tmp_path, capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(g.propagate, "_self_join_order",
+    monkeypatch.setattr(g.propagate, "_image_neighbors",
                         lambda *args: calls.append(args))
     bundle = g.load_bundle(synth_dir / "manifest.txt")
     half = bundle.n // 2
@@ -312,3 +312,18 @@ def test_image_rejects_bad_k_and_eta(synth_dir, tmp_path, capsys, extra, message
     assert main(argv + extra + ["--out", str(tmp_path / "image.json")]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "image.json").exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--method", "snaps", "--lambda", "nan", "--mu", "0"],
+     "aggregation weights must be >= 0"),
+    (["--grid-step", "nan"], "grid_step must lie in (0, 1]"),
+], ids=["lambda-nan", "grid-step-nan"])
+def test_run_rejects_nan_weights_with_exit_one(synth_dir, tmp_path, capsys, extra,
+                                               message):
+    out = tmp_path / "r.json"
+    code = main(["run", "--manifest", str(synth_dir / "manifest.txt"), *extra,
+                 "--out", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -464,7 +464,7 @@ def test_run_experiment_rejects_a_short_class_before_building_graphs(
 def test_runners_reject_alpha_before_any_neighbor_work(small_bundle, monkeypatch,
                                                        alpha):
     calls = []
-    monkeypatch.setattr(harness, "_self_join_order", lambda *a: calls.append(a))
+    monkeypatch.setattr(harness, "_image_neighbors", lambda *a: calls.append(a))
     monkeypatch.setattr(harness, "_same_label_prefixes", lambda *a: calls.append(a))
     message = re.escape(f"alpha={alpha} must lie in (0, 1)")
     with pytest.raises(ValidationError, match=message):
@@ -758,9 +758,9 @@ def test_image_pool_order_matches_per_trial_scoring(small_bundle, monkeypatch, k
 
 def test_image_pool_order_is_built_once_per_run(small_bundle, monkeypatch):
     built = []
-    real = harness._self_join_order
-    monkeypatch.setattr(harness, "_self_join_order",
-                        lambda normed, depth: built.append(depth) or real(normed, depth))
+    real = harness._image_neighbors
+    monkeypatch.setattr(harness, "_image_neighbors",
+                        lambda feats, k: built.append(k) or real(feats, k))
     P, feats, labels = (small_bundle.probabilities, small_bundle.features,
                         small_bundle.labels)
     # at depth k, whatever the trial count; eta = 0 looks up no neighbor
@@ -798,9 +798,9 @@ def test_pool_neighbors_are_prefixes_of_the_full_order():
     # a row's k neighbors are the first k of its full similarity order
     rng = np.random.default_rng(15)
     normed = g.graph._normalized_rows(rng.normal(size=(12, 3)))[0]
-    full = g.graph._self_join_order(normed, 11)
+    full = g.graph._knn_lists(normed, 11)[0]
     for k in range(1, 12):
-        assert np.array_equal(g.graph._self_join_order(normed, k), full[:, :k])
+        assert np.array_equal(g.graph._knn_lists(normed, k)[0], full[:, :k])
 
 
 @pytest.mark.parametrize("depth", [256, 300])
@@ -814,7 +814,7 @@ def test_pool_order_matches_stable_argsort_past_column_255(depth):
     sims = g.graph._pairwise_sims(normed, normed)
     np.fill_diagonal(sims, -np.inf)
     want = np.argsort(-sims, axis=1, kind="stable")[:, :depth]
-    assert np.array_equal(g.graph._self_join_order(normed, depth), want)
+    assert np.array_equal(g.graph._knn_lists(normed, depth)[0], want)
 
 
 def test_image_experiment_at_k_equal_c_matches_per_trial_scoring(small_bundle):
@@ -896,7 +896,7 @@ def test_image_experiment_rejects_bad_k_and_eta_with_a_pool_order(
     # k is bounded by the pool of 400 rows, and the arguments are checked
     # before the pool order is built
     calls = []
-    monkeypatch.setattr(harness, "_self_join_order", lambda *a: calls.append(a))
+    monkeypatch.setattr(harness, "_image_neighbors", lambda *a: calls.append(a))
     with pytest.raises(ValidationError, match=message):
         g.run_image_experiment(small_bundle.probabilities, small_bundle.features,
                                small_bundle.labels, k=k, eta=eta, n_trials=45,

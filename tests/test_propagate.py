@@ -375,9 +375,30 @@ def test_image_snaps_eta_zero_identity(monkeypatch):
     rng = np.random.default_rng(9)
     S = _score(rng.uniform(size=(8, 3)))
     # eta = 0 looks up no neighbor
-    monkeypatch.setattr(g.propagate, "_self_join_order", None)
+    monkeypatch.setattr(g.propagate, "_image_neighbors", None)
     out = g.image_snaps(S, rng.normal(size=(8, 4)), k=3, eta=0.0)
     assert np.array_equal(out.values, S.values)
+
+
+@pytest.mark.parametrize("k", [1, 4, 9])
+def test_image_neighbors_are_the_arcs_of_the_knn_graph(k):
+    # image mode and the k-NN graph read one list stage: with no similarity
+    # floor, each row with features lists exactly its graph arcs, most
+    # similar first.  Duplicated rows tie at 1, zero rows tie every column
+    rng = np.random.default_rng(40 + k)
+    feats = rng.normal(size=(12, 3))[rng.integers(0, 12, size=60)]
+    feats[::11] = 0.0
+    nbrs, zero = g.propagate._image_neighbors(feats, k)
+    assert np.array_equal(zero, ~feats.any(axis=1))
+    with pytest.warns(UserWarning, match="6 zero-norm feature row"):
+        graph = g.build_knn_graph(feats, g.KnnConfig(k=k, min_similarity=-np.inf))
+    for i in range(feats.shape[0]):
+        cols, weights = graph.row(i)
+        if zero[i]:
+            assert cols.size == 0
+            continue
+        assert np.array_equal(np.sort(nbrs[i]), cols)
+        assert (np.diff(weights[np.searchsorted(cols, nbrs[i])]) <= 0).all()
 
 
 def test_image_snaps_full_pool_eta_one_gives_calib_mean():
@@ -508,10 +529,5 @@ def test_image_mix_has_the_bits_of_the_gathered_mean(data):
     eta = data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]), label="eta")
     want = (1.0 - eta) * v + eta * np.take(values, nbrs, axis=0).mean(axis=1)
     want[keep] = v[keep]
-    # chunks of one row up to all of them
-    chunk = data.draw(st.integers(1, n_rows), label="rows_per_chunk")
-    target = chunk * k * num_cols
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(g.propagate, "_CHUNK_TARGET", target)
-        got = g.propagate._image_mix(v, values, nbrs, eta, keep)
+    got = g.propagate._image_mix(v, values, nbrs, eta, keep)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))

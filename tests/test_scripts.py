@@ -20,9 +20,14 @@ def test_stage_times_runs_every_stage_at_small_shapes(tmp_path, monkeypatch, cap
     for name, value in dict(N=400, EXACT_N=400, IMAGE_N=400, IMAGE_CALIB=100,
                             IMAGE_TRIALS=4, REPEATS=1, SAMPLE_M=200).items():
         monkeypatch.setattr(script, name, value)
+    # image_neighbors times the one image-mode neighbor search
+    searched, real = [], script.g.propagate._image_neighbors
+    monkeypatch.setattr(script.g.propagate, "_image_neighbors",
+                        lambda feats, k: searched.append(k) or real(feats, k))
     out = tmp_path / "bench.json"
     monkeypatch.setattr(sys, "argv", ["stage_times.py", "--out", str(out)])
     script.main()
+    assert searched == [5]
     data = json.loads(out.read_text())
     assert set(data["stages"]) == {"load_bundle", "sampled_knn_build", "neighbor_means",
                                    "exact_knn_build", "image_neighbors", "image_trials"}
