@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the pipeline stages that grow with n, one at a time, at n=50000,
-the exact k-NN build at n=5000 and the two halves of an image-mode run at
-n=4000.
+the exact k-NN build and the graph-mode trial loop's tunes and evaluations
+at n=5000, and the two halves of an image-mode run at n=4000.
 
 Generates a planted-partition bundle (K=8, d=8, homophily 0.8, class_sep
 2.0, noise 1.0, seed 1), saves it to a temporary directory, then times each
@@ -16,6 +16,22 @@ A second bundle of the same kind at n=5000 gives the exact-mode stage, at
 the shape of the benchmark's ``snaps-5k`` workload:
 
 * ``exact_knn_build``: ``build_knn_graph`` in exact mode (k=20).
+
+The same bundle gives the graph-mode trial stages, at the shape of
+``snaps-5k`` (tuned ``snaps``, 1 model split x 50 conformal splits, alpha
+0.05, seed 1). One ``run_experiment`` records the arguments of its 50
+``harness._tune_snaps`` calls and of its 50 ``harness._evaluate_trial``
+calls; each stage then replays them, each tune on a fresh copy of its
+random generator, and sums the times of the calls:
+
+* ``snaps_tunes``: the 50 grid tunes of (lam, mu), given the operation's
+  ``NeighborMeans``;
+* ``trial_evaluations``: the 50 trial evaluations (calibrate, predict sets,
+  coverage, Size, singleton hit and SSCV).
+
+The JSON records, per tune, how many entries the evaluation half's BLAS
+screen left undecided, so that ``harness._rescored`` scored them with the
+plain formula (``undecided_entries``; counted by wrapping it).
 
 A third bundle of the same kind at n=4000 gives the image-mode stages, at
 the shape of the benchmark's ``image-4k`` workload (calibration size 1000,
@@ -44,6 +60,7 @@ Example:
 """
 
 import argparse
+import copy
 import json
 import os
 import platform
@@ -64,6 +81,7 @@ REPEATS = 5
 EXACT_N = 5000
 IMAGE_N, IMAGE_CALIB, IMAGE_K, IMAGE_ETA, IMAGE_TRIALS = 4000, 1000, 5, 0.5, 20
 IMAGE_ALPHA = 0.05
+SNAPS_TRIALS = 50
 
 
 def cpu_model() -> str:
@@ -101,6 +119,70 @@ def fallback_rows(normed, k):
     return sum(rows)
 
 
+def fresh(args):
+    """``args`` with each random generator copied (the recorded functions
+    change no other argument)."""
+    return tuple(copy.deepcopy(a) if isinstance(a, np.random.Generator) else a
+                 for a in args)
+
+
+def recorded_calls(bundle, cfg, names):
+    """{name: [(args, kwargs), ...]} of the calls ``run_experiment(bundle,
+    cfg)`` makes to each ``harness`` function in ``names``, random
+    generators copied as they were at the call."""
+    calls = {name: [] for name in names}
+    reals = {name: getattr(g.harness, name) for name in names}
+
+    def recorder(name):
+        def record(*args, **kwargs):
+            calls[name].append((fresh(args), kwargs))
+            return reals[name](*args, **kwargs)
+        return record
+
+    try:
+        for name in names:
+            setattr(g.harness, name, recorder(name))
+        g.run_experiment(bundle, cfg)
+    finally:
+        for name, fn in reals.items():
+            setattr(g.harness, name, fn)
+    return calls
+
+
+def replayed(fn, calls, repeats):
+    """Seconds of each of ``repeats`` replays of the recorded ``calls`` to
+    ``fn``: the sum of the call times."""
+    runs = []
+    for _ in range(repeats):
+        total = 0.0
+        for args, kwargs in calls:
+            args = fresh(args)
+            start = time.perf_counter()
+            fn(*args, **kwargs)
+            total += time.perf_counter() - start
+        runs.append(total)
+    return runs
+
+
+def undecided_entries(calls):
+    """Entries each recorded ``_tune_snaps`` call leaves to
+    ``harness._rescored``."""
+    real, counts = g.harness._rescored, []
+
+    def counting(w, x, q):
+        counts[-1] += q.shape[0]
+        return real(w, x, q)
+
+    g.harness._rescored = counting
+    try:
+        for args, kwargs in calls:
+            counts.append(0)
+            g.harness._tune_snaps(*fresh(args), **kwargs)
+    finally:
+        g.harness._rescored = real
+    return counts
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -126,6 +208,14 @@ def main():
                                  class_sep=2.0, noise=1.0, seed=SEED)
     stages["exact_knn_build"], exact_knn = timed(
         lambda: g.build_knn_graph(exact.features, g.KnnConfig(k=K)), REPEATS)
+
+    snaps_cfg = g.ExperimentConfig(n_model_splits=1, n_conformal_splits=SNAPS_TRIALS,
+                                   seed=SEED)
+    calls = recorded_calls(exact, snaps_cfg, ("_tune_snaps", "_evaluate_trial"))
+    stages["snaps_tunes"] = replayed(g.harness._tune_snaps, calls["_tune_snaps"],
+                                     REPEATS)
+    stages["trial_evaluations"] = replayed(g.harness._evaluate_trial,
+                                           calls["_evaluate_trial"], REPEATS)
 
     image = g.generate_synthetic(n=IMAGE_N, num_classes=8, dim=8, homophily=0.8,
                                  class_sep=2.0, noise=1.0, seed=SEED)
@@ -159,6 +249,9 @@ def main():
                    "exact": {"n": EXACT_N, "k": K, "knn_arcs": exact_knn.nnz,
                              "fallback_rows": fallback_rows(
                                  g.graph._normalized_rows(exact.features)[0], K)},
+                   "snaps": {"n": EXACT_N, "trials": SNAPS_TRIALS, "alpha": snaps_cfg.alpha,
+                             "undecided_entries": undecided_entries(
+                                 calls["_tune_snaps"])},
                    "image": {"n": IMAGE_N, "calib_size": IMAGE_CALIB, "k": IMAGE_K,
                              "eta": IMAGE_ETA, "trials": IMAGE_TRIALS,
                              "alpha": IMAGE_ALPHA, "neighbor_depth": nbrs.shape[1],

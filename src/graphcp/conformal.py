@@ -12,6 +12,7 @@ Empty sets are legal (they count as size 0 and never cover).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +47,9 @@ class PredictionSets:
     threshold: CalibratedThreshold
 
     def sizes(self) -> np.ndarray:
-        return self.mask.sum(axis=1)
+        # a product with a ones vector counts at about 4x the speed of a
+        # bool sum along the rows; its float sums of 0s and 1s are exact
+        return (self.mask @ np.ones(self.mask.shape[1])).astype(np.int64)
 
     @property
     def num_classes(self) -> int:
@@ -62,7 +65,14 @@ def _check_alpha(alpha: float) -> None:
 def conformal_rank(n: int, alpha: float) -> int:
     """ceil((1-alpha)(n+1)) with alpha read as the decimal the caller wrote."""
     _check_alpha(alpha)
-    return math.ceil((n + 1) * (1 - Fraction(str(alpha))))
+    return _decimal_rank(n, str(alpha))
+
+
+@functools.lru_cache(maxsize=64)
+def _decimal_rank(n: int, alpha: str) -> int:
+    # cached on the decimal itself: building the Fraction costs about 10 us,
+    # and a run asks for the same few ranks once or twice per trial
+    return math.ceil((n + 1) * (1 - Fraction(alpha)))
 
 
 def _order_statistic(scores: np.ndarray, rank: int) -> np.ndarray:
@@ -111,14 +121,17 @@ def predict_sets(scores, threshold: CalibratedThreshold,
         raise ValidationError("empty evaluation set")
     if eval_idx.min() < 0 or eval_idx.max() >= values.shape[0]:
         raise ValidationError("evaluation index out of range")
-    # np.isin picks a lookup table for these small-range integers, where
-    # np.intersect1d sorts both sides
-    overlap = eval_idx[np.isin(eval_idx, threshold.calib_idx)]
+    # one mark per score row; calibration nodes outside the rows cannot
+    # overlap them
+    calib = threshold.calib_idx
+    marked = np.zeros(values.shape[0], dtype=bool)
+    marked[calib[(calib >= 0) & (calib < values.shape[0])]] = True
+    overlap = eval_idx[np.take(marked, eval_idx)]
     if overlap.size:
         raise ValidationError(
             f"evaluation set overlaps calibration set (e.g. node {overlap.min()})"
         )
-    mask = values[eval_idx] <= threshold.q_hat
+    mask = np.take(values, eval_idx, axis=0) <= threshold.q_hat
     idx = np.array(eval_idx, dtype=np.int64)
     mask.setflags(write=False)
     idx.setflags(write=False)

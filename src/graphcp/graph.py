@@ -172,6 +172,7 @@ class KnnConfig:
 
     def __post_init__(self):
         _check_int(self.k, f"k={self.k}", 0)
+        _check_int(self.seed, f"seed={self.seed}")
         if math.isnan(self.min_similarity):
             raise ValidationError("min_similarity must not be NaN")
         if self.sample_size is not None:
@@ -179,6 +180,10 @@ class KnnConfig:
             if self.sample_size < 10 * self.k:
                 raise ValidationError(f"sample_size={self.sample_size} too small: "
                                       f"need >= 10*k = {10 * self.k}")
+            # numpy integers lack int methods the sampled build uses
+            object.__setattr__(self, "sample_size", int(self.sample_size))
+        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

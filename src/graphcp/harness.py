@@ -15,13 +15,18 @@ function, ``_split_pool``.
 ``run_experiment`` is the only caller of the tuners (``_tune_snaps``,
 ``_tune_raps``), so the weights a trial picks depend on the run's seed and
 the trial's index alone.
-The grid is scored as one batch: one conformal rank per tuning call, every
-grid point's threshold from one partition along the sample axis, and every
-(lam, mu) score computed by the batched kernel ``propagate._mix`` (one
-einsum per class column and (has_knn, has_adj) pair into a reused buffer),
-which tests pin to ``combine_scores`` bit for bit.  So the chosen point -
-same key, first in grid order on a full tie - is the one a point-by-point
-search with the final mix would pick.
+The grid is scored as one batch: one conformal rank per tuning call, and
+every grid point's threshold from one partition along the sample axis of
+the first half's (lam, mu) scores, computed by the batched kernel
+``propagate._mix`` (one einsum per (has_knn, has_adj) pair into a reused
+buffer), which tests pin to ``combine_scores`` bit for bit.  The second
+half's set memberships come from a certified BLAS screen
+(``_snaps_grid_sets``): one float32 matrix product per class column and
+pair, a proven error margin around each threshold, and the plain formula
+for the entries inside it.  So every count, and the chosen point - same
+key, first in grid order on a full tie - is the one a point-by-point
+search with the final mix would pick, whatever the BLAS build or its
+thread count.
 
 Every runner, and the ``image`` CLI command, measures a trial through one
 evaluator, ``_evaluate_trial``: calibrate -> predict sets -> coverage, Size,
@@ -45,6 +50,7 @@ from .conformal import (_check_alpha, _order_statistic, calibrate,
 from .errors import ValidationError
 from .graph import (
     KnnConfig,
+    _float32_below,
     _freeze,
     adjacency_graph,
     build_knn_graph,
@@ -114,12 +120,14 @@ class ExperimentConfig:
         if self.base not in BASES:
             raise ValidationError(f"unknown base score {self.base!r}")
         _grid_steps(self.grid_step)
-        for name in ("n_model_splits", "n_conformal_splits"):
+        for name in ("n_model_splits", "n_conformal_splits", "seed"):
             _check_int(getattr(self, name), f"{name}={getattr(self, name)}")
         if self.n_model_splits < 1 or self.n_conformal_splits < 1:
             raise ValidationError("split/trial counts must be >= 1")
-        if self.calib_size is not None and self.calib_size < 1:
-            raise ValidationError("fixed calibration size must be >= 1")
+        if self.calib_size is not None:
+            _check_int(self.calib_size, f"calib_size={self.calib_size}")
+            if self.calib_size < 1:
+                raise ValidationError("fixed calibration size must be >= 1")
         if self.method == "daps" and self.params is not None and self.params.lam != 0.0:
             raise ValidationError("daps admits only the mu weight (lam must be 0)")
         # forced weights no trial would read are an error, not a silent no-op
@@ -215,22 +223,24 @@ def _split_pool(ids: np.ndarray, calib_size: int | None,
 # ---------------------------------------------------------------------------
 # hyperparameter tuning
 
-def _grid_size_sh(cal_scores, eval_scores, labels_cal, labels_eval,
+def _grid_size_sh(cal_scores, eval_sets, labels_cal, labels_eval,
                   num_classes, alpha) -> tuple[np.ndarray, np.ndarray]:
     """Size and singleton-hit counts of every grid point at once.
 
     ``cal_scores(cols)`` returns the (G, rows) scores of the first tuning
-    half at one label per row, ``eval_scores(c)`` those of the second half
-    at class column c; they may reuse one buffer, so each result is consumed
-    before the next call.  Each grid point calibrates on the true labels of
-    the first half and is measured on the second.  An evaluation row's
-    true-label hit is copied out of the class pass of its label, one slice
-    per run of equal ``labels_eval``, so callers group the second half's
-    rows by label.  Returns counts over the second half, which order the
-    grid points exactly as the Size and singleton-hit means would.
+    half at one label per row; each grid point calibrates on the true labels
+    of that half, which gives the (G,) thresholds ``q``.  ``eval_sets(q)``
+    returns the second half's membership test ``in_set(c, out)``: it writes
+    into the bool (G, rows) ``out`` whether each row's class c is in its set
+    (its score ``<= q``) at each grid point, and returns ``out``.  An
+    evaluation row's true-label hit is copied out of the class pass of its
+    label, one slice per run of equal ``labels_eval``, so callers group the
+    second half's rows by label.  Returns counts over the second half, which
+    order the grid points exactly as the Size and singleton-hit means would.
     """
     rank = conformal_rank(labels_cal.shape[0], alpha)
-    q = _order_statistic(cal_scores(labels_cal), rank)[:, None]
+    q = _order_statistic(cal_scores(labels_cal), rank)
+    in_set = eval_sets(q)
     shape = (q.shape[0], labels_eval.shape[0])
     hit = np.empty(shape, dtype=bool)
     true_hit = np.empty(shape, dtype=bool)
@@ -243,40 +253,155 @@ def _grid_size_sh(cal_scores, eval_scores, labels_cal, labels_eval,
     # a row's size is at most num_classes
     sizes = np.zeros(shape, dtype=np.min_scalar_type(num_classes))
     for c in range(num_classes):
-        sizes += np.less_equal(eval_scores(c), q, out=hit)
+        sizes += in_set(c, hit)
         for run in runs[c]:
             true_hit[:, run] = hit[:, run]
     true_hit &= sizes == 1
-    return sizes.sum(axis=1, dtype=np.int64), np.count_nonzero(true_hit, axis=1)
+    # row sums in the smallest type that holds them run at about 3 times
+    # the speed of int64 ones
+    size = sizes.sum(axis=1, dtype=np.min_scalar_type(num_classes * shape[1]))
+    sh = true_hit.sum(axis=1, dtype=np.min_scalar_type(shape[1]))
+    return size.astype(np.int64), sh.astype(np.int64)
 
 
-def _snaps_grid_scores(values, nm: NeighborMeans, lam, mu, rows):
-    """``combine_scores`` on ``rows`` at every grid point of the 1-D weights
-    ``lam``/``mu``, with its bits, through the batched ``_mix`` kernel.
+def _full_width(column: np.ndarray, width: int) -> np.ndarray:
+    """The (G,) ``column`` copied into every column of a (G, width) array of
+    its dtype: a compare with it runs at about 2.5 times the speed of one
+    with a (G, 1) broadcast."""
+    out = np.empty((column.shape[0], width), dtype=column.dtype)
+    out[...] = column[:, None]
+    return out
 
-    Returns ``(scores, rows)``: the column closure of ``_grid_size_sh``,
-    which writes into one reused (G, rows) buffer, and ``rows`` regrouped by
-    (has_knn, has_adj) pair, the order of the closure's columns.  The inputs
-    are stacked class-major, so each class column is a contiguous (3, rows)
-    block of v, knn and adj means.
-    """
+
+def _class_major(values, nm: NeighborMeans, rows):
+    """``(x, rows, blocks)``: ``rows`` regrouped by (has_knn, has_adj) pair
+    (``_pair_blocks``), and their v, knn and adj means stacked class-major
+    as ``x``, so each class column ``x[c]`` is a contiguous (3, rows) block
+    and each pair block a column span of it."""
     order, blocks = _pair_blocks(nm.has_knn[rows], nm.has_adj[rows])
     rows = rows[order]
     x = np.empty((values.shape[1], 3, rows.shape[0]))
     for j, part in enumerate((values, nm.knn_mean, nm.adj_mean)):
-        x[:, j] = part[rows].T
+        x[:, j] = np.take(part, rows, axis=0).T
+    return x, rows, blocks
+
+
+def _snaps_grid_scores(values, nm: NeighborMeans, lam, mu, rows):
+    """``combine_scores`` on ``rows`` at every grid point of the 1-D weights
+    ``lam``/``mu``, with its bits, through the batched ``_mix`` kernel: the
+    calibration half of the tuning grid.
+
+    Returns ``(scores, rows)``: the closure that ``_grid_size_sh`` calls
+    with one label per row, which writes into one reused (G, rows) buffer,
+    and ``rows`` regrouped by (has_knn, has_adj) pair, the order of the
+    closure's columns.
+    """
+    x, rows, blocks = _class_major(values, nm, rows)
     spans = [(slice(start, stop), _mix_weights(lam, mu, hk, ha))
              for hk, ha, start, stop in blocks]
     out = np.empty((lam.shape[0], rows.shape[0]))
     pos = np.arange(rows.shape[0])
 
     def scores(cols):
-        xc = x[cols] if np.ndim(cols) == 0 else np.ascontiguousarray(x[cols, :, pos].T)
+        xc = np.ascontiguousarray(x[cols, :, pos].T)
         for span, w in spans:
             _mix(w, xc[:, span], out[:, span])
         return out
 
     return scores, rows
+
+
+def _screen_margin(q: np.ndarray, scale: float) -> np.ndarray:
+    """Half-width of the band around each threshold ``q`` (G,) inside which
+    ``_snaps_grid_sets`` rescores an entry; ``scale`` bounds every
+    ``sum_i |w_i x_i|`` of the mix.  0 at an infinite threshold, which every
+    finite score meets; +inf everywhere else when a float32 screen could
+    overflow."""
+    margin = (2.0 ** -21 * (scale + np.abs(q)) + 2.0 ** -120 if scale < 2.0 ** 120
+              else np.inf)
+    return np.where(np.isfinite(q), margin, 0.0)
+
+
+def _rescored(w: np.ndarray, x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Membership of the entries the screen leaves undecided, with
+    ``combine_scores``' own expression: weight rows ``w`` (n, 3) ``[ego,
+    lam, mu]``, inputs ``x`` (3, n) ``[v, knn_mean, adj_mean]`` and
+    thresholds ``q`` (n,)."""
+    return ((w[:, 0] * x[0] + w[:, 1] * x[1]) + w[:, 2] * x[2]) + 0.0 <= q
+
+
+def _snaps_grid_sets(values, nm: NeighborMeans, lam, mu, rows):
+    """The evaluation half of the tuning grid: whether ``combine_scores`` on
+    ``rows`` at every grid point of ``lam``/``mu`` puts each class in each
+    row's set, decided by a certified float32 BLAS screen.
+
+    Returns ``(sets, rows)``: the ``eval_sets`` of ``_grid_size_sh`` and
+    ``rows`` regrouped by (has_knn, has_adj) pair, as ``_snaps_grid_scores``
+    does.  For thresholds ``q``, ``sets(q)`` spreads ``q - margin`` rounded
+    down and ``q + margin`` rounded up to float32 (``_screen_margin``,
+    ``graph._float32_below``) to full width once per tune; the
+    ``in_set(c, out)`` it returns then:
+
+    * screens: each pair block of class column c is mixed by one float32
+      BLAS product ``w @ x[c][:, span]`` of float32 copies of the weights
+      and inputs, made once per call, into a reused (G, rows) buffer: a
+      value b per entry.  With u = 2^-24, rounding w and x to float32 moves
+      each product by at most ``(2u + u^2) |w_i x_i|``, and a float32
+      3-term dot product in any order, with fused multiply-adds or not,
+      adds at most ``gamma_3 = 3u / (1 - 3u)`` times the sum of their
+      magnitudes (Higham, Accuracy and Stability of Numerical Algorithms,
+      section 3.1).  The plain formula f (``combine_scores``' rounded
+      float64 products added left to right) lies within ``3 * 2^-53 (1 +
+      2^-50)`` times ``sum_i |w_i x_i|`` of the exact mix.  So ``|b - f| <=
+      E < 5.1 u S + 2^-122`` with ``S = scale``, the largest absolute
+      weight-row sum of any block times ``max |x|``; the absolute term
+      covers subnormals, flushed to zero or not.  The margin ``8 u (S +
+      |q|) + 2^-120`` exceeds E by more than the float64 rounding of ``q -
+      margin`` and ``q + margin``, and the float32 bounds are rounded
+      outward, so ``b < below`` proves ``f < q`` (in the set) and ``b >
+      above`` proves ``f > q`` (out of it).  Every ``|x|`` is at most S (a
+      weight row sums to 1), so for ``S < 2^120`` no float32 value
+      overflows; a larger S makes the margin +inf;
+    * rescores: the entries that neither test decides (those in the closed
+      band), if there are any, are scored by ``_rescored`` with the plain
+      formula and compared with their threshold exactly.
+
+    Each membership is therefore the plain formula's, whatever the BLAS
+    build or its thread count, and the thresholds keep the bits of
+    ``_mix``, so the counts are those of ``combine_scores`` at every grid
+    point.  A margin of +inf rescores every entry.
+    """
+    x, rows, blocks = _class_major(values, nm, rows)
+    spans = [(slice(start, stop), _mix_weights(lam, mu, hk, ha))
+             for hk, ha, start, stop in blocks]
+    shape = (lam.shape[0], rows.shape[0])
+    block_of = np.zeros(shape[1], dtype=np.intp)
+    for i, (span, _) in enumerate(spans):
+        block_of[span] = i
+    weights = np.stack([w for _, w in spans])
+    scale = np.abs(weights).sum(axis=2).max() * np.abs(x).max()
+    x32, weights32 = x.astype(np.float32), weights.astype(np.float32)
+    mixed = np.empty(shape, dtype=np.float32)
+    beyond = np.empty(shape, dtype=bool)
+
+    def sets(q):
+        margin = _screen_margin(q, scale)
+        below = _full_width(_float32_below(q - margin), shape[1])
+        above = _full_width(-_float32_below(-(q + margin)), shape[1])
+
+        def in_set(c, out):
+            for (span, _), w in zip(spans, weights32):
+                np.matmul(w, x32[c][:, span], out=mixed[:, span])
+            np.less(mixed, below, out=out)
+            np.greater(mixed, above, out=beyond)
+            if np.count_nonzero(out) + np.count_nonzero(beyond) < out.size:
+                g, r = np.nonzero(~(out | beyond))
+                out[g, r] = _rescored(weights[block_of[r], g], x[c][:, r], q[g])
+            return out
+
+        return in_set
+
+    return sets, rows
 
 
 def _raps_grid_scores(aps_values, ranks, k_reg, lam, rows):
@@ -293,6 +418,17 @@ def _raps_grid_scores(aps_values, ranks, k_reg, lam, rows):
         return np.add(vc, np.multiply(lam, pen, out=out), out=out)
 
     return scores
+
+
+def _exact_sets(scores, width: int):
+    """The ``eval_sets`` of ``_grid_size_sh`` for class columns
+    ``scores(c)`` that are computed exactly: each is compared with the
+    thresholds spread to full width once per tune."""
+    def sets(q):
+        full = _full_width(q, width)
+        return lambda c, out: np.less_equal(scores(c), full, out=out)
+
+    return sets
 
 
 @functools.lru_cache(maxsize=8)
@@ -330,8 +466,8 @@ def _tune_snaps(values, nm, labels, tune_idx, alpha, grid_step, rng,
     a, b = _label_grouped_halves(tune_idx, labels, rng)
     grid, lam, mu = _snaps_grid(grid_step, mu_only)
     cal_scores, a = _snaps_grid_scores(values, nm, lam, mu, a)
-    eval_scores, b = _snaps_grid_scores(values, nm, lam, mu, b)
-    size, sh = _grid_size_sh(cal_scores, eval_scores, labels[a], labels[b],
+    eval_sets, b = _snaps_grid_sets(values, nm, lam, mu, b)
+    size, sh = _grid_size_sh(cal_scores, eval_sets, labels[a], labels[b],
                              values.shape[1], alpha)
     return grid[np.lexsort((mu, lam, lam + mu, -sh, size))[0]]
 
@@ -343,8 +479,10 @@ def _tune_raps(aps_values, ranks, labels, tune_idx, alpha, rng,
     half split."""
     a, b = _label_grouped_halves(tune_idx, labels, rng)
     grid, k_reg, lam = _raps_grid(min(num_classes, RAPS_MAX_KREG))
+    eval_sets = _exact_sets(_raps_grid_scores(aps_values, ranks, k_reg, lam, b),
+                            b.shape[0])
     size, sh = _grid_size_sh(_raps_grid_scores(aps_values, ranks, k_reg, lam, a),
-                             _raps_grid_scores(aps_values, ranks, k_reg, lam, b),
+                             eval_sets,
                              labels[a], labels[b], num_classes, alpha)
     return grid[np.lexsort((k_reg[:, 0], lam[:, 0], -sh, size))[0]]
 
@@ -379,6 +517,11 @@ def _linear_nm(nm_a: NeighborMeans, nm_b: NeighborMeans, coeff: float) -> Neighb
     )
 
 
+def _int_or_none(value) -> int | None:
+    """``value`` as a Python int (JSON has no numpy integers), None kept."""
+    return None if value is None else int(value)
+
+
 def _config_dict(cfg: ExperimentConfig, bundle: DatasetBundle) -> dict:
     return {
         "dataset": {"name": bundle.name, "n": bundle.n,
@@ -390,12 +533,12 @@ def _config_dict(cfg: ExperimentConfig, bundle: DatasetBundle) -> dict:
         "knn": {"k": cfg.knn.k, "sample_size": cfg.knn.sample_size,
                 "seed": cfg.knn.seed, "min_similarity": cfg.knn.min_similarity},
         "grid_step": cfg.grid_step,
-        "n_model_splits": cfg.n_model_splits,
-        "n_conformal_splits": cfg.n_conformal_splits,
-        "calib_size": cfg.calib_size,
-        "seed": cfg.seed,
+        "n_model_splits": int(cfg.n_model_splits),
+        "n_conformal_splits": int(cfg.n_conformal_splits),
+        "calib_size": _int_or_none(cfg.calib_size),
+        "seed": int(cfg.seed),
         "params": cfg.params.as_dict() if cfg.params is not None else None,
-        "raps_params": ({"k_reg": cfg.raps_params.k_reg,
+        "raps_params": ({"k_reg": int(cfg.raps_params.k_reg),
                          "lambda_reg": cfg.raps_params.lambda_reg}
                         if cfg.raps_params is not None else None),
     }
@@ -460,7 +603,7 @@ def run_experiment(bundle: DatasetBundle, cfg: ExperimentConfig) -> TrialReport:
                 if need_raps_tune:
                     rp = _tune_raps(base_aps.values, ranks, labels, tune_idx,
                                     cfg.alpha, rng_tune, num_classes)
-                params["k_reg"] = rp.k_reg
+                params["k_reg"] = int(rp.k_reg)
                 params["lambda_reg"] = rp.lambda_reg
                 base_values = base_aps.values + raps_penalty(ranks, rp)
             else:
@@ -495,12 +638,13 @@ def run_oracle_experiment(bundle: DatasetBundle, alpha: float = 0.05,
     Each trial calibrates on ``calib_size`` of all the nodes (None:
     min(1000, n // 2)) and tests on the rest.  An empty sweep, a repeated,
     negative or non-integer m, a calibration size outside [1, n) and an
-    ``n_trials`` that is not an integer >= 1 are rejected, and so is an
-    alpha outside (0, 1), before any trial."""
+    ``n_trials`` that is not an integer >= 1 are rejected, and so are a
+    non-integer seed and an alpha outside (0, 1), before any trial."""
     _check_alpha(alpha)
     if not 0.0 <= w <= 1.0:
         raise ValidationError("w must lie in [0, 1]")
     _check_int(n_trials, f"n_trials={n_trials}", 1)
+    _check_int(seed, f"seed={seed}")
     for m in m_sweep:
         _check_int(m, f"m_sweep holds {m!r}; each m")
     m_sweep = [int(m) for m in m_sweep]
@@ -537,8 +681,8 @@ def run_oracle_experiment(bundle: DatasetBundle, alpha: float = 0.05,
             "mode": "oracle",
             "dataset": {"name": bundle.name, "n": bundle.n,
                         "num_classes": bundle.num_classes},
-            "alpha": alpha, "m": m, "w": w, "n_trials": n_trials,
-            "calib_size": calib_size, "seed": seed,
+            "alpha": alpha, "m": m, "w": w, "n_trials": int(n_trials),
+            "calib_size": _int_or_none(calib_size), "seed": int(seed),
         }
         reports.append(make_report(config, by_m[m]))
     return reports
@@ -557,7 +701,7 @@ def _image_trial(P: np.ndarray, mass: np.ndarray, labels: np.ndarray, c: int,
     if eta > 0.0:
         values = _image_mix(values, values, nbrs, eta, zero)
     return _evaluate_trial(values, labels, calib, test, alpha, 0, t,
-                           {"k": k, "eta": eta})
+                           {"k": int(k), "eta": eta})
 
 
 def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
@@ -578,9 +722,10 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
     trial from scratch with ``image_snaps``.
     Non-finite features, probability rows that do not sum to 1, labels
     outside [0, K), a calibration size outside [1, n), eta outside [0, 1]
-    and k outside [1, n - 1] are rejected, and so are non-integer counts,
-    ``n_trials < 1`` and an alpha outside (0, 1)."""
+    and k outside [1, n - 1] are rejected, and so are non-integer counts
+    and seeds, ``n_trials < 1`` and an alpha outside (0, 1)."""
     _check_int(n_trials, f"n_trials={n_trials}", 1)
+    _check_int(seed, f"seed={seed}")
     P = validate_matrix(probabilities, "probabilities")
     feats = validate_matrix(features, "features")
     labels = np.asarray(labels, dtype=np.int64)
@@ -599,8 +744,8 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
     config = {
         "mode": "image", "dataset": {"name": name, "n": n,
                                      "num_classes": int(P.shape[1])},
-        "alpha": alpha, "k": k, "eta": eta, "n_trials": n_trials,
-        "calib_size": c, "seed": seed,
+        "alpha": alpha, "k": int(k), "eta": eta, "n_trials": int(n_trials),
+        "calib_size": int(c), "seed": int(seed),
     }
     return make_report(config, trials)
 
@@ -621,15 +766,20 @@ def generate_synthetic(n: int, num_classes: int, dim: int, homophily: float,
     pairs so that the expected fraction of same-label edges is ``homophily``
     at expected average degree ``avg_degree``.
     """
+    _check_int(n, f"n={n}")
+    _check_int(num_classes, f"num_classes={num_classes}")
+    _check_int(dim, f"dim={dim}")
+    _check_int(seed, f"seed={seed}")
     if num_classes < 2:
         raise ValidationError("need at least 2 classes")
     if n < num_classes * (TRAIN_PER_CLASS + VALID_PER_CLASS):
         raise ValidationError(
             f"n={n} too small: need >= {num_classes * 40} for per-class splits"
         )
+    # written so that a NaN fails them
     if not 0.0 <= homophily <= 1.0:
         raise ValidationError("homophily must lie in [0, 1]")
-    if class_sep < 0 or noise < 0 or avg_degree < 0:
+    if not (class_sep >= 0 and noise >= 0 and avg_degree >= 0):
         raise ValidationError("class_sep, noise and avg_degree must be >= 0")
     if dim < 1:
         raise ValidationError("dim must be >= 1")

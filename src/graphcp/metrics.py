@@ -41,32 +41,43 @@ def _check_sets(sets, labels, eval_idx):
 
 def _measure(sets, labels, eval_idx, alpha: float | None) -> MetricSummary:
     """One counting pass: whether each eval node's true label is in its set
-    and each set's size, from which coverage, Size, singleton hit and, when
-    ``alpha`` is given, SSCV all follow.  ``evaluate`` and ``sscv`` are
-    views of this summary."""
+    and each set's size, kept as one histogram over (size, covered), from
+    which coverage, Size, singleton hit and, when ``alpha`` is given, SSCV
+    all follow.  Each mean is an exact integer count divided by its row
+    count, so it has the bits of the mean over the rows.  ``evaluate`` and
+    ``sscv`` are views of this summary."""
     labels, eval_idx = _check_sets(sets, labels, eval_idx)
-    true_in = sets.mask[np.arange(eval_idx.shape[0]), labels[eval_idx]]
-    sizes = sets.sizes()
+    n, k = sets.mask.shape
+    true_labels = np.take(labels, eval_idx)
+    if true_labels.min() < 0 or true_labels.max() >= k:
+        bad = true_labels[(true_labels < 0) | (true_labels >= k)][0]
+        raise ValidationError(f"label {bad} out of range [0, {k})")
+    true_in = np.take(sets.mask.ravel(), np.arange(0, n * k, k) + true_labels)
+    # bin 2 s + t counts the sets of size s that miss (t = 0) or hold (t = 1)
+    # their true label
+    hist = np.bincount(2 * sets.sizes() + true_in, minlength=2 * k + 2)
+    of_size = hist[0::2] + hist[1::2]
+    covered = hist[1::2]
     return MetricSummary(
-        coverage=float(true_in.mean()), size=float(sizes.mean()),
-        sh=float((true_in & (sizes == 1)).mean()),
-        sscv=None if alpha is None else _worst_stratum(true_in, sizes,
-                                                      sets.num_classes, alpha),
-        n_eval=int(eval_idx.shape[0]))
+        coverage=int(covered.sum()) / n,
+        size=int(np.arange(k + 1) @ of_size) / n,
+        sh=int(covered[1]) / n,
+        sscv=None if alpha is None else _worst_stratum(of_size, covered, alpha),
+        n_eval=n)
 
 
-def _worst_stratum(true_in: np.ndarray, sizes: np.ndarray, num_classes: int,
+def _worst_stratum(of_size: np.ndarray, covered: np.ndarray,
                    alpha: float) -> float | None:
+    """SSCV from the count of sets of each size 0..K and of those among them
+    that cover their true label."""
     worst = None
     for lo, hi in SSCV_STRATA:
-        if lo > num_classes:
+        if lo >= of_size.shape[0]:
             break
-        hi = min(hi, num_classes)
-        members = (sizes >= lo) & (sizes <= hi)
-        if not members.any():
+        members = int(of_size[lo:hi + 1].sum())  # the slice stops at size K
+        if not members:
             continue
-        cov = float(true_in[members].mean())
-        dev = abs(cov - (1.0 - alpha))
+        dev = abs(int(covered[lo:hi + 1].sum()) / members - (1.0 - alpha))
         if worst is None or dev > worst:
             worst = dev
     return worst

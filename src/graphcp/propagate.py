@@ -23,11 +23,14 @@ sum does not depend on the order of its terms, so aggregation commutes
 bit-for-bit with any relabeling of the nodes, with no sort of the terms.
 
 ``combine_scores`` computes the mix as the per-row formula above.  The
-harness's tuning grid scores every grid point at once with a batched
-kernel, ``_mix``: an einsum of (G, 3) weight rows ``[ego, lam, mu]`` with
-(3, R) input rows ``[v, knn_mean, adj_mean]``, one call per (has_knn,
-has_adj) pair of rows.  Tests pin the kernel to the formula bit for bit, so
-tuning scores each grid point with the final mix's bits.
+harness's tuning grid scores its calibration half at every grid point at
+once with a batched kernel, ``_mix``: an einsum of (G, 3) weight rows
+``[ego, lam, mu]`` with (3, R) input rows ``[v, knn_mean, adj_mean]``, one
+call per (has_knn, has_adj) pair of rows.  Tests pin the kernel to the
+formula bit for bit, so the grid's thresholds have the final mix's bits.
+The evaluation half needs only each score's side of its threshold, which
+``harness._snaps_grid_sets`` decides from a float32 BLAS product of the
+same weights and inputs, certified by a proven error margin.
 """
 
 from __future__ import annotations
@@ -126,9 +129,10 @@ def _mix_weights(lam: np.ndarray, mu: np.ndarray, has_knn, has_adj) -> np.ndarra
 
 
 def _mix(w: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The tuning grid's batched mix: ``out[g, r] = w[g,0]*x[0,r] +
-    w[g,1]*x[1,r] + w[g,2]*x[2,r]`` for (G, 3) weights and (3, R) rows ``[v,
-    knn_mean, adj_mean]``, written into the (G, R) ``out``.
+    """The tuning grid's batched mix, which scores its calibration half:
+    ``out[g, r] = w[g,0]*x[0,r] + w[g,1]*x[1,r] + w[g,2]*x[2,r]`` for (G, 3)
+    weights and (3, R) rows ``[v, knn_mean, adj_mean]``, written into the
+    (G, R) ``out``.
 
     numpy's einsum loop (no BLAS, no contraction path) rounds every product
     and adds them left to right onto a +0.0 accumulator, so each entry is

@@ -135,6 +135,19 @@ def test_arguments_no_run_can_honor_exit_one(synth_dir, tmp_path, capsys, extra,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--avg-degree", "nan"], "class_sep, noise and avg_degree must be >= 0"),
+    (["--homophily", "nan"], "homophily must lie in [0, 1]"),
+])
+def test_synth_rejects_nan_ranges_with_exit_one(tmp_path, capsys, extra, message):
+    out_dir = tmp_path / "bundle"
+    code = main(["synth", "--n", "400", "--classes", "4", "--dim", "4", *extra,
+                 "--out-dir", str(out_dir)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (out_dir / "edges.txt").exists()
+
+
 def _image_argv(tmp_path, probs, feats, labels):
     """Write (calibration, test) pairs of image-mode inputs under ``tmp_path``
     and return the matching ``graphcp image`` arguments; a test-label entry of

@@ -267,10 +267,13 @@ def test_batched_raps_tuner_matches_scalar_grid(data, n, k, alpha, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.integers(min_value=1, max_value=12),
-       st.integers(min_value=1, max_value=6), st.booleans())
-def test_grid_scores_are_combine_scores_at_every_grid_point(data, n, k, mu_only):
-    # the tuning grid's batched kernel gives every grid point the final
-    # mix's bits on the tuning rows
+       st.integers(min_value=1, max_value=6), st.booleans(),
+       st.integers(min_value=0, max_value=2 ** 31))
+def test_grid_scores_are_combine_scores_at_every_grid_point(data, n, k, mu_only, seed):
+    # the tuning grid gives every grid point the final mix's bits on the
+    # tuning rows: the calibration half's scores, and the evaluation half's
+    # set memberships at thresholds drawn from the mixed values themselves,
+    # so that entries tie with their threshold
     values = _draw_matrix(data, n, k, _CELLS)
     flags = st.sampled_from([0.0, 1.0])
     nm = g.NeighborMeans(_draw_matrix(data, n, k, _CELLS),
@@ -280,16 +283,23 @@ def test_grid_scores_are_combine_scores_at_every_grid_point(data, n, k, mu_only)
     rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
     _, lam, mu = harness._snaps_grid(0.05, mu_only)
     scores, grouped = harness._snaps_grid_scores(values, nm, lam, mu, rows)
+    sets, grouped_sets = harness._snaps_grid_sets(values, nm, lam, mu, rows)
     assert sorted(grouped.tolist()) == rows.tolist()
+    assert grouped_sets.tolist() == grouped.tolist()
     labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=rows.shape[0],
                                          max_size=rows.shape[0])))
-    columns = [scores(c).copy() for c in range(k)] + [scores(labels).copy()]
-    for i, (l, m) in enumerate(zip(lam, mu)):
-        mixed = g.combine_scores(values, nm, l, m)[grouped]
-        for c, column in enumerate(columns[:k]):
-            assert column[i].tobytes() == mixed[:, c].tobytes()
-        at_label = mixed[np.arange(grouped.shape[0]), labels]
-        assert columns[k][i].tobytes() == at_label.tobytes()
+    at_labels = scores(labels).copy()
+    mixed = [g.combine_scores(values, nm, l, m)[grouped] for l, m in zip(lam, mu)]
+    picks = np.random.default_rng(seed).integers(0, grouped.shape[0] * k, lam.shape[0])
+    q = np.array([m.flat[p] for m, p in zip(mixed, picks)])
+    in_set = sets(q)
+    columns = [in_set(c, np.empty((lam.shape[0], grouped.shape[0]), dtype=bool))
+               for c in range(k)]
+    for i in range(lam.shape[0]):
+        for c, column in enumerate(columns):
+            assert column[i].tolist() == (mixed[i][:, c] <= q[i]).tolist()
+        at_label = mixed[i][np.arange(grouped.shape[0]), labels]
+        assert at_labels[i].tobytes() == at_label.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,7 +315,7 @@ def test_grid_counts_take_true_label_hits_from_the_class_passes(data, n, k, alph
     nm = g.NeighborMeans(values[::-1].copy(), values, flags, flags[::-1].copy())
     _, lam, mu = harness._snaps_grid(0.25, False)
     cal, a = harness._snaps_grid_scores(values, nm, lam, mu, np.arange(n))
-    ev, b = harness._snaps_grid_scores(values, nm, lam, mu, np.arange(n, 2 * n))
+    ev, b = harness._snaps_grid_sets(values, nm, lam, mu, np.arange(n, 2 * n))
     size, sh = harness._grid_size_sh(cal, ev, labels[a], labels[b], k, alpha)
     for i, (l, m) in enumerate(zip(lam, mu)):
         mixed = g.combine_scores(values, nm, l, m)
@@ -323,13 +333,75 @@ def test_grid_sizes_count_past_255_classes(k):
     labels = np.arange(n) % k
     _, lam, mu = harness._snaps_grid(0.05, False)
     cal, a = harness._snaps_grid_scores(values, nm, lam, mu, np.arange(0, n, 2))
-    ev, b = harness._snaps_grid_scores(values, nm, lam, mu, np.arange(1, n, 2))
+    ev, b = harness._snaps_grid_sets(values, nm, lam, mu, np.arange(1, n, 2))
     size, sh = harness._grid_size_sh(cal, ev, labels[a], labels[b], k, 0.5)
     assert size.tolist() == [k * b.shape[0]] * lam.shape[0]
     assert sh.tolist() == [0] * lam.shape[0]
     rng = np.random.default_rng(0)
     picked = harness._tune_snaps(values, nm, labels, np.arange(n), 0.5, 0.05, rng)
     assert (picked.lam, picked.mu) == (0.0, 0.0)
+
+
+def _screened_counts(data, n, k, alpha, grid_step, margin, monkeypatch):
+    """Grid counts of ``_grid_size_sh`` through the screen with
+    ``_screen_margin`` patched to ``margin``, the reference counts of
+    ``combine_scores`` at every grid point, how many entries the screen
+    left to ``_rescored``, and the mixed values and thresholds."""
+    values = _draw_matrix(data, 2 * n, k, _CELLS)
+    flags = st.sampled_from([0.0, 1.0])
+    nm = g.NeighborMeans(_draw_matrix(data, 2 * n, k, _CELLS),
+                         _draw_matrix(data, 2 * n, k, _CELLS),
+                         _draw_matrix(data, 2 * n, 1, flags)[:, 0],
+                         _draw_matrix(data, 2 * n, 1, flags)[:, 0])
+    labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=2 * n,
+                                         max_size=2 * n)))
+    rescored, real = [], harness._rescored
+    monkeypatch.setattr(harness, "_screen_margin", margin)
+    monkeypatch.setattr(harness, "_rescored",
+                        lambda w, x, q: rescored.append(q.shape[0]) or real(w, x, q))
+    _, lam, mu = harness._snaps_grid(grid_step, False)
+    cal, a = harness._snaps_grid_scores(values, nm, lam, mu, np.arange(n))
+    ev, b = harness._snaps_grid_sets(values, nm, lam, mu, np.arange(n, 2 * n))
+    with np.errstate(invalid="ignore"):  # inf - inf at an infinite threshold
+        size, sh = harness._grid_size_sh(cal, ev, labels[a], labels[b], k, alpha)
+    mixed, q, want = [], [], []
+    rank = g.conformal_rank(n, alpha)
+    for l, m in zip(lam, mu):
+        mix = g.combine_scores(values, nm, l, m)
+        ref = _ref_size_sh(mix[a], labels[a], mix[b], labels[b], alpha)
+        want.append((round(ref[0] * n), round(ref[1] * n)))
+        true_scores = np.sort(mix[a, labels[a]])
+        q.append(true_scores[rank - 1] if rank <= n else math.inf)
+        mixed.append(mix[b])
+    return list(zip(size.tolist(), sh.tolist())), want, sum(rescored), mixed, q
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=30),
+       st.integers(min_value=1, max_value=5), _ALPHAS)
+def test_screen_rescoring_every_entry_gives_the_formula_counts(data, n, k, alpha):
+    # an infinite margin sends every entry of every class pass through the
+    # plain formula, and the counts stay those of combine_scores
+    with pytest.MonkeyPatch.context() as mp:
+        got, want, rescored, mixed, _ = _screened_counts(
+            data, n, k, alpha, 0.05,
+            lambda q, scale: np.full(q.shape, math.inf), mp)
+    assert got == want
+    assert rescored == len(mixed) * n * k
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=30),
+       st.integers(min_value=1, max_value=5), _ALPHAS)
+def test_zero_width_screen_rescores_every_entry_on_its_threshold(data, n, k, alpha):
+    # quarter weights on quarter values mix exactly in any order, so the BLAS
+    # value of an entry is its formula value; a zero-width band is the
+    # threshold itself, and the screen must decide none of the entries on it
+    with pytest.MonkeyPatch.context() as mp:
+        got, want, rescored, mixed, q = _screened_counts(
+            data, n, k, alpha, 0.25, lambda q, scale: np.zeros(q.shape), mp)
+    assert got == want
+    assert rescored == sum(int(np.count_nonzero(m == t)) for m, t in zip(mixed, q))
 
 
 @settings(max_examples=100, deadline=None)
@@ -606,6 +678,76 @@ def test_synthetic_validation():
     with pytest.raises(ValidationError, match="infeasible"):
         g.generate_synthetic(n=120, num_classes=3, dim=4, homophily=1.0,
                              class_sep=1.0, noise=1.0, seed=0, avg_degree=100.0)
+
+
+_SYNTH = dict(n=400, num_classes=4, dim=4, homophily=0.8, class_sep=1.0,
+              noise=1.0, seed=0)
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"avg_degree": math.nan}, "avg_degree must be >= 0"),
+    ({"class_sep": math.nan}, "class_sep, noise and avg_degree"),
+    ({"noise": math.nan}, "class_sep, noise and avg_degree"),
+    ({"homophily": math.nan}, r"homophily must lie in \[0, 1\]"),
+    ({"n": 400.5}, "n=400.5 must be an integer"),
+    ({"num_classes": 4.0}, "num_classes=4.0 must be an integer"),
+    ({"dim": True}, "dim=True must be an integer"),
+    ({"seed": 1.5}, "seed=1.5 must be an integer"),
+])
+def test_synthetic_rejects_nan_ranges_and_non_integer_counts(override, message):
+    with pytest.raises(ValidationError, match=message):
+        g.generate_synthetic(**{**_SYNTH, **override})
+
+
+def test_synthetic_accepts_numpy_integer_counts():
+    want = g.generate_synthetic(**_SYNTH)
+    got = g.generate_synthetic(**{**_SYNTH, "n": np.int64(400),
+                                  "num_classes": np.int32(4), "dim": np.int64(4)})
+    assert got.edges.tobytes() == want.edges.tobytes()
+    assert got.features.tobytes() == want.features.tobytes()
+
+
+@pytest.mark.parametrize("calib_size", [True, 2.0, "10"])
+def test_config_rejects_non_integer_calibration_size(calib_size):
+    with pytest.raises(ValidationError, match="calib_size=.* must be an integer"):
+        g.ExperimentConfig(calib_size=calib_size)
+
+
+@pytest.mark.parametrize("run", [
+    lambda b, seed: g.run_experiment(b, g.ExperimentConfig(method="aps", seed=seed)),
+    lambda b, seed: g.run_oracle_experiment(b, n_trials=1, seed=seed),
+    lambda b, seed: g.run_image_experiment(b.probabilities, b.features, b.labels,
+                                           n_trials=1, seed=seed),
+    lambda b, seed: g.KnnConfig(k=5, seed=seed),
+])
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_runners_reject_non_integer_seeds(small_bundle, run, seed):
+    with pytest.raises(ValidationError, match=f"seed={seed} must be an integer"):
+        run(small_bundle, seed)
+
+
+def _report_bytes(report, path):
+    g.write_report(report, path)
+    return path.read_bytes()
+
+
+def test_runner_reports_store_numpy_integer_counts_as_ints(small_bundle, tmp_path):
+    b = small_bundle
+    pairs = [
+        (lambda i: g.run_image_experiment(b.probabilities, b.features, b.labels,
+                                          k=i(2), n_trials=i(2), calib_size=i(100),
+                                          seed=i(3))),
+        (lambda i: g.run_oracle_experiment(b, n_trials=i(2), m_sweep=(0, i(2)),
+                                           calib_size=i(150), seed=i(4))[1]),
+        (lambda i: g.run_experiment(b, g.ExperimentConfig(
+            method="snaps", base="raps", n_model_splits=i(1), n_conformal_splits=i(2),
+            calib_size=i(120), seed=i(5), grid_step=0.25,
+            knn=g.KnnConfig(k=i(5), sample_size=i(50), seed=i(6)),
+            raps_params=g.RapsParams(i(2), 0.1)))),
+    ]
+    for run in pairs:
+        want = _report_bytes(run(int), tmp_path / "python.json")
+        assert _report_bytes(run(np.int64), tmp_path / "numpy.json") == want
 
 
 def _spearman(xs, ys):

@@ -166,3 +166,40 @@ def test_empty_eval_rejected():
     mask = np.zeros((0, 3), dtype=bool)
     with pytest.raises(ValidationError, match="empty"):
         g.evaluate(make_sets(mask), np.zeros(0, dtype=int))
+
+
+def _direct_metrics(mask, labels, alpha):
+    """Coverage, Size, singleton hit and SSCV as numpy means over the rows."""
+    true_in = mask[np.arange(mask.shape[0]), labels]
+    sizes = mask.sum(axis=1)
+    worst = None
+    for lo, hi in SSCV_STRATA:
+        members = (sizes >= lo) & (sizes <= min(hi, mask.shape[1]))
+        if lo > mask.shape[1] or not members.any():
+            continue
+        dev = abs(float(true_in[members].mean()) - (1.0 - alpha))
+        worst = dev if worst is None else max(worst, dev)
+    return (float(true_in.mean()), float(sizes.mean()),
+            float((true_in & (sizes == 1)).mean()), worst)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=300),
+       st.sampled_from([0.0, 0.01, 0.3, 0.9, 1.0]),
+       st.sampled_from([0.05, 0.1, 0.2]), st.integers(min_value=0, max_value=2 ** 31))
+def test_size_histogram_metrics_are_the_row_means_bit_for_bit(n, k, density, alpha, seed):
+    # the histogram counts give the bits of the per-row means, for set
+    # sizes past 255 and with strata left empty (all-empty or all-full sets)
+    rng = np.random.default_rng(seed)
+    mask = rng.uniform(size=(n, k)) < density
+    labels = rng.integers(0, k, size=n)
+    summary = g.metrics._measure(make_sets(mask), labels, None, alpha)
+    got = (summary.coverage, summary.size, summary.sh, summary.sscv)
+    assert got == _direct_metrics(mask, labels, alpha)
+
+
+def test_labels_outside_the_sets_are_rejected():
+    sets = make_sets(np.ones((3, 4), dtype=bool))
+    for bad in (4, -1):
+        with pytest.raises(ValidationError, match=f"label {bad} out of range"):
+            g.evaluate(sets, np.array([0, bad, 1]))

@@ -18,7 +18,8 @@ def _load(name):
 def test_stage_times_runs_every_stage_at_small_shapes(tmp_path, monkeypatch, capsys):
     script = _load("stage_times")
     for name, value in dict(N=400, EXACT_N=400, IMAGE_N=400, IMAGE_CALIB=100,
-                            IMAGE_TRIALS=4, REPEATS=1, SAMPLE_M=200).items():
+                            IMAGE_TRIALS=4, SNAPS_TRIALS=3, REPEATS=1,
+                            SAMPLE_M=200).items():
         monkeypatch.setattr(script, name, value)
     # image_neighbors times the one image-mode neighbor search
     searched, real = [], script.g.propagate._image_neighbors
@@ -30,12 +31,37 @@ def test_stage_times_runs_every_stage_at_small_shapes(tmp_path, monkeypatch, cap
     assert searched == [5]
     data = json.loads(out.read_text())
     assert set(data["stages"]) == {"load_bundle", "sampled_knn_build", "neighbor_means",
-                                   "exact_knn_build", "image_neighbors", "image_trials"}
+                                   "exact_knn_build", "snaps_tunes", "trial_evaluations",
+                                   "image_neighbors", "image_trials"}
     # the pool's neighbor search runs at depth k, whatever the trial count
     assert data["config"]["image"]["neighbor_depth"] == 5
     for shape in ("exact", "image"):
         assert data["config"][shape]["fallback_rows"] >= 0
-    assert len(capsys.readouterr().out.splitlines()) == 6
+    # one count of undecided screen entries per recorded tune
+    undecided = data["config"]["snaps"]["undecided_entries"]
+    assert len(undecided) == 3 and min(undecided) >= 0
+    assert len(capsys.readouterr().out.splitlines()) == 8
+
+
+def test_stage_times_replays_the_calls_of_one_operation(monkeypatch):
+    script = _load("stage_times")
+    bundle = script.g.generate_synthetic(n=400, num_classes=4, dim=4, homophily=0.8,
+                                         class_sep=2.0, noise=1.0, seed=3)
+    cfg = script.g.ExperimentConfig(method="daps", n_model_splits=1,
+                                    n_conformal_splits=2, seed=3)
+    calls = script.recorded_calls(bundle, cfg, ("_tune_snaps", "_evaluate_trial"))
+    assert [len(c) for c in calls.values()] == [2, 2]
+    # a replayed tune draws the same halves and picks the operation's weights
+    picked = [t.params for t in script.g.run_experiment(bundle, cfg).trials]
+    for (args, kwargs), params in zip(calls["_tune_snaps"], picked):
+        assert kwargs == {"mu_only": True}
+        got = script.g.harness._tune_snaps(*script.fresh(args), **kwargs)
+        assert got.as_dict() == params
+    assert len(script.replayed(script.g.harness._tune_snaps,
+                               calls["_tune_snaps"], 2)) == 2
+    # the recorded generators are left as they were, so replays repeat
+    assert script.undecided_entries(calls["_tune_snaps"]) == \
+        script.undecided_entries(calls["_tune_snaps"])
 
 
 def test_stage_times_counts_the_rows_the_screen_scores_in_full():
