@@ -7,7 +7,12 @@ Generates a planted-partition bundle (K=8, d=8, homophily 0.8, class_sep
 2.0, noise 1.0, seed 1), saves it to a temporary directory, then times each
 stage 5 times on its own:
 
-* ``load_bundle``: read and validate the saved bundle files;
+* ``generate_synthetic``: draw the bundle (its edges symmetrized by
+  ``symmetrize_edges``);
+* ``save_bundle``: write its files (matrices, label and edge text, manifest);
+* ``load_bundle``: read and validate the saved bundle files; the JSON also
+  records the peak of memory traced by ``tracemalloc`` during one more load
+  (``traced_peak_bytes``, next to its seconds);
 * ``sampled_knn_build``: ``build_knn_graph`` in sampled mode (k=20, M=200);
 * ``neighbor_means``: one aggregation of the APS score matrix over the
   k-NN graph and the structural adjacency.
@@ -67,6 +72,7 @@ import platform
 import statistics
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +107,16 @@ def timed(fn, repeats):
         result = fn()
         runs.append(time.perf_counter() - start)
     return runs, result
+
+
+def traced_peak(fn):
+    """Peak bytes ``tracemalloc`` traces while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def fallback_rows(normed, k):
@@ -189,14 +205,17 @@ def main():
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args()
 
-    bundle = g.generate_synthetic(n=N, num_classes=8, dim=8, homophily=0.8,
-                                  class_sep=2.0, noise=1.0, seed=SEED)
-    knn_cfg = g.KnnConfig(k=K, sample_size=SAMPLE_M, seed=SEED)
     stages = {}
+    stages["generate_synthetic"], bundle = timed(
+        lambda: g.generate_synthetic(n=N, num_classes=8, dim=8, homophily=0.8,
+                                     class_sep=2.0, noise=1.0, seed=SEED), REPEATS)
+    knn_cfg = g.KnnConfig(k=K, sample_size=SAMPLE_M, seed=SEED)
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = g.save_bundle(bundle, tmp)
+        stages["save_bundle"], manifest = timed(lambda: g.save_bundle(bundle, tmp),
+                                                REPEATS)
         stages["load_bundle"], bundle = timed(lambda: g.load_bundle(manifest),
                                               REPEATS)
+        load_peak = traced_peak(lambda: g.load_bundle(manifest))
     stages["sampled_knn_build"], knn = timed(
         lambda: g.build_knn_graph(bundle.features, knn_cfg), REPEATS)
     adj = g.adjacency_graph(bundle.n, bundle.edges)
@@ -235,6 +254,7 @@ def main():
     for name, runs in stages.items():
         print(f"{name:<18} median {statistics.median(runs):.3f} s  "
               f"min {min(runs):.3f} s  (n={len(runs)})")
+    print(f"{'load_bundle':<18} traced peak {load_peak / 2 ** 20:.1f} MiB")
     out = {
         "context": {
             "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -261,6 +281,7 @@ def main():
                           "runs_s": runs}
                    for name, runs in stages.items()},
     }
+    out["stages"]["load_bundle"]["traced_peak_bytes"] = load_peak
     Path(args.out).write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
 
 

@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .matrixio import _check_int, validate_matrix
+from .matrixio import _check_int, _plain_float, validate_matrix
 from .scores import _counter_uniform
 
 EXACT_MODE_MAX_N = 50_000
@@ -173,6 +173,7 @@ class KnnConfig:
     def __post_init__(self):
         _check_int(self.k, f"k={self.k}", 0)
         _check_int(self.seed, f"seed={self.seed}")
+        object.__setattr__(self, "min_similarity", _plain_float(self.min_similarity))
         if math.isnan(self.min_similarity):
             raise ValidationError("min_similarity must not be NaN")
         if self.sample_size is not None:

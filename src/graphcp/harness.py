@@ -59,6 +59,7 @@ from .graph import (
 from .matrixio import (
     DatasetBundle,
     _check_int,
+    _plain_float,
     make_bundle,
     validate_labels,
     validate_matrix,
@@ -114,6 +115,8 @@ class ExperimentConfig:
     raps_params: RapsParams | None = None  # forced regularization, skips tuning
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", _plain_float(self.alpha))
+        object.__setattr__(self, "grid_step", _plain_float(self.grid_step))
         _check_alpha(self.alpha)
         if self.method not in METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
@@ -640,6 +643,7 @@ def run_oracle_experiment(bundle: DatasetBundle, alpha: float = 0.05,
     negative or non-integer m, a calibration size outside [1, n) and an
     ``n_trials`` that is not an integer >= 1 are rejected, and so are a
     non-integer seed and an alpha outside (0, 1), before any trial."""
+    alpha, w = _plain_float(alpha), _plain_float(w)
     _check_alpha(alpha)
     if not 0.0 <= w <= 1.0:
         raise ValidationError("w must lie in [0, 1]")
@@ -726,6 +730,7 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
     and seeds, ``n_trials < 1`` and an alpha outside (0, 1)."""
     _check_int(n_trials, f"n_trials={n_trials}", 1)
     _check_int(seed, f"seed={seed}")
+    alpha, eta = _plain_float(alpha), _plain_float(eta)
     P = validate_matrix(probabilities, "probabilities")
     feats = validate_matrix(features, "features")
     labels = np.asarray(labels, dtype=np.int64)

@@ -10,6 +10,10 @@ are supported:
 A dataset bundle groups node features (N x d), predicted probabilities
 (N x K), integer labels in [0, K) and an undirected edge list, wired
 together by a small ``key = value`` manifest file.
+
+Label and edge files are read in blocks of ``_BLOCK`` bytes, so a loader
+holds about one block besides its output; ``save_bundle`` formats them with
+array operations, byte-equal to formatting each value with ``str``.
 """
 
 from __future__ import annotations
@@ -62,6 +66,14 @@ def _check_int(value, what: str, low: int | None = None) -> None:
         raise ValidationError(f"{what} must be an integer")
     if low is not None and value < low:
         raise ValidationError(f"{what} must be >= {low}")
+
+
+def _plain_float(value):
+    """``value`` with a numpy floating scalar read as the Python float of its
+    decimal text, ``float(str(x))``: configs then hold JSON numbers, and the
+    decimal ``conformal_rank`` reads from alpha is kept.  Anything else is
+    returned as it is."""
+    return float(str(value)) if isinstance(value, np.floating) else value
 
 
 def validate_matrix(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -149,14 +161,13 @@ def _load_binary(path: Path) -> np.ndarray:
     if len(raw) < 12 or raw[:4] != _MAGIC:
         raise ValidationError(f"{path}: missing {_MAGIC.decode()} header")
     rows, cols = struct.unpack("<II", raw[4:12])
-    payload = raw[12:]
     expected = rows * cols * 4
-    if len(payload) != expected:
+    if len(raw) - 12 != expected:
         raise ValidationError(
             f"{path}: header says {rows}x{cols} ({expected} payload bytes), "
-            f"found {len(payload)}"
+            f"found {len(raw) - 12}"
         )
-    data = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    data = np.frombuffer(raw, dtype="<f4", offset=12).astype(np.float64)
     return validate_matrix(data.reshape(rows, cols), str(path))
 
 
@@ -216,18 +227,82 @@ _BYTE_CLASS[ord("0"):ord("9") + 1] = 2
 _BYTE_CLASS[ord("-")] = 3
 
 
+def _scan_tokens(raw: bytes, top: int):
+    """(byte classes, token starts, token ends, tokens per line) of ASCII
+    text whose lines end at LF, where a token is a run of digits and '-';
+    None when a byte's class is above ``top``."""
+    cls = np.take(_BYTE_CLASS, np.frombuffer(raw, dtype=np.uint8))
+    if (cls > top).any():
+        return None
+    token = np.zeros(cls.size + 2, dtype=bool)
+    np.greater_equal(cls, 2, out=token[1:-1])
+    # token bytes open and close in turn
+    bounds = np.flatnonzero(token[1:] != token[:-1])
+    starts, ends = bounds[0::2], bounds[1::2]
+    before = np.searchsorted(starts, np.flatnonzero(cls == 1))
+    return cls, starts, ends, np.diff(before, prepend=0, append=starts.size)
+
+
+# bytes per read of a label or edge file: a loader holds about one block,
+# and the parse's temporaries of it, besides its output
+_BLOCK = 1 << 17
+
+
+def _line_blocks(path: Path):
+    """Yield the bytes of ``path`` in blocks of about ``_BLOCK`` bytes, each
+    cut after its last CR or LF, so that no line spans two blocks.  A CRLF
+    split between two blocks only adds a blank line, which both text
+    grammars skip."""
+    with open(path, "rb") as fh:
+        rest = b""
+        while chunk := fh.read(_BLOCK):
+            block = rest + chunk
+            cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
+            if cut:
+                yield block[:cut]
+            rest = block[cut:]
+        if rest:
+            yield rest
+
+
+def _parse_blocks(path: Path, parse, per_line: int) -> np.ndarray | None:
+    """The int64 values ``parse`` reads from each block of ``path``, in
+    order, as one flat array; None as soon as a block is outside the
+    grammar of ``parse`` (which reads at most ``per_line`` values a line).
+
+    A first pass counts lines, so the result is allocated once: blank and
+    comment lines are the only slack, trimmed at the end."""
+    lines = 0
+    for block in _line_blocks(path):
+        # lines end at LF, CRLF or CR, and the last one may end the file
+        lines += (np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == 10)
+                  + (block[-1:] not in b"\r\n"))
+        if b"\r" in block:
+            lines += block.count(b"\r") - block.count(b"\r\n")
+    out = np.empty(lines * per_line, dtype=np.int64)
+    filled = 0
+    for block in _line_blocks(path):
+        values = parse(block)
+        # more values than the first pass made room for: the file changed
+        if values is None or filled + values.size > out.size:
+            return None
+        out[filled:filled + values.size] = values.ravel()
+        filled += values.size
+    return out if filled == out.size else out[:filled].copy()
+
+
 def load_labels(path, num_classes: int | None = None) -> np.ndarray:
     """One integer label per line, each in [0, num_classes); the first label
     outside that range is named by its file, line and value.
 
-    A plain file is parsed at once (``_parse_label_bytes``); any other file
-    goes through the line loop, which gives the same labels or names the
-    first bad line."""
+    A plain file is parsed block by block (``_parse_label_bytes``); any other
+    file goes through the line loop, which gives the same labels or names
+    the first bad line."""
     path = Path(path)
     _require_file(path)
     # without a class count, any label an int64 holds
     limit = 2 ** 63 if num_classes is None else num_classes
-    labels = _parse_label_bytes(path.read_bytes(), limit)
+    labels = _parse_blocks(path, lambda raw: _parse_label_bytes(raw, limit), 1)
     return _load_label_lines(path, limit) if labels is None else labels
 
 
@@ -238,15 +313,14 @@ def _parse_label_bytes(raw: bytes, limit: int) -> np.ndarray | None:
     as in text-mode reading."""
     if not raw.isascii():
         return None
-    raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    cls = _BYTE_CLASS[np.frombuffer(raw, dtype=np.uint8)]
-    if (cls > 2).any():
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    scan = _scan_tokens(raw, 2)
+    if scan is None:
         return None
-    bounds = np.diff((cls == 2).view(np.int8), prepend=0, append=0)
-    starts, ends = np.flatnonzero(bounds == 1), np.flatnonzero(bounds == -1)
+    _, starts, ends, per_line = scan
     # one token per line, of at most 18 digits
-    lines = np.searchsorted(np.flatnonzero(cls == 1), starts)
-    if (ends - starts > 18).any() or (lines[1:] == lines[:-1]).any():
+    if (ends - starts > 18).any() or (per_line > 1).any():
         return None
     if not starts.size:
         return np.empty(0, dtype=np.int64)
@@ -280,15 +354,15 @@ def load_edges(path) -> np.ndarray:
     """Whitespace-separated node-index pairs, one edge per line; blank lines
     and lines starting with ``#`` are skipped.
 
-    The whole file is parsed at once (``_parse_edge_bytes``); a file outside
-    that parser's plain-ASCII grammar goes through the line loop
-    (``_load_edge_lines``), which gives the same pairs or names the first bad
-    line.
+    The file is parsed block by block (``_parse_edge_bytes``); a file with
+    any block outside that parser's plain-ASCII grammar goes through the line
+    loop (``_load_edge_lines``), which gives the same pairs or names the
+    first bad line.
     """
     path = Path(path)
     _require_file(path)
-    pairs = _parse_edge_bytes(path.read_bytes())
-    return _load_edge_lines(path) if pairs is None else pairs
+    pairs = _parse_blocks(path, _parse_edge_bytes, 2)
+    return _load_edge_lines(path) if pairs is None else pairs.reshape(-1, 2)
 
 
 _COMMENT_LINE = re.compile(rb"^[ \t]*#.*$", re.MULTILINE)
@@ -301,25 +375,25 @@ def _parse_edge_bytes(raw: bytes) -> np.ndarray | None:
     file.  Lines end at LF, CRLF or CR, as in text-mode reading."""
     if not raw.isascii():
         return None
-    raw = _COMMENT_LINE.sub(b"", raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
-    cls = _BYTE_CLASS[np.frombuffer(raw, dtype=np.uint8)]
-    if (cls == 4).any():
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if b"#" in raw:
+        raw = _COMMENT_LINE.sub(b"", raw)
+    scan = _scan_tokens(raw, 3)
+    if scan is None:
         return None
-    bounds = np.diff((cls >= 2).view(np.int8), prepend=0, append=0)
-    starts, ends = np.flatnonzero(bounds == 1), np.flatnonzero(bounds == -1)
+    cls, starts, ends, per_line = scan
+    if not starts.size:
+        return np.empty((0, 2), dtype=np.int64)
     signed = cls[starts] == 3
     digits = ends - starts - signed
-    # every '-' opens a token, and a token holds 1 to 18 digits
+    # every '-' opens a token, a token holds 1 to 18 digits, and a line
+    # holds no token or the two of one edge
     if (np.count_nonzero(cls == 3) != np.count_nonzero(signed)
-            or (digits < 1).any() or (digits > 18).any() or starts.size % 2):
-        return None
-    # the two tokens of an edge share a line, and each edge has its own
-    lines = np.searchsorted(np.flatnonzero(cls == 1), starts)
-    if (lines[0::2] != lines[1::2]).any() or (lines[2::2] == lines[1:-1:2]).any():
+            or (digits < 1).any() or (digits > 18).any()
+            or ((per_line != 0) & (per_line != 2)).any()):
         return None
     values = np.fromstring(raw, dtype=np.int64, sep=" ")
-    # np.fromstring reads a blank string as [0]; such a file is left to the
-    # line loop
     return values.reshape(-1, 2) if values.size == starts.size else None
 
 
@@ -368,17 +442,26 @@ def symmetrize_edges(edges: np.ndarray, n: int) -> tuple[np.ndarray, int]:
             bad = edges[(edges < 0).any(axis=1) | (edges >= n).any(axis=1)][0]
             raise ValidationError(f"edge endpoint out of range: {tuple(bad)} (n={n})")
     loops = edges[:, 0] == edges[:, 1]
-    dropped = int(loops.sum())
-    edges = edges[~loops]
-    if edges.size == 0:
+    dropped = int(np.count_nonzero(loops))
+    if dropped:
+        edges = edges[~loops]
+    m = edges.shape[0]
+    if m == 0:
         return np.empty((0, 2), dtype=np.int64), dropped
     # one int64 key per arc orders arcs lexicographically, as 0 <= v < n;
-    # a sort and an adjacent-difference mask dedup them (np.unique hashes in
-    # numpy 2.4: 0.066 s against 0.0013 s on 100k keys)
-    keys = np.sort(np.concatenate([edges[:, 0] * n + edges[:, 1],
-                                   edges[:, 1] * n + edges[:, 0]]))
+    # an in-place sort and an adjacent-difference mask dedup them (np.unique
+    # hashes in numpy 2.4: 0.066 s against 0.0013 s on 100k keys)
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.multiply(edges[:, 0], n, out=keys[:m])
+    keys[:m] += edges[:, 1]
+    np.multiply(edges[:, 1], n, out=keys[m:])
+    keys[m:] += edges[:, 0]
+    keys.sort()
     keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
-    return np.column_stack([keys // n, keys % n]), dropped
+    arcs = np.empty((keys.shape[0], 2), dtype=np.int64)
+    np.floor_divide(keys, n, out=arcs[:, 0])
+    np.remainder(keys, n, out=arcs[:, 1])
+    return arcs, dropped
 
 
 def make_bundle(
@@ -477,13 +560,10 @@ def save_bundle(bundle: DatasetBundle, out_dir) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix(bundle.features, out_dir / "features.snpm")
     write_matrix(bundle.probabilities, out_dir / "probabilities.snpm")
-    # tolist() gives Python ints, several times faster to format than
-    # numpy scalars
-    with atomic_open(out_dir / "labels.txt", "w", encoding="utf-8") as fh:
-        fh.writelines(f"{lab}\n" for lab in bundle.labels.tolist())
-    upper = bundle.edges[bundle.edges[:, 0] < bundle.edges[:, 1]]
-    with atomic_open(out_dir / "edges.txt", "w", encoding="utf-8") as fh:
-        fh.writelines(f"{u} {v}\n" for u, v in upper.tolist())
+    with atomic_open(out_dir / "labels.txt", "wb") as fh:
+        _write_int_rows(fh, bundle.labels[:, None])
+    with atomic_open(out_dir / "edges.txt", "wb") as fh:
+        _write_int_rows(fh, bundle.edges[bundle.edges[:, 0] < bundle.edges[:, 1]])
     manifest = out_dir / "manifest.txt"
     with atomic_open(manifest, "w", encoding="utf-8") as fh:
         fh.write(f"name = {bundle.name}\n")
@@ -493,6 +573,41 @@ def save_bundle(bundle: DatasetBundle, out_dir) -> Path:
         fh.write("edges = edges.txt\n")
         fh.write(f"classes = {bundle.num_classes}\n")
     return manifest
+
+
+# 10^0 .. 10^18: an int64 has at most 19 decimal digits
+_POW10 = 10 ** np.arange(19, dtype=np.uint64)
+
+
+def _write_int_rows(fh, table: np.ndarray) -> None:
+    """Write an integer table to the binary file ``fh`` as decimal text, one
+    row a line, values separated by one space: the bytes of
+    ``" ".join(f"{v}" for v in row) + "\\n"`` for each row, made with array
+    operations on blocks of rows."""
+    table = np.asarray(table, dtype=np.int64)
+    cols = table.shape[1]
+    step = max(1, _BLOCK // (8 * cols))
+    for lo in range(0, table.shape[0], step):
+        flat = table[lo:lo + step].ravel()
+        neg = flat < 0
+        # |v| as uint64; abs wraps -2^63 onto itself, whose bits read 2^63
+        mag = np.abs(flat).view(np.uint64)
+        digits = np.maximum(np.searchsorted(_POW10, mag, side="right"), 1)
+        # each value's field (sign, digits, separator) ends at its separator
+        ends = np.cumsum(digits + neg + 1) - 1
+        text = np.empty(ends[-1] + 1, dtype=np.uint8)
+        text[ends] = ord(" ")
+        text[ends[cols - 1::cols]] = ord("\n")
+        text[(ends - digits - 1)[neg]] = ord("-")
+        # the digits from the last: every value writes one, and those with
+        # more left go on to the next
+        pos, rest, ten = ends - 1, mag, np.uint64(10)
+        while pos.size:
+            quot = rest // ten
+            text[pos] = (rest - quot * ten).astype(np.uint8) + np.uint8(ord("0"))
+            more = quot != 0
+            pos, rest = pos[more] - 1, quot[more]
+        fh.write(text.tobytes())
 
 
 @contextmanager

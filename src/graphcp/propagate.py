@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import SparseGraph, _exact_row_sums, _knn_lists, _normalized_rows
-from .matrixio import _check_int, validate_matrix
+from .matrixio import _check_int, _plain_float, validate_matrix
 from .scores import ScoreMatrix
 
 _MASK32 = 0xFFFFFFFF
@@ -56,6 +56,8 @@ class SnapsParams:
     mu: float
 
     def __post_init__(self):
+        object.__setattr__(self, "lam", _plain_float(self.lam))
+        object.__setattr__(self, "mu", _plain_float(self.mu))
         # written so that a NaN weight fails them
         if not (self.lam >= 0 and self.mu >= 0):
             raise ValidationError("aggregation weights must be >= 0")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .matrixio import validate_probabilities
+from .matrixio import _plain_float, validate_probabilities
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -64,6 +64,7 @@ class RapsParams:
     lambda_reg: float
 
     def __post_init__(self):
+        object.__setattr__(self, "lambda_reg", _plain_float(self.lambda_reg))
         # NaN fails both; an infinite lambda_reg gives NaN penalties (inf * 0)
         if not self.k_reg >= 1:
             raise ValidationError("k_reg must be >= 1")

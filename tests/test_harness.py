@@ -750,6 +750,31 @@ def test_runner_reports_store_numpy_integer_counts_as_ints(small_bundle, tmp_pat
         assert _report_bytes(run(np.int64), tmp_path / "numpy.json") == want
 
 
+def test_runner_reports_store_numpy_float_scalars_as_their_decimals(small_bundle, tmp_path):
+    # a numpy float in a config is read as the decimal it prints, the one
+    # conformal_rank reads from alpha; np.float32 crashed write_report
+    b = small_bundle
+    runs = [
+        (lambda f: g.run_image_experiment(b.probabilities, b.features, b.labels,
+                                          alpha=f(0.1), k=2, eta=f(0.3), n_trials=2,
+                                          calib_size=100, seed=3)),
+        (lambda f: g.run_oracle_experiment(b, alpha=f(0.1), w=f(0.3), n_trials=2,
+                                           m_sweep=(0, 2), calib_size=150, seed=4)[1]),
+        (lambda f: g.run_experiment(b, g.ExperimentConfig(
+            alpha=f(0.1), method="snaps", base="raps", n_model_splits=1,
+            n_conformal_splits=2, calib_size=120, seed=5, grid_step=f(0.25),
+            knn=g.KnnConfig(k=5, sample_size=50, seed=6, min_similarity=f(0.1)),
+            raps_params=g.RapsParams(2, f(0.1))))),
+        (lambda f: g.run_experiment(b, g.ExperimentConfig(
+            alpha=f(0.1), method="daps", n_model_splits=1, n_conformal_splits=2,
+            seed=7, params=g.SnapsParams(0.0, f(0.3))))),
+    ]
+    for run in runs:
+        want = _report_bytes(run(float), tmp_path / "python.json")
+        for numpy_float in (np.float32, np.float64):
+            assert _report_bytes(run(numpy_float), tmp_path / "numpy.json") == want
+
+
 def _spearman(xs, ys):
     def rank(v):
         order = np.argsort(v)

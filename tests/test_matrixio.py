@@ -1,7 +1,10 @@
-import dataclasses
+import io
 import struct
+import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -270,9 +273,12 @@ _EDGE_LINES = st.one_of(
 )
 
 
+_EDGE_FILES = (st.lists(_EDGE_LINES, max_size=10), st.sampled_from(["\n", "\r\n", "\r"]),
+               st.booleans(), st.sampled_from([b"", b"\xff", b"\xc3"]))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_EDGE_LINES, max_size=10), st.sampled_from(["\n", "\r\n", "\r"]),
-       st.booleans(), st.sampled_from([b"", b"\xff", b"\xc3"]))
+@given(*_EDGE_FILES)
 @example(["0 1", "# c", "", "2\t3"], "\n", True, b"")
 @example(["0 1 2"], "\n", False, b"")
 @example(["0 -"], "\n", False, b"")
@@ -280,6 +286,22 @@ _EDGE_LINES = st.one_of(
 @example(["4-7 1"], "\n", False, b"")
 @example(["9" * 19 + " 1"], "\n", False, b"")
 def test_load_edges_matches_line_parser(tmp_path_factory, lines, sep, trailing, tail):
+    _check_edge_file(tmp_path_factory, lines, sep, trailing, tail)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@settings(max_examples=300, deadline=None)
+@given(*_EDGE_FILES)
+@example(["0 1", "# c", "", "2\t3"], "\r\n", True, b"")
+@example(["0 1", "#" * 9, "12 -345"], "\r", False, b"\xff")
+def test_load_edges_matches_line_parser_in_small_blocks(tmp_path_factory, block, lines,
+                                                         sep, trailing, tail):
+    # blocks cut inside lines' tokens, CRLF pairs, comments and non-UTF-8 tails
+    with mock.patch.object(g.matrixio, "_BLOCK", block):
+        _check_edge_file(tmp_path_factory, lines, sep, trailing, tail)
+
+
+def _check_edge_file(tmp_path_factory, lines, sep, trailing, tail):
     path = tmp_path_factory.mktemp("edges") / "e.txt"
     path.write_bytes((sep.join(lines) + (sep if trailing else "")).encode() + tail)
     got, want = _outcome(g.load_edges, path), _outcome(_load_edges_by_line, path)
@@ -335,10 +357,13 @@ _LABEL_LINES = st.one_of(
 )
 
 
+_LABEL_FILES = (st.lists(_LABEL_LINES, max_size=10), st.sampled_from(["\n", "\r\n", "\r"]),
+                st.booleans(), st.sampled_from([b"", b"\xff", b"\xc3"]),
+                st.sampled_from([None, 6, 10]))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_LABEL_LINES, max_size=10), st.sampled_from(["\n", "\r\n", "\r"]),
-       st.booleans(), st.sampled_from([b"", b"\xff", b"\xc3"]),
-       st.sampled_from([None, 6, 10]))
+@given(*_LABEL_FILES)
 @example(["0", "", " 5\t", "3"], "\r\n", True, b"", 6)
 @example(["0", "6"], "\n", False, b"", 6)
 @example(["1 2"], "\n", False, b"", None)
@@ -346,6 +371,21 @@ _LABEL_LINES = st.one_of(
 @example([], "\n", False, b"", 6)
 def test_load_labels_matches_line_parser(tmp_path_factory, lines, sep, trailing, tail,
                                          num_classes):
+    _check_label_file(tmp_path_factory, lines, sep, trailing, tail, num_classes)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@settings(max_examples=300, deadline=None)
+@given(*_LABEL_FILES)
+@example(["0", "", " 5\t", "3"], "\r\n", True, b"", 6)
+@example(["1", "9" * 18, "2 3"], "\r\n", False, b"\xc3", None)
+def test_load_labels_matches_line_parser_in_small_blocks(tmp_path_factory, block, lines,
+                                                          sep, trailing, tail, num_classes):
+    with mock.patch.object(g.matrixio, "_BLOCK", block):
+        _check_label_file(tmp_path_factory, lines, sep, trailing, tail, num_classes)
+
+
+def _check_label_file(tmp_path_factory, lines, sep, trailing, tail, num_classes):
     path = tmp_path_factory.mktemp("labels") / "y.txt"
     path.write_bytes((sep.join(lines) + (sep if trailing else "")).encode() + tail)
     got = _outcome(lambda p: g.load_labels(p, num_classes), path)
@@ -359,6 +399,43 @@ def test_load_labels_matches_line_parser(tmp_path_factory, lines, sep, trailing,
     else:
         assert got.dtype == np.int64 and np.array_equal(got, want)
         assert got.shape == want.shape
+
+
+def test_load_edges_peak_memory_is_bounded_by_its_output(tmp_path):
+    pairs = np.random.default_rng(3).integers(0, 100_000, size=(250_000, 2))
+    path = tmp_path / "e.txt"
+    with open(path, "wb") as fh:
+        g.matrixio._write_int_rows(fh, pairs)
+    tracemalloc.start()
+    try:
+        got = g.load_edges(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, pairs)
+    # the output, its trim copy at most, and one block's parse temporaries
+    assert peak <= 2 * got.nbytes + 16 * g.matrixio._BLOCK
+
+
+_INT64S = st.one_of(
+    st.integers(-2 ** 63, 2 ** 63 - 1),
+    st.integers(0, 18).flatmap(
+        lambda p: st.sampled_from([10 ** p, 10 ** p - 1, -10 ** p, 1 - 10 ** p])),
+    st.sampled_from([0, -2 ** 63, 2 ** 63 - 1]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda cols: st.lists(
+           st.lists(_INT64S, min_size=cols, max_size=cols), max_size=40).map(
+           lambda rows: np.array(rows, dtype=np.int64).reshape(-1, cols))),
+       st.sampled_from([8, 64, g.matrixio._BLOCK]))
+def test_int_writer_matches_fstring_joins(table, block):
+    fh = io.BytesIO()
+    with mock.patch.object(g.matrixio, "_BLOCK", block):
+        g.matrixio._write_int_rows(fh, table)
+    want = "".join(" ".join(f"{v}" for v in row) + "\n" for row in table.tolist())
+    assert fh.getvalue() == want.encode()
 
 
 def test_plain_label_file_is_parsed_in_one_pass():
@@ -444,17 +521,35 @@ def test_failed_bundle_write_keeps_previous_files(tmp_path, small_bundle, monkey
     def disk_full(*args, **kwargs):
         raise OSError(28, "No space left on device")
 
-    def one_label_then_disk_full():
-        yield small_bundle.labels[0]
-        disk_full()
+    class HalfWritten:
+        """A file whose ``write`` stores half of its bytes, then fails."""
 
-    # the disk fills after the features file's magic, then after one label
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            disk_full()
+
+    # the disk fills after the features file's magic
     with monkeypatch.context() as m:
         m.setattr(g.matrixio, "struct", SimpleNamespace(pack=disk_full))
         with pytest.raises(OSError, match="No space"):
             g.save_bundle(small_bundle, out)
-    labels = SimpleNamespace(tolist=one_label_then_disk_full)
-    broken = dataclasses.replace(small_bundle, labels=labels)
-    with pytest.raises(OSError, match="No space"):
-        g.save_bundle(broken, out)
+    # then midway through a write to the labels file, and to the edges file
+    for name in ("labels.txt", "edges.txt"):
+        def failing_open(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            return HalfWritten(fh) if Path(path).name.startswith(f".{name}.") else fh
+
+        with monkeypatch.context() as m:
+            m.setattr(g.matrixio, "open", failing_open, raising=False)
+            with pytest.raises(OSError, match="No space"):
+                g.save_bundle(small_bundle, out)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before

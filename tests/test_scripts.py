@@ -30,9 +30,11 @@ def test_stage_times_runs_every_stage_at_small_shapes(tmp_path, monkeypatch, cap
     script.main()
     assert searched == [5]
     data = json.loads(out.read_text())
-    assert set(data["stages"]) == {"load_bundle", "sampled_knn_build", "neighbor_means",
+    assert set(data["stages"]) == {"generate_synthetic", "save_bundle", "load_bundle",
+                                   "sampled_knn_build", "neighbor_means",
                                    "exact_knn_build", "snaps_tunes", "trial_evaluations",
                                    "image_neighbors", "image_trials"}
+    assert data["stages"]["load_bundle"]["traced_peak_bytes"] > 0
     # the pool's neighbor search runs at depth k, whatever the trial count
     assert data["config"]["image"]["neighbor_depth"] == 5
     for shape in ("exact", "image"):
@@ -40,7 +42,8 @@ def test_stage_times_runs_every_stage_at_small_shapes(tmp_path, monkeypatch, cap
     # one count of undecided screen entries per recorded tune
     undecided = data["config"]["snaps"]["undecided_entries"]
     assert len(undecided) == 3 and min(undecided) >= 0
-    assert len(capsys.readouterr().out.splitlines()) == 8
+    # a line per stage, and the load's traced peak
+    assert len(capsys.readouterr().out.splitlines()) == 11
 
 
 def test_stage_times_replays_the_calls_of_one_operation(monkeypatch):
