@@ -36,7 +36,10 @@ random generator, and sums the times of the calls:
 
 The JSON records, per tune, how many entries the evaluation half's BLAS
 screen left undecided, so that ``harness._rescored`` scored them with the
-plain formula (``undecided_entries``; counted by wrapping it).
+plain formula (``undecided_entries``), and for how many grid points those
+entries needed the exact threshold, computed by
+``harness._exact_thresholds`` (``exact_thresholds``); both are counted by
+wrapping the two functions.
 
 A third bundle of the same kind at n=4000 gives the image-mode stages, at
 the shape of the benchmark's ``image-4k`` workload (calibration size 1000,
@@ -180,22 +183,32 @@ def replayed(fn, calls, repeats):
     return runs
 
 
-def undecided_entries(calls):
-    """Entries each recorded ``_tune_snaps`` call leaves to
-    ``harness._rescored``."""
-    real, counts = g.harness._rescored, []
+def screen_counts(calls):
+    """``{"undecided_entries": [...], "exact_thresholds": [...]}``: per
+    recorded ``_tune_snaps`` call, the entries its screen leaves to
+    ``harness._rescored`` and the grid points whose exact threshold
+    ``harness._exact_thresholds`` computes.  Both take one weight row per
+    counted item first, so one wrapper counts both."""
+    seams = {"undecided_entries": "_rescored", "exact_thresholds": "_exact_thresholds"}
+    counts = {key: [] for key in seams}
+    reals = {key: getattr(g.harness, name) for key, name in seams.items()}
 
-    def counting(w, x, q):
-        counts[-1] += q.shape[0]
-        return real(w, x, q)
+    def counting(key):
+        def count(w, *rest):
+            counts[key][-1] += len(w)
+            return reals[key](w, *rest)
+        return count
 
-    g.harness._rescored = counting
     try:
+        for key, name in seams.items():
+            setattr(g.harness, name, counting(key))
         for args, kwargs in calls:
-            counts.append(0)
+            for per_tune in counts.values():
+                per_tune.append(0)
             g.harness._tune_snaps(*fresh(args), **kwargs)
     finally:
-        g.harness._rescored = real
+        for key, name in seams.items():
+            setattr(g.harness, name, reals[key])
     return counts
 
 
@@ -270,8 +283,7 @@ def main():
                              "fallback_rows": fallback_rows(
                                  g.graph._normalized_rows(exact.features)[0], K)},
                    "snaps": {"n": EXACT_N, "trials": SNAPS_TRIALS, "alpha": snaps_cfg.alpha,
-                             "undecided_entries": undecided_entries(
-                                 calls["_tune_snaps"])},
+                             **screen_counts(calls["_tune_snaps"])},
                    "image": {"n": IMAGE_N, "calib_size": IMAGE_CALIB, "k": IMAGE_K,
                              "eta": IMAGE_ETA, "trials": IMAGE_TRIALS,
                              "alpha": IMAGE_ALPHA, "neighbor_depth": nbrs.shape[1],

@@ -92,7 +92,8 @@ def _score_values(scores) -> np.ndarray:
 
 def calibrate(scores, labels: np.ndarray, calib_idx: np.ndarray,
               alpha: float) -> CalibratedThreshold:
-    """Threshold from the true-label scores of the calibration nodes."""
+    """Threshold from the true-label scores of the calibration nodes; a
+    calibration label outside [0, K) is rejected, naming its node."""
     values = _score_values(scores)
     labels = np.asarray(labels, dtype=np.int64)
     calib_idx = np.asarray(calib_idx, dtype=np.int64)
@@ -101,7 +102,13 @@ def calibrate(scores, labels: np.ndarray, calib_idx: np.ndarray,
     if calib_idx.min() < 0 or calib_idx.max() >= values.shape[0]:
         raise ValidationError("calibration index out of range")
     n = int(calib_idx.shape[0])
-    true_scores = values[calib_idx, labels[calib_idx]]
+    calib_labels = labels[calib_idx]
+    bad = (calib_labels < 0) | (calib_labels >= values.shape[1])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValidationError(f"calibration node {calib_idx[i]} has label "
+                              f"{calib_labels[i]} outside [0, {values.shape[1]})")
+    true_scores = values[calib_idx, calib_labels]
     q_hat = float(_order_statistic(true_scores, conformal_rank(n, alpha)))
     idx = np.array(calib_idx, dtype=np.int64)
     idx.setflags(write=False)

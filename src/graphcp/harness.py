@@ -15,18 +15,18 @@ function, ``_split_pool``.
 ``run_experiment`` is the only caller of the tuners (``_tune_snaps``,
 ``_tune_raps``), so the weights a trial picks depend on the run's seed and
 the trial's index alone.
-The grid is scored as one batch: one conformal rank per tuning call, and
-every grid point's threshold from one partition along the sample axis of
-the first half's (lam, mu) scores, computed by the batched kernel
-``propagate._mix`` (one einsum per (has_knn, has_adj) pair into a reused
-buffer), which tests pin to ``combine_scores`` bit for bit.  The second
-half's set memberships come from a certified BLAS screen
-(``_snaps_grid_sets``): one float32 matrix product per class column and
-pair, a proven error margin around each threshold, and the plain formula
-for the entries inside it.  So every count, and the chosen point - same
-key, first in grid order on a full tie - is the one a point-by-point
-search with the final mix would pick, whatever the BLAS build or its
-thread count.
+The grid is scored as one batch, with one conformal rank per tuning call.
+Both (lam, mu) halves go through one certified float32 BLAS screen
+(``_snaps_grid_sets``): one matrix product per (has_knn, has_adj) pair of
+the first half's true-label columns gives each grid point's screened
+threshold, one per pair and class column gives the second half's scores,
+and a proven error margin around each threshold bounds what the screen
+decides.  The plain formula (``propagate._formula``, the one behind
+``combine_scores``) decides the entries inside it, against the exact
+threshold of their grid point.  So every count, and the chosen point -
+same key, first in grid order on a full tie - is the one a point-by-point
+search with the final mix would pick, whatever the numpy or BLAS build or
+its thread count.
 
 Every runner, and the ``image`` CLI command, measures a trial through one
 evaluator, ``_evaluate_trial``: calibrate -> predict sets -> coverage, Size,
@@ -70,9 +70,9 @@ from .propagate import (
     NeighborMeans,
     SnapsParams,
     _check_image_k_eta,
+    _formula,
     _image_mix,
     _image_neighbors,
-    _mix,
     _mix_weights,
     _oracle_mix,
     _pair_blocks,
@@ -226,25 +226,19 @@ def _split_pool(ids: np.ndarray, calib_size: int | None,
 # ---------------------------------------------------------------------------
 # hyperparameter tuning
 
-def _grid_size_sh(cal_scores, eval_sets, labels_cal, labels_eval,
-                  num_classes, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """Size and singleton-hit counts of every grid point at once.
+def _grid_size_sh(in_set, num_points, labels_eval,
+                  num_classes) -> tuple[np.ndarray, np.ndarray]:
+    """Size and singleton-hit counts of ``num_points`` grid points at once.
 
-    ``cal_scores(cols)`` returns the (G, rows) scores of the first tuning
-    half at one label per row; each grid point calibrates on the true labels
-    of that half, which gives the (G,) thresholds ``q``.  ``eval_sets(q)``
-    returns the second half's membership test ``in_set(c, out)``: it writes
+    ``in_set(c, out)`` is the evaluation half's membership test: it writes
     into the bool (G, rows) ``out`` whether each row's class c is in its set
-    (its score ``<= q``) at each grid point, and returns ``out``.  An
-    evaluation row's true-label hit is copied out of the class pass of its
-    label, one slice per run of equal ``labels_eval``, so callers group the
-    second half's rows by label.  Returns counts over the second half, which
-    order the grid points exactly as the Size and singleton-hit means would.
+    at each grid point, and returns ``out``.  An evaluation row's true-label
+    hit is copied out of the class pass of its label, one slice per run of
+    equal ``labels_eval``, so callers group the rows by label.  Returns
+    counts over the rows, which order the grid points exactly as the Size
+    and singleton-hit means would.
     """
-    rank = conformal_rank(labels_cal.shape[0], alpha)
-    q = _order_statistic(cal_scores(labels_cal), rank)
-    in_set = eval_sets(q)
-    shape = (q.shape[0], labels_eval.shape[0])
+    shape = (num_points, labels_eval.shape[0])
     hit = np.empty(shape, dtype=bool)
     true_hit = np.empty(shape, dtype=bool)
     runs = [[] for _ in range(num_classes)]
@@ -276,135 +270,144 @@ def _full_width(column: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _class_major(values, nm: NeighborMeans, rows):
-    """``(x, rows, blocks)``: ``rows`` regrouped by (has_knn, has_adj) pair
-    (``_pair_blocks``), and their v, knn and adj means stacked class-major
-    as ``x``, so each class column ``x[c]`` is a contiguous (3, rows) block
-    and each pair block a column span of it."""
+def _pair_spans(nm: NeighborMeans, rows, lam, mu):
+    """``(rows, spans, weights, block_of)``: ``rows`` regrouped by (has_knn,
+    has_adj) pair (``_pair_blocks``), each pair block's column span with
+    its float32 weight rows, the blocks' (blocks, G, 3) weight rows
+    (``_mix_weights``), and the block index of each row."""
     order, blocks = _pair_blocks(nm.has_knn[rows], nm.has_adj[rows])
-    rows = rows[order]
-    x = np.empty((values.shape[1], 3, rows.shape[0]))
-    for j, part in enumerate((values, nm.knn_mean, nm.adj_mean)):
-        x[:, j] = np.take(part, rows, axis=0).T
-    return x, rows, blocks
+    weights = np.stack([_mix_weights(lam, mu, hk, ha) for hk, ha, _, _ in blocks])
+    spans = [(slice(start, stop), w.astype(np.float32))
+             for (_, _, start, stop), w in zip(blocks, weights)]
+    block_of = np.repeat(np.arange(len(blocks)),
+                         [stop - start for *_, start, stop in blocks])
+    return rows[order], spans, weights, block_of
 
 
-def _snaps_grid_scores(values, nm: NeighborMeans, lam, mu, rows):
-    """``combine_scores`` on ``rows`` at every grid point of the 1-D weights
-    ``lam``/``mu``, with its bits, through the batched ``_mix`` kernel: the
-    calibration half of the tuning grid.
-
-    Returns ``(scores, rows)``: the closure that ``_grid_size_sh`` calls
-    with one label per row, which writes into one reused (G, rows) buffer,
-    and ``rows`` regrouped by (has_knn, has_adj) pair, the order of the
-    closure's columns.
-    """
-    x, rows, blocks = _class_major(values, nm, rows)
-    spans = [(slice(start, stop), _mix_weights(lam, mu, hk, ha))
-             for hk, ha, start, stop in blocks]
-    out = np.empty((lam.shape[0], rows.shape[0]))
-    pos = np.arange(rows.shape[0])
-
-    def scores(cols):
-        xc = np.ascontiguousarray(x[cols, :, pos].T)
-        for span, w in spans:
-            _mix(w, xc[:, span], out[:, span])
-        return out
-
-    return scores, rows
+def _screen(spans, x32: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The float32 BLAS mix of inputs ``x32`` (3, rows): one product of each
+    pair block's float32 weight rows with its column span, into ``out``."""
+    for span, w32 in spans:
+        np.matmul(w32, x32[:, span], out=out[:, span])
+    return out
 
 
 def _screen_margin(q: np.ndarray, scale: float) -> np.ndarray:
-    """Half-width of the band around each threshold ``q`` (G,) inside which
-    ``_snaps_grid_sets`` rescores an entry; ``scale`` bounds every
-    ``sum_i |w_i x_i|`` of the mix.  0 at an infinite threshold, which every
-    finite score meets; +inf everywhere else when a float32 screen could
-    overflow."""
-    margin = (2.0 ** -21 * (scale + np.abs(q)) + 2.0 ** -120 if scale < 2.0 ** 120
+    """Half-width of the band around each screened threshold ``q`` (G,)
+    inside which ``_snaps_grid_sets`` rescores an entry; ``scale`` bounds
+    every ``sum_i |w_i x_i|`` of the mix.  0 at an infinite threshold, which
+    every finite score meets; +inf everywhere else when a float32 screen
+    could overflow."""
+    margin = (2.0 ** -20 * (scale + np.abs(q)) + 2.0 ** -119 if scale < 2.0 ** 120
               else np.inf)
     return np.where(np.isfinite(q), margin, 0.0)
 
 
 def _rescored(w: np.ndarray, x: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Membership of the entries the screen leaves undecided, with
-    ``combine_scores``' own expression: weight rows ``w`` (n, 3) ``[ego,
-    lam, mu]``, inputs ``x`` (3, n) ``[v, knn_mean, adj_mean]`` and
+    """Membership of the entries the screen leaves undecided, by the plain
+    formula (``propagate._formula``): weight rows ``w`` (n, 3) ``[ego, lam,
+    mu]``, inputs ``x`` (3, n) ``[v, knn_mean, adj_mean]`` and exact
     thresholds ``q`` (n,)."""
-    return ((w[:, 0] * x[0] + w[:, 1] * x[1]) + w[:, 2] * x[2]) + 0.0 <= q
+    return _formula(w[:, 0], w[:, 1], w[:, 2], *x) <= q
 
 
-def _snaps_grid_sets(values, nm: NeighborMeans, lam, mu, rows):
-    """The evaluation half of the tuning grid: whether ``combine_scores`` on
-    ``rows`` at every grid point of ``lam``/``mu`` puts each class in each
-    row's set, decided by a certified float32 BLAS screen.
+def _exact_thresholds(w: np.ndarray, x: np.ndarray, rank: int) -> np.ndarray:
+    """The exact thresholds of G' grid points: the ``rank``-th smallest
+    plain-formula score (``propagate._formula``) of each point's weight
+    rows ``w`` (G', rows, 3) on the calibration inputs ``x`` (3, rows) at
+    the true labels, as ``calibrate`` takes it from ``combine_scores``."""
+    return _order_statistic(_formula(w[..., 0], w[..., 1], w[..., 2], *x), rank)
 
-    Returns ``(sets, rows)``: the ``eval_sets`` of ``_grid_size_sh`` and
-    ``rows`` regrouped by (has_knn, has_adj) pair, as ``_snaps_grid_scores``
-    does.  For thresholds ``q``, ``sets(q)`` spreads ``q - margin`` rounded
-    down and ``q + margin`` rounded up to float32 (``_screen_margin``,
-    ``graph._float32_below``) to full width once per tune; the
-    ``in_set(c, out)`` it returns then:
 
-    * screens: each pair block of class column c is mixed by one float32
-      BLAS product ``w @ x[c][:, span]`` of float32 copies of the weights
-      and inputs, made once per call, into a reused (G, rows) buffer: a
-      value b per entry.  With u = 2^-24, rounding w and x to float32 moves
-      each product by at most ``(2u + u^2) |w_i x_i|``, and a float32
-      3-term dot product in any order, with fused multiply-adds or not,
-      adds at most ``gamma_3 = 3u / (1 - 3u)`` times the sum of their
+def _snaps_grid_sets(values, nm: NeighborMeans, labels, lam, mu, a, b, rank):
+    """The tuning grid of ``combine_scores`` at every grid point of the 1-D
+    weights ``lam``/``mu``: each point calibrates on the true labels of
+    rows ``a`` at conformal rank ``rank``, and the membership test says
+    whether it puts each class of each row of ``b`` in the row's set.  Both
+    halves are mixed by a certified float32 BLAS screen; the plain formula
+    decides what the screen leaves open.
+
+    Returns ``(in_set, b)``: the membership test of ``_grid_size_sh`` and
+    ``b`` regrouped by (has_knn, has_adj) pair (``_pair_spans``), the order
+    of its columns.
+
+    * Screen: each pair block of the calibration half's true-label inputs,
+      and of each class column of the evaluation half's inputs, is mixed by
+      one float32 product (``_screen``) of float32 copies of the weights and
+      inputs: a value b per entry.  With u = 2^-24, rounding w and x to
+      float32 moves each product by at most ``(2u + u^2) |w_i x_i|``, and a
+      float32 3-term dot product in any order, with fused multiply-adds or
+      not, adds at most ``gamma_3 = 3u / (1 - 3u)`` times the sum of their
       magnitudes (Higham, Accuracy and Stability of Numerical Algorithms,
-      section 3.1).  The plain formula f (``combine_scores``' rounded
-      float64 products added left to right) lies within ``3 * 2^-53 (1 +
+      section 3.1).  The plain formula f lies within ``3 * 2^-53 (1 +
       2^-50)`` times ``sum_i |w_i x_i|`` of the exact mix.  So ``|b - f| <=
       E < 5.1 u S + 2^-122`` with ``S = scale``, the largest absolute
-      weight-row sum of any block times ``max |x|``; the absolute term
-      covers subnormals, flushed to zero or not.  The margin ``8 u (S +
-      |q|) + 2^-120`` exceeds E by more than the float64 rounding of ``q -
-      margin`` and ``q + margin``, and the float32 bounds are rounded
-      outward, so ``b < below`` proves ``f < q`` (in the set) and ``b >
-      above`` proves ``f > q`` (out of it).  Every ``|x|`` is at most S (a
-      weight row sums to 1), so for ``S < 2^120`` no float32 value
-      overflows; a larger S makes the margin +inf;
-    * rescores: the entries that neither test decides (those in the closed
-      band), if there are any, are scored by ``_rescored`` with the plain
-      formula and compared with their threshold exactly.
+      weight-row sum of any block of either half times the largest ``|x|``
+      the screen reads; the absolute term covers subnormals, flushed to
+      zero or not.
+    * Thresholds: the screened threshold q~ is the float32 order statistic
+      of the calibration half's b at ``rank``.  An order statistic moves by
+      at most the largest move of its entries, so ``|q~ - q| <= E`` for the
+      exact threshold q, the order statistic of f.  An evaluation entry with
+      ``b < q~ - 2E`` therefore has ``f < q`` (in the set), and one with
+      ``b > q~ + 2E`` has ``f > q`` (out of it).  The margin ``2^-20 (S +
+      |q~|) + 2^-119`` (``_screen_margin``) exceeds 2E by more than the
+      float64 rounding of ``q~ - margin`` and ``q~ + margin``, and the
+      float32 bounds are rounded outward (``graph._float32_below``).  Every
+      ``|x|`` is at most S (a weight row sums to 1), so for ``S < 2^120`` no
+      float32 value overflows.  A rank past the half gives q = +inf
+      exactly, with margin 0.
+    * Rescore: the entries inside the band, if there are any, are compared
+      by ``_rescored`` with the exact threshold of their grid point
+      (``_exact_thresholds``), computed the first time a grid point needs
+      it and kept for the tune.  ``S >= 2^120`` makes the margin +inf, so
+      every entry is rescored against an exact threshold.
 
-    Each membership is therefore the plain formula's, whatever the BLAS
-    build or its thread count, and the thresholds keep the bits of
-    ``_mix``, so the counts are those of ``combine_scores`` at every grid
-    point.  A margin of +inf rescores every entry.
+    Each membership is therefore the plain formula's against the threshold
+    ``calibrate`` would take, whatever the BLAS build or its thread count.
     """
-    x, rows, blocks = _class_major(values, nm, rows)
-    spans = [(slice(start, stop), _mix_weights(lam, mu, hk, ha))
-             for hk, ha, start, stop in blocks]
-    shape = (lam.shape[0], rows.shape[0])
-    block_of = np.zeros(shape[1], dtype=np.intp)
-    for i, (span, _) in enumerate(spans):
-        block_of[span] = i
-    weights = np.stack([w for _, w in spans])
-    scale = np.abs(weights).sum(axis=2).max() * np.abs(x).max()
-    x32, weights32 = x.astype(np.float32), weights.astype(np.float32)
+    a, spans_a, weights_a, block_a = _pair_spans(nm, a, lam, mu)
+    b, spans_b, weights_b, block_b = _pair_spans(nm, b, lam, mu)
+    la = labels[a]
+    xa = np.stack([values[a, la], nm.knn_mean[a, la], nm.adj_mean[a, la]])
+    x = np.empty((values.shape[1], 3, b.shape[0]))
+    for j, part in enumerate((values, nm.knn_mean, nm.adj_mean)):
+        x[:, j] = np.take(part, b, axis=0).T
+    scale = (np.abs(np.concatenate([weights_a, weights_b])).sum(axis=2).max()
+             * max(np.abs(xa).max(), np.abs(x).max()))
+    shape = (lam.shape[0], b.shape[0])
+    exact = np.full(shape[0], np.nan)  # filled as grid points need them
+
+    def exact_q(g):
+        todo = np.unique(g[np.isnan(exact[g])])
+        if todo.size:
+            exact[todo] = _exact_thresholds(
+                weights_a[block_a[None, :], todo[:, None]], xa, rank)
+        return exact[g]
+
+    if scale < 2.0 ** 120:
+        screened = np.empty((shape[0], a.shape[0]), dtype=np.float32)
+        q = _order_statistic(_screen(spans_a, xa.astype(np.float32), screened),
+                             rank).astype(np.float64)
+    else:
+        q = exact_q(np.arange(shape[0]))
+    margin = _screen_margin(q, scale)
+    below = _full_width(_float32_below(q - margin), shape[1])
+    above = _full_width(-_float32_below(-(q + margin)), shape[1])
+    x32 = x.astype(np.float32)
     mixed = np.empty(shape, dtype=np.float32)
     beyond = np.empty(shape, dtype=bool)
 
-    def sets(q):
-        margin = _screen_margin(q, scale)
-        below = _full_width(_float32_below(q - margin), shape[1])
-        above = _full_width(-_float32_below(-(q + margin)), shape[1])
+    def in_set(c, out):
+        _screen(spans_b, x32[c], mixed)
+        np.less(mixed, below, out=out)
+        np.greater(mixed, above, out=beyond)
+        if np.count_nonzero(out) + np.count_nonzero(beyond) < out.size:
+            g, r = np.nonzero(~(out | beyond))
+            out[g, r] = _rescored(weights_b[block_b[r], g], x[c][:, r], exact_q(g))
+        return out
 
-        def in_set(c, out):
-            for (span, _), w in zip(spans, weights32):
-                np.matmul(w, x32[c][:, span], out=mixed[:, span])
-            np.less(mixed, below, out=out)
-            np.greater(mixed, above, out=beyond)
-            if np.count_nonzero(out) + np.count_nonzero(beyond) < out.size:
-                g, r = np.nonzero(~(out | beyond))
-                out[g, r] = _rescored(weights[block_of[r], g], x[c][:, r], q[g])
-            return out
-
-        return in_set
-
-    return sets, rows
+    return in_set, b
 
 
 def _raps_grid_scores(aps_values, ranks, k_reg, lam, rows):
@@ -421,17 +424,6 @@ def _raps_grid_scores(aps_values, ranks, k_reg, lam, rows):
         return np.add(vc, np.multiply(lam, pen, out=out), out=out)
 
     return scores
-
-
-def _exact_sets(scores, width: int):
-    """The ``eval_sets`` of ``_grid_size_sh`` for class columns
-    ``scores(c)`` that are computed exactly: each is compared with the
-    thresholds spread to full width once per tune."""
-    def sets(q):
-        full = _full_width(q, width)
-        return lambda c, out: np.less_equal(scores(c), full, out=out)
-
-    return sets
 
 
 @functools.lru_cache(maxsize=8)
@@ -468,10 +460,9 @@ def _tune_snaps(values, nm, labels, tune_idx, alpha, grid_step, rng,
     neighbor means ``nm``; ``rng`` draws the half split."""
     a, b = _label_grouped_halves(tune_idx, labels, rng)
     grid, lam, mu = _snaps_grid(grid_step, mu_only)
-    cal_scores, a = _snaps_grid_scores(values, nm, lam, mu, a)
-    eval_sets, b = _snaps_grid_sets(values, nm, lam, mu, b)
-    size, sh = _grid_size_sh(cal_scores, eval_sets, labels[a], labels[b],
-                             values.shape[1], alpha)
+    in_set, b = _snaps_grid_sets(values, nm, labels, lam, mu, a, b,
+                                 conformal_rank(a.shape[0], alpha))
+    size, sh = _grid_size_sh(in_set, len(grid), labels[b], values.shape[1])
     return grid[np.lexsort((mu, lam, lam + mu, -sh, size))[0]]
 
 
@@ -479,14 +470,17 @@ def _tune_raps(aps_values, ranks, labels, tune_idx, alpha, rng,
                num_classes) -> RapsParams:
     """The (k_reg, lambda_reg) grid point that tunes best on ``tune_idx`` for
     APS ``aps_values`` and ``probability_ranks`` ``ranks``; ``rng`` draws the
-    half split."""
+    half split.  The scores are exact, so each grid point's threshold is the
+    order statistic of its first half's scores, and the second half's
+    memberships compare its scores with it."""
     a, b = _label_grouped_halves(tune_idx, labels, rng)
     grid, k_reg, lam = _raps_grid(min(num_classes, RAPS_MAX_KREG))
-    eval_sets = _exact_sets(_raps_grid_scores(aps_values, ranks, k_reg, lam, b),
-                            b.shape[0])
-    size, sh = _grid_size_sh(_raps_grid_scores(aps_values, ranks, k_reg, lam, a),
-                             eval_sets,
-                             labels[a], labels[b], num_classes, alpha)
+    q = _order_statistic(_raps_grid_scores(aps_values, ranks, k_reg, lam, a)(labels[a]),
+                         conformal_rank(a.shape[0], alpha))
+    scores, full = (_raps_grid_scores(aps_values, ranks, k_reg, lam, b),
+                    _full_width(q, b.shape[0]))
+    size, sh = _grid_size_sh(lambda c, out: np.less_equal(scores(c), full, out=out),
+                             len(grid), labels[b], num_classes)
     return grid[np.lexsort((k_reg[:, 0], lam[:, 0], -sh, size))[0]]
 
 
@@ -541,7 +535,7 @@ def _config_dict(cfg: ExperimentConfig, bundle: DatasetBundle) -> dict:
         "calib_size": _int_or_none(cfg.calib_size),
         "seed": int(cfg.seed),
         "params": cfg.params.as_dict() if cfg.params is not None else None,
-        "raps_params": ({"k_reg": int(cfg.raps_params.k_reg),
+        "raps_params": ({"k_reg": cfg.raps_params.k_reg,
                          "lambda_reg": cfg.raps_params.lambda_reg}
                         if cfg.raps_params is not None else None),
     }
@@ -606,7 +600,7 @@ def run_experiment(bundle: DatasetBundle, cfg: ExperimentConfig) -> TrialReport:
                 if need_raps_tune:
                     rp = _tune_raps(base_aps.values, ranks, labels, tune_idx,
                                     cfg.alpha, rng_tune, num_classes)
-                params["k_reg"] = int(rp.k_reg)
+                params["k_reg"] = rp.k_reg
                 params["lambda_reg"] = rp.lambda_reg
                 base_values = base_aps.values + raps_penalty(ranks, rp)
             else:
@@ -725,7 +719,7 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
     ``propagate._image_mix``.  The report is bit-identical to scoring every
     trial from scratch with ``image_snaps``.
     Non-finite features, probability rows that do not sum to 1, labels
-    outside [0, K), a calibration size outside [1, n), eta outside [0, 1]
+    that are not integers in [0, K), a calibration size outside [1, n), eta outside [0, 1]
     and k outside [1, n - 1] are rejected, and so are non-integer counts
     and seeds, ``n_trials < 1`` and an alpha outside (0, 1)."""
     _check_int(n_trials, f"n_trials={n_trials}", 1)
@@ -733,11 +727,11 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
     alpha, eta = _plain_float(alpha), _plain_float(eta)
     P = validate_matrix(probabilities, "probabilities")
     feats = validate_matrix(features, "features")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     n = P.shape[0]
     if feats.shape[0] != n or labels.shape[0] != n:
         raise ValidationError("probabilities/features/labels row counts disagree")
-    validate_labels(labels, P.shape[1])
+    labels = validate_labels(labels, P.shape[1])
     c = _cut_size(n, n // 2 if calib_size is None else calib_size)
     _check_image_k_eta(k, eta, n)
     _check_alpha(alpha)

@@ -89,16 +89,21 @@ def validate_matrix(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 
 def validate_labels(labels, num_classes: int) -> np.ndarray:
-    """Coerce to int64 and reject labels outside [0, num_classes), naming the
-    first bad row."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """``labels`` as int64; a value that is not an integer (2.7, NaN) or lies
+    outside [0, num_classes) is rejected, naming its first row."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "biu":
+        whole = np.isfinite(labels) & (labels == np.floor(labels))
+        if not whole.all():
+            r = int(np.argmin(whole))
+            raise ValidationError(f"label {labels[r]} at row {r} is not an integer")
     bad = (labels < 0) | (labels >= num_classes)
     if bad.any():
         r = int(np.argmax(bad))
         raise ValidationError(
             f"label {labels[r]} at row {r} out of range [0, {num_classes})"
         )
-    return labels
+    return np.asarray(labels, dtype=np.int64)
 
 
 def validate_probabilities(probs, what: str = "probabilities") -> np.ndarray:
@@ -480,7 +485,7 @@ def make_bundle(
     """
     features = validate_matrix(features, "features")
     probabilities = validate_matrix(probabilities, "probabilities")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     n = features.shape[0]
     if probabilities.shape[0] != n or labels.shape[0] != n:
         raise ValidationError(

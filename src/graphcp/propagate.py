@@ -22,15 +22,11 @@ the graph's degree, itself such a sum of the weights.  An exactly rounded
 sum does not depend on the order of its terms, so aggregation commutes
 bit-for-bit with any relabeling of the nodes, with no sort of the terms.
 
-``combine_scores`` computes the mix as the per-row formula above.  The
-harness's tuning grid scores its calibration half at every grid point at
-once with a batched kernel, ``_mix``: an einsum of (G, 3) weight rows
-``[ego, lam, mu]`` with (3, R) input rows ``[v, knn_mean, adj_mean]``, one
-call per (has_knn, has_adj) pair of rows.  Tests pin the kernel to the
-formula bit for bit, so the grid's thresholds have the final mix's bits.
-The evaluation half needs only each score's side of its threshold, which
-``harness._snaps_grid_sets`` decides from a float32 BLAS product of the
-same weights and inputs, certified by a proven error margin.
+Every float64 mix is one expression, ``_formula``: ``combine_scores``
+evaluates it on whole score matrices, and the harness's tuning grid on the
+entries and thresholds its float32 BLAS screen cannot decide
+(``harness._snaps_grid_sets``).  It is a chain of elementwise operations,
+each rounded once, so its bits do not depend on the numpy build.
 """
 
 from __future__ import annotations
@@ -130,41 +126,23 @@ def _mix_weights(lam: np.ndarray, mu: np.ndarray, has_knn, has_adj) -> np.ndarra
     return w
 
 
-def _mix(w: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The tuning grid's batched mix, which scores its calibration half:
-    ``out[g, r] = w[g,0]*x[0,r] + w[g,1]*x[1,r] + w[g,2]*x[2,r]`` for (G, 3)
-    weights and (3, R) rows ``[v, knn_mean, adj_mean]``, written into the
-    (G, R) ``out``.
-
-    numpy's einsum loop (no BLAS, no contraction path) rounds every product
-    and adds them left to right onto a +0.0 accumulator, so each entry is
-    the plain formula's value, bit for bit, except that a -0.0 sum reads
-    +0.0.  That order holds while r is the loop's inner axis: ``x`` needs
-    adjacent columns, and at least two of them (one column makes the three
-    weights the inner axis, which einsum sums pairwise).  ``combine_scores``
-    adds +0.0 to the formula, so the two agree to the bit (checked by
-    tests)."""
-    if x.shape[1] == 1:
-        wide = np.empty((w.shape[0], 2))
-        np.einsum("gj,jr->gr", w, np.repeat(x, 2, axis=1), out=wide, optimize=False)
-        out[:] = wide[:, :1]
-        return out
-    if x.strides[1] != x.itemsize:
-        x = np.ascontiguousarray(x)
-    return np.einsum("gj,jr->gr", w, x, out=out, optimize=False)
+def _formula(ego, lam, mu, v, knn, adj, out=None) -> np.ndarray:
+    """The one float64 mix: ``((ego*v + lam*knn) + mu*adj) + 0.0`` on
+    broadcast operands, each product rounded and the sums added left to
+    right; the +0.0 turns a -0.0 sum into +0.0.  The result has the shape
+    of ``ego * v``, written into ``out`` when given."""
+    out = np.multiply(ego, v, out=out)
+    out += lam * knn
+    out += mu * adj
+    out += 0.0
+    return out
 
 
 def combine_scores(values: np.ndarray, nm: NeighborMeans, lam: float, mu: float) -> np.ndarray:
-    """Mix ego scores with neighbor means; missing-neighbor mass goes back to
-    the ego term.  The formula is evaluated left to right, then +0.0 turns a
-    -0.0 sum into +0.0, so each entry has the bits of the tuning kernel
-    ``_mix``."""
+    """Mix ego scores with neighbor means by ``_formula``; missing-neighbor
+    mass goes back to the ego term."""
     ego = 1.0 - lam * nm.has_knn - mu * nm.has_adj
-    out = ego[:, None] * values
-    out += lam * nm.knn_mean
-    out += mu * nm.adj_mean
-    out += 0.0
-    return out
+    return _formula(ego[:, None], lam, mu, values, nm.knn_mean, nm.adj_mean)
 
 
 def snaps_scores(S: ScoreMatrix, knn: SparseGraph, adj: SparseGraph,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .matrixio import _plain_float, validate_probabilities
+from .matrixio import _check_int, _plain_float, validate_probabilities
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -50,6 +50,8 @@ class XiPolicy:
             raise ValidationError(f"unknown xi mode: {self.mode!r}")
         if not (0.0 <= self.fixed_value <= 1.0):
             raise ValidationError("fixed_value must lie in [0, 1]")
+        _check_int(self.seed, f"seed={self.seed}")
+        object.__setattr__(self, "seed", int(self.seed))
 
     def matrix(self, node_ids: np.ndarray, num_classes: int) -> np.ndarray:
         node_ids = np.asarray(node_ids, dtype=np.int64)
@@ -68,6 +70,8 @@ class RapsParams:
         # NaN fails both; an infinite lambda_reg gives NaN penalties (inf * 0)
         if not self.k_reg >= 1:
             raise ValidationError("k_reg must be >= 1")
+        _check_int(self.k_reg, f"k_reg={self.k_reg}")
+        object.__setattr__(self, "k_reg", int(self.k_reg))
         if not 0 <= self.lambda_reg < np.inf:
             raise ValidationError("lambda_reg must be finite and >= 0")
 

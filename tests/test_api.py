@@ -54,9 +54,14 @@ _BUNDLE = g.generate_synthetic(n=120, num_classes=3, dim=3, homophily=0.8,
      "n_trials=2.0 must be an integer"),
     (lambda: g.ExperimentConfig(n_model_splits=1.5),
      "n_model_splits=1.5 must be an integer"),
+    (lambda: g.RapsParams(1.5, 0.1), "k_reg=1.5 must be an integer"),
+    (lambda: g.RapsParams(True, 0.1), "k_reg=True must be an integer"),
+    (lambda: g.XiPolicy(seed=1.5), "seed=1.5 must be an integer"),
+    (lambda: g.XiPolicy(seed=False), "seed=False must be an integer"),
 ], ids=["knn-k-float", "knn-k-bool", "knn-sample-size", "image-snaps-k",
         "image-k", "image-n-trials", "image-calib-size", "oracle-n-trials",
-        "model-splits"])
+        "model-splits", "raps-k-reg-float", "raps-k-reg-bool", "xi-seed-float",
+        "xi-seed-bool"])
 def test_counts_must_be_integers(call, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         call()
@@ -68,6 +73,9 @@ def test_numpy_integer_counts_are_accepted():
     assert g.reports_equal(report, g.run_image_experiment(
         _P, _F, _Y, **{key: int(v) for key, v in ints.items()}))
     assert g.KnnConfig(k=np.int64(3), sample_size=np.int64(30)).k == 3
+    # stored as Python ints, the value a report records
+    for value in (g.RapsParams(np.int64(2), 0.1).k_reg, g.XiPolicy(seed=np.int32(7)).seed):
+        assert type(value) is int
 
 
 @pytest.mark.parametrize("call, message", [

@@ -136,6 +136,18 @@ def test_calibrate_validation():
         g.calibrate(values, np.zeros(3, dtype=int), np.arange(3), 1.5)
 
 
+@pytest.mark.parametrize("label", [-1, 2])
+def test_calibrate_rejects_a_calibration_label_outside_the_classes(label):
+    # a negative label would index from the last class, one >= K past it
+    values = np.random.default_rng(3).uniform(size=(4, 2))
+    labels = np.array([0, 1, label, 0])
+    with pytest.raises(ValidationError) as exc:
+        g.calibrate(values, labels, np.array([3, 2, 0]), 0.1)
+    assert str(exc.value) == f"calibration node 2 has label {label} outside [0, 2)"
+    # labels of nodes outside the calibration set are not read
+    g.calibrate(values, labels, np.array([3, 1, 0]), 0.1)
+
+
 def test_monotonicity_in_alpha():
     rng = np.random.default_rng(2)
     for _ in range(10):

@@ -265,41 +265,39 @@ def test_batched_raps_tuner_matches_scalar_grid(data, n, k, alpha, seed):
     assert got == want
 
 
+def _draw_nm(data, n, k):
+    flags = st.sampled_from([0.0, 1.0])
+    return g.NeighborMeans(_draw_matrix(data, n, k, _CELLS),
+                           _draw_matrix(data, n, k, _CELLS),
+                           _draw_matrix(data, n, 1, flags)[:, 0],
+                           _draw_matrix(data, n, 1, flags)[:, 0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.integers(min_value=1, max_value=12),
-       st.integers(min_value=1, max_value=6), st.booleans(),
-       st.integers(min_value=0, max_value=2 ** 31))
-def test_grid_scores_are_combine_scores_at_every_grid_point(data, n, k, mu_only, seed):
-    # the tuning grid gives every grid point the final mix's bits on the
-    # tuning rows: the calibration half's scores, and the evaluation half's
-    # set memberships at thresholds drawn from the mixed values themselves,
-    # so that entries tie with their threshold
-    values = _draw_matrix(data, n, k, _CELLS)
-    flags = st.sampled_from([0.0, 1.0])
-    nm = g.NeighborMeans(_draw_matrix(data, n, k, _CELLS),
-                         _draw_matrix(data, n, k, _CELLS),
-                         _draw_matrix(data, n, 1, flags)[:, 0],
-                         _draw_matrix(data, n, 1, flags)[:, 0])
-    rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+       st.integers(min_value=1, max_value=6), st.booleans())
+def test_grid_scores_are_combine_scores_at_every_grid_point(data, n, k, mu_only):
+    # the tuning grid gives every grid point the sets of the final mix: the
+    # evaluation rows' memberships under combine_scores at the threshold
+    # calibrate would take from the calibration rows; the two sets of rows
+    # may share rows, so that entries tie with their threshold
+    values, nm = _draw_matrix(data, n, k, _CELLS), _draw_nm(data, n, k)
+    rows = st.sets(st.integers(0, n - 1), min_size=1)
+    a, b = (np.array(sorted(data.draw(rows))) for _ in range(2))
+    labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                         max_size=n)))
+    rank = data.draw(st.integers(1, a.shape[0] + 1))
     _, lam, mu = harness._snaps_grid(0.05, mu_only)
-    scores, grouped = harness._snaps_grid_scores(values, nm, lam, mu, rows)
-    sets, grouped_sets = harness._snaps_grid_sets(values, nm, lam, mu, rows)
-    assert sorted(grouped.tolist()) == rows.tolist()
-    assert grouped_sets.tolist() == grouped.tolist()
-    labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=rows.shape[0],
-                                         max_size=rows.shape[0])))
-    at_labels = scores(labels).copy()
-    mixed = [g.combine_scores(values, nm, l, m)[grouped] for l, m in zip(lam, mu)]
-    picks = np.random.default_rng(seed).integers(0, grouped.shape[0] * k, lam.shape[0])
-    q = np.array([m.flat[p] for m, p in zip(mixed, picks)])
-    in_set = sets(q)
-    columns = [in_set(c, np.empty((lam.shape[0], grouped.shape[0]), dtype=bool))
+    in_set, grouped = harness._snaps_grid_sets(values, nm, labels, lam, mu, a, b, rank)
+    assert sorted(grouped.tolist()) == b.tolist()
+    columns = [in_set(c, np.empty((lam.shape[0], b.shape[0]), dtype=bool))
                for c in range(k)]
-    for i in range(lam.shape[0]):
+    for i, (l, m) in enumerate(zip(lam, mu)):
+        mixed = g.combine_scores(values, nm, l, m)
+        true_scores = np.sort(mixed[a, labels[a]])
+        q = true_scores[rank - 1] if rank <= a.shape[0] else math.inf
         for c, column in enumerate(columns):
-            assert column[i].tolist() == (mixed[i][:, c] <= q[i]).tolist()
-        at_label = mixed[i][np.arange(grouped.shape[0]), labels]
-        assert at_labels[i].tobytes() == at_label.tobytes()
+            assert column[i].tolist() == (mixed[grouped, c] <= q).tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,9 +312,10 @@ def test_grid_counts_take_true_label_hits_from_the_class_passes(data, n, k, alph
     flags = _draw_matrix(data, 2 * n, 1, st.sampled_from([0.0, 1.0]))[:, 0]
     nm = g.NeighborMeans(values[::-1].copy(), values, flags, flags[::-1].copy())
     _, lam, mu = harness._snaps_grid(0.25, False)
-    cal, a = harness._snaps_grid_scores(values, nm, lam, mu, np.arange(n))
-    ev, b = harness._snaps_grid_sets(values, nm, lam, mu, np.arange(n, 2 * n))
-    size, sh = harness._grid_size_sh(cal, ev, labels[a], labels[b], k, alpha)
+    a = np.arange(n)
+    in_set, b = harness._snaps_grid_sets(values, nm, labels, lam, mu, a,
+                                         np.arange(n, 2 * n), g.conformal_rank(n, alpha))
+    size, sh = harness._grid_size_sh(in_set, lam.shape[0], labels[b], k)
     for i, (l, m) in enumerate(zip(lam, mu)):
         mixed = g.combine_scores(values, nm, l, m)
         want = _ref_size_sh(mixed[a], labels[a], mixed[b], labels[b], alpha)
@@ -332,9 +331,10 @@ def test_grid_sizes_count_past_255_classes(k):
     nm = g.NeighborMeans(values, values, np.ones(n), np.ones(n))
     labels = np.arange(n) % k
     _, lam, mu = harness._snaps_grid(0.05, False)
-    cal, a = harness._snaps_grid_scores(values, nm, lam, mu, np.arange(0, n, 2))
-    ev, b = harness._snaps_grid_sets(values, nm, lam, mu, np.arange(1, n, 2))
-    size, sh = harness._grid_size_sh(cal, ev, labels[a], labels[b], k, 0.5)
+    in_set, b = harness._snaps_grid_sets(values, nm, labels, lam, mu,
+                                         np.arange(0, n, 2), np.arange(1, n, 2),
+                                         g.conformal_rank(n // 2, 0.5))
+    size, sh = harness._grid_size_sh(in_set, lam.shape[0], labels[b], k)
     assert size.tolist() == [k * b.shape[0]] * lam.shape[0]
     assert sh.tolist() == [0] * lam.shape[0]
     rng = np.random.default_rng(0)
@@ -346,26 +346,31 @@ def _screened_counts(data, n, k, alpha, grid_step, margin, monkeypatch):
     """Grid counts of ``_grid_size_sh`` through the screen with
     ``_screen_margin`` patched to ``margin``, the reference counts of
     ``combine_scores`` at every grid point, how many entries the screen
-    left to ``_rescored``, and the mixed values and thresholds."""
-    values = _draw_matrix(data, 2 * n, k, _CELLS)
-    flags = st.sampled_from([0.0, 1.0])
-    nm = g.NeighborMeans(_draw_matrix(data, 2 * n, k, _CELLS),
-                         _draw_matrix(data, 2 * n, k, _CELLS),
-                         _draw_matrix(data, 2 * n, 1, flags)[:, 0],
-                         _draw_matrix(data, 2 * n, 1, flags)[:, 0])
+    left to ``_rescored``, the mixed values and thresholds, and the exact
+    thresholds ``_exact_thresholds`` returned."""
+    values, nm = _draw_matrix(data, 2 * n, k, _CELLS), _draw_nm(data, 2 * n, k)
     labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=2 * n,
                                          max_size=2 * n)))
-    rescored, real = [], harness._rescored
+    rescored, exact = [], []
+    real_rescored, real_exact = harness._rescored, harness._exact_thresholds
+
+    def exact_spy(w, x, rank):
+        q = real_exact(w, x, rank)
+        exact.extend(q.tolist())
+        return q
+
     monkeypatch.setattr(harness, "_screen_margin", margin)
-    monkeypatch.setattr(harness, "_rescored",
-                        lambda w, x, q: rescored.append(q.shape[0]) or real(w, x, q))
+    monkeypatch.setattr(harness, "_rescored", lambda w, x, q: rescored.append(
+        q.shape[0]) or real_rescored(w, x, q))
+    monkeypatch.setattr(harness, "_exact_thresholds", exact_spy)
     _, lam, mu = harness._snaps_grid(grid_step, False)
-    cal, a = harness._snaps_grid_scores(values, nm, lam, mu, np.arange(n))
-    ev, b = harness._snaps_grid_sets(values, nm, lam, mu, np.arange(n, 2 * n))
-    with np.errstate(invalid="ignore"):  # inf - inf at an infinite threshold
-        size, sh = harness._grid_size_sh(cal, ev, labels[a], labels[b], k, alpha)
-    mixed, q, want = [], [], []
+    a = np.arange(n)
     rank = g.conformal_rank(n, alpha)
+    with np.errstate(invalid="ignore"):  # inf - inf at an infinite threshold
+        in_set, b = harness._snaps_grid_sets(values, nm, labels, lam, mu, a,
+                                             np.arange(n, 2 * n), rank)
+        size, sh = harness._grid_size_sh(in_set, lam.shape[0], labels[b], k)
+    mixed, q, want = [], [], []
     for l, m in zip(lam, mu):
         mix = g.combine_scores(values, nm, l, m)
         ref = _ref_size_sh(mix[a], labels[a], mix[b], labels[b], alpha)
@@ -373,7 +378,8 @@ def _screened_counts(data, n, k, alpha, grid_step, margin, monkeypatch):
         true_scores = np.sort(mix[a, labels[a]])
         q.append(true_scores[rank - 1] if rank <= n else math.inf)
         mixed.append(mix[b])
-    return list(zip(size.tolist(), sh.tolist())), want, sum(rescored), mixed, q
+    return (list(zip(size.tolist(), sh.tolist())), want, sum(rescored), mixed, q,
+            exact)
 
 
 @settings(max_examples=40, deadline=None)
@@ -381,13 +387,15 @@ def _screened_counts(data, n, k, alpha, grid_step, margin, monkeypatch):
        st.integers(min_value=1, max_value=5), _ALPHAS)
 def test_screen_rescoring_every_entry_gives_the_formula_counts(data, n, k, alpha):
     # an infinite margin sends every entry of every class pass through the
-    # plain formula, and the counts stay those of combine_scores
+    # plain formula, against every grid point's exact threshold, and the
+    # counts stay those of combine_scores
     with pytest.MonkeyPatch.context() as mp:
-        got, want, rescored, mixed, _ = _screened_counts(
+        got, want, rescored, mixed, q, exact = _screened_counts(
             data, n, k, alpha, 0.05,
             lambda q, scale: np.full(q.shape, math.inf), mp)
     assert got == want
     assert rescored == len(mixed) * n * k
+    assert sorted(exact) == sorted(q)
 
 
 @settings(max_examples=40, deadline=None)
@@ -395,13 +403,45 @@ def test_screen_rescoring_every_entry_gives_the_formula_counts(data, n, k, alpha
        st.integers(min_value=1, max_value=5), _ALPHAS)
 def test_zero_width_screen_rescores_every_entry_on_its_threshold(data, n, k, alpha):
     # quarter weights on quarter values mix exactly in any order, so the BLAS
-    # value of an entry is its formula value; a zero-width band is the
-    # threshold itself, and the screen must decide none of the entries on it
+    # value of an entry is its formula value and the screened threshold the
+    # exact one; a zero-width band is the threshold itself, and the screen
+    # must decide none of the entries on it.  Each grid point with such an
+    # entry gets its exact threshold computed once, and no other does
     with pytest.MonkeyPatch.context() as mp:
-        got, want, rescored, mixed, q = _screened_counts(
+        got, want, rescored, mixed, q, exact = _screened_counts(
             data, n, k, alpha, 0.25, lambda q, scale: np.zeros(q.shape), mp)
     assert got == want
     assert rescored == sum(int(np.count_nonzero(m == t)) for m, t in zip(mixed, q))
+    assert sorted(exact) == sorted(t for m, t in zip(mixed, q) if (m == t).any())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(min_value=2, max_value=40),
+       st.integers(min_value=2, max_value=5), _ALPHAS, st.booleans(),
+       st.integers(min_value=0, max_value=2 ** 31))
+def test_screen_off_by_its_error_bound_tunes_the_same(data, n, k, alpha, mu_only, seed):
+    # every screen entry moved by +-E, the bound _snaps_grid_sets proves
+    # between a float32 BLAS product and the plain formula: the calibration
+    # half's entries, so its screened thresholds, and the evaluation half's.
+    # The margin must absorb both, and the tuner still picks the point of
+    # the scalar reference
+    values, nm = _draw_matrix(data, n, k, _CELLS), _draw_nm(data, n, k)
+    labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                         max_size=n)))
+    signs, real = np.random.default_rng(seed), np.matmul
+
+    def shifted(w, x, out):
+        real(w, x, out=out)
+        bound = 5.1 * 2.0 ** -24 * np.abs(w).sum(axis=1).max() * np.abs(x).max()
+        out += np.float32(bound) * signs.choice(np.float32([-1.0, 1.0]), out.shape)
+        return out
+
+    args = (values, nm, labels, np.arange(n), alpha, 0.05)
+    want = _ref_tune_snaps(*args, np.random.default_rng(seed), mu_only=mu_only)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "matmul", shifted)
+        got = harness._tune_snaps(*args, np.random.default_rng(seed), mu_only=mu_only)
+    assert (got.lam, got.mu) == (want.lam, want.mu)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1081,6 +1121,16 @@ def test_image_experiment_rejects_out_of_range_labels(small_bundle):
     with pytest.raises(ValidationError, match="label -1 at row 7"):
         g.run_image_experiment(small_bundle.probabilities, small_bundle.features, labels,
                                k=3, n_trials=2, calib_size=100)
+
+
+@pytest.mark.parametrize("bad, shown", [(2.7, "2.7"), (math.nan, "nan")])
+def test_image_experiment_rejects_non_integer_labels(small_bundle, bad, shown):
+    labels = small_bundle.labels.astype(np.float64)
+    labels[7] = bad
+    with pytest.raises(ValidationError) as exc:
+        g.run_image_experiment(small_bundle.probabilities, small_bundle.features, labels,
+                               k=3, n_trials=2, calib_size=100)
+    assert str(exc.value) == f"label {shown} at row 7 is not an integer"
 
 
 def test_a_labeled_trial_counts_its_sets_once(small_bundle, monkeypatch):

@@ -158,6 +158,22 @@ def test_bundle_label_out_of_range(tmp_path):
         assert str(exc.value) == f"{labels}: label {value} at line {line} out of range [0, 2)"
 
 
+@pytest.mark.parametrize("bad, shown", [(2.7, "2.7"), (np.nan, "nan"),
+                                        (np.inf, "inf")])
+def test_make_bundle_rejects_non_integer_labels(bad, shown):
+    # a fractional or non-finite label is named with its row, never cast
+    labels = np.array([0.0, 1.0, 1.0, bad, 0.0])
+    with pytest.raises(ValidationError) as exc:
+        g.make_bundle("b", np.zeros((5, 2)), np.full((5, 2), 0.5), labels, 2,
+                      np.empty((0, 2), dtype=np.int64))
+    assert str(exc.value) == f"label {shown} at row 3 is not an integer"
+    # whole float labels are read as the integers they hold
+    labels[3] = 1.0
+    bundle = g.make_bundle("b", np.zeros((5, 2)), np.full((5, 2), 0.5), labels, 2,
+                           np.empty((0, 2), dtype=np.int64))
+    assert bundle.labels.dtype == np.int64 and bundle.labels.tolist() == [0, 1, 1, 1, 0]
+
+
 def test_bundle_edge_endpoint_out_of_range(tmp_path):
     probs = np.full((3, 2), 0.5)
     manifest = _write_bundle_files(tmp_path, probs, [0, 1, 0], [(0, 7)])

@@ -148,10 +148,9 @@ def _mix_inputs(data, n, k):
        st.one_of(st.just(1), st.integers(min_value=1, max_value=17)),
        st.one_of(st.sampled_from(_TINY_EGO), st.sampled_from(_GRID)))
 def test_mix_kernel_equals_the_elementwise_formula_bit_for_bit(data, n, k, weights):
-    # The einsum kernel rounds each product and adds them left to right onto
-    # a +0.0 accumulator: every entry equals the formula's bits, except that a
-    # -0.0 sum reads +0.0 (adding +0.0 to the formula makes the same change).
-    # Widths 1-17 reach the SIMD loop tails and the one-column path.
+    # combine_scores rounds each product and adds them left to right, then
+    # adds +0.0: every entry equals the formula's bits, except that a -0.0
+    # sum reads +0.0.  Widths 1-17 reach the SIMD loop tails.
     lam, mu = weights
     values, nm = _mix_inputs(data, n, k)
     got = g.combine_scores(values, nm, lam, mu)
@@ -163,40 +162,6 @@ def test_mix_kernel_equals_the_elementwise_formula_bit_for_bit(data, n, k, weigh
         nm.knn_mean[row], nm.adj_mean[row], nm.has_knn[row], nm.has_adj[row]),
         lam, mu)
     assert alone.tobytes() == got[row].tobytes()
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data(), st.integers(min_value=1, max_value=12),
-       st.one_of(st.just(1), st.integers(min_value=1, max_value=17)),
-       st.lists(st.one_of(st.sampled_from(_TINY_EGO), st.sampled_from(_GRID)),
-                min_size=2, max_size=6))
-def test_batched_mix_kernel_equals_the_formula_per_pair_block(data, n, k, weights):
-    # The tuner mixes each (has_knn, has_adj) pair's rows with G weight rows
-    # at once; every row of the result must be the formula's bits plus 0.0.
-    # A block of one row with k = 1 takes the one-column path.
-    values, nm = _mix_inputs(data, n, k)
-    lam = np.array([l for l, _ in weights])
-    mu = np.array([m for _, m in weights])
-    want = np.stack([_formula_mix(values, nm, l, m) + 0.0 for l, m in weights])
-    for hk, ha in _PAIRS:
-        rows = np.flatnonzero((nm.has_knn == hk) & (nm.has_adj == ha))
-        if rows.size == 0:
-            continue
-        x = np.stack([values[rows], nm.knn_mean[rows], nm.adj_mean[rows]])
-        out = np.empty((len(weights), rows.size * k))
-        g.propagate._mix(g.propagate._mix_weights(lam, mu, hk, ha),
-                         x.reshape(3, -1), out)
-        assert out.tobytes() == want[:, rows].reshape(len(weights), -1).tobytes()
-
-
-def test_mix_kernel_keeps_the_formula_on_a_non_contiguous_input():
-    rng = np.random.default_rng(5)
-    w = rng.uniform(size=(7, 3))
-    x = rng.uniform(size=(9, 3)).T  # adjacent rows, strided columns
-    out = np.empty((7, 9))
-    g.propagate._mix(w, x, out)
-    want = w[:, :1] * x[0] + w[:, 1:2] * x[1] + w[:, 2:] * x[2]
-    assert out.tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -39,9 +39,11 @@ def test_stage_times_runs_every_stage_at_small_shapes(tmp_path, monkeypatch, cap
     assert data["config"]["image"]["neighbor_depth"] == 5
     for shape in ("exact", "image"):
         assert data["config"][shape]["fallback_rows"] >= 0
-    # one count of undecided screen entries per recorded tune
-    undecided = data["config"]["snaps"]["undecided_entries"]
-    assert len(undecided) == 3 and min(undecided) >= 0
+    # one count of undecided screen entries, and of the exact thresholds
+    # they needed, per recorded tune
+    for key in ("undecided_entries", "exact_thresholds"):
+        counts = data["config"]["snaps"][key]
+        assert len(counts) == 3 and min(counts) >= 0
     # a line per stage, and the load's traced peak
     assert len(capsys.readouterr().out.splitlines()) == 11
 
@@ -63,8 +65,8 @@ def test_stage_times_replays_the_calls_of_one_operation(monkeypatch):
     assert len(script.replayed(script.g.harness._tune_snaps,
                                calls["_tune_snaps"], 2)) == 2
     # the recorded generators are left as they were, so replays repeat
-    assert script.undecided_entries(calls["_tune_snaps"]) == \
-        script.undecided_entries(calls["_tune_snaps"])
+    assert script.screen_counts(calls["_tune_snaps"]) == \
+        script.screen_counts(calls["_tune_snaps"])
 
 
 def test_stage_times_counts_the_rows_the_screen_scores_in_full():
