@@ -187,16 +187,17 @@ def screen_counts(calls):
     """``{"undecided_entries": [...], "exact_thresholds": [...]}``: per
     recorded ``_tune_snaps`` call, the entries its screen leaves to
     ``harness._rescored`` and the grid points whose exact threshold
-    ``harness._exact_thresholds`` computes.  Both take one weight row per
-    counted item first, so one wrapper counts both."""
+    ``harness._exact_thresholds`` computes.  Both take the ``lam`` weights
+    of the counted items first, one per undecided entry or (as a (G', 1)
+    column) per grid point, so one wrapper counts both."""
     seams = {"undecided_entries": "_rescored", "exact_thresholds": "_exact_thresholds"}
     counts = {key: [] for key in seams}
     reals = {key: getattr(g.harness, name) for key, name in seams.items()}
 
     def counting(key):
-        def count(w, *rest):
-            counts[key][-1] += len(w)
-            return reals[key](w, *rest)
+        def count(lam, *rest):
+            counts[key][-1] += len(lam)
+            return reals[key](lam, *rest)
         return count
 
     try:

@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ValidationError
+from .matrixio import _label_fault
 from .scores import ScoreMatrix
 
 
@@ -93,9 +94,10 @@ def _score_values(scores) -> np.ndarray:
 def calibrate(scores, labels: np.ndarray, calib_idx: np.ndarray,
               alpha: float) -> CalibratedThreshold:
     """Threshold from the true-label scores of the calibration nodes; a
-    calibration label outside [0, K) is rejected, naming its node."""
+    calibration label that is not an integer in [0, K) is rejected, naming
+    its node; labels of other nodes are not read."""
     values = _score_values(scores)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     calib_idx = np.asarray(calib_idx, dtype=np.int64)
     if calib_idx.size == 0:
         raise ValidationError("empty calibration set")
@@ -103,12 +105,13 @@ def calibrate(scores, labels: np.ndarray, calib_idx: np.ndarray,
         raise ValidationError("calibration index out of range")
     n = int(calib_idx.shape[0])
     calib_labels = labels[calib_idx]
-    bad = (calib_labels < 0) | (calib_labels >= values.shape[1])
-    if bad.any():
-        i = int(np.argmax(bad))
+    fault = _label_fault(calib_labels, values.shape[1])
+    if fault is not None:
+        i, whole = fault
+        why = f"outside [0, {values.shape[1]})" if whole else "that is not an integer"
         raise ValidationError(f"calibration node {calib_idx[i]} has label "
-                              f"{calib_labels[i]} outside [0, {values.shape[1]})")
-    true_scores = values[calib_idx, calib_labels]
+                              f"{calib_labels[i]} {why}")
+    true_scores = values[calib_idx, calib_labels.astype(np.int64, copy=False)]
     q_hat = float(_order_statistic(true_scores, conformal_rank(n, alpha)))
     idx = np.array(calib_idx, dtype=np.int64)
     idx.setflags(write=False)

@@ -17,16 +17,17 @@ function, ``_split_pool``.
 the trial's index alone.
 The grid is scored as one batch, with one conformal rank per tuning call.
 Both (lam, mu) halves go through one certified float32 BLAS screen
-(``_snaps_grid_sets``): one matrix product per (has_knn, has_adj) pair of
-the first half's true-label columns gives each grid point's screened
-threshold, one per pair and class column gives the second half's scores,
-and a proven error margin around each threshold bounds what the screen
-decides.  The plain formula (``propagate._formula``, the one behind
-``combine_scores``) decides the entries inside it, against the exact
-threshold of their grid point.  So every count, and the chosen point -
-same key, first in grid order on a full tie - is the one a point-by-point
-search with the final mix would pick, whatever the numpy or BLAS build or
-its thread count.
+(``_snaps_grid_sets``).  Its inputs fold each node's missing-neighbor mass
+into the neighbor columns, so one weight row ``[1, lam, mu]`` per grid
+point mixes every row: one matrix product of the first half's true-label
+columns gives each grid point's screened threshold, one per class column
+gives the second half's scores, and a proven error margin around each
+threshold bounds what the screen decides.  The plain formula
+(``propagate._formula``, the one behind ``combine_scores``) decides the
+entries inside it, against the exact threshold of their grid point.  So
+every count, and the chosen point - same key, first in grid order on a full
+tie - is the one a point-by-point search with the final mix would pick,
+whatever the numpy or BLAS build or its thread count.
 
 Every runner, and the ``image`` CLI command, measures a trial through one
 evaluator, ``_evaluate_trial``: calibrate -> predict sets -> coverage, Size,
@@ -73,9 +74,7 @@ from .propagate import (
     _formula,
     _image_mix,
     _image_neighbors,
-    _mix_weights,
     _oracle_mix,
-    _pair_blocks,
     _same_label_prefixes,
     combine_scores,
     neighbor_means,
@@ -232,27 +231,21 @@ def _grid_size_sh(in_set, num_points, labels_eval,
 
     ``in_set(c, out)`` is the evaluation half's membership test: it writes
     into the bool (G, rows) ``out`` whether each row's class c is in its set
-    at each grid point, and returns ``out``.  An evaluation row's true-label
-    hit is copied out of the class pass of its label, one slice per run of
-    equal ``labels_eval``, so callers group the rows by label.  Returns
-    counts over the rows, which order the grid points exactly as the Size
-    and singleton-hit means would.
+    at each grid point, and returns ``out``.  ``labels_eval`` must be sorted
+    (``_label_grouped_halves`` orders the half so): the rows of class c are
+    then one slice, and their true-label hits are copied out of the class
+    pass of c.  Returns counts over the rows, which order the grid points
+    exactly as the Size and singleton-hit means would.
     """
     shape = (num_points, labels_eval.shape[0])
     hit = np.empty(shape, dtype=bool)
     true_hit = np.empty(shape, dtype=bool)
-    runs = [[] for _ in range(num_classes)]
-    first = np.ones(shape[1], dtype=bool)
-    np.not_equal(labels_eval[1:], labels_eval[:-1], out=first[1:])
-    starts = np.flatnonzero(first).tolist()
-    for lo, hi in zip(starts, [*starts[1:], shape[1]]):
-        runs[labels_eval[lo]].append(slice(lo, hi))
+    bounds = np.searchsorted(labels_eval, np.arange(num_classes + 1)).tolist()
     # a row's size is at most num_classes
     sizes = np.zeros(shape, dtype=np.min_scalar_type(num_classes))
     for c in range(num_classes):
         sizes += in_set(c, hit)
-        for run in runs[c]:
-            true_hit[:, run] = hit[:, run]
+        true_hit[:, bounds[c]:bounds[c + 1]] = hit[:, bounds[c]:bounds[c + 1]]
     true_hit &= sizes == 1
     # row sums in the smallest type that holds them run at about 3 times
     # the speed of int64 ones
@@ -261,35 +254,11 @@ def _grid_size_sh(in_set, num_points, labels_eval,
     return size.astype(np.int64), sh.astype(np.int64)
 
 
-def _full_width(column: np.ndarray, width: int) -> np.ndarray:
-    """The (G,) ``column`` copied into every column of a (G, width) array of
-    its dtype: a compare with it runs at about 2.5 times the speed of one
-    with a (G, 1) broadcast."""
-    out = np.empty((column.shape[0], width), dtype=column.dtype)
-    out[...] = column[:, None]
-    return out
-
-
-def _pair_spans(nm: NeighborMeans, rows, lam, mu):
-    """``(rows, spans, weights, block_of)``: ``rows`` regrouped by (has_knn,
-    has_adj) pair (``_pair_blocks``), each pair block's column span with
-    its float32 weight rows, the blocks' (blocks, G, 3) weight rows
-    (``_mix_weights``), and the block index of each row."""
-    order, blocks = _pair_blocks(nm.has_knn[rows], nm.has_adj[rows])
-    weights = np.stack([_mix_weights(lam, mu, hk, ha) for hk, ha, _, _ in blocks])
-    spans = [(slice(start, stop), w.astype(np.float32))
-             for (_, _, start, stop), w in zip(blocks, weights)]
-    block_of = np.repeat(np.arange(len(blocks)),
-                         [stop - start for *_, start, stop in blocks])
-    return rows[order], spans, weights, block_of
-
-
-def _screen(spans, x32: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The float32 BLAS mix of inputs ``x32`` (3, rows): one product of each
-    pair block's float32 weight rows with its column span, into ``out``."""
-    for span, w32 in spans:
-        np.matmul(w32, x32[:, span], out=out[:, span])
-    return out
+def _folded(v, knn, adj, has_knn, has_adj) -> np.ndarray:
+    """The screen's inputs ``[v, knn - has_knn*v, adj - has_adj*v]`` on a
+    new second-to-last axis: the weight row ``[1, lam, mu]`` mixes them as
+    ``_formula`` mixes ``v``, ``knn`` and ``adj`` (``_snaps_grid_sets``)."""
+    return np.stack([v, knn - has_knn * v, adj - has_adj * v], axis=-2)
 
 
 def _screen_margin(q: np.ndarray, scale: float) -> np.ndarray:
@@ -303,127 +272,120 @@ def _screen_margin(q: np.ndarray, scale: float) -> np.ndarray:
     return np.where(np.isfinite(q), margin, 0.0)
 
 
-def _rescored(w: np.ndarray, x: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _rescored(lam, mu, has_knn, has_adj, x, q) -> np.ndarray:
     """Membership of the entries the screen leaves undecided, by the plain
-    formula (``propagate._formula``): weight rows ``w`` (n, 3) ``[ego, lam,
-    mu]``, inputs ``x`` (3, n) ``[v, knn_mean, adj_mean]`` and exact
-    thresholds ``q`` (n,)."""
-    return _formula(w[:, 0], w[:, 1], w[:, 2], *x) <= q
+    formula (``propagate._formula``) on per-entry weights, neighbor flags
+    and unfolded inputs ``x`` ``[v, knn_mean, adj_mean]``, against ``q``."""
+    return _formula(lam, mu, has_knn, has_adj, *x) <= q
 
 
-def _exact_thresholds(w: np.ndarray, x: np.ndarray, rank: int) -> np.ndarray:
+def _exact_thresholds(lam, mu, has_knn, has_adj, x, rank: int) -> np.ndarray:
     """The exact thresholds of G' grid points: the ``rank``-th smallest
-    plain-formula score (``propagate._formula``) of each point's weight
-    rows ``w`` (G', rows, 3) on the calibration inputs ``x`` (3, rows) at
-    the true labels, as ``calibrate`` takes it from ``combine_scores``."""
-    return _order_statistic(_formula(w[..., 0], w[..., 1], w[..., 2], *x), rank)
+    plain-formula score (``propagate._formula``) of each point's weights
+    ``lam``/``mu`` (G', 1) on the calibration rows' flags and unfolded
+    true-label inputs ``x`` (3, rows), as ``calibrate`` takes it."""
+    return _order_statistic(_formula(lam, mu, has_knn, has_adj, *x), rank)
 
 
 def _snaps_grid_sets(values, nm: NeighborMeans, labels, lam, mu, a, b, rank):
     """The tuning grid of ``combine_scores`` at every grid point of the 1-D
     weights ``lam``/``mu``: each point calibrates on the true labels of
-    rows ``a`` at conformal rank ``rank``, and the membership test says
-    whether it puts each class of each row of ``b`` in the row's set.  Both
-    halves are mixed by a certified float32 BLAS screen; the plain formula
-    decides what the screen leaves open.
+    rows ``a`` at conformal rank ``rank``, and the returned membership test
+    of ``_grid_size_sh`` says whether it puts each class of each row of
+    ``b`` (its columns, in order) in the row's set.  A certified float32
+    BLAS screen mixes both halves; the plain formula decides what it leaves
+    open.
 
-    Returns ``(in_set, b)``: the membership test of ``_grid_size_sh`` and
-    ``b`` regrouped by (has_knn, has_adj) pair (``_pair_spans``), the order
-    of its columns.
-
-    * Screen: each pair block of the calibration half's true-label inputs,
-      and of each class column of the evaluation half's inputs, is mixed by
-      one float32 product (``_screen``) of float32 copies of the weights and
-      inputs: a value b per entry.  With u = 2^-24, rounding w and x to
-      float32 moves each product by at most ``(2u + u^2) |w_i x_i|``, and a
-      float32 3-term dot product in any order, with fused multiply-adds or
-      not, adds at most ``gamma_3 = 3u / (1 - 3u)`` times the sum of their
-      magnitudes (Higham, Accuracy and Stability of Numerical Algorithms,
-      section 3.1).  The plain formula f lies within ``3 * 2^-53 (1 +
-      2^-50)`` times ``sum_i |w_i x_i|`` of the exact mix.  So ``|b - f| <=
-      E < 5.1 u S + 2^-122`` with ``S = scale``, the largest absolute
-      weight-row sum of any block of either half times the largest ``|x|``
-      the screen reads; the absolute term covers subnormals, flushed to
-      zero or not.
+    * Fold: with flags h, h' in {0, 1}, the mix ``(1 - lam h - mu h') v +
+      lam k + mu d`` of a score v and its neighbor means k, d is ``v + lam
+      (k - h v) + mu (d - h' v)``, so one weight row ``w = [1, lam, mu]``
+      mixes every row of the folded inputs ``x = [v, k - h v, d - h' v]``
+      (``_folded``: float64 subtractions, ``h v`` being exact).
+    * Screen: the calibration half's true-label inputs, and each class
+      column of the evaluation half's, are mixed by one float32 product of
+      float32 copies of w and x: a value b per entry.  ``S = scale`` is the
+      largest ``1 + lam + mu`` times the largest folded ``|x|`` of either
+      half, so every ``sum_i |w_i x_i| <= S``.  With u = 2^-24, rounding w
+      and x to float32 moves each product by at most ``(2u + u^2) |w_i
+      x_i|``, and a float32 3-term dot product in any order, with fused
+      multiply-adds or not, adds at most ``gamma_3 = 3u / (1 - 3u)`` times
+      the sum of their magnitudes (Higham, Accuracy and Stability of
+      Numerical Algorithms, section 3.1).  Against the plain formula f,
+      float64 adds three terms: the fold's rounding, at most ``2^-53 (lam
+      |x_1| + mu |x_2|) <= 2^-53 S``; the formula's rounded ego weight,
+      within about 2^-52 of the real one, so about 2^-52 S on ``ego v``;
+      and its own rounding, at most ``3 * 2^-53 (1 + 2^-50)`` times ``|ego
+      v| + lam |k| + mu |d| <= 2S`` (``|k| <= |x_1| + |v|``, likewise d).
+      So ``|b - f| <= E < 5.1 u S + 2^-122``: the float64 terms stay under
+      2^-49 S, far inside the 0.1 u S of slack, and the absolute term
+      covers float32 subnormals, flushed to zero or not.
     * Thresholds: the screened threshold q~ is the float32 order statistic
-      of the calibration half's b at ``rank``.  An order statistic moves by
-      at most the largest move of its entries, so ``|q~ - q| <= E`` for the
-      exact threshold q, the order statistic of f.  An evaluation entry with
-      ``b < q~ - 2E`` therefore has ``f < q`` (in the set), and one with
-      ``b > q~ + 2E`` has ``f > q`` (out of it).  The margin ``2^-20 (S +
-      |q~|) + 2^-119`` (``_screen_margin``) exceeds 2E by more than the
-      float64 rounding of ``q~ - margin`` and ``q~ + margin``, and the
-      float32 bounds are rounded outward (``graph._float32_below``).  Every
-      ``|x|`` is at most S (a weight row sums to 1), so for ``S < 2^120`` no
-      float32 value overflows.  A rank past the half gives q = +inf
-      exactly, with margin 0.
-    * Rescore: the entries inside the band, if there are any, are compared
-      by ``_rescored`` with the exact threshold of their grid point
-      (``_exact_thresholds``), computed the first time a grid point needs
-      it and kept for the tune.  ``S >= 2^120`` makes the margin +inf, so
-      every entry is rescored against an exact threshold.
+      of the calibration half's b at ``rank``; an order statistic moves by
+      at most the largest move of its entries, so q~ lies within E of the
+      exact threshold q, the order statistic of f.  An evaluation entry
+      with ``b < q~ - 2E`` therefore has ``f < q`` (in the set), and one
+      with ``b > q~ + 2E`` has ``f > q`` (out of it).  The margin ``2^-20 (S
+      + |q~|) + 2^-119`` (``_screen_margin``) exceeds ``2E < 10.2 * 2^-24 S
+      + 2^-121`` by more than the float64 rounding of S and of ``q~ -+
+      margin``, and the float32 bounds are rounded outward
+      (``graph._float32_below``).  Every folded ``|x|`` is at most S, so for
+      ``S < 2^120`` no float32 value overflows.  A rank past the half gives
+      q = +inf exactly, with margin 0.
+    * Rescore: the entries inside the band are compared by ``_rescored``,
+      on their unfolded inputs, with the exact threshold of their grid point
+      (``_exact_thresholds``), computed once for each grid point that needs
+      it.  ``S >= 2^120``, a fold that overflows included, makes the margin
+      +inf: every entry is rescored.
 
     Each membership is therefore the plain formula's against the threshold
     ``calibrate`` would take, whatever the BLAS build or its thread count.
     """
-    a, spans_a, weights_a, block_a = _pair_spans(nm, a, lam, mu)
-    b, spans_b, weights_b, block_b = _pair_spans(nm, b, lam, mu)
+    parts = (values, nm.knn_mean, nm.adj_mean)
     la = labels[a]
-    xa = np.stack([values[a, la], nm.knn_mean[a, la], nm.adj_mean[a, la]])
-    x = np.empty((values.shape[1], 3, b.shape[0]))
-    for j, part in enumerate((values, nm.knn_mean, nm.adj_mean)):
-        x[:, j] = np.take(part, b, axis=0).T
-    scale = (np.abs(np.concatenate([weights_a, weights_b])).sum(axis=2).max()
-             * max(np.abs(xa).max(), np.abs(x).max()))
+    xa = [part[a, la] for part in parts]
+    flags_a = (nm.has_knn[a], nm.has_adj[a])
+    folded_a = _folded(*xa, *flags_a)
+    folded_b = _folded(*(np.take(part, b, axis=0).T for part in parts),
+                       nm.has_knn[b], nm.has_adj[b])
+    scale = (1.0 + lam + mu).max() * max(np.abs(folded_a).max(),
+                                         np.abs(folded_b).max())
+    w32 = np.stack([np.ones_like(lam), lam, mu], axis=1).astype(np.float32)
     shape = (lam.shape[0], b.shape[0])
     exact = np.full(shape[0], np.nan)  # filled as grid points need them
 
     def exact_q(g):
         todo = np.unique(g[np.isnan(exact[g])])
         if todo.size:
-            exact[todo] = _exact_thresholds(
-                weights_a[block_a[None, :], todo[:, None]], xa, rank)
+            exact[todo] = _exact_thresholds(lam[todo, None], mu[todo, None],
+                                            *flags_a, xa, rank)
         return exact[g]
 
     if scale < 2.0 ** 120:
-        screened = np.empty((shape[0], a.shape[0]), dtype=np.float32)
-        q = _order_statistic(_screen(spans_a, xa.astype(np.float32), screened),
+        q = _order_statistic(np.matmul(w32, folded_a.astype(np.float32)),
                              rank).astype(np.float64)
     else:
         q = exact_q(np.arange(shape[0]))
     margin = _screen_margin(q, scale)
-    below = _full_width(_float32_below(q - margin), shape[1])
-    above = _full_width(-_float32_below(-(q + margin)), shape[1])
-    x32 = x.astype(np.float32)
+    # bounds copied into every column: a compare with them runs at about 2.5
+    # times the speed of one with a (G, 1) broadcast
+    below = np.repeat(_float32_below(q - margin)[:, None], shape[1], axis=1)
+    above = np.repeat(-_float32_below(-(q + margin))[:, None], shape[1], axis=1)
+    x32 = folded_b.astype(np.float32)
     mixed = np.empty(shape, dtype=np.float32)
     beyond = np.empty(shape, dtype=bool)
 
     def in_set(c, out):
-        _screen(spans_b, x32[c], mixed)
+        np.matmul(w32, x32[c], out=mixed)
         np.less(mixed, below, out=out)
         np.greater(mixed, above, out=beyond)
         if np.count_nonzero(out) + np.count_nonzero(beyond) < out.size:
             g, r = np.nonzero(~(out | beyond))
-            out[g, r] = _rescored(weights_b[block_b[r], g], x[c][:, r], exact_q(g))
+            rows = b[r]
+            out[g, r] = _rescored(lam[g], mu[g], nm.has_knn[rows], nm.has_adj[rows],
+                                  [part[rows, c] for part in parts], exact_q(g))
         return out
 
-    return in_set, b
-
-
-def _raps_grid_scores(aps_values, ranks, k_reg, lam, rows):
-    """``aps + raps_penalty`` on ``rows`` for (G, 1) columns ``k_reg``/``lam``,
-    written into one reused (G, rows) buffer."""
-    v, r = aps_values[rows].T.copy(), ranks[rows].T.copy()
-    pos = np.arange(rows.shape[0])
-    pen = np.empty((k_reg.shape[0], rows.shape[0]), dtype=np.result_type(r, k_reg))
-    out = np.empty(pen.shape)
-
-    def scores(cols):
-        vc, rc = (v[cols], r[cols]) if np.ndim(cols) == 0 else (v[cols, pos], r[cols, pos])
-        np.maximum(np.subtract(rc, k_reg, out=pen), 0, out=pen)
-        return np.add(vc, np.multiply(lam, pen, out=out), out=out)
-
-    return scores
+    return in_set
 
 
 @functools.lru_cache(maxsize=8)
@@ -460,8 +422,8 @@ def _tune_snaps(values, nm, labels, tune_idx, alpha, grid_step, rng,
     neighbor means ``nm``; ``rng`` draws the half split."""
     a, b = _label_grouped_halves(tune_idx, labels, rng)
     grid, lam, mu = _snaps_grid(grid_step, mu_only)
-    in_set, b = _snaps_grid_sets(values, nm, labels, lam, mu, a, b,
-                                 conformal_rank(a.shape[0], alpha))
+    in_set = _snaps_grid_sets(values, nm, labels, lam, mu, a, b,
+                              conformal_rank(a.shape[0], alpha))
     size, sh = _grid_size_sh(in_set, len(grid), labels[b], values.shape[1])
     return grid[np.lexsort((mu, lam, lam + mu, -sh, size))[0]]
 
@@ -470,17 +432,21 @@ def _tune_raps(aps_values, ranks, labels, tune_idx, alpha, rng,
                num_classes) -> RapsParams:
     """The (k_reg, lambda_reg) grid point that tunes best on ``tune_idx`` for
     APS ``aps_values`` and ``probability_ranks`` ``ranks``; ``rng`` draws the
-    half split.  The scores are exact, so each grid point's threshold is the
-    order statistic of its first half's scores, and the second half's
-    memberships compare its scores with it."""
+    half split.  The scores ``v + lam * max(0, r - k_reg)`` are exact: each
+    threshold is the order statistic of the first half's true-label scores,
+    and the second half is compared with it one class row at a time."""
     a, b = _label_grouped_halves(tune_idx, labels, rng)
     grid, k_reg, lam = _raps_grid(min(num_classes, RAPS_MAX_KREG))
-    q = _order_statistic(_raps_grid_scores(aps_values, ranks, k_reg, lam, a)(labels[a]),
+    la = labels[a]
+    q = _order_statistic(aps_values[a, la] + lam * np.maximum(0, ranks[a, la] - k_reg),
                          conformal_rank(a.shape[0], alpha))
-    scores, full = (_raps_grid_scores(aps_values, ranks, k_reg, lam, b),
-                    _full_width(q, b.shape[0]))
-    size, sh = _grid_size_sh(lambda c, out: np.less_equal(scores(c), full, out=out),
-                             len(grid), labels[b], num_classes)
+    full = np.repeat(q[:, None], b.shape[0], axis=1)  # as in _snaps_grid_sets
+    v, r = aps_values[b].T.copy(), ranks[b].T.copy()
+
+    def in_set(c, out):
+        return np.less_equal(v[c] + lam * np.maximum(0, r[c] - k_reg), full, out=out)
+
+    size, sh = _grid_size_sh(in_set, len(grid), labels[b], num_classes)
     return grid[np.lexsort((k_reg[:, 0], lam[:, 0], -sh, size))[0]]
 
 

@@ -88,22 +88,29 @@ def validate_matrix(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
     return mat
 
 
+def _label_fault(labels: np.ndarray, num_classes: int) -> tuple[int, bool] | None:
+    """The label rule: (index, whether it is an integer) of the first of
+    ``labels`` that is not an integer in [0, num_classes), or None.  Integer
+    arrays skip the integer test; the range test reads min and max first."""
+    if labels.dtype.kind not in "biu":
+        whole = np.isfinite(labels) & (labels == np.floor(labels))
+        if not whole.all():
+            return int(np.argmin(whole)), False
+    if labels.size and not (labels.min() >= 0 and labels.max() < num_classes):
+        return int(np.argmax((labels < 0) | (labels >= num_classes))), True
+    return None
+
+
 def validate_labels(labels, num_classes: int) -> np.ndarray:
     """``labels`` as int64; a value that is not an integer (2.7, NaN) or lies
     outside [0, num_classes) is rejected, naming its first row."""
     labels = np.asarray(labels)
-    if labels.dtype.kind not in "biu":
-        whole = np.isfinite(labels) & (labels == np.floor(labels))
-        if not whole.all():
-            r = int(np.argmin(whole))
-            raise ValidationError(f"label {labels[r]} at row {r} is not an integer")
-    bad = (labels < 0) | (labels >= num_classes)
-    if bad.any():
-        r = int(np.argmax(bad))
-        raise ValidationError(
-            f"label {labels[r]} at row {r} out of range [0, {num_classes})"
-        )
-    return np.asarray(labels, dtype=np.int64)
+    fault = _label_fault(labels, num_classes)
+    if fault is not None:
+        r, whole = fault
+        raise ValidationError(f"label {labels[r]} at row {r} " + (
+            f"out of range [0, {num_classes})" if whole else "is not an integer"))
+    return labels.astype(np.int64, copy=False)
 
 
 def validate_probabilities(probs, what: str = "probabilities") -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 
 from .conformal import _check_alpha
 from .errors import ValidationError
+from .matrixio import _label_fault
 
 # contiguous set-size strata; the upper bounds get clipped to K
 SSCV_STRATA = ((0, 1), (2, 3), (4, 10), (11, 100), (101, 1000))
@@ -25,7 +26,7 @@ class MetricSummary:
 
 
 def _check_sets(sets, labels, eval_idx):
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if eval_idx is None:
         eval_idx = sets.eval_idx
     else:
@@ -49,9 +50,13 @@ def _measure(sets, labels, eval_idx, alpha: float | None) -> MetricSummary:
     labels, eval_idx = _check_sets(sets, labels, eval_idx)
     n, k = sets.mask.shape
     true_labels = np.take(labels, eval_idx)
-    if true_labels.min() < 0 or true_labels.max() >= k:
-        bad = true_labels[(true_labels < 0) | (true_labels >= k)][0]
-        raise ValidationError(f"label {bad} out of range [0, {k})")
+    fault = _label_fault(true_labels, k)
+    if fault is not None:
+        i, whole = fault
+        why = f"out of range [0, {k})" if whole else "that is not an integer"
+        raise ValidationError(f"evaluation node {eval_idx[i]} has label "
+                              f"{true_labels[i]} {why}")
+    true_labels = true_labels.astype(np.int64, copy=False)
     true_in = np.take(sets.mask.ravel(), np.arange(0, n * k, k) + true_labels)
     # bin 2 s + t counts the sets of size s that miss (t = 0) or hold (t = 1)
     # their true label

@@ -22,11 +22,12 @@ the graph's degree, itself such a sum of the weights.  An exactly rounded
 sum does not depend on the order of its terms, so aggregation commutes
 bit-for-bit with any relabeling of the nodes, with no sort of the terms.
 
-Every float64 mix is one expression, ``_formula``: ``combine_scores``
-evaluates it on whole score matrices, and the harness's tuning grid on the
-entries and thresholds its float32 BLAS screen cannot decide
-(``harness._snaps_grid_sets``).  It is a chain of elementwise operations,
-each rounded once, so its bits do not depend on the numpy build.
+Every float64 mix is one expression, ``_formula``, which also computes the
+ego weight ``1 - lam*has_knn - mu*has_adj`` from the neighbor flags:
+``combine_scores`` evaluates it on whole score matrices, and the harness's
+tuning grid on the entries and thresholds its float32 BLAS screen cannot
+decide (``harness._snaps_grid_sets``).  It is a chain of elementwise
+operations, each rounded once, so its bits do not depend on the numpy build.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import SparseGraph, _exact_row_sums, _knn_lists, _normalized_rows
-from .matrixio import _check_int, _plain_float, validate_matrix
+from .matrixio import _check_int, _plain_float, validate_labels, validate_matrix
 from .scores import ScoreMatrix
 
 _MASK32 = 0xFFFFFFFF
@@ -101,37 +102,13 @@ def neighbor_means(values: np.ndarray, knn: SparseGraph, adj: SparseGraph) -> Ne
     return NeighborMeans(knn_mean, adj_mean, has_knn, has_adj)
 
 
-def _pair_blocks(has_knn: np.ndarray, has_adj: np.ndarray) -> tuple[np.ndarray, list]:
-    """Rows grouped by their (has_knn, has_adj) pair: ``(order, blocks)``.
-
-    ``blocks`` holds ``(has_knn, has_adj, start, stop)`` for each distinct
-    pair, in sorted pair order, and ``order[start:stop]`` lists that pair's
-    rows in ascending order."""
-    order = np.lexsort((has_adj, has_knn))
-    hk, ha = has_knn[order], has_adj[order]
-    cuts = np.flatnonzero((hk[1:] != hk[:-1]) | (ha[1:] != ha[:-1])) + 1
-    bounds = [0, *cuts.tolist(), order.shape[0]] if order.shape[0] else []
-    return order, [(hk[start], ha[start], start, stop)
-                   for start, stop in zip(bounds[:-1], bounds[1:])]
-
-
-def _mix_weights(lam: np.ndarray, mu: np.ndarray, has_knn, has_adj) -> np.ndarray:
-    """(G, 3) mixing rows ``[ego, lam, mu]`` for 1-D weights ``lam``/``mu``
-    and one (has_knn, has_adj) pair: missing-neighbor mass goes back to the
-    ego term."""
-    w = np.empty((lam.shape[0], 3))
-    w[:, 0] = 1.0 - lam * has_knn - mu * has_adj
-    w[:, 1] = lam
-    w[:, 2] = mu
-    return w
-
-
-def _formula(ego, lam, mu, v, knn, adj, out=None) -> np.ndarray:
-    """The one float64 mix: ``((ego*v + lam*knn) + mu*adj) + 0.0`` on
-    broadcast operands, each product rounded and the sums added left to
-    right; the +0.0 turns a -0.0 sum into +0.0.  The result has the shape
-    of ``ego * v``, written into ``out`` when given."""
-    out = np.multiply(ego, v, out=out)
+def _formula(lam, mu, has_knn, has_adj, v, knn, adj) -> np.ndarray:
+    """The one float64 mix, on broadcast operands: the ego weight ``ego = 1
+    - lam*has_knn - mu*has_adj`` (missing-neighbor mass goes back to the
+    ego term), then ``((ego*v + lam*knn) + mu*adj) + 0.0``, each product
+    rounded and the sums added left to right; the +0.0 turns a -0.0 sum
+    into +0.0.  The result has the shape of ``ego * v``."""
+    out = (1.0 - lam * has_knn - mu * has_adj) * v
     out += lam * knn
     out += mu * adj
     out += 0.0
@@ -139,10 +116,9 @@ def _formula(ego, lam, mu, v, knn, adj, out=None) -> np.ndarray:
 
 
 def combine_scores(values: np.ndarray, nm: NeighborMeans, lam: float, mu: float) -> np.ndarray:
-    """Mix ego scores with neighbor means by ``_formula``; missing-neighbor
-    mass goes back to the ego term."""
-    ego = 1.0 - lam * nm.has_knn - mu * nm.has_adj
-    return _formula(ego[:, None], lam, mu, values, nm.knn_mean, nm.adj_mean)
+    """Mix ego scores with neighbor means by ``_formula``."""
+    return _formula(lam, mu, nm.has_knn[:, None], nm.has_adj[:, None], values,
+                    nm.knn_mean, nm.adj_mean)
 
 
 def snaps_scores(S: ScoreMatrix, knn: SparseGraph, adj: SparseGraph,
@@ -197,15 +173,17 @@ def oracle_aggregate(S: ScoreMatrix, labels: np.ndarray, m: int, w: float,
     Peers are drawn uniformly without replacement, excluding the node itself
     (fewer when the class has under m+1 members; none leaves the row alone).
     Requires ground-truth labels for every node, so this is a diagnostic, not
-    a deployable score.
+    a deployable score.  Labels that are not integers in [0, K), an ``m``
+    that is not an integer >= 0 and a non-integer seed are rejected.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if labels.shape[0] != S.n:
         raise ValidationError("labels length must match score rows")
+    labels = validate_labels(labels, S.values.shape[1])
     if not 0.0 <= w <= 1.0:
         raise ValidationError("w must lie in [0, 1]")
-    if m < 0:
-        raise ValidationError("m must be >= 0")
+    _check_int(m, f"m={m}", 0)
+    _check_int(seed, f"seed={seed}")
     sel, counts = _same_label_prefixes(labels, m, seed)
     return _oracle_mix(S, sel, counts, m, w)
 

@@ -148,6 +148,23 @@ def test_calibrate_rejects_a_calibration_label_outside_the_classes(label):
     g.calibrate(values, labels, np.array([3, 1, 0]), 0.1)
 
 
+@pytest.mark.parametrize("label, shown", [(2.7, "2.7"), (0.5, "0.5"), (math.nan, "nan")])
+def test_calibrate_rejects_a_calibration_label_that_is_not_an_integer(label, shown):
+    # a cast to int64 would calibrate node 2 on class 2 (or 0), or raise numpy's
+    # ValueError at NaN
+    values = np.random.default_rng(3).uniform(size=(4, 3))
+    labels = np.array([0, 1, label, 0])
+    with pytest.raises(ValidationError) as exc:
+        g.calibrate(values, labels, np.array([0, 1, 2, 3]), 0.5)
+    assert str(exc.value) == f"calibration node 2 has label {shown} that is not an integer"
+    # a whole float label calibrates as its integer; unread labels are not checked
+    labels[2] = 2.0
+    assert g.calibrate(values, labels, np.arange(4), 0.5).q_hat == \
+        g.calibrate(values, np.array([0, 1, 2, 0]), np.arange(4), 0.5).q_hat
+    labels[1] = label
+    g.calibrate(values, labels, np.array([0, 2, 3]), 0.5)
+
+
 def test_monotonicity_in_alpha():
     rng = np.random.default_rng(2)
     for _ in range(10):

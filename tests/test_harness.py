@@ -288,8 +288,7 @@ def test_grid_scores_are_combine_scores_at_every_grid_point(data, n, k, mu_only)
                                          max_size=n)))
     rank = data.draw(st.integers(1, a.shape[0] + 1))
     _, lam, mu = harness._snaps_grid(0.05, mu_only)
-    in_set, grouped = harness._snaps_grid_sets(values, nm, labels, lam, mu, a, b, rank)
-    assert sorted(grouped.tolist()) == b.tolist()
+    in_set = harness._snaps_grid_sets(values, nm, labels, lam, mu, a, b, rank)
     columns = [in_set(c, np.empty((lam.shape[0], b.shape[0]), dtype=bool))
                for c in range(k)]
     for i, (l, m) in enumerate(zip(lam, mu)):
@@ -297,7 +296,7 @@ def test_grid_scores_are_combine_scores_at_every_grid_point(data, n, k, mu_only)
         true_scores = np.sort(mixed[a, labels[a]])
         q = true_scores[rank - 1] if rank <= a.shape[0] else math.inf
         for c, column in enumerate(columns):
-            assert column[i].tolist() == (mixed[grouped, c] <= q).tolist()
+            assert column[i].tolist() == (mixed[b, c] <= q).tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,16 +304,16 @@ def test_grid_scores_are_combine_scores_at_every_grid_point(data, n, k, mu_only)
        st.integers(min_value=1, max_value=5), _ALPHAS)
 def test_grid_counts_take_true_label_hits_from_the_class_passes(data, n, k, alpha):
     # each evaluation row's true-label hit is read from the class pass of its
-    # label, whatever the rows' order: here labels run in any order
+    # label, the rows of a class being one slice of the label-sorted half
     values = _draw_matrix(data, 2 * n, k, _CELLS)
     labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=2 * n,
                                          max_size=2 * n)))
     flags = _draw_matrix(data, 2 * n, 1, st.sampled_from([0.0, 1.0]))[:, 0]
     nm = g.NeighborMeans(values[::-1].copy(), values, flags, flags[::-1].copy())
     _, lam, mu = harness._snaps_grid(0.25, False)
-    a = np.arange(n)
-    in_set, b = harness._snaps_grid_sets(values, nm, labels, lam, mu, a,
-                                         np.arange(n, 2 * n), g.conformal_rank(n, alpha))
+    a, b = np.arange(n), n + np.argsort(labels[n:], kind="stable")
+    in_set = harness._snaps_grid_sets(values, nm, labels, lam, mu, a, b,
+                                      g.conformal_rank(n, alpha))
     size, sh = harness._grid_size_sh(in_set, lam.shape[0], labels[b], k)
     for i, (l, m) in enumerate(zip(lam, mu)):
         mixed = g.combine_scores(values, nm, l, m)
@@ -331,9 +330,9 @@ def test_grid_sizes_count_past_255_classes(k):
     nm = g.NeighborMeans(values, values, np.ones(n), np.ones(n))
     labels = np.arange(n) % k
     _, lam, mu = harness._snaps_grid(0.05, False)
-    in_set, b = harness._snaps_grid_sets(values, nm, labels, lam, mu,
-                                         np.arange(0, n, 2), np.arange(1, n, 2),
-                                         g.conformal_rank(n // 2, 0.5))
+    b = np.arange(1, n, 2)  # labels 1, 3, 5, 7: sorted
+    in_set = harness._snaps_grid_sets(values, nm, labels, lam, mu, np.arange(0, n, 2),
+                                      b, g.conformal_rank(n // 2, 0.5))
     size, sh = harness._grid_size_sh(in_set, lam.shape[0], labels[b], k)
     assert size.tolist() == [k * b.shape[0]] * lam.shape[0]
     assert sh.tolist() == [0] * lam.shape[0]
@@ -354,21 +353,20 @@ def _screened_counts(data, n, k, alpha, grid_step, margin, monkeypatch):
     rescored, exact = [], []
     real_rescored, real_exact = harness._rescored, harness._exact_thresholds
 
-    def exact_spy(w, x, rank):
-        q = real_exact(w, x, rank)
+    def exact_spy(*args):
+        q = real_exact(*args)
         exact.extend(q.tolist())
         return q
 
     monkeypatch.setattr(harness, "_screen_margin", margin)
-    monkeypatch.setattr(harness, "_rescored", lambda w, x, q: rescored.append(
-        q.shape[0]) or real_rescored(w, x, q))
+    monkeypatch.setattr(harness, "_rescored", lambda *args: rescored.append(
+        args[-1].shape[0]) or real_rescored(*args))
     monkeypatch.setattr(harness, "_exact_thresholds", exact_spy)
     _, lam, mu = harness._snaps_grid(grid_step, False)
-    a = np.arange(n)
+    a, b = np.arange(n), n + np.argsort(labels[n:], kind="stable")
     rank = g.conformal_rank(n, alpha)
     with np.errstate(invalid="ignore"):  # inf - inf at an infinite threshold
-        in_set, b = harness._snaps_grid_sets(values, nm, labels, lam, mu, a,
-                                             np.arange(n, 2 * n), rank)
+        in_set = harness._snaps_grid_sets(values, nm, labels, lam, mu, a, b, rank)
         size, sh = harness._grid_size_sh(in_set, lam.shape[0], labels[b], k)
     mixed, q, want = [], [], []
     for l, m in zip(lam, mu):
@@ -430,8 +428,8 @@ def test_screen_off_by_its_error_bound_tunes_the_same(data, n, k, alpha, mu_only
                                          max_size=n)))
     signs, real = np.random.default_rng(seed), np.matmul
 
-    def shifted(w, x, out):
-        real(w, x, out=out)
+    def shifted(w, x, out=None):
+        out = real(w, x, out=out)
         bound = 5.1 * 2.0 ** -24 * np.abs(w).sum(axis=1).max() * np.abs(x).max()
         out += np.float32(bound) * signs.choice(np.float32([-1.0, 1.0]), out.shape)
         return out
@@ -441,6 +439,29 @@ def test_screen_off_by_its_error_bound_tunes_the_same(data, n, k, alpha, mu_only
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np, "matmul", shifted)
         got = harness._tune_snaps(*args, np.random.default_rng(seed), mu_only=mu_only)
+    assert (got.lam, got.mu) == (want.lam, want.mu)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(min_value=2, max_value=30),
+       st.integers(min_value=2, max_value=4), _ALPHAS,
+       st.sampled_from([2.0 ** 125, 2.0 ** 1023]),
+       st.integers(min_value=0, max_value=2 ** 31))
+def test_screen_past_the_float32_range_rescores_every_entry(data, n, k, alpha, factor,
+                                                           seed):
+    # S >= 2^120 gives the screen an infinite margin, and at 2^1023 the fold
+    # knn - has_knn*v of opposite-signed inputs overflows float64: every
+    # entry goes to the plain formula, and the tuner still picks the point
+    # of the scalar reference
+    values, nm = _draw_matrix(data, n, k, _CELLS), _draw_nm(data, n, k)
+    nm = g.NeighborMeans(-factor * nm.knn_mean, factor * nm.adj_mean, nm.has_knn,
+                         nm.has_adj)
+    labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                         max_size=n)))
+    args = (factor * values, nm, labels, np.arange(n), alpha, 0.05)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _ref_tune_snaps(*args, np.random.default_rng(seed))
+        got = harness._tune_snaps(*args, np.random.default_rng(seed))
     assert (got.lam, got.mu) == (want.lam, want.mu)
 
 

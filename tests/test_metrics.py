@@ -203,3 +203,17 @@ def test_labels_outside_the_sets_are_rejected():
     for bad in (4, -1):
         with pytest.raises(ValidationError, match=f"label {bad} out of range"):
             g.evaluate(sets, np.array([0, bad, 1]))
+
+
+@pytest.mark.parametrize("metric", [g.evaluate, g.sscv])
+@pytest.mark.parametrize("label, shown", [(2.7, "2.7"), (np.nan, "nan")])
+def test_labels_that_are_not_integers_are_rejected(metric, label, shown):
+    # a cast to int64 would count 2.7 as class 2; only the evaluated rows'
+    # labels are read
+    mask = np.eye(4, dtype=bool)[:3]
+    sets = replace(make_sets(mask), eval_idx=np.array([0, 1, 3]))
+    with pytest.raises(ValidationError) as exc:
+        metric(sets, np.array([0, 1, 0.0, label]))
+    assert str(exc.value) == f"evaluation node 3 has label {shown} that is not an integer"
+    got = metric(sets, np.array([0, 1, label, 2.0]))
+    assert got == metric(sets, np.array([0, 1, 0, 2]))

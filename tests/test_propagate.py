@@ -238,6 +238,30 @@ def test_row_count_mismatch():
 
 # --- same-label oracle aggregation -----------------------------------------
 
+@pytest.mark.parametrize("labels, message", [
+    ([0, 1.5, 0, 1], "label 1.5 at row 1 is not an integer"),
+    ([0, 1, math.nan, 1], "label nan at row 2 is not an integer"),
+    ([0, 1, 0, 5], "label 5 at row 3 out of range [0, 3)"),
+    ([0, -1, 0, 1], "label -1 at row 1 out of range [0, 3)"),
+    ([0, 1, 0, 1], "m=-1 must be >= 0"),
+])
+def test_oracle_aggregate_rejects_bad_labels_and_counts(labels, message):
+    # a cast to int64 would group node 1 with class 1; label 5 names no class
+    S = _score(np.random.default_rng(4).uniform(size=(4, 3)))
+    m = -1 if message.startswith("m=") else 1
+    with pytest.raises(ValidationError) as exc:
+        g.oracle_aggregate(S, np.array(labels), m, 0.5, 1)
+    assert str(exc.value) == message
+
+
+def test_oracle_aggregate_reads_whole_float_labels_as_integers():
+    S = _score(np.random.default_rng(4).uniform(size=(6, 3)))
+    labels = np.array([0, 1, 2, 0, 1, 2])
+    want = g.oracle_aggregate(S, labels, 1, 0.5, 7).values
+    assert np.array_equal(g.oracle_aggregate(S, labels.astype(float), 1, 0.5, 7).values,
+                          want)
+
+
 def test_oracle_aggregate_m_zero_identity():
     rng = np.random.default_rng(6)
     S = _score(rng.uniform(size=(12, 3)))
@@ -323,10 +347,11 @@ def _two_branch_oracle(values, labels, m, w, seed):
        st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_oracle_aggregate_equals_the_two_branch_mix_bit_for_bit(data, k, m, w, seed):
     # class sizes from singletons to past m + 1, so rows have no peers, fewer
-    # than m or exactly m; K = 1 sums each mean pairwise past 8 peers
+    # than m or exactly m; K = 1 sums each mean pairwise past 8 peers.  The
+    # labels are classes of the K score columns, so there are at most K
     sizes = data.draw(st.lists(st.one_of(st.just(1), st.integers(1, m + 2),
                                          st.integers(1, 140)),
-                               min_size=1, max_size=5))
+                               min_size=1, max_size=min(k, 5)))
     labels = np.repeat(np.arange(len(sizes)), sizes)
     labels = labels[np.random.default_rng(seed).permutation(labels.shape[0])]
     values = data.draw(arrays(np.float64, (labels.shape[0], k), elements=_MIX_CELLS))
