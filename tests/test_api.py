@@ -62,12 +62,15 @@ _BUNDLE = g.generate_synthetic(n=120, num_classes=3, dim=3, homophily=0.8,
      "m=1.5 must be an integer"),
     (lambda: g.oracle_aggregate(g.ScoreMatrix(_P, "aps", XI), _Y, True, 0.5, 0),
      "m=True must be an integer"),
+    (lambda: g.oracle_aggregate(g.ScoreMatrix(_P, "aps", XI), _Y, -1, 0.5, 0),
+     "m=-1 must be >= 0"),
     (lambda: g.oracle_aggregate(g.ScoreMatrix(_P, "aps", XI), _Y, 1, 0.5, 1.5),
      "seed=1.5 must be an integer"),
 ], ids=["knn-k-float", "knn-k-bool", "knn-sample-size", "image-snaps-k",
         "image-k", "image-n-trials", "image-calib-size", "oracle-n-trials",
         "model-splits", "raps-k-reg-float", "raps-k-reg-bool", "xi-seed-float",
-        "xi-seed-bool", "oracle-m-float", "oracle-m-bool", "oracle-seed-float"])
+        "xi-seed-bool", "oracle-m-float", "oracle-m-bool", "oracle-m-negative",
+        "oracle-seed-float"])
 def test_counts_must_be_integers(call, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         call()

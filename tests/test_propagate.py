@@ -243,14 +243,12 @@ def test_row_count_mismatch():
     ([0, 1, math.nan, 1], "label nan at row 2 is not an integer"),
     ([0, 1, 0, 5], "label 5 at row 3 out of range [0, 3)"),
     ([0, -1, 0, 1], "label -1 at row 1 out of range [0, 3)"),
-    ([0, 1, 0, 1], "m=-1 must be >= 0"),
 ])
-def test_oracle_aggregate_rejects_bad_labels_and_counts(labels, message):
+def test_oracle_aggregate_rejects_labels_that_name_no_class(labels, message):
     # a cast to int64 would group node 1 with class 1; label 5 names no class
     S = _score(np.random.default_rng(4).uniform(size=(4, 3)))
-    m = -1 if message.startswith("m=") else 1
     with pytest.raises(ValidationError) as exc:
-        g.oracle_aggregate(S, np.array(labels), m, 0.5, 1)
+        g.oracle_aggregate(S, np.array(labels), 1, 0.5, 1)
     assert str(exc.value) == message
 
 
