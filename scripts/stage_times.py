@@ -58,6 +58,15 @@ For the exact bundle and the image bundle, the JSON also records
 certify, so that they were scored against every row (counted by wrapping
 ``graph._pairwise_sims``, which scores only those rows).
 
+A fresh interpreter per repetition gives the cold-start stage, at the shape
+of the benchmark's set-up step (n=5000, the exact bundle's shape):
+
+* ``cold_setup``: ``import graphcp``, ``generate_synthetic`` and
+  ``save_bundle`` in a new process, its clock started after ``import numpy``
+  as in perfbench's set-up child, so the figure holds the package import
+  (with whatever bytecode cache the environment allows) and not the
+  interpreter's start-up.
+
 The shapes are fixed so that every ``BENCH_<n>.json`` can be compared with the
 others. Prints one line per stage and writes every run, with the host context,
 to ``--out`` as JSON (``BENCH_<n>.json`` by convention, so the trend can be
@@ -73,6 +82,8 @@ import json
 import os
 import platform
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -136,6 +147,33 @@ def fallback_rows(normed, k):
     finally:
         g.graph._pairwise_sims = real
     return sum(rows)
+
+
+COLD_SETUP = """
+import sys, time
+import numpy
+t = time.perf_counter()
+import graphcp as g
+n, seed, out = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+g.save_bundle(g.generate_synthetic(n=n, num_classes=8, dim=8, homophily=0.8,
+                                   class_sep=2.0, noise=1.0, seed=seed), out)
+print(time.perf_counter() - t)
+"""
+
+
+def cold_setups(n, repeats):
+    """Seconds of ``repeats`` bundle set-ups, each in a fresh interpreter
+    that imports graphcp from the sources this process imported."""
+    src = str(Path(g.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(repeats):
+            done = subprocess.run([sys.executable, "-c", COLD_SETUP, str(n), str(SEED),
+                                   tmp], check=True, capture_output=True, text=True,
+                                  env=env)
+            runs.append(float(done.stdout.split()[-1]))
+    return runs
 
 
 def fresh(args):
@@ -264,6 +302,7 @@ def main():
                 for t in range(IMAGE_TRIALS)]
 
     stages["image_trials"], _ = timed(image_trials, REPEATS)
+    stages["cold_setup"] = cold_setups(EXACT_N, REPEATS)
 
     for name, runs in stages.items():
         print(f"{name:<18} median {statistics.median(runs):.3f} s  "
@@ -276,6 +315,7 @@ def main():
             "cpu": cpu_model(),
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "bytecode_cache": not sys.dont_write_bytecode,
         },
         "config": {"n": N, "classes": 8, "dim": 8, "k": K,
                    "sample_m": SAMPLE_M, "seed": SEED,

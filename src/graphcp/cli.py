@@ -6,7 +6,8 @@ bundle) and ``image`` (graph-free correction on pre-split files).
 
 Exit codes: 0 success, 1 validation error (bad inputs or arguments),
 2 runtime error.  All randomness flows from ``--seed``, and trials run
-one after another.
+one after another.  Each command imports the modules it uses, so
+``graphcp synth`` never loads the experiment harness.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ import sys
 
 import numpy as np
 
-from . import harness, matrixio
-from .conformal import _check_alpha
 from .errors import ValidationError
-from .graph import KnnConfig
-from .propagate import SnapsParams, image_snaps
-from .report import make_report, report_to_dict, write_json, write_report
-from .scores import XiPolicy, aps_scores
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,8 +33,8 @@ def _build_parser() -> _Parser:
 
     run = sub.add_parser("run", help="repeated conformal trials on a bundle")
     run.add_argument("--manifest", required=True)
-    run.add_argument("--method", choices=list(harness.METHODS), default="snaps")
-    run.add_argument("--base", choices=list(harness.BASES), default="aps")
+    run.add_argument("--method", default="snaps")
+    run.add_argument("--base", default="aps")
     run.add_argument("--alpha", type=float, default=0.05)
     run.add_argument("--splits", type=int, default=10, help="model splits")
     run.add_argument("--trials", type=int, default=100, help="conformal splits per model split")
@@ -102,20 +97,27 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
-    bundle = matrixio.load_bundle(args.manifest, renormalize=args.renormalize)
+    from .graph import KnnConfig
+    from .harness import ExperimentConfig, run_experiment
+    from .matrixio import load_bundle
+    from .propagate import SnapsParams
+    from .report import write_report
+
     params = None
     if (args.lam is None) != (args.mu is None):
         raise ValidationError("--lambda and --mu must be given together")
     if args.mu is not None:
         params = SnapsParams(args.lam, args.mu)
-    cfg = harness.ExperimentConfig(
+    # the config checks the arguments, before any file is read
+    cfg = ExperimentConfig(
         alpha=args.alpha, method=args.method, base=args.base,
         knn=KnnConfig(k=args.k, sample_size=args.sample_m, seed=args.seed),
         grid_step=args.grid_step,
         n_model_splits=args.splits, n_conformal_splits=args.trials,
         calib_size=args.calib_size, seed=args.seed, params=params,
     )
-    report = harness.run_experiment(bundle, cfg)
+    bundle = load_bundle(args.manifest, renormalize=args.renormalize)
+    report = run_experiment(bundle, cfg)
     write_report(report, args.out, format=args.format)
     agg = report.aggregate
     print(f"{bundle.name} method={args.method} alpha={args.alpha}: "
@@ -125,12 +127,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    bundle = matrixio.load_bundle(args.manifest, renormalize=args.renormalize)
+    from .harness import run_oracle_experiment
+    from .matrixio import load_bundle
+    from .report import report_to_dict, write_json
+
+    bundle = load_bundle(args.manifest, renormalize=args.renormalize)
     try:
         m_sweep = tuple(int(tok) for tok in args.m_sweep.split(",") if tok.strip())
     except ValueError:
         raise ValidationError(f"bad --m-sweep: {args.m_sweep!r}") from None
-    reports = harness.run_oracle_experiment(
+    reports = run_oracle_experiment(
         bundle, alpha=args.alpha, m_sweep=m_sweep, w=args.w,
         n_trials=args.trials, calib_size=args.calib_size, seed=args.seed,
     )
@@ -148,12 +154,15 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    bundle = harness.generate_synthetic(
+    from .matrixio import save_bundle
+    from .synth import generate_synthetic
+
+    bundle = generate_synthetic(
         n=args.n, num_classes=args.classes, dim=args.dim,
         homophily=args.homophily, class_sep=args.class_sep,
         noise=args.noise, seed=args.seed, avg_degree=args.avg_degree,
     )
-    manifest = matrixio.save_bundle(bundle, args.out_dir)
+    manifest = save_bundle(bundle, args.out_dir)
     print(manifest)
     return 0
 
@@ -165,14 +174,21 @@ def _same_extent(a, b, axis: int, what: str, path_a, path_b) -> None:
 
 
 def _cmd_image(args) -> int:
-    p_cal = matrixio.load_matrix(args.probs_calib)
-    p_test = matrixio.load_matrix(args.probs_test)
-    f_cal = matrixio.load_matrix(args.feats_calib)
-    f_test = matrixio.load_matrix(args.feats_test)
+    from .conformal import _check_alpha
+    from .harness import _evaluate_trial
+    from .matrixio import load_labels, load_matrix, validate_probabilities
+    from .propagate import image_snaps
+    from .report import make_report, write_report
+    from .scores import XiPolicy, aps_scores
+
+    p_cal = load_matrix(args.probs_calib)
+    p_test = load_matrix(args.probs_test)
+    f_cal = load_matrix(args.feats_calib)
+    f_test = load_matrix(args.feats_test)
     # the two splits are scored as one matrix, so check each file on its own
     # first: a bad row is named by its file, and the shapes must agree
     for path, probs in ((args.probs_calib, p_cal), (args.probs_test, p_test)):
-        matrixio.validate_probabilities(probs, path)
+        validate_probabilities(probs, path)
     _same_extent(p_cal, p_test, 1, "classes", args.probs_calib, args.probs_test)
     _same_extent(f_cal, f_test, 1, "feature columns", args.feats_calib,
                  args.feats_test)
@@ -181,10 +197,10 @@ def _cmd_image(args) -> int:
     if p_test.shape[0] == 0:
         raise ValidationError(f"--probs-test {args.probs_test} has no rows; "
                               "image mode needs at least one test row")
-    labels = matrixio.load_labels(args.labels_calib, p_cal.shape[1])
+    labels = load_labels(args.labels_calib, p_cal.shape[1])
     _same_extent(p_cal, labels, 0, "rows", args.probs_calib, args.labels_calib)
     if args.labels_test:
-        y_test = matrixio.load_labels(args.labels_test, p_test.shape[1])
+        y_test = load_labels(args.labels_test, p_test.shape[1])
         _same_extent(p_test, y_test, 0, "rows", args.probs_test, args.labels_test)
         labels = np.concatenate([labels, y_test])
     n_cal, n_test = p_cal.shape[0], p_test.shape[0]
@@ -194,8 +210,8 @@ def _cmd_image(args) -> int:
     base = aps_scores(np.concatenate([p_cal, p_test]),
                       XiPolicy("uniform", seed=args.seed))
     full = image_snaps(base, np.concatenate([f_cal, f_test]), args.k, args.eta)
-    trial = harness._evaluate_trial(full, labels, calib, test, args.alpha, 0, 0,
-                                    {"k": args.k, "eta": args.eta})
+    trial = _evaluate_trial(full, labels, calib, test, args.alpha, 0, 0,
+                            {"k": args.k, "eta": args.eta})
     config = {"mode": "image", "alpha": args.alpha, "k": args.k, "eta": args.eta,
               "calib_size": n_cal, "n_test": n_test, "seed": args.seed}
     write_report(make_report(config, [trial]), args.out, format=args.format)

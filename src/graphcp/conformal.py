@@ -91,18 +91,30 @@ def _score_values(scores) -> np.ndarray:
     return np.asarray(scores, dtype=np.float64)
 
 
+def _label_vector(labels, idx: np.ndarray, what: str) -> np.ndarray:
+    """``labels`` as a 1-D array that holds a label for every node of the
+    nonempty ``idx``; ``what`` names the nodes."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValidationError(f"labels must be 1-D, got shape {labels.shape}")
+    if labels.shape[0] <= idx.max():
+        raise ValidationError(f"{labels.shape[0]} labels, but the largest {what} "
+                              f"index is {idx.max()}")
+    return labels
+
+
 def calibrate(scores, labels: np.ndarray, calib_idx: np.ndarray,
               alpha: float) -> CalibratedThreshold:
     """Threshold from the true-label scores of the calibration nodes; a
     calibration label that is not an integer in [0, K) is rejected, naming
     its node; labels of other nodes are not read."""
     values = _score_values(scores)
-    labels = np.asarray(labels)
     calib_idx = np.asarray(calib_idx, dtype=np.int64)
     if calib_idx.size == 0:
         raise ValidationError("empty calibration set")
     if calib_idx.min() < 0 or calib_idx.max() >= values.shape[0]:
         raise ValidationError("calibration index out of range")
+    labels = _label_vector(labels, calib_idx, "calibration")
     n = int(calib_idx.shape[0])
     calib_labels = labels[calib_idx]
     fault = _label_fault(calib_labels, values.shape[1])

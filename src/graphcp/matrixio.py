@@ -18,10 +18,8 @@ array operations, byte-equal to formatting each value with ``str``.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
-import secrets
 import struct
 import warnings
 from contextlib import contextmanager
@@ -628,7 +626,7 @@ def atomic_open(path, mode: str = "w", **kwargs):
     block completes; if the block raises, the temp file is removed and
     ``path`` keeps its previous contents."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, mode.replace("w", "x"), **kwargs)
     try:
         with fh:
@@ -639,6 +637,8 @@ def atomic_open(path, mode: str = "w", **kwargs):
 
 
 def file_sha256(path) -> bytes:
+    import hashlib  # loads OpenSSL: kept out of every bundle read and write
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

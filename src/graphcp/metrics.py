@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import _check_alpha
+from .conformal import _check_alpha, _label_vector
 from .errors import ValidationError
 from .matrixio import _label_fault
 
@@ -26,7 +26,6 @@ class MetricSummary:
 
 
 def _check_sets(sets, labels, eval_idx):
-    labels = np.asarray(labels)
     if eval_idx is None:
         eval_idx = sets.eval_idx
     else:
@@ -35,9 +34,7 @@ def _check_sets(sets, labels, eval_idx):
             raise ValidationError("eval_idx does not match the prediction sets")
     if eval_idx.size == 0:
         raise ValidationError("empty evaluation set")
-    if labels.shape[0] <= eval_idx.max():
-        raise ValidationError("labels shorter than evaluation indices")
-    return labels, eval_idx
+    return _label_vector(labels, eval_idx, "evaluation"), eval_idx
 
 
 def _measure(sets, labels, eval_idx, alpha: float | None) -> MetricSummary:

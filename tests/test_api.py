@@ -1,6 +1,10 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,27 +12,81 @@ import pytest
 import graphcp as g
 from graphcp.errors import ValidationError
 
+# The package's public names, pinned: adding or removing an export is a
+# deliberate edit of this list.
+PUBLIC_NAMES = [
+    "CalibratedThreshold", "DatasetBundle", "ExperimentConfig", "KnnConfig",
+    "MetricSummary", "NeighborMeans", "PredictionSets", "RapsParams",
+    "ScoreMatrix", "SnapsParams", "SparseGraph", "TrialReport", "TrialResult",
+    "ValidationError", "XiPolicy", "adjacency_graph", "aps_scores",
+    "build_knn_graph", "calibrate", "combine_scores", "conformal_rank",
+    "edge_homophily", "empty_graph", "evaluate", "from_arcs",
+    "generate_synthetic", "image_snaps", "load_bundle", "load_edges",
+    "load_labels", "load_matrix", "make_bundle", "make_report",
+    "neighbor_means", "oracle_aggregate", "predict_sets", "probability_ranks",
+    "read_report", "report_to_dict", "reports_equal", "run_experiment",
+    "run_image_experiment", "run_oracle_experiment", "save_bundle",
+    "snaps_param_grid", "snaps_scores", "sscv", "symmetrize_edges",
+    "weighted_row_means", "write_matrix", "write_report",
+]
+
 
 def test_public_names():
-    """The package's public names, pinned: adding or removing an export is a
-    deliberate edit of this list."""
     names = sorted(name for name in dir(g) if not name.startswith("_")
                    and not isinstance(getattr(g, name), types.ModuleType))
-    assert names == [
-        "CalibratedThreshold", "DatasetBundle", "ExperimentConfig", "KnnConfig",
-        "MetricSummary", "NeighborMeans", "PredictionSets", "RapsParams",
-        "ScoreMatrix", "SnapsParams", "SparseGraph", "TrialReport", "TrialResult",
-        "ValidationError", "XiPolicy", "adjacency_graph", "aps_scores",
-        "build_knn_graph", "calibrate", "combine_scores", "conformal_rank",
-        "edge_homophily", "empty_graph", "evaluate", "from_arcs",
-        "generate_synthetic", "image_snaps", "load_bundle", "load_edges",
-        "load_labels", "load_matrix", "make_bundle", "make_report",
-        "neighbor_means", "oracle_aggregate", "predict_sets", "probability_ranks",
-        "read_report", "report_to_dict", "reports_equal", "run_experiment",
-        "run_image_experiment", "run_oracle_experiment", "save_bundle",
-        "snaps_param_grid", "snaps_scores", "sscv", "symmetrize_edges",
-        "weighted_row_means", "write_matrix", "write_report",
-    ]
+    assert names == PUBLIC_NAMES
+
+
+def test_star_import_binds_the_public_names():
+    namespace = {}
+    exec("from graphcp import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+
+
+def test_every_name_in_the_table_resolves_to_its_module():
+    # a typo in the table fails here, not as a user's AttributeError
+    for module, names in g._EXPORTS.items():
+        mod = getattr(g, module)
+        assert mod.__name__ == f"graphcp.{module}"
+        for name in names:
+            assert getattr(g, name) is getattr(mod, name)
+            assert getattr(g, name).__module__ == mod.__name__
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        g.no_such_name  # noqa: B018
+    # the generator lives in synth alone
+    assert not hasattr(g.harness, "generate_synthetic")
+
+
+def _graphcp_modules_after(code: str) -> set[str]:
+    """The graphcp modules a fresh interpreter has loaded after ``code``."""
+    probe = (f"{code}\nimport sys\nprint(' '.join(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'graphcp')))")
+    src = str(Path(g.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_import_loads_only_the_error_module():
+    assert _graphcp_modules_after("import graphcp") == {"graphcp", "graphcp.errors"}
+
+
+def test_a_bundle_set_up_loads_only_the_generator_and_the_bundle_io():
+    code = ("import graphcp\n"
+            "graphcp.generate_synthetic, graphcp.save_bundle")
+    assert _graphcp_modules_after(code) == {
+        "graphcp", "graphcp.errors", "graphcp.synth", "graphcp.matrixio"}
+
+
+def test_the_synth_command_loads_only_its_modules(tmp_path):
+    code = ("from graphcp import cli\n"
+            "assert cli.main(['synth', '--n', '160', '--classes', '2', '--dim', '2',"
+            f" '--out-dir', {str(tmp_path)!r}]) == 0")
+    assert _graphcp_modules_after(code) == {
+        "graphcp", "graphcp.errors", "graphcp.synth", "graphcp.matrixio",
+        "graphcp.cli"}
+    assert (tmp_path / "manifest.txt").is_file()
 
 
 XI = g.XiPolicy("fixed", 1.0)

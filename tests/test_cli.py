@@ -124,6 +124,9 @@ def test_oracle_subcommand(synth_dir, tmp_path):
     (["run", "--method", "snaps", "--calib-size", "3"],
      "cannot split 1 node(s) into two nonempty parts"),
     (["oracle", "--m-sweep", "0,2,-1"], "m_sweep holds m=-1; each m must be >= 0"),
+    (["run", "--method", "bogus"],
+     "unknown method 'bogus'; choose from aps, raps, daps, snaps"),
+    (["run", "--base", "daps"], "unknown base score 'daps'; choose from aps, raps"),
 ])
 def test_arguments_no_run_can_honor_exit_one(synth_dir, tmp_path, capsys, extra,
                                              message):

@@ -136,6 +136,23 @@ def test_calibrate_validation():
         g.calibrate(values, np.zeros(3, dtype=int), np.arange(3), 1.5)
 
 
+def test_calibrate_rejects_labels_shorter_than_the_calibration_indices():
+    # numpy's IndexError before; the message names the largest index
+    with pytest.raises(ValidationError) as exc:
+        g.calibrate(np.zeros((3, 2)), [0, 1], [0, 1, 2], 0.1)
+    assert str(exc.value) == "2 labels, but the largest calibration index is 2"
+
+
+def test_calibrate_rejects_labels_that_are_not_one_dimensional():
+    # numpy's TypeError before, from a row of labels read as one label
+    labels = np.array([[0, 1], [1, 0], [0, 0], [1, 1]])
+    with pytest.raises(ValidationError) as exc:
+        g.calibrate(np.zeros((4, 2)), labels, [0, 1], 0.1)
+    assert str(exc.value) == "labels must be 1-D, got shape (4, 2)"
+    with pytest.raises(ValidationError, match=r"got shape \(\)"):
+        g.calibrate(np.zeros((4, 2)), np.int64(0), [0], 0.1)
+
+
 @pytest.mark.parametrize("label", [-1, 2])
 def test_calibrate_rejects_a_calibration_label_outside_the_classes(label):
     # a negative label would index from the last class, one >= K past it

@@ -198,6 +198,23 @@ def test_size_histogram_metrics_are_the_row_means_bit_for_bit(n, k, density, alp
     assert got == _direct_metrics(mask, labels, alpha)
 
 
+@pytest.mark.parametrize("metric", [g.evaluate, g.sscv])
+def test_labels_that_are_not_one_dimensional_are_rejected(metric):
+    # a 2-D array was read flattened: coverage, size and sh of 1.0 here
+    sets = make_sets(np.eye(2, dtype=bool)[[0, 1, 0, 1]])
+    with pytest.raises(ValidationError) as exc:
+        metric(sets, np.array([[0, 1], [1, 0], [0, 0], [1, 1]]))
+    assert str(exc.value) == "labels must be 1-D, got shape (4, 2)"
+
+
+@pytest.mark.parametrize("metric", [g.evaluate, g.sscv])
+def test_labels_shorter_than_the_evaluation_indices_are_rejected(metric):
+    sets = make_sets(np.ones((3, 2), dtype=bool))
+    with pytest.raises(ValidationError) as exc:
+        metric(sets, np.array([0, 1]))
+    assert str(exc.value) == "2 labels, but the largest evaluation index is 2"
+
+
 def test_labels_outside_the_sets_are_rejected():
     sets = make_sets(np.ones((3, 4), dtype=bool))
     for bad in (4, -1):

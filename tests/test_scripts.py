@@ -33,7 +33,7 @@ def test_stage_times_runs_every_stage_at_small_shapes(tmp_path, monkeypatch, cap
     assert set(data["stages"]) == {"generate_synthetic", "save_bundle", "load_bundle",
                                    "sampled_knn_build", "neighbor_means",
                                    "exact_knn_build", "snaps_tunes", "trial_evaluations",
-                                   "image_neighbors", "image_trials"}
+                                   "image_neighbors", "image_trials", "cold_setup"}
     assert data["stages"]["load_bundle"]["traced_peak_bytes"] > 0
     # the pool's neighbor search runs at depth k, whatever the trial count
     assert data["config"]["image"]["neighbor_depth"] == 5
@@ -45,7 +45,7 @@ def test_stage_times_runs_every_stage_at_small_shapes(tmp_path, monkeypatch, cap
         counts = data["config"]["snaps"][key]
         assert len(counts) == 3 and min(counts) >= 0
     # a line per stage, and the load's traced peak
-    assert len(capsys.readouterr().out.splitlines()) == 11
+    assert len(capsys.readouterr().out.splitlines()) == 12
 
 
 def test_stage_times_replays_the_calls_of_one_operation(monkeypatch):
