@@ -14,6 +14,11 @@ stage 5 times on its own:
   records the peak of memory traced by ``tracemalloc`` during one more load
   (``traced_peak_bytes``, next to its seconds);
 * ``sampled_knn_build``: ``build_knn_graph`` in sampled mode (k=20, M=200);
+  the JSON also records how many candidates per row its float32 pool
+  screen passed on average (``mean_candidates``) and how many rows the
+  screen could not certify, so that they were scored over their whole
+  pool (``fallback_rows``), both counted by wrapping
+  ``graph._candidate_top_k``;
 * ``neighbor_means``: one aggregation of the APS score matrix over the
   k-NN graph and the structural adjacency.
 
@@ -147,6 +152,30 @@ def fallback_rows(normed, k):
     finally:
         g.graph._pairwise_sims = real
     return sum(rows)
+
+
+def sampled_screen(normed, k, m):
+    """``{"mean_candidates": ..., "fallback_rows": ...}`` of the sampled
+    ``graph._knn_lists(normed, k, m)``: the screen's candidates per row it
+    certified, and the rows scored over their whole pool."""
+    real, screened, fallback = g.graph._candidate_top_k, [], []
+
+    def counting(queries, base, cand, k, counts=None):
+        if counts is None:  # a fallback's whole pools
+            fallback.append(queries.shape[0])
+        else:
+            screened.append(counts)
+        return real(queries, base, cand, k, counts)
+
+    g.graph._candidate_top_k = counting
+    try:
+        g.graph._knn_lists(normed, k, m, SEED)
+    finally:
+        g.graph._candidate_top_k = real
+    counts = np.concatenate(screened or [np.empty(0, dtype=np.int64)])
+    certified = normed.shape[0] - sum(fallback)
+    return {"mean_candidates": float(counts.sum() / certified) if certified else None,
+            "fallback_rows": sum(fallback)}
 
 
 COLD_SETUP = """
@@ -320,6 +349,8 @@ def main():
         "config": {"n": N, "classes": 8, "dim": 8, "k": K,
                    "sample_m": SAMPLE_M, "seed": SEED,
                    "repeats": REPEATS, "knn_arcs": knn.nnz,
+                   "sampled": sampled_screen(
+                       g.graph._normalized_rows(bundle.features)[0], K, SAMPLE_M),
                    "exact": {"n": EXACT_N, "k": K, "knn_arcs": exact_knn.nnz,
                              "fallback_rows": fallback_rows(
                                  g.graph._normalized_rows(exact.features)[0], K)},

@@ -12,13 +12,15 @@ The k-NN builder has two modes:
   BLAS matrix products that screen each row down to the few candidates near
   its k-th similarity, which alone are scored exactly (``_top_k_blocks``);
   the mode without ``sample_size``, for n <= 50,000 only;
-* sampled: each node scores a seed-keyed uniform sample of M candidates,
-  O(n M d).  Node i's sample is the first M distinct values of its draw
-  sequence ``floor(u(seed, i, j) * (n - 1))``, j = 0, 1, 2, ..., shifted past
-  i, where u is the counter hash of ``scores`` (or, for M > (n - 1) / 2, the
-  complement of the first n - 1 - M); every row of a chunk is drawn at once
-  (``_sample_pools``).  With M = n - 1 the sampled candidate set is all
-  other nodes and the result equals exact mode.
+* sampled: each node's candidates are a seed-keyed uniform sample of M
+  other nodes, O(n M d), screened in float32 like exact mode's rows, so
+  only the few near its k-th similarity are scored exactly
+  (``_sampled_blocks``).  Node i's sample is the first M distinct values of
+  its draw sequence ``floor(u(seed, i, j) * (n - 1))``, j = 0, 1, 2, ...,
+  shifted past i, where u is the counter hash of ``scores`` (or, for
+  M > (n - 1) / 2, the complement of the first n - 1 - M); every row of a
+  chunk is drawn at once (``_sample_pools``).  With M = n - 1 the sampled
+  candidate set is all other nodes and the result equals exact mode.
 
 One list stage, ``_knn_lists``, gives every row's k neighbors in either
 mode: ``build_knn_graph`` turns its lists into arcs, and image mode
@@ -32,12 +34,13 @@ most 2k wide is sorted whole by that argsort; in a wider one, one
 across that boundary fall back to the stable sort.  Every similarity the
 kernel selects from is computed by one einsum whose bits do not depend on
 where a row sits (``_pairwise_sims``, and ``_gathered_sims`` in
-``_candidate_top_k``, which scores both the screen's candidates and the
-sampled pools); the BLAS screen of ``_top_k_blocks`` only decides, under a
-rounding-error certificate, which entries to score that way.  Row chunks
-are sized so that a float32 screen block stays within half of
-``_CHUNK_TARGET`` elements (2 MB); candidate gathers stay within
-``_SAMPLED_GATHER`` elements (4 MB).
+``_candidate_top_k``, which scores the candidates of both modes' screens
+and the rows they cannot certify); the float32 screens only decide, under
+one rounding-error certificate (``_screen_candidates``), which entries to
+score that way.  Row chunks are sized so that an exact-mode float32 screen
+block stays within half of ``_CHUNK_TARGET`` elements (2 MB); the float32
+pool gathers of sampled mode stay within ``_SAMPLED_GATHER`` elements
+(2 MB), and float64 candidate gathers within as many (4 MB).
 
 Row sums over arcs (a graph's degrees, and the neighbor sums behind
 ``propagate.weighted_row_means``) come from one exact-sum kernel,
@@ -68,10 +71,11 @@ EXACT_MODE_MAX_N = 50_000
 # repeat exact k-NN or image-mode runs at n = 4000-5000 peaked about 20 MB
 # higher in resident memory
 _CHUNK_TARGET = 1 << 20
-# elements of sampled mode's (rows, M, d) candidate gather; from 1 << 17 to
-# 1 << 21 the build ran equally fast at n = 10000 and 50000 (M = 200, d = 8),
-# so the chunk is kept small for memory.  It also bounds the (rows, at most
-# 4k + _RESCORE_SLACK, d) gather of the candidates that _top_k_blocks scores
+# elements of sampled mode's (rows, M, d) float32 pool gather; from 1 << 17
+# to 1 << 21 the screened build ran about equally fast at n = 10000 (99-108
+# ms) and from 1 << 18 at 50000 (0.51-0.58 s; 0.70 s at 1 << 17), M = 200,
+# d = 8, so the chunk is kept small for memory.  It also bounds the float64
+# (rows, candidates, d) gathers that _top_k_blocks and _sampled_blocks score
 _SAMPLED_GATHER = 1 << 19
 # a row of _top_k_blocks whose screen passes more than 4k + _RESCORE_SLACK
 # candidates is scored in full instead
@@ -303,7 +307,9 @@ def _block_sums(starts: np.ndarray, cnt: np.ndarray, col_indices: np.ndarray,
     slack = 1.0 + cnt[:, None] * 2.0 ** -52
     ok = (a2 == 0.0) | (np.abs(f) + a2 * slack < half_gap)
     ok &= np.isfinite(r)
-    for i, c in zip(*np.nonzero(~ok)):
+    if ok.all():
+        return r
+    for i, c in zip(*np.divmod(np.flatnonzero(~ok), ok.shape[1])):
         arcs = slice(starts[i], starts[i] + cnt[i])
         terms = values[col_indices[arcs], c]
         r[i, c] = math.fsum(terms if weights is None else terms * weights[arcs])
@@ -466,36 +472,16 @@ def _top_k_blocks(normed: np.ndarray, k: int):
 
     * screen: ``q @ normed.T`` is computed in float32, from a float32 copy
       of ``normed`` made once per call, into a reused float32 buffer, with
-      -inf at each row's own column.  Each row's bound L, the k-th largest
-      maximum of max(4k, ``_SCREEN_GROUPS``) strided column groups
-      (``_screen_bound``), is at most its k-th largest screen value S.  The
-      candidates are the entries at or above ``L - margin``,
-      ``margin = 8 (d + 2) u`` with u = 2^-24, a superset of those at or
-      above ``S - margin``.  For unit rows a and b, rounding each entry to
-      float32 moves the real dot product by at most
-      ``(2u + u^2) |a| |b|``, float32 accumulation in any order (BLAS
-      blocking and fused multiply-adds included) adds at most
-      ``gamma_d |a| |b|`` with ``gamma_d = d u / (1 - d u)`` (Higham,
-      Accuracy and Stability of Numerical Algorithms, section 3.1), and the
-      einsum is within ``d 2^-53`` of the real product.  So for
-      ``d u <= 1/4`` the screen and the einsum differ by at most
-      ``eps <= 2 (d + 2) u``; entries that underflow in float32 add at most
-      about ``d 2^-149``, far inside that.  Fewer than k entries have an
-      einsum value above the exact k-th value E, so S <= E + eps, and every
-      entry with an einsum value of at least E (the exact top k and every
-      entry tied with E) screens at least E - eps >= S - 2 eps: the margin
-      covers 2 eps twice over.  ``L - margin`` is taken in float64 (its
-      rounding, at most 2^-53, lies far inside that slack) and rounded down
-      to float32 (``_float32_below``), so the float32 comparison gives back
-      none of the margin;
+      -inf at each row's own column, and ``_screen_candidates`` picks each
+      row's candidates under its rounding-error certificate;
     * rescore: each row's candidates, in ascending column order, are scored
       (the bits of ``_pairwise_sims``) and selected by ``_candidate_top_k``;
       ascending columns keep ties to the smaller column;
-    * fallback: a row whose bound or largest screen value is not finite
-      (a NaN in the row; a -inf bound would let its own column in), or
-      that passes more than ``4k + _RESCORE_SLACK`` candidates (a zero-norm
-      row ties every column at 0), is scored in full by ``_pairwise_sims``
-      and ``_top_k``.
+    * fallback: a row the screen cannot certify (a NaN in the row, a -inf
+      bound that would let its own column in, or more than
+      ``4k + _RESCORE_SLACK`` candidates, as a zero-norm row that ties every
+      column at 0 has) is scored in full by ``_pairwise_sims`` and
+      ``_top_k``.
 
     Memory: the float32 copy of ``normed``, the screen and its candidate
     mask are allocated once per call, and the screen holds half of
@@ -511,18 +497,12 @@ def _top_k_blocks(normed: np.ndarray, k: int):
     normed32 = normed.astype(np.float32)
     screen_buf = np.empty((min(step, n), n), dtype=np.float32)
     mask_buf = np.empty(screen_buf.shape, dtype=bool)
-    margin = 8 * (d + 2) * 2.0 ** -24
     for start in range(0, n, step):
         stop = min(start + step, n)
-        q, screen, mask = (normed[start:stop], screen_buf[:stop - start],
-                           mask_buf[:stop - start])
+        q, screen = normed[start:stop], screen_buf[:stop - start]
         np.matmul(normed32[start:stop], normed32.T, out=screen)
         screen[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-        bound, top = _screen_bound(screen, k)
-        np.greater_equal(screen, _float32_below(bound.astype(np.float64) - margin)[:, None],
-                         out=mask)
-        cand, counts, ok = _screen_candidates(mask, np.isfinite(bound) & np.isfinite(top),
-                                              k, cap)
+        cand, counts, ok = _screen_candidates(screen, mask_buf[:stop - start], k, d, cap)
         cols, vals = _candidate_top_k(q, normed, cand, k, counts)
         fallback = np.flatnonzero(~ok)
         if fallback.size:
@@ -565,20 +545,50 @@ def _float32_below(x: np.ndarray) -> np.ndarray:
     return np.where(y > x, np.nextafter(y, np.float32(-np.inf)), y)
 
 
-def _screen_candidates(mask: np.ndarray, finite: np.ndarray, k: int, cap: int
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cand, counts, ok) of a chunk's screen ``mask``: row i is ``ok`` when
-    its screen is ``finite`` and passes at most ``cap`` candidates; then
-    ``cand[i, :counts[i]]`` lists them in ascending column order.  Rows that
-    are not ok have no candidates (they are scored in full), and ``cand`` is
-    at least k wide."""
-    rows, n_b = mask.shape
+def _screen_candidates(screen: np.ndarray, mask: np.ndarray, k: int, d: int,
+                       cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cand, counts, ok) of a chunk's (rows, n_b) float32 ``screen`` of
+    dot products of unit (or zero) rows in d dimensions: row i is ``ok``
+    when its screen can be certified and passes at most ``cap`` candidates;
+    then ``cand[i, :counts[i]]`` lists the screen columns that may hold an
+    entry of the row's exact top k, in ascending order.  Rows that are not
+    ok have no candidates (they are scored in full), and ``cand`` is at
+    least k wide.  ``mask`` is a bool buffer of the screen's shape.
+
+    Each row's bound L, the k-th largest maximum of max(4k,
+    ``_SCREEN_GROUPS``) strided column groups (``_screen_bound``), is at
+    most its k-th largest screen value S.  The candidates are the entries at
+    or above ``L - margin``, ``margin = 8 (d + 2) u`` with u = 2^-24, a
+    superset of those at or above ``S - margin``.  For unit rows a and b,
+    rounding each entry to float32 moves the real dot product by at most
+    ``(2u + u^2) |a| |b|``, float32 accumulation in any order (BLAS blocking
+    and fused multiply-adds included) adds at most ``gamma_d |a| |b|`` with
+    ``gamma_d = d u / (1 - d u)`` (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 3.1), and the einsum of ``_pairwise_sims``
+    is within ``d 2^-53`` of the real product.  So for ``d u <= 1/4`` the
+    screen and the einsum differ by at most ``eps <= 2 (d + 2) u``; entries
+    that underflow in float32 add at most about ``d 2^-149``, far inside
+    that.  Fewer than k entries have an einsum value above the exact k-th
+    value E, so S <= E + eps, and every entry with an einsum value of at
+    least E (the exact top k and every entry tied with E) screens at least
+    E - eps >= S - 2 eps: the margin covers 2 eps twice over.  The argument
+    holds for any set of columns, so it covers a screen of a full row and
+    one of a sampled pool alike.  ``L - margin`` is taken in float64 (its
+    rounding, at most 2^-53, lies far inside that slack) and rounded down
+    to float32 (``_float32_below``), so the float32 comparison gives back
+    none of the margin.  A row whose bound or largest screen value is not
+    finite is not ok.
+    """
+    rows, n_b = screen.shape
+    bound, top = _screen_bound(screen, k)
+    threshold = _float32_below(bound.astype(np.float64) - 8 * (d + 2) * 2.0 ** -24)
+    np.greater_equal(screen, threshold[:, None], out=mask)
     # row-major flat indices give each row's candidate columns ascending,
     # and row i's run of them starts where i * n_b would be inserted
     flat = np.flatnonzero(mask)
     starts = np.searchsorted(flat, np.arange(rows + 1) * n_b)
     counts = np.diff(starts)
-    ok = finite & (counts <= cap)
+    ok = np.isfinite(bound) & np.isfinite(top) & (counts <= cap)
     r, c = np.divmod(flat, n_b)
     at = np.arange(flat.size) - starts[r]
     if not ok.all():
@@ -611,9 +621,11 @@ def _distinct_draws(seed: int, rows: np.ndarray, span: int, count: int,
     todo = np.arange(rows.shape[0])
     while count and todo.size:
         bits = (draws - 1).bit_length()
-        pos = np.arange(draws, dtype=np.int64)
-        # u * span >= 0, so the cast to int64 is the floor
-        keys = (_counter_uniform(seed, rows[todo], pos) * span).astype(np.int64)
+        # every key is below span << bits; int32 keys sort faster
+        dtype = np.int32 if span << bits <= np.iinfo(np.int32).max else np.int64
+        pos = np.arange(draws, dtype=dtype)
+        # u * span >= 0, so the cast to an integer is the floor
+        keys = (_counter_uniform(seed, rows[todo], pos) * span).astype(dtype)
         keys <<= bits
         keys |= pos
         keys.sort(axis=1)
@@ -661,13 +673,41 @@ def _sample_pools(seed: int, rows: np.ndarray, n: int, m: int) -> np.ndarray:
 
 def _sampled_blocks(normed: np.ndarray, k: int, m: int, seed: int):
     """Like ``_top_k_blocks`` over the other n-1 rows, but each row i scores
-    only its candidate pool of M nodes (``_sample_pools``)."""
+    only its candidate pool of M nodes (``_sample_pools``).
+
+    Each chunk's pools are gathered from a float32 copy of ``normed`` (made
+    once per call) and screened by one batched float32 product into a
+    (rows, M) screen; ``_screen_candidates`` picks each row's candidates
+    under the same certificate as the exact screen, since a pool is only a
+    subset of the columns that screen covers.  The candidates, mapped back
+    to their pool members (ascending, as the pools are, so ties still go to
+    the smaller column), are scored by ``_candidate_top_k``, and a row the
+    screen cannot certify (a zero-norm row or a tie group over the cap) by
+    the same over its whole pool.  The gather, screen and mask buffers are
+    allocated once per call, the gather within ``_SAMPLED_GATHER`` elements.
+    """
     n, d = normed.shape
-    step = max(1, _SAMPLED_GATHER // max(m * d, 1))
+    cap = 4 * k + _RESCORE_SLACK
+    step = min(n, max(1, _SAMPLED_GATHER // max(m * d, 1)))
+    normed32 = normed.astype(np.float32)
+    gather_buf = np.empty((step, m, d), dtype=np.float32)
+    screen_buf = np.empty((step, m, 1), dtype=np.float32)
+    mask_buf = np.empty((step, m), dtype=bool)
     for start in range(0, n, step):
         stop = min(start + step, n)
+        q, rows = normed[start:stop], stop - start
         pools = _sample_pools(seed, np.arange(start, stop), n, m)
-        yield start, stop, *_candidate_top_k(normed[start:stop], normed, pools, k)
+        gathered = np.take(normed32, pools, axis=0, out=gather_buf[:rows])
+        screen = np.matmul(gathered, normed32[start:stop, :, None],
+                           out=screen_buf[:rows])[:, :, 0]
+        cand, counts, ok = _screen_candidates(screen, mask_buf[:rows], k, d, cap)
+        cols, vals = _candidate_top_k(q, normed, np.take_along_axis(pools, cand, axis=1),
+                                      k, counts)
+        fallback = np.flatnonzero(~ok)
+        if fallback.size:
+            cols[fallback], vals[fallback] = _candidate_top_k(q[fallback], normed,
+                                                              pools[fallback], k)
+        yield start, stop, cols, vals
 
 
 def _knn_lists(normed: np.ndarray, k: int, sample_size: int | None = None,

@@ -243,7 +243,8 @@ def _grid_size_sh(in_set, num_points, labels_eval,
     # a row's size is at most num_classes
     sizes = np.zeros(shape, dtype=np.min_scalar_type(num_classes))
     for c in range(num_classes):
-        sizes += in_set(c, hit)
+        # a uint8 view adds without casting the bools
+        sizes += in_set(c, hit).view(np.uint8)
         true_hit[:, bounds[c]:bounds[c + 1]] = hit[:, bounds[c]:bounds[c + 1]]
     true_hit &= sizes == 1
     # row sums in the smallest type that holds them run at about 3 times
@@ -378,7 +379,10 @@ def _snaps_grid_sets(values, nm: NeighborMeans, labels, lam, mu, a, b, rank):
         np.less(mixed, below, out=out)
         np.greater(mixed, above, out=beyond)
         if np.count_nonzero(out) + np.count_nonzero(beyond) < out.size:
-            g, r = np.nonzero(~(out | beyond))
+            # below <= above, so out and beyond are disjoint: an entry is
+            # undecided where both are False.  Flat indices take about an
+            # eighth of the time of a 2-D np.nonzero at (231, 250)
+            g, r = np.divmod(np.flatnonzero(out == beyond), shape[1])
             rows = b[r]
             out[g, r] = _rescored(lam[g], mu[g], nm.has_knn[rows], nm.has_adj[rows],
                                   [part[rows, c] for part in parts], exact_q(g))

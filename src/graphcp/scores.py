@@ -98,9 +98,13 @@ class ScoreMatrix:
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
+    """The splitmix64 finalizer of the uint64 array ``x``, in place."""
+    t = np.empty_like(x)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        x ^= np.right_shift(x, np.uint64(shift), out=t)
+        x *= np.uint64(mult)
+    x ^= np.right_shift(x, np.uint64(31), out=t)
+    return x
 
 
 def _mix_int(x: int) -> int:
@@ -118,7 +122,10 @@ def _counter_uniform(seed: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarra
     rid = rows.astype(np.uint64)[:, None] * np.uint64(_MIX1)
     cid = cols.astype(np.uint64)[None, :] * np.uint64(_MIX2)
     h = _mix(_mix(base ^ rid) ^ cid)
-    return (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    h >>= np.uint64(11)
+    u = h.astype(np.float64)
+    u *= 2.0 ** -53
+    return u
 
 
 def _default_ids(P: np.ndarray, node_ids) -> np.ndarray:

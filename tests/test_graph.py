@@ -214,6 +214,145 @@ def test_row_short_of_distinct_draws_extends_its_own_sequence():
         assert got.tolist() == expected
 
 
+def int64_distinct_draws(seed, rows, span, count, draws):
+    """_distinct_draws one row at a time with int64 keys ``value << bits |
+    position`` in every round."""
+    out = []
+    for row in rows:
+        d = draws
+        while True:
+            bits = (d - 1).bit_length()
+            pos = np.arange(d, dtype=np.int64)
+            u = g.scores._counter_uniform(seed, np.array([row]), pos)[0]
+            keys = np.sort((u * span).astype(np.int64) << bits | pos)
+            values = keys >> bits
+            first = np.concatenate([[True], values[1:] != values[:-1]])
+            if first.sum() >= count:
+                earliest = np.argsort(keys[first] & (1 << bits) - 1)[:count]
+                out.append(np.sort(values[first][earliest]))
+                break
+            d *= 2
+    return np.array(out).reshape(len(rows), count)
+
+
+# draws = 512 makes 9-bit positions: span << 9 lies just below 2^31 - 1 at
+# the first span and just above it at the second; far above it at the third
+@pytest.mark.parametrize("span, dtypes", [((2 ** 31 - 1) >> 9, [np.int32, np.int64]),
+                                          (((2 ** 31 - 1) >> 9) + 1, [np.int64, np.int64]),
+                                          (2 ** 40, [np.int64])])
+def test_distinct_draws_keys_switch_to_int64_where_int32_cannot_hold_them(
+        monkeypatch, span, dtypes):
+    seed, draws = 5, 512
+    # a row whose 512 draws repeat a value (about 3 % of rows at the first
+    # two spans, none at the third) is redone on 1024 draws, with 10-bit
+    # positions, which no longer fit int32 keys at the first span
+    values = np.sort((g.scores._counter_uniform(seed, np.arange(100), np.arange(draws))
+                      * span).astype(np.int64), axis=1)
+    repeats = np.flatnonzero((values[:, 1:] == values[:, :-1]).any(axis=1))
+    rows = np.concatenate([repeats[:1], [100, 101, 102]])
+    real = g.scores._counter_uniform
+    key_dtypes = []
+
+    def spy(seed, rows, cols):
+        key_dtypes.append(cols.dtype)  # the positions have the keys' dtype
+        return real(seed, rows, cols)
+
+    monkeypatch.setattr(g.graph, "_counter_uniform", spy)
+    got = g.graph._distinct_draws(seed, rows, span, draws, draws)
+    assert key_dtypes == dtypes
+    assert got.dtype == np.int64
+    assert np.array_equal(got, int64_distinct_draws(seed, rows, span, draws, draws))
+
+
+def reference_sampled_graph(features, k, m, seed, min_similarity):
+    """The sampled graph without its screen: every member of row i's pool
+    scored by _candidate_top_k, its arcs kept as build_knn_graph keeps them."""
+    normed, zero = g.graph._normalized_rows(features)
+    n = normed.shape[0]
+    pools = g.graph._sample_pools(seed, np.arange(n), n, m)
+    cols, sims = g.graph._candidate_top_k(normed, normed, pools, k)
+    keep = (sims > min_similarity) & ~zero[:, None]
+    arcs = np.stack([np.repeat(np.arange(n), k).reshape(n, k)[keep], cols[keep]], axis=1)
+    return g.graph.from_arcs(n, arcs, sims[keep])
+
+
+@pytest.mark.filterwarnings("ignore:.*zero-norm")
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_screened_pools_match_full_pool_scoring_bit_for_bit(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    # pools of at most 256 members are one column per screen group; wider
+    # ones group several columns, and most take the complement draw
+    wide = data.draw(st.booleans(), label="wide")
+    n = data.draw(st.integers(258, 400) if wide else st.integers(11, 257), label="n")
+    m = data.draw(st.integers(257, n - 1) if wide else st.integers(10, n - 1), label="m")
+    k = data.draw(st.integers(1, min(m // 10, 8)), label="k")
+    d = data.draw(st.integers(1, 16), label="d")
+    kind = data.draw(st.sampled_from(["rounded", "palette", "normal"]), label="kind")
+    # rounded cells and palette rows (duplicates) tie at the k-th value
+    if kind == "rounded":
+        feats = np.round(rng.normal(size=(n, d)))
+    elif kind == "palette":
+        palette = rng.normal(size=(int(rng.integers(1, 6)), d))
+        feats = palette[rng.integers(0, palette.shape[0], size=n)]
+    else:
+        feats = rng.normal(size=(n, d))
+    feats[rng.random(n) < 0.1] = 0.0
+    min_similarity = data.draw(st.sampled_from([0.0, -2.0]), label="min_similarity")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="pool_seed")
+    want = reference_sampled_graph(feats, k, m, seed, min_similarity)
+    rows = data.draw(st.integers(1, n), label="rows_per_chunk")
+    # from "every row falls back" to "no row passes too many candidates"
+    cap = data.draw(st.integers(0, m + 1), label="cap")
+    with mock.patch.object(g.graph, "_SAMPLED_GATHER", m * d * rows), \
+            mock.patch.object(g.graph, "_RESCORE_SLACK", cap - 4 * k):
+        got = g.build_knn_graph(feats, g.KnnConfig(k=k, sample_size=m, seed=seed,
+                                                   min_similarity=min_similarity))
+    assert_same_graph(got, want)
+
+
+def test_screened_pools_fall_back_to_the_whole_pool_for_rows_over_the_cap(monkeypatch):
+    rng = np.random.default_rng(34)
+    k, m = 2, 300
+    spread = np.zeros((200, 4))
+    spread[:, :3] = rng.normal(size=(200, 3))
+    same = np.zeros((200, 4))
+    same[:, 3] = 1.0  # orthogonal to the spread rows
+    feats = np.concatenate([spread, same, np.zeros((3, 4))])
+    order = rng.permutation(feats.shape[0])
+    feats = feats[order]
+    n = feats.shape[0]
+    normed = g.graph._normalized_rows(feats)[0]
+    pools = g.graph._sample_pools(7, np.arange(n), n, m)
+    # a duplicate's pool holds about 150 twins (sim 1) and a zero row's
+    # screen ties every member at 0: both pass more than the cap
+    # 4k + 64 = 72; a spread row passes about k
+    uncertified = np.flatnonzero(order >= 200)
+    real = g.graph._candidate_top_k
+    whole_pools = []
+
+    def spy(queries, base, cand, k, counts=None):
+        if counts is None:  # the fallback scores whole pools
+            whole_pools.append((queries, cand))
+        return real(queries, base, cand, k, counts)
+
+    monkeypatch.setattr(g.graph, "_candidate_top_k", spy)
+    want = reference_sampled_graph(feats, k, m, 7, 0.0)
+    monkeypatch.setattr(g.graph, "_SAMPLED_GATHER", m * 4 * 50)
+    for slack, expected in ((g.graph._RESCORE_SLACK, uncertified),
+                            (-10 ** 9, np.arange(n)),       # every row over the cap
+                            (10 ** 9, np.arange(0))):       # no row over it
+        monkeypatch.setattr(g.graph, "_RESCORE_SLACK", slack)
+        whole_pools.clear()
+        with pytest.warns(UserWarning, match="zero-norm"):
+            got = g.build_knn_graph(feats, g.KnnConfig(k=k, sample_size=m, seed=7))
+        assert_same_graph(got, want)
+        queries = np.concatenate([q for q, _ in whole_pools] or [np.empty((0, 4))])
+        cand = np.concatenate([c for _, c in whole_pools] or [np.empty((0, m), np.int64)])
+        assert np.array_equal(queries, normed[expected])
+        assert np.array_equal(cand, pools[expected])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_top_k_matches_stable_argsort_with_heavy_ties(data):

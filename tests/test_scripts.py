@@ -37,8 +37,10 @@ def test_stage_times_runs_every_stage_at_small_shapes(tmp_path, monkeypatch, cap
     assert data["stages"]["load_bundle"]["traced_peak_bytes"] > 0
     # the pool's neighbor search runs at depth k, whatever the trial count
     assert data["config"]["image"]["neighbor_depth"] == 5
-    for shape in ("exact", "image"):
+    for shape in ("exact", "image", "sampled"):
         assert data["config"][shape]["fallback_rows"] >= 0
+    # the pool screen passes each row at least its k = 20 neighbors
+    assert data["config"]["sampled"]["mean_candidates"] >= 20
     # one count of undecided screen entries, and of the exact thresholds
     # they needed, per recorded tune
     for key in ("undecided_entries", "exact_thresholds"):
