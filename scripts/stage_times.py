@@ -10,17 +10,22 @@ stage 5 times on its own:
 * ``generate_synthetic``: draw the bundle (its edges symmetrized by
   ``symmetrize_edges``);
 * ``save_bundle``: write its files (matrices, label and edge text, manifest);
-* ``load_bundle``: read and validate the saved bundle files; the JSON also
-  records the peak of memory traced by ``tracemalloc`` during one more load
-  (``traced_peak_bytes``, next to its seconds);
+* ``load_bundle``: read and validate the saved bundle files;
 * ``sampled_knn_build``: ``build_knn_graph`` in sampled mode (k=20, M=200);
   the JSON also records how many candidates per row its float32 pool
   screen passed on average (``mean_candidates``) and how many rows the
   screen could not certify, so that they were scored over their whole
   pool (``fallback_rows``), both counted by wrapping
   ``graph._candidate_top_k``;
+* ``adjacency_graph``: the structural adjacency (unit weights) from the
+  bundle's symmetrized arcs;
 * ``neighbor_means``: one aggregation of the APS score matrix over the
   k-NN graph and the structural adjacency.
+
+For ``load_bundle``, both k-NN builds and ``adjacency_graph``, the JSON also
+records, next to the seconds, the memory ``tracemalloc`` traces during one
+more call: its peak (``traced_peak_bytes``) and what the result keeps
+(``traced_retained_bytes``), both counted from the call's start.
 
 A second bundle of the same kind at n=5000 gives the exact-mode stage, at
 the shape of the benchmark's ``snaps-5k`` workload:
@@ -128,14 +133,17 @@ def timed(fn, repeats):
     return runs, result
 
 
-def traced_peak(fn):
-    """Peak bytes ``tracemalloc`` traces while ``fn()`` runs."""
+def traced(fn):
+    """``{"traced_peak_bytes": ..., "traced_retained_bytes": ...}``: the
+    peak of the memory ``tracemalloc`` traces while ``fn()`` runs, and what
+    is still traced once it returns, while its result is alive."""
     tracemalloc.start()
     try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
+        result = fn()  # alive while the retained bytes are read
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return {"traced_peak_bytes": peak, "traced_retained_bytes": retained}
 
 
 def fallback_rows(normed, k):
@@ -286,7 +294,7 @@ def main():
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args()
 
-    stages = {}
+    stages, memory = {}, {}
     stages["generate_synthetic"], bundle = timed(
         lambda: g.generate_synthetic(n=N, num_classes=8, dim=8, homophily=0.8,
                                      class_sep=2.0, noise=1.0, seed=SEED), REPEATS)
@@ -296,10 +304,13 @@ def main():
                                                 REPEATS)
         stages["load_bundle"], bundle = timed(lambda: g.load_bundle(manifest),
                                               REPEATS)
-        load_peak = traced_peak(lambda: g.load_bundle(manifest))
+        memory["load_bundle"] = traced(lambda: g.load_bundle(manifest))
     stages["sampled_knn_build"], knn = timed(
         lambda: g.build_knn_graph(bundle.features, knn_cfg), REPEATS)
-    adj = g.adjacency_graph(bundle.n, bundle.edges)
+    memory["sampled_knn_build"] = traced(lambda: g.build_knn_graph(bundle.features, knn_cfg))
+    stages["adjacency_graph"], adj = timed(
+        lambda: g.adjacency_graph(bundle.n, bundle.edges), REPEATS)
+    memory["adjacency_graph"] = traced(lambda: g.adjacency_graph(bundle.n, bundle.edges))
     scores = g.aps_scores(bundle.probabilities, g.XiPolicy(seed=SEED)).values
     stages["neighbor_means"], _ = timed(lambda: g.neighbor_means(scores, knn, adj),
                                         REPEATS)
@@ -308,6 +319,8 @@ def main():
                                  class_sep=2.0, noise=1.0, seed=SEED)
     stages["exact_knn_build"], exact_knn = timed(
         lambda: g.build_knn_graph(exact.features, g.KnnConfig(k=K)), REPEATS)
+    memory["exact_knn_build"] = traced(
+        lambda: g.build_knn_graph(exact.features, g.KnnConfig(k=K)))
 
     snaps_cfg = g.ExperimentConfig(n_model_splits=1, n_conformal_splits=SNAPS_TRIALS,
                                    seed=SEED)
@@ -336,7 +349,9 @@ def main():
     for name, runs in stages.items():
         print(f"{name:<18} median {statistics.median(runs):.3f} s  "
               f"min {min(runs):.3f} s  (n={len(runs)})")
-    print(f"{'load_bundle':<18} traced peak {load_peak / 2 ** 20:.1f} MiB")
+    for name, traced_bytes in memory.items():
+        print(f"{name:<18} traced peak {traced_bytes['traced_peak_bytes'] / 2 ** 20:.1f} MiB"
+              f"  retained {traced_bytes['traced_retained_bytes'] / 2 ** 20:.1f} MiB")
     out = {
         "context": {
             "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -365,7 +380,8 @@ def main():
                           "runs_s": runs}
                    for name, runs in stages.items()},
     }
-    out["stages"]["load_bundle"]["traced_peak_bytes"] = load_peak
+    for name, traced_bytes in memory.items():
+        out["stages"][name].update(traced_bytes)
     Path(args.out).write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
 
 

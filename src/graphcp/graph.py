@@ -52,6 +52,19 @@ the running sums swap between two of them instead of being copied back.
 Unit weights (the structural adjacency) skip the multiply by 1.0, and a
 unit-weight graph's degrees are its arc counts, which is exactly what
 ``math.fsum`` gives for m ones.
+
+Memory: every constructor allocates its graph's arrays plus scratch whose
+size is fixed by a chunk or block size, not by the arc count.  A k-NN
+build's (n, k) neighbor lists become the graph's column and weight arrays
+in place (sorted by column ``_ARC_BLOCK`` arcs at a time, and compacted
+forward only when an arc is dropped, so that a graph that dropped arcs
+keeps the lists' whole buffers); beside them it holds the unit rows
+(float64 and float32 copies of the features) and each chunk's buffers.
+Unit weights are ``np.broadcast_to(1.0, (m,))``, a read-only view that
+holds no memory, and ``from_arcs`` checks an arc list's order
+``_ARC_BLOCK`` arcs at a time.  Validating a graph (``SparseGraph``)
+allocates bool arrays as long as its arcs and n-long arrays, but no int64
+or float64 copy of its arcs.
 """
 
 from __future__ import annotations
@@ -63,7 +76,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .matrixio import _check_int, _plain_float, validate_matrix
+from .matrixio import _check_int, _label_fault, _plain_float, validate_matrix
 from .scores import _counter_uniform
 
 EXACT_MODE_MAX_N = 50_000
@@ -100,6 +113,10 @@ _SCREEN_GROUPS = 256
 # _top_k sorts a block at most this many times k wide whole: one stable
 # argsort beats partition + sort + argsort + tie check there
 _NARROW_TOP_K = 2
+# arcs per block where a graph's arc arrays are read or rearranged in
+# pieces (from_arcs' key-order check, build_knn_graph's column sort), so
+# that the scratch stays 1 MB or less per array
+_ARC_BLOCK = 1 << 17
 # from_arcs orders arcs by the int64 key u * n + v, so n * n must fit
 _MAX_ARC_KEY_N = math.isqrt(np.iinfo(np.int64).max)
 # a squared row norm outside this range has underflowed or overflowed
@@ -115,7 +132,17 @@ class SparseGraph:
     weight is 1.0 it is the row's arc count; otherwise it is computed for
     all rows at once by the exact-sum kernel ``_exact_row_sums`` (TwoSum
     accumulation, a per-entry certificate, ``math.fsum`` fallback for
-    entries it cannot certify).
+    entries it cannot certify), over unit values gathered through the
+    columns, so that each term is the weight itself.
+
+    Construction checks that n is an integer >= 0, that the offsets run
+    from 0 to the arc count without decreasing, and that each row holds
+    strictly increasing integer columns in [0, n) with finite weights (a
+    fault names its row).  The arrays are stored as int64 and float64
+    arrays, converted only when they have another dtype, and the checks
+    allocate bool arrays as long as the arcs but no int64 or float64 copy
+    of them, so a graph whose arrays are views (the k-NN lists, the
+    broadcast unit weights) costs no more than those views.
     """
 
     n: int
@@ -125,32 +152,46 @@ class SparseGraph:
     degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ro = np.asarray(self.row_offsets, dtype=np.int64)
-        ci = np.asarray(self.col_indices, dtype=np.int64)
-        w = np.asarray(self.weights, dtype=np.float64)
-        if ro.shape != (self.n + 1,) or ro[0] != 0 or ro[-1] != ci.shape[0]:
+        _check_int(self.n, f"n={self.n}", 0)
+        n = int(self.n)
+        ci = np.asarray(self.col_indices)
+        if ci.ndim != 1:
+            raise ValidationError(f"col_indices: expected a 1-D array, got ndim={ci.ndim}")
+        # offsets lie in [0, nnz]; columns in [0, n), named by their row
+        ro = _index_array(self.row_offsets, ci.shape[0] + 1, "row_offsets")
+        if ro.shape != (n + 1,) or ro[0] != 0 or ro[-1] != ci.shape[0]:
             raise ValidationError("inconsistent row offsets")
         if (np.diff(ro) < 0).any():
             raise ValidationError("row offsets must be nondecreasing")
+        ci = _index_array(ci, n, "col_indices", ro)
+        w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != ci.shape:
             raise ValidationError("weights/col_indices length mismatch")
         if ci.size:
-            if ci.min() < 0 or ci.max() >= self.n:
-                raise ValidationError("column index out of range")
-            # rows sorted by column index; duplicates show up as non-increase
-            interior = np.ones(ci.size, dtype=bool)
+            # rows sorted by column index; duplicates show up as non-increase,
+            # except across a row start (arcs s - 1 and s for 0 < s < nnz)
+            rising = ci[1:] > ci[:-1]
             starts = ro[1:-1]
-            interior[starts[starts < ci.size]] = False  # row starts may break monotonicity
-            if not (ci[1:][interior[1:]] > ci[:-1][interior[1:]]).all():
-                raise ValidationError("rows must hold strictly increasing column indices")
+            rising[starts[(starts > 0) & (starts < ci.size)] - 1] = True
+            if not rising.all():
+                row = _row_of(ro, int(np.argmin(rising)) + 1)
+                raise ValidationError(f"rows must hold strictly increasing column "
+                                      f"indices: row {row} does not")
+        finite = np.isfinite(w)
+        if not finite.all():
+            a = int(np.argmin(finite))
+            raise ValidationError(f"row {_row_of(ro, a)} has non-finite weight {w[a]} "
+                                  f"on its arc to column {ci[a]}")
         if (w == 1.0).all():
             # m unit weights sum to m exactly, as math.fsum does
             degrees = np.diff(ro).astype(np.float64)
         else:
-            # arc a reads value row a: each term is the weight itself
-            degrees = _exact_row_sums(ro, np.arange(w.shape[0]), None, w[:, None])[:, 0]
+            # each term is 1.0 * w[a], which is the weight itself
+            degrees = _exact_row_sums(ro, ci, w, np.ones((n, 1)))[:, 0]
         _freeze(degrees)
-        object.__setattr__(self, "degrees", degrees)
+        for name, value in (("n", n), ("row_offsets", ro), ("col_indices", ci),
+                            ("weights", w), ("degrees", degrees)):
+            object.__setattr__(self, name, value)
 
     @property
     def nnz(self) -> int:
@@ -196,6 +237,31 @@ def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.setflags(write=False)
     return arrays
+
+
+def _row_of(row_offsets: np.ndarray, arc: int) -> int:
+    """The row that holds position ``arc`` of the arc arrays."""
+    return int(np.searchsorted(row_offsets, arc, side="right")) - 1
+
+
+def _index_array(values, bound: int, what: str,
+                 row_offsets: np.ndarray | None = None) -> np.ndarray:
+    """``values`` as a 1-D int64 array of integers in [0, bound).  The first
+    entry that is not (1.5, NaN, out of range) is rejected, named by its
+    position or, given ``row_offsets``, by its row; ``what`` names the
+    array."""
+    a = np.asarray(values)
+    if a.ndim != 1:
+        raise ValidationError(f"{what}: expected a 1-D array, got ndim={a.ndim}")
+    if a.dtype.kind not in "biuf":
+        raise ValidationError(f"{what}: expected integers, got dtype {a.dtype}")
+    fault = _label_fault(a, bound)
+    if fault is not None:
+        i, whole = fault
+        at = f"entry {i}" if row_offsets is None else f"row {_row_of(row_offsets, i)}"
+        raise ValidationError(f"{what}: {at} holds {a[i]}, " + (
+            f"out of range [0, {bound})" if whole else "not an integer"))
+    return a.astype(np.int64, copy=False)
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray, hi: np.ndarray, lo: np.ndarray,
@@ -331,8 +397,47 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
 
 
 def empty_graph(n: int) -> SparseGraph:
+    _check_int(n, f"n={n}", 0)
     return _csr_graph(n, np.zeros(n + 1, dtype=np.int64),
                       np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+
+
+def _arc_array(arcs, n: int) -> np.ndarray:
+    """``arcs`` as an (m, 2) int64 array of node pairs in [0, n); the first
+    arc that is not a pair of integers in that range is rejected by number.
+    An empty input is an empty list of arcs."""
+    arcs = np.asarray(arcs)
+    if arcs.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if arcs.ndim != 2 or arcs.shape[1] != 2:
+        raise ValidationError(f"arcs must be an (m, 2) array of node pairs, "
+                              f"got shape {arcs.shape}")
+    if arcs.dtype.kind not in "biuf":
+        raise ValidationError(f"arcs must hold integers, got dtype {arcs.dtype}")
+    fault = _label_fault(arcs.reshape(-1), n)
+    if fault is not None:
+        a, whole = fault[0] // 2, fault[1]
+        raise ValidationError(f"arc {a} ({arcs[a, 0]}, {arcs[a, 1]}) " + (
+            f"has an endpoint out of range [0, {n})" if whole
+            else "is not a pair of integers"))
+    return arcs.astype(np.int64, copy=False)
+
+
+def _sorted_row_counts(arcs: np.ndarray, n: int) -> np.ndarray | None:
+    """Arcs per row of an arc list in strictly increasing key order
+    ``u * n + v``, or None when the list is not in that order.  The list is
+    read ``_ARC_BLOCK`` arcs at a time, so the scratch is block-sized."""
+    counts = np.zeros(n, dtype=np.int64)
+    for lo in range(0, arcs.shape[0], _ARC_BLOCK):
+        # one arc of overlap compares each block with the next
+        block = arcs[lo:lo + _ARC_BLOCK + 1]
+        keys = block[:, 0] * n + block[:, 1]
+        if not (keys[1:] > keys[:-1]).all():
+            return None
+        rows = block[:_ARC_BLOCK, 0]
+        part = np.bincount(rows - rows[0])
+        counts[rows[0]:rows[0] + part.size] += part
+    return counts
 
 
 def from_arcs(n: int, arcs: np.ndarray, weights: np.ndarray | None = None) -> SparseGraph:
@@ -340,28 +445,40 @@ def from_arcs(n: int, arcs: np.ndarray, weights: np.ndarray | None = None) -> Sp
 
     Arcs are ordered by the key ``u * n + v``; a list already in strictly
     increasing key order (as ``matrixio.symmetrize_edges`` returns it) is
-    taken as it is, any other by a stable argsort of the keys."""
+    taken as it is, any other by a stable argsort of the keys.  ``arcs`` must
+    be an (m, 2) array of integers in [0, n) (integer-valued floats pass),
+    and ``weights``, when given, m finite floats; each fault is reported by
+    its first arc.
+
+    Memory: an (m, 2) int64 list in key order costs only the graph (its
+    column indices copied out of ``arcs``, offsets and degrees) and
+    block-sized scratch; a list out of order adds its keys, their argsort
+    and a sorted copy.  Without ``weights`` the unit weights are
+    ``np.broadcast_to(1.0, (m,))``, a read-only view that holds no memory.
+    """
+    _check_int(n, f"n={n}", 0)
     if n > _MAX_ARC_KEY_N:
         raise ValidationError(f"n={n} too large: arc keys u*n + v must fit in int64")
-    arcs = np.asarray(arcs, dtype=np.int64).reshape(-1, 2)
-    if arcs.size and (arcs.min() < 0 or arcs.max() >= n):
-        raise ValidationError(f"arc endpoint out of range (n={n})")
-    if weights is None:
-        weights = np.ones(arcs.shape[0], dtype=np.float64)
-    else:
+    arcs = _arc_array(arcs, n)
+    if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape[0] != arcs.shape[0]:
+        if weights.shape != (arcs.shape[0],):
             raise ValidationError("weights length must match arc count")
-    keys = arcs[:, 0] * n + arcs[:, 1]
-    if not (keys[1:] > keys[:-1]).all():
+    counts = _sorted_row_counts(arcs, n)
+    if counts is None:
+        keys = arcs[:, 0] * n + arcs[:, 1]
         order = np.argsort(keys, kind="stable")
-        arcs, weights, keys = arcs[order], weights[order], keys[order]
+        arcs, keys = arcs[order], keys[order]
+        if weights is not None:
+            weights = weights[order]
         # duplicates are equal neighbouring keys
         dup = keys[1:] == keys[:-1]
         if dup.any():
-            u, v = arcs[1:][dup][0]
+            u, v = arcs[int(np.argmax(dup)) + 1]
             raise ValidationError(f"duplicate arc ({u}, {v})")
-    counts = np.bincount(arcs[:, 0], minlength=n)
+        counts = np.bincount(arcs[:, 0], minlength=n)
+    if weights is None:
+        weights = np.broadcast_to(1.0, (arcs.shape[0],))
     return _csr_graph(n, _offsets(counts), arcs[:, 1].copy(), weights)
 
 
@@ -755,11 +872,28 @@ def build_knn_graph(features: np.ndarray, cfg: KnnConfig) -> SparseGraph:
             stacklevel=2,
         )
     cols, sims = _knn_lists(normed, cfg.k, cfg.sample_size, cfg.seed)
-    by_col = np.argsort(cols, axis=1)
-    cols = np.take_along_axis(cols, by_col, axis=1)
-    sims = np.take_along_axis(sims, by_col, axis=1)
-    # a zero-norm row ties every column at 0: it keeps no arcs, even when
-    # min_similarity < 0 would admit them
-    keep = (sims > cfg.min_similarity) & ~zero_rows[:, None]
-    return _csr_graph(n, _offsets(np.count_nonzero(keep, axis=1)), cols[keep],
-                      sims[keep])
+    # each block of rows is sorted by column in place, and its kept arcs are
+    # packed to the front of the flat lists, which never passes the block
+    # being read; while every arc is kept the lists stay where they are
+    k, step = cfg.k, max(1, _ARC_BLOCK // cfg.k)
+    flat_cols, flat_sims = cols.reshape(-1), sims.reshape(-1)
+    counts = np.empty(n, dtype=np.int64)
+    end = 0
+    for lo in range(0, n, step):
+        c, s = cols[lo:lo + step], sims[lo:lo + step]
+        by_col = np.argsort(c, axis=1)
+        c[:] = np.take_along_axis(c, by_col, axis=1)
+        s[:] = np.take_along_axis(s, by_col, axis=1)
+        # a zero-norm row ties every column at 0: it keeps no arcs, even when
+        # min_similarity < 0 would admit them
+        keep = s > cfg.min_similarity
+        keep[zero_rows[lo:lo + step]] = False
+        counts[lo:lo + step] = np.count_nonzero(keep, axis=1)
+        if end == lo * k and keep.all():
+            end += keep.size
+            continue
+        kept = int(counts[lo:lo + step].sum())
+        flat_cols[end:end + kept], flat_sims[end:end + kept] = c[keep], s[keep]
+        end += kept
+    offsets = np.arange(0, n * k + 1, k) if end == n * k else _offsets(counts)
+    return _csr_graph(n, offsets, flat_cols[:end], flat_sims[:end])

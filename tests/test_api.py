@@ -158,3 +158,65 @@ def test_numpy_integer_counts_are_accepted():
 def test_nan_and_infinite_weights_are_rejected(call, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: g.from_arcs(5, np.array([1, 2, 3])),
+     "arcs must be an (m, 2) array of node pairs, got shape (3,)"),
+    (lambda: g.adjacency_graph(4, [[0, 1, 2]]),
+     "arcs must be an (m, 2) array of node pairs, got shape (1, 3)"),
+    (lambda: g.from_arcs(5, [[0, 1], [0, 1.5], [1, 0]]),
+     "arc 1 (0.0, 1.5) is not a pair of integers"),
+    (lambda: g.from_arcs(5, [[0, 1], [math.nan, 0]]), "arc 1 (nan, 0.0) is not a pair"),
+    (lambda: g.from_arcs(3, [[0, 1], [2, 3]]), "arc 1 (2, 3) has an endpoint out of range [0, 3)"),
+    (lambda: g.from_arcs(3, [[0, -1]]), "arc 0 (0, -1) has an endpoint out of range"),
+    (lambda: g.from_arcs(3, [["0", "1"]]), "arcs must hold integers"),
+    (lambda: g.from_arcs(3, [[0, 1], [1, 0]], [0.5, math.nan]),
+     "row 1 has non-finite weight nan on its arc to column 0"),
+    (lambda: g.from_arcs(3, [[1, 0], [0, 2]], [math.inf, 0.5]),
+     "row 1 has non-finite weight inf on its arc to column 0"),
+    (lambda: g.from_arcs(-1, [[0, 1]]), "n=-1 must be >= 0"),
+    (lambda: g.from_arcs(3.5, [[0, 1]]), "n=3.5 must be an integer"),
+    (lambda: g.adjacency_graph(True, [[0, 0]]), "n=True must be an integer"),
+    (lambda: g.empty_graph(-2), "n=-2 must be >= 0"),
+    (lambda: g.empty_graph(2.0), "n=2.0 must be an integer"),
+    (lambda: g.SparseGraph(2, [0, 1, 1.5], [1], [1.0]),
+     "row_offsets: entry 2 holds 1.5, not an integer"),
+    (lambda: g.SparseGraph(2, [0, 0, 2], [0, 0.5], [1.0, 1.0]),
+     "col_indices: row 1 holds 0.5, not an integer"),
+    (lambda: g.SparseGraph(2, [[0, 1, 1]], [1], [1.0]),
+     "row_offsets: expected a 1-D array, got ndim=2"),
+    (lambda: g.SparseGraph(2, [0, 1, 2], [1, 2], [1.0, 1.0]),
+     "col_indices: row 1 holds 2, out of range [0, 2)"),
+    (lambda: g.SparseGraph(2, [0, 1, 3], [1, 0], [1.0, 1.0]),
+     "row_offsets: entry 2 holds 3, out of range [0, 3)"),
+    (lambda: g.SparseGraph(2, [0, 1, 2], [[1, 0]], [1.0, 1.0]),
+     "col_indices: expected a 1-D array, got ndim=2"),
+    (lambda: g.SparseGraph(3, [0, 2, 2, 4], [0, 1, 2, 2], np.ones(4)),
+     "strictly increasing column indices: row 2 does not"),
+    (lambda: g.SparseGraph(2, [0, 1, 2], [1, 0], [1.0, -math.inf]),
+     "row 1 has non-finite weight -inf on its arc to column 0"),
+    (lambda: g.SparseGraph(-1, [0], [], []), "n=-1 must be >= 0"),
+], ids=["arcs-1d", "adjacency-triples", "arc-fraction", "arc-nan", "arc-range",
+        "arc-negative", "arc-strings", "weight-nan", "weight-inf", "n-negative",
+        "n-float", "n-bool", "empty-negative", "empty-float", "offset-fraction",
+        "column-fraction", "offsets-2d", "column-range", "offset-range", "columns-2d",
+        "column-duplicate",
+        "csr-weight-inf", "csr-n-negative"])
+def test_graph_constructors_reject_malformed_input(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()
+
+
+def test_graph_constructors_keep_legal_edge_cases():
+    # negative finite weights (k-NN graphs under min_similarity < 0), integer
+    # valued float arcs, numpy integer n and an empty arc list all pass
+    graph = g.from_arcs(np.int64(3), np.array([[0.0, 2.0], [1.0, 0.0]]), [-0.5, 0.25])
+    assert graph.n == 3 and type(graph.n) is int
+    assert graph.col_indices.tolist() == [2, 0] and graph.col_indices.dtype == np.int64
+    assert graph.degrees.tolist() == [-0.5, 0.25, 0.0]
+    assert g.from_arcs(2, []).nnz == 0 and g.adjacency_graph(0, []).n == 0
+    # a directly built graph holds its arrays as int64 and float64 arrays
+    csr = g.SparseGraph(2, [0.0, 1.0, 1.0], [1], [2.0])
+    assert csr.row_offsets.dtype == csr.col_indices.dtype == np.int64
+    assert csr.row(0)[0].tolist() == [1] and csr.nnz == 1

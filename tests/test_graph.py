@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -849,6 +850,130 @@ def test_from_arcs_of_no_arcs_matches_the_lexsort_construction():
     offsets, cols, weights = lexsort_from_arcs(4, arcs, np.ones(0))
     assert np.array_equal(graph.row_offsets, offsets)
     assert graph.col_indices.shape == graph.weights.shape == (0,)
+
+
+def interior_rule(row_offsets, col_indices):
+    """The strict-increase check SparseGraph made before its bool form, as
+    reference: pairs of neighbouring arcs are compared unless the second
+    one starts a row."""
+    interior = np.ones(col_indices.size, dtype=bool)
+    starts = row_offsets[1:-1]
+    interior[starts[starts < col_indices.size]] = False
+    pick = interior[1:]
+    return bool((col_indices[1:][pick] > col_indices[:-1][pick]).all())
+
+
+def _accepts(n, row_offsets, col_indices):
+    try:
+        g.SparseGraph(n, row_offsets, col_indices, np.full(col_indices.size, 0.5))
+    except ValidationError as err:
+        assert "strictly increasing column indices" in str(err)
+        return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_strict_increase_check_matches_the_interior_rule(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    # empty rows anywhere: row starts at 0, repeated, and at nnz
+    counts = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n), label="counts")
+    row_offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    cols = [data.draw(st.lists(st.integers(0, n - 1), min_size=c, max_size=c), label="row")
+            for c in counts]
+    if data.draw(st.booleans(), label="sorted"):
+        cols = [sorted(row) for row in cols]
+    col_indices = np.array([c for row in cols for c in row], dtype=np.int64)
+    assert _accepts(n, row_offsets, col_indices) == interior_rule(row_offsets, col_indices)
+
+
+@pytest.mark.parametrize("counts, cols, ok", [
+    ([0, 0, 2], [0, 1], True),             # row starts at 0, twice
+    ([2, 0, 0], [0, 1], True),             # row starts at nnz, twice
+    ([2, 2, 0], [0, 1, 1, 2], True),       # a column repeated across a row start
+    ([2, 2, 0], [1, 0, 0, 1], False),
+    ([0, 1, 3], [2, 0, 1, 1], False),      # a duplicate inside the last row
+    ([3, 0, 1], [0, 2, 2, 0], False),
+    ([1, 1, 1], [2, 1, 0], True),          # decreasing only across row starts
+], ids=["starts-at-0", "starts-at-nnz", "across-start", "first-row", "last-row",
+        "before-an-empty-row", "falling-starts"])
+def test_strict_increase_check_cases(counts, cols, ok):
+    row_offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    col_indices = np.array(cols, dtype=np.int64)
+    assert interior_rule(row_offsets, col_indices) == ok
+    assert _accepts(3, row_offsets, col_indices) == ok
+
+
+_WEIGHT = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 2.0 ** -53]),
+                    st.floats(allow_nan=False, allow_infinity=False, width=64))
+
+
+def _outcome(fn):
+    """(bits, None) of fn()'s float64 result, or (None, error type)."""
+    try:
+        return fn().view(np.int64).tolist(), None
+    except (ValueError, OverflowError) as err:
+        return None, type(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_degrees_through_unit_values_equal_fsum_bit_for_bit(data):
+    # the degree kernel's terms are 1.0 * w, gathered through the columns;
+    # NaN, infinite and -0.0 weights included (math.fsum raises on inf - inf
+    # and on overflow, and so must the kernel)
+    n = data.draw(st.integers(1, 5), label="n")
+    counts = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n), label="counts")
+    nnz = sum(counts)
+    row_offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    col_indices = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=nnz,
+                                              max_size=nnz), label="cols"), dtype=np.int64)
+    weights = np.array(data.draw(st.lists(_WEIGHT, min_size=nnz, max_size=nnz),
+                                 label="weights"), dtype=np.float64)
+
+    def fsums():
+        return np.array([math.fsum(weights[row_offsets[i]:row_offsets[i + 1]])
+                         for i in range(n)])
+
+    got = _outcome(lambda: g.graph._exact_row_sums(row_offsets, col_indices, weights,
+                                                   np.ones((n, 1)))[:, 0])
+    assert got == _outcome(fsums)
+    # the form the degrees had before: arc a reads value row a
+    assert got == _outcome(lambda: g.graph._exact_row_sums(
+        row_offsets, np.arange(nnz), None, weights[:, None])[:, 0])
+
+
+def _owned_bytes(graph):
+    """Bytes the graph's arrays hold; a broadcast view holds none."""
+    arrays = (graph.row_offsets, graph.col_indices, graph.weights, graph.degrees)
+    return sum(a.nbytes for a in arrays if 0 not in a.strides)
+
+
+@pytest.mark.parametrize("n", [10_000, 40_000])
+def test_graph_builds_use_the_graph_plus_bounded_scratch(n):
+    # scratch is the traced peak above what the returned graph keeps: about
+    # 5.7 and 8.1 MB for the k-NN build at n = 10000 and 40000 (chunk
+    # buffers, and the unit rows behind the screen, 96 bytes a row), and
+    # under 1.4 MB for the adjacency.  At n = 40000 a whole-graph temporary
+    # held beside the neighbor lists (one int64 (n, k) array is 6.4 MB) or
+    # beside the arcs (one m-long float64 array is 3 MB) passes the bound
+    bundle = g.generate_synthetic(n=n, num_classes=8, dim=8, homophily=0.8,
+                                  class_sep=2.0, noise=1.0, seed=1)
+    cfg = g.KnnConfig(k=20, sample_size=200, seed=1)
+    builds = {"knn": (lambda: g.build_knn_graph(bundle.features, cfg), 10),
+              "adjacency": (lambda: g.adjacency_graph(bundle.n, bundle.edges), 2)}
+    for name, (build, bound_mb) in builds.items():
+        build()  # first calls load what they use
+        tracemalloc.start()
+        try:
+            graph = build()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - retained < bound_mb * 2 ** 20, name
+        assert retained <= _owned_bytes(graph) + 2 ** 16, name
+    assert not graph.weights.strides[0]  # unit weights: a read-only view
+    assert not graph.weights.flags.writeable
 
 
 def test_top_k_sorts_blocks_up_to_2k_wide_whole(monkeypatch):

@@ -31,10 +31,13 @@ def test_stage_times_runs_every_stage_at_small_shapes(tmp_path, monkeypatch, cap
     assert searched == [5]
     data = json.loads(out.read_text())
     assert set(data["stages"]) == {"generate_synthetic", "save_bundle", "load_bundle",
-                                   "sampled_knn_build", "neighbor_means",
+                                   "sampled_knn_build", "adjacency_graph",
+                                   "neighbor_means",
                                    "exact_knn_build", "snaps_tunes", "trial_evaluations",
                                    "image_neighbors", "image_trials", "cold_setup"}
-    assert data["stages"]["load_bundle"]["traced_peak_bytes"] > 0
+    for name in ("load_bundle", "sampled_knn_build", "exact_knn_build", "adjacency_graph"):
+        stage = data["stages"][name]
+        assert stage["traced_peak_bytes"] >= stage["traced_retained_bytes"] > 0
     # the pool's neighbor search runs at depth k, whatever the trial count
     assert data["config"]["image"]["neighbor_depth"] == 5
     for shape in ("exact", "image", "sampled"):
@@ -46,8 +49,8 @@ def test_stage_times_runs_every_stage_at_small_shapes(tmp_path, monkeypatch, cap
     for key in ("undecided_entries", "exact_thresholds"):
         counts = data["config"]["snaps"][key]
         assert len(counts) == 3 and min(counts) >= 0
-    # a line per stage, and the load's traced peak
-    assert len(capsys.readouterr().out.splitlines()) == 12
+    # a line per stage, and one per traced stage
+    assert len(capsys.readouterr().out.splitlines()) == 16
 
 
 def test_stage_times_replays_the_calls_of_one_operation(monkeypatch):
