@@ -56,10 +56,11 @@ unit-weight graph's degrees are its arc counts, which is exactly what
 Memory: every constructor allocates its graph's arrays plus scratch whose
 size is fixed by a chunk or block size, not by the arc count.  A k-NN
 build's (n, k) neighbor lists become the graph's column and weight arrays
-in place (sorted by column ``_ARC_BLOCK`` arcs at a time, and compacted
-forward only when an arc is dropped, so that a graph that dropped arcs
-keeps the lists' whole buffers); beside them it holds the unit rows
-(float64 and float32 copies of the features) and each chunk's buffers.
+in place, sorted by column and compacted forward ``_ARC_BLOCK`` arcs at a
+time; when an arc is dropped, the kept arcs are copied out, so that the
+graph does not keep the lists' whole buffers.  Beside the lists the build
+holds the unit rows (float64 and float32 copies of the features) and each
+chunk's buffers.
 Unit weights are ``np.broadcast_to(1.0, (m,))``, a read-only view that
 holds no memory, and ``from_arcs`` checks an arc list's order
 ``_ARC_BLOCK`` arcs at a time.  Validating a graph (``SparseGraph``)
@@ -874,8 +875,8 @@ def build_knn_graph(features: np.ndarray, cfg: KnnConfig) -> SparseGraph:
     cols, sims = _knn_lists(normed, cfg.k, cfg.sample_size, cfg.seed)
     # each block of rows is sorted by column in place, and its kept arcs are
     # packed to the front of the flat lists, which never passes the block
-    # being read; while every arc is kept the lists stay where they are
-    k, step = cfg.k, max(1, _ARC_BLOCK // cfg.k)
+    # being read
+    step = max(1, _ARC_BLOCK // cfg.k)
     flat_cols, flat_sims = cols.reshape(-1), sims.reshape(-1)
     counts = np.empty(n, dtype=np.int64)
     end = 0
@@ -889,11 +890,9 @@ def build_knn_graph(features: np.ndarray, cfg: KnnConfig) -> SparseGraph:
         keep = s > cfg.min_similarity
         keep[zero_rows[lo:lo + step]] = False
         counts[lo:lo + step] = np.count_nonzero(keep, axis=1)
-        if end == lo * k and keep.all():
-            end += keep.size
-            continue
         kept = int(counts[lo:lo + step].sum())
         flat_cols[end:end + kept], flat_sims[end:end + kept] = c[keep], s[keep]
         end += kept
-    offsets = np.arange(0, n * k + 1, k) if end == n * k else _offsets(counts)
-    return _csr_graph(n, offsets, flat_cols[:end], flat_sims[:end])
+    if end < flat_cols.size:  # keep only the kept arcs, not the whole lists
+        flat_cols, flat_sims = flat_cols[:end].copy(), flat_sims[:end].copy()
+    return _csr_graph(n, _offsets(counts), flat_cols, flat_sims)

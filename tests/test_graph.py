@@ -951,29 +951,45 @@ def _owned_bytes(graph):
 
 @pytest.mark.parametrize("n", [10_000, 40_000])
 def test_graph_builds_use_the_graph_plus_bounded_scratch(n):
-    # scratch is the traced peak above what the returned graph keeps: about
-    # 5.7 and 8.1 MB for the k-NN build at n = 10000 and 40000 (chunk
-    # buffers, and the unit rows behind the screen, 96 bytes a row), and
-    # under 1.4 MB for the adjacency.  At n = 40000 a whole-graph temporary
-    # held beside the neighbor lists (one int64 (n, k) array is 6.4 MB) or
-    # beside the arcs (one m-long float64 array is 3 MB) passes the bound
+    # scratch is the traced peak above what a build has to hold: the graph
+    # it returns and, for a k-NN build, the (n, k) neighbor lists (16 bytes
+    # an arc, the graph's own arrays while every arc is kept) and the unit
+    # rows behind the screen (float64 and float32, 12 bytes a feature).  It
+    # is about 4.8 and 4.4 MB for the k-NN build at n = 10000 and 40000,
+    # about 5.0 MB for both when min_similarity drops all but 1 % of the
+    # arcs, and under 1.4 MB for the adjacency.  At n = 40000 a whole-graph
+    # temporary beside the neighbor lists (one int64 (n, k) array is 6.4 MB)
+    # or beside the arcs (one m-long float64 array is 3 MB) passes the
+    # bound, and a graph that dropped arcs but kept the lists' buffers holds
+    # more than its arrays
     bundle = g.generate_synthetic(n=n, num_classes=8, dim=8, homophily=0.8,
                                   class_sep=2.0, noise=1.0, seed=1)
-    cfg = g.KnnConfig(k=20, sample_size=200, seed=1)
-    builds = {"knn": (lambda: g.build_knn_graph(bundle.features, cfg), 10),
-              "adjacency": (lambda: g.adjacency_graph(bundle.n, bundle.edges), 2)}
-    for name, (build, bound_mb) in builds.items():
+    k, d = 20, bundle.features.shape[1]
+
+    def knn(min_similarity):
+        cfg = g.KnnConfig(k=k, sample_size=200, seed=1, min_similarity=min_similarity)
+        return lambda: g.build_knn_graph(bundle.features, cfg)
+
+    held = n * k * 16, n * d * 12  # neighbor lists, unit rows
+    builds = {"knn": (knn(0.0), held, 6),
+              "knn dropping arcs": (knn(0.95), held, 6),
+              "adjacency": (lambda: g.adjacency_graph(bundle.n, bundle.edges), (0, 0), 2)}
+    graphs = {}
+    for name, (build, (lists, unit_rows), bound_mb) in builds.items():
         build()  # first calls load what they use
         tracemalloc.start()
         try:
-            graph = build()
+            graphs[name] = build()
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - retained < bound_mb * 2 ** 20, name
-        assert retained <= _owned_bytes(graph) + 2 ** 16, name
-    assert not graph.weights.strides[0]  # unit weights: a read-only view
-    assert not graph.weights.flags.writeable
+        assert peak - max(retained, lists) - unit_rows < bound_mb * 2 ** 20, name
+        assert retained <= _owned_bytes(graphs[name]) + 2 ** 16, name
+    assert graphs["knn"].col_indices.size == n * k
+    assert graphs["knn dropping arcs"].col_indices.size < n * k // 50
+    unit = graphs["adjacency"].weights
+    assert not unit.strides[0]  # unit weights: a read-only view
+    assert not unit.flags.writeable
 
 
 def test_top_k_sorts_blocks_up_to_2k_wide_whole(monkeypatch):
