@@ -59,8 +59,10 @@ k=5, eta=0.5, 20 trials, alpha=0.05):
   (``propagate._image_neighbors``): its unit rows and their exact k-NN
   lists at depth k (``graph._knn_lists``);
 * ``image_trials``: the rest of ``run_image_experiment``, that is the
-  probabilities' validation and APS mass, then the 20 trial bodies
-  (``harness._image_trial``: split, scores, correction, evaluation).
+  inputs' validation and the probabilities' APS mass, then the 20 trials
+  (split, scores, correction, trial seam): one ``run_image_experiment``
+  whose ``harness._image_neighbors`` hands back the lists the stage above
+  found.
 
 For the exact bundle and the image bundle, the JSON also records
 ``fallback_rows``: how many rows of the exact k-NN lists at depth k
@@ -337,13 +339,17 @@ def main():
     stages["image_neighbors"], (nbrs, zero) = timed(
         lambda: g.propagate._image_neighbors(feats, IMAGE_K), REPEATS)
 
-    def image_trials():
-        mass = g.scores._mass_above(g.matrixio.validate_probabilities(P))
-        return [g.harness._image_trial(P, mass, image.labels, IMAGE_CALIB, IMAGE_K,
-                                       IMAGE_ETA, IMAGE_ALPHA, SEED, t, nbrs, zero)
-                for t in range(IMAGE_TRIALS)]
-
-    stages["image_trials"], _ = timed(image_trials, REPEATS)
+    real_neighbors = g.harness._image_neighbors
+    g.harness._image_neighbors = lambda _feats, _k: (nbrs, zero)
+    try:
+        stages["image_trials"], _ = timed(
+            lambda: g.run_image_experiment(P, feats, image.labels, alpha=IMAGE_ALPHA,
+                                           k=IMAGE_K, eta=IMAGE_ETA,
+                                           n_trials=IMAGE_TRIALS,
+                                           calib_size=IMAGE_CALIB, seed=SEED),
+            REPEATS)
+    finally:
+        g.harness._image_neighbors = real_neighbors
     stages["cold_setup"] = cold_setups(EXACT_N, REPEATS)
 
     for name, runs in stages.items():

@@ -178,7 +178,7 @@ def _cmd_image(args) -> int:
     from .harness import _evaluate_trial
     from .matrixio import load_labels, load_matrix, validate_probabilities
     from .propagate import image_snaps
-    from .report import make_report, write_report
+    from .report import TrialResult, make_report, write_report
     from .scores import XiPolicy, aps_scores
 
     p_cal = load_matrix(args.probs_calib)
@@ -210,12 +210,11 @@ def _cmd_image(args) -> int:
     base = aps_scores(np.concatenate([p_cal, p_test]),
                       XiPolicy("uniform", seed=args.seed))
     full = image_snaps(base, np.concatenate([f_cal, f_test]), args.k, args.eta)
-    trial = _evaluate_trial(full, labels, calib, test, args.alpha, 0, 0,
-                            {"k": args.k, "eta": args.eta})
+    _, summary = _evaluate_trial(full, labels, calib, test, args.alpha)
     config = {"mode": "image", "alpha": args.alpha, "k": args.k, "eta": args.eta,
               "calib_size": n_cal, "n_test": n_test, "seed": args.seed}
+    trial = TrialResult(0, 0, summary, {"k": args.k, "eta": args.eta})
     write_report(make_report(config, [trial]), args.out, format=args.format)
-    summary = trial.metrics
     cov = "n/a" if summary.coverage is None else f"{summary.coverage:.4f}"
     print(f"image mode: coverage={cov} size={summary.size:.3f} -> {args.out}")
     return 0

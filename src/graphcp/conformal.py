@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ValidationError
-from .matrixio import _label_fault
+from .matrixio import _index_array, _node_labels
 from .scores import ScoreMatrix
 
 
@@ -88,19 +88,10 @@ def _order_statistic(scores: np.ndarray, rank: int) -> np.ndarray:
 def _score_values(scores) -> np.ndarray:
     if isinstance(scores, ScoreMatrix):
         return scores.values
-    return np.asarray(scores, dtype=np.float64)
-
-
-def _label_vector(labels, idx: np.ndarray, what: str) -> np.ndarray:
-    """``labels`` as a 1-D array that holds a label for every node of the
-    nonempty ``idx``; ``what`` names the nodes."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValidationError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.shape[0] <= idx.max():
-        raise ValidationError(f"{labels.shape[0]} labels, but the largest {what} "
-                              f"index is {idx.max()}")
-    return labels
+    values = np.asarray(scores, dtype=np.float64)
+    if values.ndim != 2:
+        raise ValidationError(f"scores: expected a 2-D array, got ndim={values.ndim}")
+    return values
 
 
 def calibrate(scores, labels: np.ndarray, calib_idx: np.ndarray,
@@ -109,21 +100,12 @@ def calibrate(scores, labels: np.ndarray, calib_idx: np.ndarray,
     calibration label that is not an integer in [0, K) is rejected, naming
     its node; labels of other nodes are not read."""
     values = _score_values(scores)
-    calib_idx = np.asarray(calib_idx, dtype=np.int64)
+    calib_idx = _index_array(calib_idx, values.shape[0], "calib_idx")
     if calib_idx.size == 0:
         raise ValidationError("empty calibration set")
-    if calib_idx.min() < 0 or calib_idx.max() >= values.shape[0]:
-        raise ValidationError("calibration index out of range")
-    labels = _label_vector(labels, calib_idx, "calibration")
     n = int(calib_idx.shape[0])
-    calib_labels = labels[calib_idx]
-    fault = _label_fault(calib_labels, values.shape[1])
-    if fault is not None:
-        i, whole = fault
-        why = f"outside [0, {values.shape[1]})" if whole else "that is not an integer"
-        raise ValidationError(f"calibration node {calib_idx[i]} has label "
-                              f"{calib_labels[i]} {why}")
-    true_scores = values[calib_idx, calib_labels.astype(np.int64, copy=False)]
+    calib_labels = _node_labels(labels, calib_idx, values.shape[1], "calibration")
+    true_scores = values[calib_idx, calib_labels]
     q_hat = float(_order_statistic(true_scores, conformal_rank(n, alpha)))
     idx = np.array(calib_idx, dtype=np.int64)
     idx.setflags(write=False)
@@ -138,11 +120,9 @@ def predict_sets(scores, threshold: CalibratedThreshold,
     the threshold (the split contract).
     """
     values = _score_values(scores)
-    eval_idx = np.asarray(eval_idx, dtype=np.int64)
+    eval_idx = _index_array(eval_idx, values.shape[0], "eval_idx")
     if eval_idx.size == 0:
         raise ValidationError("empty evaluation set")
-    if eval_idx.min() < 0 or eval_idx.max() >= values.shape[0]:
-        raise ValidationError("evaluation index out of range")
     # one mark per score row; calibration nodes outside the rows cannot
     # overlap them
     calib = threshold.calib_idx

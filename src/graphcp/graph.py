@@ -77,7 +77,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .matrixio import _check_int, _label_fault, _plain_float, validate_matrix
+from .matrixio import (_check_int, _index_array, _label_fault, _plain_float, _row_of,
+                       validate_matrix)
 from .scores import _counter_uniform
 
 EXACT_MODE_MAX_N = 50_000
@@ -238,31 +239,6 @@ def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.setflags(write=False)
     return arrays
-
-
-def _row_of(row_offsets: np.ndarray, arc: int) -> int:
-    """The row that holds position ``arc`` of the arc arrays."""
-    return int(np.searchsorted(row_offsets, arc, side="right")) - 1
-
-
-def _index_array(values, bound: int, what: str,
-                 row_offsets: np.ndarray | None = None) -> np.ndarray:
-    """``values`` as a 1-D int64 array of integers in [0, bound).  The first
-    entry that is not (1.5, NaN, out of range) is rejected, named by its
-    position or, given ``row_offsets``, by its row; ``what`` names the
-    array."""
-    a = np.asarray(values)
-    if a.ndim != 1:
-        raise ValidationError(f"{what}: expected a 1-D array, got ndim={a.ndim}")
-    if a.dtype.kind not in "biuf":
-        raise ValidationError(f"{what}: expected integers, got dtype {a.dtype}")
-    fault = _label_fault(a, bound)
-    if fault is not None:
-        i, whole = fault
-        at = f"entry {i}" if row_offsets is None else f"row {_row_of(row_offsets, i)}"
-        raise ValidationError(f"{what}: {at} holds {a[i]}, " + (
-            f"out of range [0, {bound})" if whole else "not an integer"))
-    return a.astype(np.int64, copy=False)
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray, hi: np.ndarray, lo: np.ndarray,

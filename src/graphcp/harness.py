@@ -29,9 +29,12 @@ every count, and the chosen point - same key, first in grid order on a full
 tie - is the one a point-by-point search with the final mix would pick,
 whatever the numpy or BLAS build or its thread count.
 
-Every runner, and the ``image`` CLI command, measures a trial through one
-evaluator, ``_evaluate_trial``: calibrate -> predict sets -> coverage, Size,
-singleton hit and SSCV.
+Every runner, and the ``image`` CLI command, runs a trial through one seam,
+``_evaluate_trial``: calibrate -> predict sets -> coverage, Size, singleton
+hit and SSCV.  It returns the prediction sets, which carry their calibrated
+threshold, beside the metric summary; each caller makes its own
+``TrialResult``.  The oracle and image runners draw each trial's split, xi
+and APS scores through ``_aps_trial``.
 
 Everything is driven by integer seeds: per-trial generators are derived from
 (seed, stage, model split, conformal split), and trials run one after
@@ -46,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformal import (_check_alpha, _order_statistic, calibrate,
+from .conformal import (PredictionSets, _check_alpha, _order_statistic, calibrate,
                         conformal_rank, predict_sets)
 from .errors import ValidationError
 from .graph import (
@@ -60,6 +63,7 @@ from .graph import (
 from .matrixio import (
     DatasetBundle,
     _check_int,
+    _label_array,
     _plain_float,
     validate_labels,
     validate_matrix,
@@ -456,23 +460,32 @@ def _tune_raps(aps_values, ranks, labels, tune_idx, alpha, rng,
 # ---------------------------------------------------------------------------
 # experiment runners
 
-def _evaluate_trial(scores, labels: np.ndarray, calib: np.ndarray,
-                    test: np.ndarray, alpha: float, model_split: int,
-                    conformal_split: int, params: dict) -> TrialResult:
-    """The one trial evaluator: calibrate on ``calib``, predict the sets of
-    ``test``, then measure coverage, Size, singleton hit and SSCV.
+def _evaluate_trial(scores, labels: np.ndarray, calib: np.ndarray, test: np.ndarray,
+                    alpha: float) -> tuple[PredictionSets, MetricSummary]:
+    """The one trial seam: calibrate on ``calib``, predict the sets of
+    ``test``, then measure coverage, Size, singleton hit and SSCV; returns
+    the sets (with their threshold) and the summary.
 
     ``labels`` holds a label per score row, or only the leading calibration
     labels when the test rows are unlabeled; the summary then has Size
     alone."""
-    threshold = calibrate(scores, labels, calib, alpha)
-    sets = predict_sets(scores, threshold, test)
+    sets = predict_sets(scores, calibrate(scores, labels, calib, alpha), test)
     if labels.shape[0] <= test.max():
-        summary = MetricSummary(coverage=None, size=float(sets.sizes().mean()),
-                                sh=None, sscv=None, n_eval=int(test.shape[0]))
-    else:
-        summary = _measure(sets, labels, None, alpha)
-    return TrialResult(model_split, conformal_split, summary, params)
+        return sets, MetricSummary(coverage=None, size=float(sets.sizes().mean()),
+                                   sh=None, sscv=None, n_eval=int(test.shape[0]))
+    return sets, _measure(sets, labels, None, alpha)
+
+
+def _aps_trial(P: np.ndarray, mass: np.ndarray, calib_size: int | None, seed: int,
+               t: int, split_key: int, xi_key: int) -> tuple:
+    """Trial ``t`` of a run over all rows of ``P``: its calibration/test
+    split (``calib_size`` of the rows, drawn under ``split_key``) and its APS
+    scores, the run's ``mass`` plus the share of its xi (drawn under
+    ``xi_key``)."""
+    rng = np.random.default_rng([seed & _MASK32, split_key, t])
+    calib, test = _split_pool(np.arange(P.shape[0]), calib_size, rng)
+    xi = XiPolicy("uniform", seed=_derive_seed(seed, xi_key, t))
+    return calib, test, _aps_from_mass(mass, P, xi)
 
 
 def _linear_nm(nm_a: NeighborMeans, nm_b: NeighborMeans, coeff: float) -> NeighborMeans:
@@ -488,10 +501,13 @@ def _int_or_none(value) -> int | None:
     return None if value is None else int(value)
 
 
+def _dataset(name: str, n: int, num_classes: int) -> dict:
+    return {"name": name, "n": int(n), "num_classes": int(num_classes)}
+
+
 def _config_dict(cfg: ExperimentConfig, bundle: DatasetBundle) -> dict:
     return {
-        "dataset": {"name": bundle.name, "n": bundle.n,
-                    "num_classes": bundle.num_classes},
+        "dataset": _dataset(bundle.name, bundle.n, bundle.num_classes),
         "alpha": cfg.alpha,
         "method": cfg.method,
         # every raps trial scores RAPS, whatever base the config names
@@ -588,8 +604,8 @@ def run_experiment(bundle: DatasetBundle, cfg: ExperimentConfig) -> TrialReport:
                 final_values = combine_scores(base_values, nm, p.lam, p.mu)
             else:
                 final_values = base_values
-            trials.append(_evaluate_trial(final_values, labels, cal_idx, test,
-                                          cfg.alpha, ms, cs, params))
+            _, summary = _evaluate_trial(final_values, labels, cal_idx, test, cfg.alpha)
+            trials.append(TrialResult(ms, cs, summary, params))
 
     return make_report(_config_dict(cfg, bundle), trials)
 
@@ -625,50 +641,25 @@ def run_oracle_experiment(bundle: DatasetBundle, alpha: float = 0.05,
     if negative:
         raise ValidationError(f"m_sweep holds m={negative[0]}; each m must be >= 0")
     labels = bundle.labels
-    all_nodes = np.arange(bundle.n)
     by_m: dict[int, list[TrialResult]] = {m: [] for m in m_sweep}
     P = validate_probabilities(bundle.probabilities)
     mass = _mass_above(P)
     for t in range(n_trials):
-        xi = XiPolicy("uniform", seed=_derive_seed(seed, 0x11, t))
-        base = _aps_from_mass(mass, P, xi)
-        rng = np.random.default_rng([seed & _MASK32, 0x22, t])
-        calib, test = _split_pool(all_nodes, calib_size, rng)
+        calib, test, base = _aps_trial(P, mass, calib_size, seed, t, 0x22, 0x11)
         # one draw at the largest m serves every m: a smaller m's peers are
         # a prefix of it
         sel, counts = _same_label_prefixes(labels, max(m_sweep),
                                            _derive_seed(seed, 0x33, t))
         for m in m_sweep:
             corrected = _oracle_mix(base, sel, counts, m, w)
-            by_m[m].append(_evaluate_trial(corrected, labels, calib, test,
-                                           alpha, 0, t, {"m": m, "w": w}))
-    reports = []
-    for m in m_sweep:
-        config = {
-            "mode": "oracle",
-            "dataset": {"name": bundle.name, "n": bundle.n,
-                        "num_classes": bundle.num_classes},
-            "alpha": alpha, "m": m, "w": w, "n_trials": int(n_trials),
-            "calib_size": _int_or_none(calib_size), "seed": int(seed),
-        }
-        reports.append(make_report(config, by_m[m]))
-    return reports
-
-
-def _image_trial(P: np.ndarray, mass: np.ndarray, labels: np.ndarray, c: int,
-                 k: int, eta: float, alpha: float, seed: int, t: int,
-                 nbrs: np.ndarray | None, zero: np.ndarray | None) -> TrialResult:
-    """Trial ``t`` of ``run_image_experiment``: draw its split and xi, add
-    the xi share to the run's APS ``mass``, mix every row with its pool
-    neighbors ``nbrs`` (none at ``eta = 0``) and evaluate."""
-    rng = np.random.default_rng([seed & _MASK32, 0xE5, t])
-    calib, test = _split_pool(np.arange(P.shape[0]), c, rng)
-    xi = XiPolicy("uniform", seed=_derive_seed(seed, 0xF6, t))
-    values = _aps_from_mass(mass, P, xi).values
-    if eta > 0.0:
-        values = _image_mix(values, values, nbrs, eta, zero)
-    return _evaluate_trial(values, labels, calib, test, alpha, 0, t,
-                           {"k": int(k), "eta": eta})
+            _, summary = _evaluate_trial(corrected, labels, calib, test, alpha)
+            by_m[m].append(TrialResult(0, t, summary, {"m": m, "w": w}))
+    dataset = _dataset(bundle.name, bundle.n, bundle.num_classes)
+    return [make_report({"mode": "oracle", "dataset": dataset, "alpha": alpha,
+                         "m": m, "w": w, "n_trials": int(n_trials),
+                         "calib_size": _int_or_none(calib_size), "seed": int(seed)},
+                        by_m[m])
+            for m in m_sweep]
 
 
 def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
@@ -684,19 +675,21 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
     they are the pool's exact k-NN lists (``propagate._image_neighbors``),
     computed once per run before any split is drawn.  The probabilities are
     validated, and their APS mass (``scores._mass_above``) computed, once
-    per run; a trial adds its own xi share and mixes all rows through
-    ``propagate._image_mix``.  The report is bit-identical to scoring every
-    trial from scratch with ``image_snaps``.
+    per run; each trial draws its split and xi share through ``_aps_trial``,
+    mixes all rows through ``propagate._image_mix`` and goes through the
+    trial seam ``_evaluate_trial``.  The report is bit-identical to scoring
+    every trial from scratch with ``image_snaps``.
     Non-finite features, probability rows that do not sum to 1, labels
-    that are not integers in [0, K), a calibration size outside [1, n), eta outside [0, 1]
-    and k outside [1, n - 1] are rejected, and so are non-integer counts
-    and seeds, ``n_trials < 1`` and an alpha outside (0, 1)."""
+    that are not a 1-D array of integers in [0, K), a calibration size
+    outside [1, n), eta outside [0, 1] and k outside [1, n - 1] are
+    rejected, and so are non-integer counts and seeds, ``n_trials < 1`` and
+    an alpha outside (0, 1)."""
     _check_int(n_trials, f"n_trials={n_trials}", 1)
     _check_int(seed, f"seed={seed}")
     alpha, eta = _plain_float(alpha), _plain_float(eta)
     P = validate_matrix(probabilities, "probabilities")
     feats = validate_matrix(features, "features")
-    labels = np.asarray(labels)
+    labels = _label_array(labels)
     n = P.shape[0]
     if feats.shape[0] != n or labels.shape[0] != n:
         raise ValidationError("probabilities/features/labels row counts disagree")
@@ -707,11 +700,16 @@ def run_image_experiment(probabilities, features, labels, *, alpha: float = 0.1,
     validate_probabilities(P)
     nbrs, zero = _image_neighbors(feats, k) if eta > 0.0 else (None, None)
     mass = _mass_above(P)
-    trials = [_image_trial(P, mass, labels, c, k, eta, alpha, seed, t, nbrs, zero)
-              for t in range(n_trials)]
+    trials = []
+    for t in range(n_trials):
+        calib, test, base = _aps_trial(P, mass, c, seed, t, 0xE5, 0xF6)
+        values = base.values
+        if eta > 0.0:
+            values = _image_mix(values, values, nbrs, eta, zero)
+        _, summary = _evaluate_trial(values, labels, calib, test, alpha)
+        trials.append(TrialResult(0, t, summary, {"k": int(k), "eta": eta}))
     config = {
-        "mode": "image", "dataset": {"name": name, "n": n,
-                                     "num_classes": int(P.shape[1])},
+        "mode": "image", "dataset": _dataset(name, n, P.shape[1]),
         "alpha": alpha, "k": int(k), "eta": eta, "n_trials": int(n_trials),
         "calib_size": int(c), "seed": int(seed),
     }

@@ -99,6 +99,57 @@ def _label_fault(labels: np.ndarray, num_classes: int) -> tuple[int, bool] | Non
     return None
 
 
+def _row_of(row_offsets: np.ndarray, arc: int) -> int:
+    """The row that holds position ``arc`` of the arc arrays."""
+    return int(np.searchsorted(row_offsets, arc, side="right")) - 1
+
+
+def _index_array(values, bound: int, what: str,
+                 row_offsets: np.ndarray | None = None) -> np.ndarray:
+    """``values`` as a 1-D int64 array of integers in [0, bound).  The first
+    entry that is not (1.5, NaN, out of range) is rejected, named by its
+    position or, given ``row_offsets``, by its row; ``what`` names the
+    array."""
+    a = np.asarray(values)
+    if a.ndim != 1:
+        raise ValidationError(f"{what}: expected a 1-D array, got ndim={a.ndim}")
+    if a.dtype.kind not in "biuf":
+        raise ValidationError(f"{what}: expected integers, got dtype {a.dtype}")
+    fault = _label_fault(a, bound)
+    if fault is not None:
+        i, whole = fault
+        at = f"entry {i}" if row_offsets is None else f"row {_row_of(row_offsets, i)}"
+        raise ValidationError(f"{what}: {at} holds {a[i]}, " + (
+            f"out of range [0, {bound})" if whole else "not an integer"))
+    return a.astype(np.int64, copy=False)
+
+
+def _label_array(labels) -> np.ndarray:
+    """``labels`` as an array, which must be 1-D."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValidationError(f"labels must be 1-D, got shape {labels.shape}")
+    return labels
+
+
+def _node_labels(labels, idx: np.ndarray, num_classes: int, what: str) -> np.ndarray:
+    """The int64 labels of the nodes ``idx`` (nonempty) in the 1-D
+    ``labels``; a label that is not an integer in [0, num_classes) is
+    rejected, naming its node.  ``what`` names the nodes; labels of other
+    nodes are not read."""
+    labels = _label_array(labels)
+    if labels.shape[0] <= idx.max():
+        raise ValidationError(f"{labels.shape[0]} labels, but the largest {what} "
+                              f"index is {idx.max()}")
+    picked = np.take(labels, idx)
+    fault = _label_fault(picked, num_classes)
+    if fault is not None:
+        i, whole = fault
+        raise ValidationError(f"{what} node {idx[i]} has label {picked[i]} " + (
+            f"out of range [0, {num_classes})" if whole else "that is not an integer"))
+    return picked.astype(np.int64, copy=False)
+
+
 def validate_labels(labels, num_classes: int) -> np.ndarray:
     """``labels`` as int64; a value that is not an integer (2.7, NaN) or lies
     outside [0, num_classes) is rejected, naming its first row."""

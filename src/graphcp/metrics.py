@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import _check_alpha, _label_vector
+from .conformal import _check_alpha
 from .errors import ValidationError
-from .matrixio import _label_fault
+from .matrixio import _node_labels
 
 # contiguous set-size strata; the upper bounds get clipped to K
 SSCV_STRATA = ((0, 1), (2, 3), (4, 10), (11, 100), (101, 1000))
@@ -25,18 +25,6 @@ class MetricSummary:
     n_eval: int
 
 
-def _check_sets(sets, labels, eval_idx):
-    if eval_idx is None:
-        eval_idx = sets.eval_idx
-    else:
-        eval_idx = np.asarray(eval_idx, dtype=np.int64)
-        if not np.array_equal(eval_idx, sets.eval_idx):
-            raise ValidationError("eval_idx does not match the prediction sets")
-    if eval_idx.size == 0:
-        raise ValidationError("empty evaluation set")
-    return _label_vector(labels, eval_idx, "evaluation"), eval_idx
-
-
 def _measure(sets, labels, eval_idx, alpha: float | None) -> MetricSummary:
     """One counting pass: whether each eval node's true label is in its set
     and each set's size, kept as one histogram over (size, covered), from
@@ -44,16 +32,12 @@ def _measure(sets, labels, eval_idx, alpha: float | None) -> MetricSummary:
     all follow.  Each mean is an exact integer count divided by its row
     count, so it has the bits of the mean over the rows.  ``evaluate`` and
     ``sscv`` are views of this summary."""
-    labels, eval_idx = _check_sets(sets, labels, eval_idx)
+    if eval_idx is not None and not np.array_equal(eval_idx, sets.eval_idx):
+        raise ValidationError("eval_idx does not match the prediction sets")
+    if sets.eval_idx.size == 0:
+        raise ValidationError("empty evaluation set")
     n, k = sets.mask.shape
-    true_labels = np.take(labels, eval_idx)
-    fault = _label_fault(true_labels, k)
-    if fault is not None:
-        i, whole = fault
-        why = f"out of range [0, {k})" if whole else "that is not an integer"
-        raise ValidationError(f"evaluation node {eval_idx[i]} has label "
-                              f"{true_labels[i]} {why}")
-    true_labels = true_labels.astype(np.int64, copy=False)
+    true_labels = _node_labels(labels, sets.eval_idx, k, "evaluation")
     true_in = np.take(sets.mask.ravel(), np.arange(0, n * k, k) + true_labels)
     # bin 2 s + t counts the sets of size s that miss (t = 0) or hold (t = 1)
     # their true label

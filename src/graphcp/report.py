@@ -103,6 +103,14 @@ def report_from_dict(d: dict) -> TrialReport:
     return TrialReport(config=d.get("config", {}), trials=trials, aggregate=aggregate)
 
 
+def _csv_row(row: dict) -> dict:
+    """A CSV report row as the trial dict ``_trial_from_dict`` reads."""
+    return {**{key: float(row[key]) if row[key] else None for key in _METRICS},
+            "n_eval": int(row["n_eval"]), "model_split": int(row["model_split"]),
+            "conformal_split": int(row["conformal_split"]),
+            "params": json.loads(row["params"]) if row["params"] else {}}
+
+
 def _fmt(value) -> str:
     return "" if value is None else f"{value:.6f}"
 
@@ -165,28 +173,9 @@ def read_report(path, format: str = "json") -> TrialReport:
             if not first.startswith("# config "):
                 raise ValidationError(f"{path}: missing '# config' line")
             config = json.loads(first[len("# config "):])
-            reader = csv.DictReader(fh)
-            trials = []
-
-            def cell(row, key):
-                return float(row[key]) if row[key] else None
-
-            for row in reader:
-                summary = MetricSummary(
-                    coverage=cell(row, "coverage"),
-                    size=cell(row, "size"),
-                    sh=cell(row, "sh"),
-                    sscv=cell(row, "sscv"),
-                    n_eval=int(row["n_eval"]),
-                )
-                trials.append(TrialResult(
-                    model_split=int(row["model_split"]),
-                    conformal_split=int(row["conformal_split"]),
-                    metrics=summary,
-                    params=json.loads(row["params"]) if row["params"] else {},
-                ))
+            rows = [_csv_row(row) for row in csv.DictReader(fh)]
         # aggregate is recomputable from trials, so CSV does not store it
-        return make_report(config, trials)
+        return report_from_dict({"config": config, "trials": rows})
     raise ValidationError(f"unknown report format: {format!r}")
 
 

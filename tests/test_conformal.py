@@ -160,7 +160,7 @@ def test_calibrate_rejects_a_calibration_label_outside_the_classes(label):
     labels = np.array([0, 1, label, 0])
     with pytest.raises(ValidationError) as exc:
         g.calibrate(values, labels, np.array([3, 2, 0]), 0.1)
-    assert str(exc.value) == f"calibration node 2 has label {label} outside [0, 2)"
+    assert str(exc.value) == f"calibration node 2 has label {label} out of range [0, 2)"
     # labels of nodes outside the calibration set are not read
     g.calibrate(values, labels, np.array([3, 1, 0]), 0.1)
 
@@ -180,6 +180,41 @@ def test_calibrate_rejects_a_calibration_label_that_is_not_an_integer(label, sho
         g.calibrate(values, np.array([0, 1, 2, 0]), np.arange(4), 0.5).q_hat
     labels[1] = label
     g.calibrate(values, labels, np.array([0, 2, 3]), 0.5)
+
+
+_V = np.random.default_rng(4).uniform(size=(6, 3))
+_Y = np.array([0, 1, 2, 0, 1, 2])
+_TH = g.calibrate(_V, _Y, [0, 1], 0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    # a cast to int64 used to read 0.5 as node 0 and 5.7 as node 5
+    (lambda: g.calibrate(_V, _Y, [2, 0.5], 0.1), "calib_idx: entry 1 holds 0.5, not an integer"),
+    (lambda: g.calibrate(_V, _Y, [math.nan], 0.1), "calib_idx: entry 0 holds nan, not an integer"),
+    (lambda: g.calibrate(_V, _Y, [[0, 1]], 0.1), "calib_idx: expected a 1-D array, got ndim=2"),
+    (lambda: g.calibrate(_V, _Y, [0, 6], 0.1), "calib_idx: entry 1 holds 6, out of range [0, 6)"),
+    (lambda: g.predict_sets(_V, _TH, [5.7]), "eval_idx: entry 0 holds 5.7, not an integer"),
+    (lambda: g.predict_sets(_V, _TH, [2, math.nan]), "eval_idx: entry 1 holds nan, not an integer"),
+    (lambda: g.predict_sets(_V, _TH, [[2], [3]]), "eval_idx: expected a 1-D array, got ndim=2"),
+    (lambda: g.predict_sets(_V, _TH, [-1]), "eval_idx: entry 0 holds -1, out of range [0, 6)"),
+    # a 1-D score row raised IndexError in calibrate and gave a 1-D mask
+    (lambda: g.calibrate(_V[0], _Y, [0], 0.1), "scores: expected a 2-D array, got ndim=1"),
+    (lambda: g.predict_sets(_V[0], _TH, [2]), "scores: expected a 2-D array, got ndim=1"),
+], ids=["calib-fraction", "calib-nan", "calib-2d", "calib-range", "eval-fraction",
+        "eval-nan", "eval-2d", "eval-range", "calib-scores-1d", "predict-scores-1d"])
+def test_calibrate_and_predict_reject_malformed_indices_and_scores(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_whole_float_indices_pick_their_nodes():
+    th = g.calibrate(_V, _Y, [0.0, 1.0, 3.0], 0.5)
+    assert th.calib_idx.tolist() == [0, 1, 3]
+    assert th.q_hat == g.calibrate(_V, _Y, [0, 1, 3], 0.5).q_hat
+    sets = g.predict_sets(_V, th, np.array([2.0, 5.0]))
+    assert sets.eval_idx.tolist() == [2, 5]
+    assert np.array_equal(sets.mask, g.predict_sets(_V, th, [2, 5]).mask)
 
 
 def test_monotonicity_in_alpha():

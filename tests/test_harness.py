@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import graphcp as g
 from graphcp import harness
+from graphcp.cli import main
 from graphcp.errors import ValidationError
 from graphcp.harness import _split_pool, snaps_param_grid
 
@@ -1152,6 +1153,70 @@ def test_image_experiment_rejects_non_integer_labels(small_bundle, bad, shown):
         g.run_image_experiment(small_bundle.probabilities, small_bundle.features, labels,
                                k=3, n_trials=2, calib_size=100)
     assert str(exc.value) == f"label {shown} at row 7 is not an integer"
+
+
+def test_image_experiment_rejects_labels_that_are_not_one_dimensional(small_bundle):
+    # a 0-d label array raised IndexError at labels.shape[0]
+    with pytest.raises(ValidationError) as exc:
+        g.run_image_experiment(small_bundle.probabilities, small_bundle.features,
+                               np.int64(0), k=3, n_trials=2, calib_size=100)
+    assert str(exc.value) == "labels must be 1-D, got shape ()"
+
+
+def _seam_trials(bundle, which, tmp_path):
+    """The trials of one run of ``which``, in the order it calls the trial
+    seam."""
+    P, feats, labels = bundle.probabilities, bundle.features, bundle.labels
+    if which == "experiment":
+        cfg = g.ExperimentConfig(method="snaps", knn=g.KnnConfig(k=5), n_model_splits=2,
+                                 n_conformal_splits=2, seed=4)
+        return g.run_experiment(bundle, cfg).trials
+    if which == "oracle":
+        reports = g.run_oracle_experiment(bundle, m_sweep=(0, 2), n_trials=2,
+                                          calib_size=100, seed=4)
+        return [r.trials[t] for t in range(2) for r in reports]
+    if which == "image":
+        return g.run_image_experiment(P, feats, labels, k=3, n_trials=3, calib_size=100,
+                                      seed=4).trials
+    # graphcp image on the bundle cut in half, with or without test labels
+    out, half = tmp_path / "image.json", bundle.n // 2
+    argv = ["image", "--k", "3", "--seed", "4", "--out", str(out)]
+    for side, rows in (("calib", slice(None, half)), ("test", slice(half, None))):
+        for flag, mat in (("probs", P), ("feats", feats)):
+            path = tmp_path / f"{flag}-{side}.snpm"
+            g.write_matrix(mat[rows], path)
+            argv += [f"--{flag}-{side}", str(path)]
+        if side == "calib" or which == "cli-labeled":
+            path = tmp_path / f"labels-{side}.txt"
+            path.write_text("".join(f"{y}\n" for y in labels[rows].tolist()))
+            argv += [f"--labels-{side}", str(path)]
+    assert main(argv) == 0
+    return g.read_report(out).trials
+
+
+@pytest.mark.parametrize("which", ["experiment", "oracle", "image", "cli-labeled",
+                                   "cli-unlabeled"])
+def test_the_trial_seam_hands_back_the_sets_its_trial_measures(small_bundle, tmp_path,
+                                                                monkeypatch, which):
+    # every runner and graphcp image: the sets hold the trial's test nodes,
+    # their threshold is calibrate's, and they measure to the report's trial
+    seen, real = [], harness._evaluate_trial
+    monkeypatch.setattr(harness, "_evaluate_trial",
+                        lambda *a: seen.append((a, real(*a))) or seen[-1][1])
+    trials = _seam_trials(small_bundle, which, tmp_path)
+    assert len(seen) == len(trials) > 0
+    for ((scores, labels, calib, test, alpha), (sets, summary)), trial in zip(seen, trials):
+        assert np.array_equal(sets.eval_idx, test)
+        want = g.calibrate(scores, labels, calib, alpha)
+        got = sets.threshold
+        assert (got.q_hat, got.alpha, got.n_calib) == (want.q_hat, want.alpha, want.n_calib)
+        assert np.array_equal(got.calib_idx, want.calib_idx)
+        assert summary == trial.metrics
+        if which == "cli-unlabeled":
+            assert trial.metrics.coverage is None
+            assert trial.metrics.size == sets.sizes().mean()
+        else:
+            assert g.metrics._measure(sets, labels, None, alpha) == trial.metrics
 
 
 def test_a_labeled_trial_counts_its_sets_once(small_bundle, monkeypatch):

@@ -95,3 +95,29 @@ def test_synthetic_benchmark_runs_every_method(tmp_path, monkeypatch, capsys):
         assert len(json.loads((tmp_path / name).read_text())["trials"]) == 2
     # the bundle line, the header and one row per method
     assert len(capsys.readouterr().out.splitlines()) == 6
+
+
+def test_report_digests_agree_across_two_runs_at_small_shapes(tmp_path, monkeypatch,
+                                                              capsys):
+    script = _load("report_digests")
+    for name, value in dict(
+            SEEDS=(1,), SMALL_N=400, SMALL_SPLITS=(1, 2), ORACLE_TRIALS=2, CLI_CALIB=200,
+            GRAPH_WORKLOADS=(("exact", 400, 4, 20, None, 1, 2),
+                             ("sampled", 400, 4, 20, 200, 1, 2)),
+            IMAGE_WORKLOADS=(("image", 400, 4, 100, 5, 0.5, 2),
+                             ("image-eta0", 400, 4, 100, 5, 0.0, 2))).items():
+        monkeypatch.setattr(script, name, value)
+    tables = []
+    for run in ("first", "second"):
+        out = tmp_path / f"{run}.json"
+        monkeypatch.setattr(sys, "argv", ["report_digests.py", "--out", str(out)])
+        script.main()
+        tables.append(out.read_text())
+    assert tables[0] == tables[1]
+    table = json.loads(tables[0])
+    # 2 graph and 2 image shapes, 6 methods on 2 k-NN modes, 7 values of m,
+    # and graphcp image with and without test labels
+    assert len(table) == 2 + 2 + 12 + 7 + 2
+    assert table["image-cli/seed1"] != table["image-cli-unlabeled/seed1"]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0] == lines[1]
